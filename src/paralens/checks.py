@@ -614,12 +614,12 @@ def random_relation(rng: random.Random, obj: ParamObj) -> SelectionRelation:
     """An arbitrary relation, tabulated over every (state, reward fn) pair."""
     table = {}
     for k in enumerate_functions(obj.fwd, obj.bwd):
-        key = tuple(k.table[x] for x in obj.fwd.labels)
+        key = tuple(k(x) for x in obj.fwd.labels)
         for x in obj.fwd.labels:
             table[(x, key)] = rng.random() < 0.5
 
     def accepts(x: str, k: FinFn) -> bool:
-        return table[(x, tuple(k.table[l] for l in obj.fwd.labels))]
+        return table[(x, tuple(k(l) for l in obj.fwd.labels))]
 
     return SelectionRelation(obj, accepts)
 

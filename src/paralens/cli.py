@@ -263,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a game spec and compare with the oracle")
     p_solve.add_argument("spec", help="path to a spec JSON (bundled: pd.json, matching_pennies.json, coordination.json)")
     p_solve.add_argument("--selection", help="argmax_each, hicks_sum, or comma-joined per-player tags")
-    p_solve.add_argument("--max-strategies", type=int, default=DEFAULT_ENUM_CAP, help="cap on enumerated strategies per decision")
-    p_solve.add_argument("--max-costates", type=int, default=DEFAULT_ENUM_CAP, help="cap on enumerated states when transporting relations")
+    p_solve.add_argument("--max-strategies", type=_nonneg_int, default=DEFAULT_ENUM_CAP, help="cap on enumerated strategies per decision")
+    p_solve.add_argument("--max-costates", type=_nonneg_int, default=DEFAULT_ENUM_CAP, help="cap on enumerated states when transporting relations")
     p_solve.set_defaults(fn=cmd_solve)
 
     p_train = sub.add_parser("train", help="run a training demo and write per-step CSV")

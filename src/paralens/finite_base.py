@@ -1,19 +1,21 @@
-"""Finite carriers: label sets, tabulated functions, exact rational payoffs.
+"""Finite carriers: label sets, checked functions, exact rational payoffs.
 
 Everything here is symbolic and exact.  Product carriers get canonical pair
 labels ``(x,y)`` and n-ary products associate to the left, so any composite
-carrier has a single deterministic presentation and table equality is
-decidable.  Payoff values are ``fractions.Fraction`` throughout; floats never
+carrier has a single deterministic presentation.  Morphisms are checked,
+memoised procedures; only ``FiniteBase.mor_equal`` tabulates, to decide
+equality.  Payoff values are ``fractions.Fraction`` throughout; floats never
 enter the game-theoretic side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import product as iter_product
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
+from weakref import WeakKeyDictionary
 
 from .errors import CompositionError, SizeCapError
 from .lens_core import Base
@@ -44,6 +46,12 @@ class FinSet:
                 raise CompositionError(f"duplicate label {label!r} in finite set")
             pos[label] = i
         object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "_hash", hash(labels))
+        # products with this set as left factor, dropped with the right one
+        object.__setattr__(self, "_products", WeakKeyDictionary())
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -74,10 +82,14 @@ def pair_label(x: str, y: str) -> str:
     return f"({x},{y})"
 
 
-@lru_cache(maxsize=None)
 def finset_product(a: FinSet, b: FinSet) -> FinSet:
     """Product set with pair labels, first factor varying slowest."""
-    return FinSet(tuple(pair_label(x, y) for x in a.labels for y in b.labels))
+    # memoised on a, keyed weakly by b: a product lives as long as both factors
+    prod = a._products.get(b)
+    if prod is None:
+        prod = FinSet(tuple(pair_label(x, y) for x in a.labels for y in b.labels))
+        a._products[b] = prod
+    return prod
 
 
 def split_pair(a: FinSet, b: FinSet, label: str) -> tuple[str, str]:
@@ -112,58 +124,49 @@ def split_tuple(sets: Sequence[FinSet], label: str) -> tuple[str, ...]:
     return split_tuple(sets[:-1], x) + (y,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinFn:
-    """A total function between finite sets, stored as a lookup table."""
+    """A total function between finite sets, as a checked, memoised procedure.
+
+    ``fn`` is a callable or a table given as data.  The first evaluation at
+    a label checks that the label is in ``dom`` and its image in ``cod``,
+    then keeps the image in ``table``, which never outgrows the domain.  A
+    table given as data is checked the same way, eagerly.
+    """
 
     dom: FinSet
     cod: FinSet
-    table: Mapping[str, str]
+    fn: Callable[[str], str] | Mapping[str, str]
+    table: dict[str, str] = field(init=False, repr=False)
 
     def __post_init__(self):
-        table = dict(self.table)
-        object.__setattr__(self, "table", table)
-        if set(table) != set(self.dom.labels):
-            missing = sorted(set(self.dom.labels) - set(table))
-            extra = sorted(set(table) - set(self.dom.labels))
-            raise CompositionError(
-                f"table does not match domain {self.dom}: "
-                f"missing {missing[:4]}, extra {extra[:4]}"
-            )
-        for x, y in table.items():
-            if y not in self.cod:
+        object.__setattr__(self, "table", {})
+        if isinstance(self.fn, Mapping):
+            data = dict(self.fn)
+            missing = [x for x in self.dom.labels if x not in data]
+            extra = [x for x in data if x not in self.dom]
+            if missing or extra:
                 raise CompositionError(
-                    f"image {y!r} of {x!r} is not in codomain {self.cod}"
+                    f"table does not match domain {self.dom}: "
+                    f"missing {missing[:4]}, extra {extra[:4]}"
                 )
+            object.__setattr__(self, "fn", data.__getitem__)
+            for x in self.dom.labels:
+                self(x)
 
     def __call__(self, label: str) -> str:
-        return self.table[label]
-
-
-def fn_identity(a: FinSet) -> FinFn:
-    return FinFn(a, a, {x: x for x in a.labels})
-
-
-def fn_compose(f: FinFn, g: FinFn) -> FinFn:
-    """Composite table ``x ↦ g(f(x))``."""
-    if f.cod != g.dom:
-        raise CompositionError(
-            f"cannot compose: codomain {f.cod} of the first function "
-            f"differs from domain {g.dom} of the second"
-        )
-    return FinFn(f.dom, g.cod, {x: g.table[y] for x, y in f.table.items()})
-
-
-def fn_product(f: FinFn, g: FinFn) -> FinFn:
-    """Componentwise action on the product of domains."""
-    dom = finset_product(f.dom, g.dom)
-    cod = finset_product(f.cod, g.cod)
-    table = {
-        pair_label(x, y): pair_label(f.table[x], g.table[y])
-        for x in f.dom.labels
-        for y in g.dom.labels
-    }
-    return FinFn(dom, cod, table)
+        table = self.table
+        if label in table:
+            return table[label]
+        if label not in self.dom:
+            raise CompositionError(f"label {label!r} is not in domain {self.dom}")
+        image = self.fn(label)
+        if image not in self.cod:
+            raise CompositionError(
+                f"image {image!r} of {label!r} is not in codomain {self.cod}"
+            )
+        table[label] = image
+        return image
 
 
 def enumerate_functions(
@@ -209,7 +212,7 @@ def payoff_grid(values: Iterable[Fraction | int | str]) -> FinSet:
 
 
 class FiniteBase(Base):
-    """Carriers are :class:`FinSet`, morphisms are :class:`FinFn` tables."""
+    """Carriers are :class:`FinSet`, morphisms are :class:`FinFn` procedures."""
 
     name = "finite"
 
@@ -226,16 +229,27 @@ class FiniteBase(Base):
         return str(c)
 
     def identity(self, c: FinSet) -> FinFn:
-        return fn_identity(c)
+        return FinFn(c, c, lambda x: x)
 
     def morphism(self, dom: FinSet, cod: FinSet, fn) -> FinFn:
-        return FinFn(dom, cod, {x: fn(x) for x in dom.labels})
+        return FinFn(dom, cod, fn)
 
     def compose(self, f: FinFn, g: FinFn) -> FinFn:
-        return fn_compose(f, g)
+        """The procedure ``x ↦ g(f(x))``."""
+        if f.cod != g.dom:
+            raise CompositionError(
+                f"cannot compose: codomain {f.cod} of the first function "
+                f"differs from domain {g.dom} of the second"
+            )
+        return FinFn(f.dom, g.cod, lambda x: g(f(x)))
 
     def product(self, f: FinFn, g: FinFn) -> FinFn:
-        return fn_product(f, g)
+        """Componentwise action on the product of domains."""
+        def fn(xy: str) -> str:
+            x, y = split_pair(f.dom, g.dom, xy)
+            return pair_label(f(x), g(y))
+
+        return FinFn(finset_product(f.dom, g.dom), finset_product(f.cod, g.cod), fn)
 
     def dom_of(self, f: FinFn) -> FinSet:
         return f.dom
@@ -244,7 +258,7 @@ class FiniteBase(Base):
         return f.cod
 
     def apply(self, f: FinFn, x: str) -> str:
-        return f.table[x]
+        return f(x)
 
     def unit_elem(self) -> str:
         return UNIT_LABEL
@@ -259,7 +273,9 @@ class FiniteBase(Base):
         return c.labels
 
     def mor_equal(self, f: FinFn, g: FinFn) -> bool:
-        return f.dom == g.dom and f.cod == g.cod and f.table == g.table
+        """Pointwise equality: the one place a whole domain is enumerated."""
+        same_type = f.dom == g.dom and f.cod == g.cod
+        return same_type and all(f(x) == g(x) for x in f.dom.labels)
 
 
 FINITE = FiniteBase()

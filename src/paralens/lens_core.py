@@ -3,8 +3,8 @@
 A lens between boundary objects ``⟨A, A'⟩ → ⟨B, B'⟩`` is a forward map
 ``get : A → B`` together with a backward map ``put : A × B' → A'`` that may
 consult the forward input.  The base category is abstracted behind
-:class:`Base` so the same combinators drive both the finite (tabulated) and
-the smooth (procedural) instantiations.
+:class:`Base` so the same combinators drive both the finite (exact) and
+the smooth (numeric) instantiations.
 
 Composition threads the forward pass into the backward pass:
 
@@ -65,7 +65,7 @@ class Base(ABC):
     def morphism(self, dom: Carrier, cod: Carrier, fn: Callable[[Elem], Elem]) -> Mor:
         """Build a base morphism from an element-level function.
 
-        Tabulates on finite carriers, wraps the callable on smooth ones.
+        Both bases wrap the callable; finite ones check and memoise it per label.
         """
 
     @abstractmethod

@@ -31,6 +31,7 @@ from .finite_base import (
     FINITE,
     FinFn,
     FinSet,
+    UNIT_LABEL,
     UNIT_SET,
     enumerate_functions,
     finset_product,
@@ -107,12 +108,8 @@ def nash_product(eps: SelectionRelation, delta: SelectionRelation) -> SelectionR
 
     def accepts(xy: str, k: FinFn) -> bool:
         x, y = split_pair(em, dm, xy)
-        k_y = FinFn(
-            em, er, {a: split_pair(er, dr, k(pair_label(a, y)))[0] for a in em.labels}
-        )
-        k_x = FinFn(
-            dm, dr, {b: split_pair(er, dr, k(pair_label(x, b)))[1] for b in dm.labels}
-        )
+        k_y = FinFn(em, er, lambda a: split_pair(er, dr, k(pair_label(a, y)))[0])
+        k_x = FinFn(dm, dr, lambda b: split_pair(er, dr, k(pair_label(x, b)))[1])
         return eps.accepts(x, k_y) and delta.accepts(y, k_x)
 
     return SelectionRelation(obj, accepts)
@@ -120,12 +117,7 @@ def nash_product(eps: SelectionRelation, delta: SelectionRelation) -> SelectionR
 
 def _threaded_costate(f: Lens, k: FinFn) -> FinFn:
     """The reward function seen upstream of ``f``: forward out, reward back."""
-    src, dst = f.src, f.dst
-    table = {}
-    for x in src.fwd.labels:
-        y = FINITE.apply(f.get, x)
-        table[x] = FINITE.apply(f.put, pair_label(x, k(y)))
-    return FinFn(src.fwd, src.bwd, table)
+    return FinFn(f.src.fwd, f.src.bwd, lambda x: f.put(pair_label(x, k(f.get(x)))))
 
 
 def sel_pushforward(
@@ -152,9 +144,7 @@ def sel_pushforward(
 
     def accepts(y: str, k: FinFn) -> bool:
         fk = _threaded_costate(f, k)
-        return any(
-            FINITE.apply(f.get, x) == y and eps.accepts(x, fk) for x in states
-        )
+        return any(f.get(x) == y and eps.accepts(x, fk) for x in states)
 
     return SelectionRelation(ParamObj(f.dst.fwd, f.dst.bwd), accepts)
 
@@ -177,7 +167,7 @@ def is_sel_morphism(
     for k in costates:
         fk = _threaded_costate(f, k)
         for h in f.src.fwd.labels:
-            if eps.accepts(h, fk) and not delta.accepts(FINITE.apply(f.get, h), k):
+            if eps.accepts(h, fk) and not delta.accepts(f.get(h), k):
                 return False
     return True
 
@@ -186,13 +176,7 @@ def relations_equal(
     r1: SelectionRelation, r2: SelectionRelation, max_size: int = DEFAULT_ENUM_CAP
 ) -> bool:
     """Extensional equality over all states and all reward functions."""
-    if r1.obj != r2.obj:
-        raise CompositionError("relations live on different parameter ports")
-    for k in enumerate_functions(r1.obj.fwd, r1.obj.bwd, max_size):
-        for x in r1.obj.fwd.labels:
-            if r1.accepts(x, k) != r2.accepts(x, k):
-                return False
-    return True
+    return relation_subset(r1, r2, max_size) and relation_subset(r2, r1, max_size)
 
 
 def relation_subset(
@@ -226,24 +210,17 @@ def decision(
     strategies = enumerate_functions(observations, moves, max_size)
     omega = finset_tuple_product([moves] * len(observations))
     dom = finset_product(omega, observations)
-    get = FinFn(
-        dom,
-        moves,
-        {
-            pair_label(w, x): strategies[omega.index(w)](x)
-            for w in omega.labels
-            for x in observations.labels
-        },
-    )
+
+    def play(wx: str) -> str:
+        w, x = split_pair(omega, observations, wx)
+        return strategies[omega.index(w)](x)
+
+    get = FinFn(dom, moves, play)
     cod = finset_product(rewards, UNIT_SET)
     put = FinFn(
         finset_product(dom, rewards),
         cod,
-        {
-            pair_label(wx, r): pair_label(r, UNIT_SET.labels[0])
-            for wx in dom.labels
-            for r in rewards.labels
-        },
+        lambda wxr: pair_label(split_pair(dom, rewards, wxr)[1], UNIT_LABEL),
     )
     carrier = Lens(
         FINITE,

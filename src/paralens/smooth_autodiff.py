@@ -587,6 +587,8 @@ def graph_from_json(data) -> SmoothMap:
     for key in ("param_dim", "in_dim", "out_dim", "nodes", "output"):
         if key not in data:
             raise SpecFormatError(f"missing key {key!r}", "$")
+    if not isinstance(data["nodes"], list):
+        raise SpecFormatError("expected a list of nodes", "$.nodes")
     nodes = []
     for i, nd in enumerate(data["nodes"]):
         path = f"$.nodes[{i}]"
@@ -596,12 +598,16 @@ def graph_from_json(data) -> SmoothMap:
         if factory is None:
             raise SpecFormatError(f"unknown primitive {nd['prim']!r}", path)
         args = nd.get("args", [])
-        if not all(isinstance(a, int) for a in args):
-            raise SpecFormatError("primitive args must be integers", path)
-        wires = [
-            _wire_from_json(w, f"{path}.inputs[{j}]")
-            for j, w in enumerate(nd.get("inputs", []))
-        ]
+        arity = factory.__code__.co_argcount
+        if not isinstance(args, list) or len(args) != arity or not all(
+            isinstance(a, int) and a >= 0 for a in args
+        ):
+            message = f"{nd['prim']} takes {arity} non-negative integer dimensions"
+            raise SpecFormatError(message, f"{path}.args")
+        inputs = nd.get("inputs", [])
+        if not isinstance(inputs, list):
+            raise SpecFormatError("expected a list of wires", f"{path}.inputs")
+        wires = [_wire_from_json(w, f"{path}.inputs[{j}]") for j, w in enumerate(inputs)]
         nodes.append(Node(nd["name"], factory(*args), tuple(wires)))
     return SmoothMap(
         data["param_dim"],

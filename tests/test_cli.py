@@ -137,6 +137,11 @@ def test_solve_rejects_bad_inputs(capsys):
     assert "--selection" in capsys.readouterr().err
     assert main(["solve", "/nonexistent/game.json"]) == 2
     assert "no such spec" in capsys.readouterr().err
+    for flag, value in (("--max-strategies", "-1"), ("--max-costates", "-5")):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "pd.json", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_solve_user_spec_from_disk(tmp_path, capsys):

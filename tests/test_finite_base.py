@@ -1,9 +1,12 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from paralens.errors import CompositionError, SizeCapError
 from paralens.finite_base import (
+    FINITE,
     UNIT_LABEL,
     UNIT_SET,
     FinFn,
@@ -11,9 +14,6 @@ from paralens.finite_base import (
     enumerate_functions,
     finset_product,
     finset_tuple_product,
-    fn_compose,
-    fn_identity,
-    fn_product,
     pair_label,
     parse_payoff,
     payoff_grid,
@@ -22,6 +22,7 @@ from paralens.finite_base import (
     split_tuple,
     tuple_label,
 )
+from paralens.selection_games import compositional_game, normal_form_game, solution_set
 from fractions import Fraction
 
 
@@ -99,6 +100,19 @@ def test_finfn_validates_table():
         FinFn(dom, cod, {"a": "x", "b": "x", "c": "x"})
 
 
+def test_finfn_rejects_label_outside_domain():
+    f = FinFn(FinSet(("a", "b")), FinSet(("x",)), {"a": "x", "b": "x"})
+    with pytest.raises(CompositionError, match=r"'zz'.*\{a,b\}"):
+        FINITE.apply(f, "zz")
+
+
+def test_finfn_procedure_checks_image_at_first_evaluation():
+    f = FINITE.morphism(FinSet(("a", "b")), FinSet(("x",)), lambda a: "y")
+    with pytest.raises(CompositionError, match="codomain"):
+        f("a")
+    assert f.table == {}
+
+
 def test_fn_compose_and_identity():
     rng = random.Random(20)
     for _ in range(50):
@@ -109,24 +123,36 @@ def test_fn_compose_and_identity():
         f = FinFn(sets[0], sets[1], {x: rng.choice(sets[1].labels) for x in sets[0].labels})
         g = FinFn(sets[1], sets[2], {x: rng.choice(sets[2].labels) for x in sets[1].labels})
         h = FinFn(sets[2], sets[3], {x: rng.choice(sets[3].labels) for x in sets[2].labels})
-        assert fn_compose(fn_compose(f, g), h) == fn_compose(f, fn_compose(g, h))
-        assert fn_compose(fn_identity(sets[0]), f) == f
-        assert fn_compose(f, fn_identity(sets[1])) == f
+        compose, eq = FINITE.compose, FINITE.mor_equal
+        assert eq(compose(compose(f, g), h), compose(f, compose(g, h)))
+        assert eq(compose(FINITE.identity(sets[0]), f), f)
+        assert eq(compose(f, FINITE.identity(sets[1])), f)
 
 
 def test_fn_compose_rejects_mismatch():
     f = FinFn(FinSet(("a",)), FinSet(("x",)), {"a": "x"})
     g = FinFn(FinSet(("y",)), FinSet(("z",)), {"y": "z"})
     with pytest.raises(CompositionError):
-        fn_compose(f, g)
+        FINITE.compose(f, g)
 
 
 def test_fn_product_componentwise():
     f = FinFn(FinSet(("a", "b")), FinSet(("x", "y")), {"a": "x", "b": "y"})
     g = FinFn(FinSet(("0",)), FinSet(("p", "q")), {"0": "q"})
-    fg = fn_product(f, g)
+    fg = FINITE.product(f, g)
     assert fg(pair_label("a", "0")) == pair_label("x", "q")
     assert fg(pair_label("b", "0")) == pair_label("y", "q")
+
+
+def test_product_carriers_die_with_their_game():
+    players = [FinSet(("C", "D")), FinSet(("C", "D"))]
+    table = {("C", "C"): (2, 2), ("C", "D"): (0, 3), ("D", "C"): (3, 0), ("D", "D"): (1, 1)}
+    game = compositional_game(normal_form_game(players, table))
+    assert solution_set(game) == ("(D,D)",)
+    profiles = weakref.ref(game.lens.params.fwd)
+    del game, players
+    gc.collect()
+    assert profiles() is None
 
 
 def test_enumerate_functions_order_and_count():

@@ -268,6 +268,19 @@ def test_json_errors_carry_paths():
         graph_from_json(data2)
     with pytest.raises(SpecFormatError, match="missing key"):
         graph_from_json({"param_dim": 0})
+    bad_nodes = graph_to_json(f)
+    bad_nodes["nodes"] = 5
+    with pytest.raises(SpecFormatError, match=r"\$\.nodes:"):
+        graph_from_json(bad_nodes)
+    bad_inputs = graph_to_json(f)
+    bad_inputs["nodes"][0]["inputs"] = 5
+    with pytest.raises(SpecFormatError, match=r"\$\.nodes\[0\]\.inputs"):
+        graph_from_json(bad_inputs)
+    for i, prim, args in ((0, "linear", [1]), (1, "tanh", [-1])):
+        bad_args = graph_to_json(f)
+        bad_args["nodes"][i].update(prim=prim, args=args)
+        with pytest.raises(SpecFormatError, match=rf"\$\.nodes\[{i}\]\.args"):
+            graph_from_json(bad_args)
 
 
 # -- lenses and steps ---------------------------------------------------
