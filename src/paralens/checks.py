@@ -45,7 +45,7 @@ from .lens_core import (
     lens_swap,
     lens_tensor,
     obj_pair,
-    relabel_lens,
+    rewire,
     unit_obj,
 )
 from .para_optic import (
@@ -55,12 +55,11 @@ from .para_optic import (
     embed_trivial,
     flatten_params,
     is_unit_param,
-    join_left_assoc,
+    left_bracketing,
     para_compose,
     para_tensor,
     reparametrise,
     shape_leaves,
-    split_left_assoc,
 )
 from .selection_games import (
     SelectionRelation,
@@ -286,41 +285,15 @@ def _pentagon_rhs(a: LensObj, b: LensObj, c: LensObj, d: LensObj) -> Lens:
 # -- parametrised laws --------------------------------------------------
 
 
-def _flat_perm(
-    src_raw: ParaLens,
-    src_flat: ParaLens,
-    dst_raw: ParaLens,
-    dst_flat: ParaLens,
-    order: Sequence[int],
-) -> Lens:
-    """Relabelling between two flattenings whose leaves are a permutation.
+def _flat_perm(raw: ParaLens, order: Sequence[int]) -> Lens:
+    """Relabelling of the flattening of ``raw`` that permutes its leaves.
 
-    Leaf structure comes from the composites before flattening; flattening
+    Leaf structure comes from the composite before flattening; flattening
     itself collapses the shape.  ``order[i]`` says which source leaf
     supplies destination slot i.
     """
-    src_leaves = [o for o in shape_leaves(src_raw.param_shape) if not is_unit_param(FINITE, o)]
-    dst_leaves = [o for o in shape_leaves(dst_raw.param_shape) if not is_unit_param(FINITE, o)]
-    src_fwd = [o.fwd for o in src_leaves]
-    src_bwd = [o.bwd for o in src_leaves]
-    dst_fwd = [o.fwd for o in dst_leaves]
-    dst_bwd = [o.bwd for o in dst_leaves]
-
-    def fwd_fn(x: str) -> str:
-        parts = split_left_assoc(FINITE, src_fwd, x)
-        return join_left_assoc(FINITE, dst_fwd, [parts[i] for i in order])
-
-    inverse = [0] * len(order)
-    for slot, idx in enumerate(order):
-        inverse[idx] = slot
-
-    def bwd_fn(y: str) -> str:
-        parts = split_left_assoc(FINITE, dst_bwd, y)
-        return join_left_assoc(FINITE, src_bwd, [parts[inverse[i]] for i in range(len(order))])
-
-    return relabel_lens(
-        FINITE, src_flat.params.as_obj(), dst_flat.params.as_obj(), fwd_fn, bwd_fn
-    )
+    leaves = [o.as_obj() for o in shape_leaves(raw.param_shape) if not is_unit_param(FINITE, o)]
+    return rewire(FINITE, leaves, left_bracketing(range(len(leaves))), left_bracketing(order))
 
 
 def check_para_laws(seed: int = 2, rounds: int = 40) -> CheckResult:
@@ -374,7 +347,7 @@ def check_para_laws(seed: int = 2, rounds: int = 40) -> CheckResult:
         both = flatten_params(both_raw)
         split = flatten_params(split_raw)
         # leaves: composite-of-tensors [p4,q2,p3,q1]; tensor-of-composites [p4,p3,q2,q1]
-        perm = _flat_perm(both_raw, both, split_raw, split, [0, 2, 1, 3])
+        perm = _flat_perm(both_raw, [0, 2, 1, 3])
         instances += 1
         if not lens_equal(both.carrier, reparametrise(split, perm).carrier):
             return CheckResult(

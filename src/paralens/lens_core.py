@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from .errors import CompositionError, UnsupportedOperationError
 
@@ -285,7 +285,9 @@ def lens_equal(l1: Lens, l2: Lens) -> bool:
 #
 # A relabelling lens is a bijective rewiring: its get is a bijection of the
 # forward carriers and its put ignores the forward input, applying the
-# reverse bijection to the backward value.
+# reverse bijection to the backward value.  By coherence, every structural
+# isomorphism of the monoidal structure is fixed by two bracketings of the
+# same leaves, so one :func:`rewire` builds them all.
 
 
 def relabel_lens(
@@ -304,149 +306,117 @@ def relabel_lens(
     return Lens(base, src, dst, get, put)
 
 
-def lens_lunit(base: Base, a: LensObj) -> Lens:
-    """⟨1,1⟩ ⊗ a → a."""
-    unit_c = base.unit()
+class _Bracketing:
+    """One node of a bracketing, with its boundary object computed once.
+
+    Splitting and joining walk the tree through methods rather than a
+    recursive closure, so a lens built on it holds no reference cycle.
+    """
+
+    __slots__ = ("base", "leaf", "left", "right", "obj", "carriers")
+
+    def __init__(self, base: Base, leaves: Sequence[LensObj], tree) -> None:
+        self.base = base
+        self.leaf = tree if isinstance(tree, int) else None
+        self.left = self.right = None
+        if isinstance(tree, tuple):
+            self.left, self.right = (_Bracketing(base, leaves, t) for t in tree)
+            self.obj = obj_pair(base, self.left.obj, self.right.obj)
+        else:
+            self.obj = unit_obj(base) if tree is None else leaves[tree]
+        self.carriers = (self.obj.fwd, self.obj.bwd)
+
+    def indices(self) -> list[int]:
+        if self.left is not None:
+            return self.left.indices() + self.right.indices()
+        return [] if self.leaf is None else [self.leaf]
+
+    def split(self, x: Elem, side: int, parts: dict[int, Elem]) -> dict[int, Elem]:
+        """Record the leaf components of ``x`` in ``parts``, keyed by leaf index."""
+        if self.left is not None:
+            u, v = self.base.split_elem(
+                self.left.carriers[side], self.right.carriers[side], x
+            )
+            self.left.split(u, side, parts)
+            self.right.split(v, side, parts)
+        elif self.leaf is not None:
+            parts[self.leaf] = x
+        return parts
+
+    def join(self, parts: dict[int, Elem], side: int) -> Elem:
+        """Assemble this node's element from leaf components; absent leaves are units."""
+        if self.left is not None:
+            return self.base.pair_elem(
+                self.left.carriers[side],
+                self.right.carriers[side],
+                self.left.join(parts, side),
+                self.right.join(parts, side),
+            )
+        if self.leaf in parts:
+            return parts[self.leaf]
+        return self.base.unit_elem()
+
+
+def rewire(base: Base, leaves: Sequence[LensObj], src, dst) -> Lens:
+    """The relabelling lens between two bracketings of the same ``leaves``.
+
+    A bracketing is a leaf index, a pair of bracketings, or ``None`` for the
+    unit.  Forward, an element is split along ``src`` and joined along
+    ``dst``; backward, the reverse.  A leaf may be missing from one side
+    only if it is a unit leaf, which then reads as ``base.unit_elem()``.
+    """
+    s = _Bracketing(base, leaves, src)
+    d = _Bracketing(base, leaves, dst)
+    si, di = s.indices(), d.indices()
+    unit = unit_obj(base)
+    if len(set(si)) != len(si) or len(set(di)) != len(di):
+        raise CompositionError("rewire: a bracketing uses a leaf twice")
+    if any(leaves[i] != unit for i in set(si) ^ set(di)):
+        raise CompositionError("rewire: only unit leaves may be dropped or introduced")
     return relabel_lens(
         base,
-        obj_pair(base, unit_obj(base), a),
-        a,
-        lambda x: base.split_elem(unit_c, a.fwd, x)[1],
-        lambda b: base.pair_elem(unit_c, a.bwd, base.unit_elem(), b),
+        s.obj,
+        d.obj,
+        lambda x: d.join(s.split(x, 0, {}), 0),
+        lambda z: s.join(d.split(z, 1, {}), 1),
     )
+
+
+def lens_lunit(base: Base, a: LensObj) -> Lens:
+    """⟨1,1⟩ ⊗ a → a."""
+    return rewire(base, [a], (None, 0), 0)
 
 
 def lens_lunit_inv(base: Base, a: LensObj) -> Lens:
     """a → ⟨1,1⟩ ⊗ a."""
-    unit_c = base.unit()
-    return relabel_lens(
-        base,
-        a,
-        obj_pair(base, unit_obj(base), a),
-        lambda x: base.pair_elem(unit_c, a.fwd, base.unit_elem(), x),
-        lambda b: base.split_elem(unit_c, a.bwd, b)[1],
-    )
+    return rewire(base, [a], 0, (None, 0))
 
 
 def lens_runit(base: Base, a: LensObj) -> Lens:
     """a ⊗ ⟨1,1⟩ → a."""
-    unit_c = base.unit()
-    return relabel_lens(
-        base,
-        obj_pair(base, a, unit_obj(base)),
-        a,
-        lambda x: base.split_elem(a.fwd, unit_c, x)[0],
-        lambda b: base.pair_elem(a.bwd, unit_c, b, base.unit_elem()),
-    )
+    return rewire(base, [a], (0, None), 0)
 
 
 def lens_runit_inv(base: Base, a: LensObj) -> Lens:
     """a → a ⊗ ⟨1,1⟩."""
-    unit_c = base.unit()
-    return relabel_lens(
-        base,
-        a,
-        obj_pair(base, a, unit_obj(base)),
-        lambda x: base.pair_elem(a.fwd, unit_c, x, base.unit_elem()),
-        lambda b: base.split_elem(a.bwd, unit_c, b)[0],
-    )
+    return rewire(base, [a], 0, (0, None))
 
 
 def lens_swap(base: Base, a: LensObj, b: LensObj) -> Lens:
     """a ⊗ b → b ⊗ a."""
-
-    def fwd(x):
-        u, v = base.split_elem(a.fwd, b.fwd, x)
-        return base.pair_elem(b.fwd, a.fwd, v, u)
-
-    def bwd(z):
-        u, v = base.split_elem(b.bwd, a.bwd, z)
-        return base.pair_elem(a.bwd, b.bwd, v, u)
-
-    return relabel_lens(base, obj_pair(base, a, b), obj_pair(base, b, a), fwd, bwd)
+    return rewire(base, [a, b], (0, 1), (1, 0))
 
 
 def lens_assoc(base: Base, a: LensObj, b: LensObj, c: LensObj) -> Lens:
     """(a ⊗ b) ⊗ c → a ⊗ (b ⊗ c)."""
-
-    def fwd(x):
-        uv, w = base.split_elem(base.pair(a.fwd, b.fwd), c.fwd, x)
-        u, v = base.split_elem(a.fwd, b.fwd, uv)
-        return base.pair_elem(
-            a.fwd, base.pair(b.fwd, c.fwd), u, base.pair_elem(b.fwd, c.fwd, v, w)
-        )
-
-    def bwd(z):
-        u, vw = base.split_elem(a.bwd, base.pair(b.bwd, c.bwd), z)
-        v, w = base.split_elem(b.bwd, c.bwd, vw)
-        return base.pair_elem(
-            base.pair(a.bwd, b.bwd), c.bwd, base.pair_elem(a.bwd, b.bwd, u, v), w
-        )
-
-    return relabel_lens(
-        base,
-        obj_pair(base, obj_pair(base, a, b), c),
-        obj_pair(base, a, obj_pair(base, b, c)),
-        fwd,
-        bwd,
-    )
+    return rewire(base, [a, b, c], ((0, 1), 2), (0, (1, 2)))
 
 
 def lens_assoc_inv(base: Base, a: LensObj, b: LensObj, c: LensObj) -> Lens:
     """a ⊗ (b ⊗ c) → (a ⊗ b) ⊗ c."""
-
-    def fwd(x):
-        u, vw = base.split_elem(a.fwd, base.pair(b.fwd, c.fwd), x)
-        v, w = base.split_elem(b.fwd, c.fwd, vw)
-        return base.pair_elem(
-            base.pair(a.fwd, b.fwd), c.fwd, base.pair_elem(a.fwd, b.fwd, u, v), w
-        )
-
-    def bwd(z):
-        uv, w = base.split_elem(base.pair(a.bwd, b.bwd), c.bwd, z)
-        u, v = base.split_elem(a.bwd, b.bwd, uv)
-        return base.pair_elem(
-            a.bwd, base.pair(b.bwd, c.bwd), u, base.pair_elem(b.bwd, c.bwd, v, w)
-        )
-
-    return relabel_lens(
-        base,
-        obj_pair(base, a, obj_pair(base, b, c)),
-        obj_pair(base, obj_pair(base, a, b), c),
-        fwd,
-        bwd,
-    )
+    return rewire(base, [a, b, c], (0, (1, 2)), ((0, 1), 2))
 
 
 def lens_interchange(base: Base, a: LensObj, b: LensObj, c: LensObj, d: LensObj) -> Lens:
     """(a ⊗ b) ⊗ (c ⊗ d) → (a ⊗ c) ⊗ (b ⊗ d), swapping the middle factors."""
-
-    def fwd(x):
-        ab, cd = base.split_elem(
-            base.pair(a.fwd, b.fwd), base.pair(c.fwd, d.fwd), x
-        )
-        u, v = base.split_elem(a.fwd, b.fwd, ab)
-        w, t = base.split_elem(c.fwd, d.fwd, cd)
-        return base.pair_elem(
-            base.pair(a.fwd, c.fwd),
-            base.pair(b.fwd, d.fwd),
-            base.pair_elem(a.fwd, c.fwd, u, w),
-            base.pair_elem(b.fwd, d.fwd, v, t),
-        )
-
-    def bwd(z):
-        ac, bd = base.split_elem(
-            base.pair(a.bwd, c.bwd), base.pair(b.bwd, d.bwd), z
-        )
-        u, w = base.split_elem(a.bwd, c.bwd, ac)
-        v, t = base.split_elem(b.bwd, d.bwd, bd)
-        return base.pair_elem(
-            base.pair(a.bwd, b.bwd),
-            base.pair(c.bwd, d.bwd),
-            base.pair_elem(a.bwd, b.bwd, u, v),
-            base.pair_elem(c.bwd, d.bwd, w, t),
-        )
-
-    src = obj_pair(base, obj_pair(base, a, b), obj_pair(base, c, d))
-    dst = obj_pair(base, obj_pair(base, a, c), obj_pair(base, b, d))
-    return relabel_lens(base, src, dst, fwd, bwd)
+    return rewire(base, [a, b, c, d], ((0, 1), (2, 3)), ((0, 2), (1, 3)))

@@ -13,7 +13,7 @@ a composite to a single left-associated parameter leaf (dropping unit
 leaves) without changing behaviour, which is what solvers and optimisers
 want to talk to.
 
-All structural rewiring is done with honest relabelling lenses from
+All structural rewiring is done with ``rewire`` relabelling lenses from
 ``lens_core``; nothing here peeks inside a base element except through the
 base's own pair/split operations.
 """
@@ -28,7 +28,6 @@ from .errors import CompositionError
 from .lens_core import (
     Base,
     Carrier,
-    Elem,
     Lens,
     LensObj,
     lens_assoc,
@@ -40,7 +39,7 @@ from .lens_core import (
     make_costate,
     obj_pair,
     describe_obj,
-    relabel_lens,
+    rewire,
     unit_obj,
 )
 
@@ -196,61 +195,21 @@ def reparametrise(p: ParaLens, r: Lens) -> ParaLens:
     return ParaLens(base, params, p.src, p.dst, carrier, ShapeLeaf(params))
 
 
-# -- left-associated element packing ------------------------------------
+# -- flattening -----------------------------------------------------------
 
 
-def join_left_assoc(base: Base, carriers: Sequence[Carrier], elems: Sequence[Elem]) -> Elem:
-    """Pack elements of ``carriers`` into the left-associated product element."""
-    if len(carriers) != len(elems):
-        raise CompositionError("join_left_assoc: carrier/element count mismatch")
-    if not carriers:
-        return base.unit_elem()
-    acc_c, acc_e = carriers[0], elems[0]
-    for c, e in zip(carriers[1:], elems[1:]):
-        acc_e = base.pair_elem(acc_c, c, acc_e, e)
-        acc_c = base.pair(acc_c, c)
-    return acc_e
+def left_bracketing(indices: Sequence[int]):
+    """The left-associated bracketing of ``indices``; ``None`` when empty."""
+    return reduce(lambda acc, i: (acc, i), indices) if indices else None
 
 
-def split_left_assoc(base: Base, carriers: Sequence[Carrier], elem: Elem) -> list[Elem]:
-    """Unpack a left-associated product element into its components."""
-    if not carriers:
-        return []
-    if len(carriers) == 1:
-        return [elem]
-    head = reduce(base.pair, carriers[:-1])
-    x, y = base.split_elem(head, carriers[-1], elem)
-    return split_left_assoc(base, carriers[:-1], x) + [y]
-
-
-def _pack_shape(base, shape, elems_iter, side):
-    """Rebuild the nested element of a shape tree from flat leaf elements."""
+def _numbered(shape: ParamShape, start: int = 0):
+    """The bracketing of a shape tree with its leaves numbered left to right."""
     if isinstance(shape, ShapeLeaf):
-        if is_unit_param(base, shape.obj):
-            return base.unit_elem()
-        return next(elems_iter)
-    left_obj = shape_obj(base, shape.left)
-    right_obj = shape_obj(base, shape.right)
-    lc = left_obj.fwd if side == "fwd" else left_obj.bwd
-    rc = right_obj.fwd if side == "fwd" else right_obj.bwd
-    le = _pack_shape(base, shape.left, elems_iter, side)
-    re = _pack_shape(base, shape.right, elems_iter, side)
-    return base.pair_elem(lc, rc, le, re)
-
-
-def _unpack_shape(base, shape, elem, side, out):
-    """Collect the non-unit leaf elements of a nested shape element, in order."""
-    if isinstance(shape, ShapeLeaf):
-        if not is_unit_param(base, shape.obj):
-            out.append(elem)
-        return
-    left_obj = shape_obj(base, shape.left)
-    right_obj = shape_obj(base, shape.right)
-    lc = left_obj.fwd if side == "fwd" else left_obj.bwd
-    rc = right_obj.fwd if side == "fwd" else right_obj.bwd
-    le, re = base.split_elem(lc, rc, elem)
-    _unpack_shape(base, shape.left, le, side, out)
-    _unpack_shape(base, shape.right, re, side, out)
+        return start, start + 1
+    left, mid = _numbered(shape.left, start)
+    right, end = _numbered(shape.right, mid)
+    return (left, right), end
 
 
 def flatten_params(p: ParaLens) -> ParaLens:
@@ -258,38 +217,17 @@ def flatten_params(p: ParaLens) -> ParaLens:
 
     Unit leaves (from ``embed_trivial``) are dropped; the remaining leaves
     keep their left-to-right order.  Behaviour is unchanged: the carrier is
-    rewritten through the bijective relabelling between the two layouts.
+    reparametrised by the :func:`rewire` from the flat layout to the tree.
     Lenses whose shape is already a single leaf are returned as-is.
     """
     base = p.base
     if isinstance(p.param_shape, ShapeLeaf):
         return p
-    leaves = [obj for obj in shape_leaves(p.param_shape) if not is_unit_param(base, obj)]
-    if not leaves:
-        flat = unit_param(base)
-    elif len(leaves) == 1:
-        flat = leaves[0]
-    else:
-        flat = ParamObj(
-            reduce(base.pair, (l.fwd for l in leaves)),
-            reduce(base.pair, (l.bwd for l in leaves)),
-        )
-
-    fwd_carriers = [l.fwd for l in leaves]
-    bwd_carriers = [l.bwd for l in leaves]
-    shape = p.param_shape
-
-    def fwd_fn(flat_elem):
-        parts = split_left_assoc(base, fwd_carriers, flat_elem)
-        return _pack_shape(base, shape, iter(parts), "fwd")
-
-    def bwd_fn(nested_elem):
-        parts: list = []
-        _unpack_shape(base, shape, nested_elem, "bwd", parts)
-        return join_left_assoc(base, bwd_carriers, parts)
-
-    wiring = relabel_lens(base, flat.as_obj(), p.params.as_obj(), fwd_fn, bwd_fn)
-    return reparametrise(p, wiring)
+    params = shape_leaves(p.param_shape)
+    kept = [i for i, q in enumerate(params) if not is_unit_param(base, q)]
+    leaves = [q.as_obj() for q in params]
+    nested, _ = _numbered(p.param_shape)
+    return reparametrise(p, rewire(base, leaves, left_bracketing(kept), nested))
 
 
 def para_costate_solution_input(p: ParaLens) -> Lens:

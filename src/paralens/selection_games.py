@@ -54,7 +54,7 @@ from .lens_core import (
     lens_tensor,
     make_costate,
     make_state,
-    relabel_lens,
+    rewire,
     unit_obj,
 )
 from .para_optic import (
@@ -63,7 +63,7 @@ from .para_optic import (
     ShapeLeaf,
     embed_trivial,
     flatten_params,
-    join_left_assoc,
+    left_bracketing,
     para_compose,
     para_costate_solution_input,
     para_tensor,
@@ -83,10 +83,15 @@ def argmax_rel(moves: FinSet, rewards: FinSet) -> SelectionRelation:
     """Accepts a move iff no other move earns a strictly larger reward."""
     if len(moves) == 0:
         raise CompositionError("argmax over the empty move set is undefined")
+    values = {r: parse_payoff(r) for r in rewards.labels}
 
     def accepts(x: str, k: FinFn) -> bool:
-        vx = parse_payoff(k(x))
-        return all(vx >= parse_payoff(k(y)) for y in moves.labels)
+        if k.cod != rewards:
+            raise CompositionError(
+                f"reward function lands in {k.cod}, expected the rewards {rewards}"
+            )
+        vx = values[k(x)]
+        return all(vx >= values[k(y)] for y in moves.labels)
 
     return SelectionRelation(ParamObj(moves, rewards), accepts)
 
@@ -127,7 +132,9 @@ def sel_pushforward(
 
     The image relation accepts (y, k) iff some state x with get(x) = y is
     accepted by ``eps`` against the reward function threaded back through
-    ``f``.
+    ``f``.  Source states are grouped into the fibres of ``get`` once, and
+    the threaded reward function is kept for the last ``k`` seen, so an
+    acceptance call checks only the fibre of ``y``.
     """
     if f.base is not FINITE:
         raise CompositionError("relations only push forward over the finite base")
@@ -142,9 +149,15 @@ def sel_pushforward(
             count=len(states),
         )
 
+    fibres: dict[str, list[str]] = {}
+    for x in states:
+        fibres.setdefault(f.get(x), []).append(x)
+    threaded: list = [None, None]  # the last k and its threaded costate
+
     def accepts(y: str, k: FinFn) -> bool:
-        fk = _threaded_costate(f, k)
-        return any(f.get(x) == y and eps.accepts(x, fk) for x in states)
+        if threaded[0] is not k:
+            threaded[:] = [k, _threaded_costate(f, k)]
+        return any(eps.accepts(x, threaded[1]) for x in fibres.get(y, ()))
 
     return SelectionRelation(ParamObj(f.dst.fwd, f.dst.bwd), accepts)
 
@@ -412,14 +425,7 @@ def game_scalar(g: NormalFormGame, max_size: int = DEFAULT_ENUM_CAP) -> ParaLens
     ]
     tensored = reduce(para_tensor, parts)
     n = len(g.players)
-    unit_sets = [UNIT_SET] * n
-    closer = relabel_lens(
-        FINITE,
-        unit_obj(FINITE),
-        tensored.src,
-        lambda _: join_left_assoc(FINITE, unit_sets, [UNIT_SET.labels[0]] * n),
-        lambda _: UNIT_SET.labels[0],
-    )
+    closer = rewire(FINITE, [unit_obj(FINITE)] * n, None, left_bracketing(range(n)))
     payoffs = make_costate(FINITE, tensored.dst, g.payoff)
     closed = para_compose(
         para_compose(embed_trivial(closer), tensored), embed_trivial(payoffs)

@@ -37,13 +37,12 @@ from .lens_core import (
     lens_id,
     lens_tensor,
     make_costate,
-    relabel_lens,
+    rewire,
 )
 from .para_optic import (
     ParaLens,
     ParamObj,
     ShapeLeaf,
-    embed_trivial,
     flatten_params,
     para_compose,
     para_tensor,
@@ -727,10 +726,12 @@ def gan_step(
     The fake branch scores ``disc(gen(z))``, the real branch scores
     ``disc(real)``; one discriminator parameter vector is copied into both
     branches on the way forward and the two gradients are summed on the way
-    back.  Both scores are fed backward with cotangent one; the generator
-    port descends while the tied discriminator port ascends, so the
-    discriminator pushes both scores up and the generator pulls the fake
-    score down.  Returns ``(p_gen_next, p_disc_next, (d_fake, d_real))``.
+    back.  Both scores are read off one forward leg and fed backward with
+    cotangent one; the generator port descends while the tied discriminator
+    port ascends, so the discriminator pushes both scores up and the
+    generator pulls the fake score down.  A step makes 7 forward and 3
+    backward graph evaluations.  Returns
+    ``(p_gen_next, p_disc_next, (d_fake, d_real))``.
     """
     if gen.base is not SMOOTH or disc.base is not SMOOTH:
         raise CompositionError("gan_step expects smooth-base lenses")
@@ -747,36 +748,19 @@ def gan_step(
     z = as_vector(z, gen.src.fwd, "latent vector")
     real = as_vector(real, disc.src.fwd, "real sample")
 
-    fake_branch = para_compose(gen, disc)  # params [disc, gen]
-    both = para_tensor(fake_branch, disc)  # params [[disc, gen], disc]
-    scores = make_costate(
-        SMOOTH, both.dst, SMOOTH.morphism(2, 2, lambda _: np.ones(2))
-    )
-    closed = flatten_params(para_compose(both, embed_trivial(scores)))
-    # closed.params is now the concatenation [disc, gen, disc]
-
+    # params [[disc, gen], disc], flattened to the concatenation [disc, gen, disc]
+    both = flatten_params(para_tensor(para_compose(gen, disc), disc))
+    d, g = LensObj(pd, pd), LensObj(pg, pg)
     tie = lens_compose(
-        lens_tensor(copy_lens(pd), lens_id(SMOOTH, LensObj(pg, pg))),
-        relabel_lens(
-            SMOOTH,
-            LensObj(2 * pd + pg, 2 * pd + pg),
-            LensObj(pd + pg + pd, pd + pg + pd),
-            # [d, d, g] -> [d, g, d] forward, inverse backward
-            lambda v: np.concatenate([v[:pd], v[2 * pd :], v[pd : 2 * pd]]),
-            lambda b: np.concatenate(
-                [b[:pd], b[pd + pg :], b[pd : pd + pg]]
-            ),
-        ),
+        lens_tensor(copy_lens(pd), lens_id(SMOOTH, g)),
+        rewire(SMOOTH, [d, d, g], ((0, 1), 2), ((0, 2), 1)),
     )
     optimisers = lens_tensor(ga_lens(alpha, pd), gd_lens(alpha, pg))
-    stepped = reparametrise(closed, lens_compose(optimisers, tie))
+    stepped = reparametrise(both, lens_compose(optimisers, tie))
 
-    d_fake = float(fake_branch.carrier.get(np.concatenate([p_disc, p_gen, z]))[0])
-    d_real = float(disc.carrier.get(np.concatenate([p_disc, real]))[0])
-
-    fed = stepped.carrier.put(
-        np.concatenate([p_disc, p_gen, z, real, np.zeros(0)])
-    )
+    px = np.concatenate([p_disc, p_gen, z, real])
+    d_fake, d_real = (float(s) for s in stepped.carrier.get(px))
+    fed = stepped.carrier.put(np.concatenate([px, np.ones(2)]))
     p_disc_next = fed[:pd].copy()
     p_gen_next = fed[pd : pd + pg].copy()
     return p_gen_next, p_disc_next, (d_fake, d_real)

@@ -6,6 +6,7 @@ law suites draw random lenses and decide equality by enumeration.
 
 import random
 
+import numpy as np
 import pytest
 
 from paralens.checks import random_lens, random_obj
@@ -15,6 +16,8 @@ from paralens.lens_core import (
     Lens,
     LensObj,
     costate_fn,
+    lens_assoc,
+    lens_assoc_inv,
     lens_compose,
     lens_equal,
     lens_id,
@@ -193,3 +196,30 @@ def test_interchange_shuffles_middle_pair():
     )
     inv = lens_interchange(FINITE, A, C, B, A)
     assert lens_equal(lens_compose(x, inv), lens_id(FINITE, x.src))
+
+
+def _blocks(sizes, order):
+    """Indices of the concatenated blocks ``sizes`` taken in ``order``."""
+    starts = np.cumsum([0] + list(sizes))
+    return np.concatenate([np.arange(starts[i], starts[i + 1]) for i in order]).astype(int)
+
+
+def test_structural_lenses_move_vector_slices():
+    a, b, c, d = LensObj(1, 2), LensObj(2, 1), LensObj(3, 1), LensObj(1, 2)
+    cases = [
+        (lens_lunit(SMOOTH, a), [a], [0]),
+        (lens_lunit_inv(SMOOTH, a), [a], [0]),
+        (lens_runit(SMOOTH, b), [b], [0]),
+        (lens_runit_inv(SMOOTH, b), [b], [0]),
+        (lens_swap(SMOOTH, a, b), [a, b], [1, 0]),
+        (lens_assoc(SMOOTH, a, b, c), [a, b, c], [0, 1, 2]),
+        (lens_assoc_inv(SMOOTH, a, b, c), [a, b, c], [0, 1, 2]),
+        (lens_interchange(SMOOTH, a, b, c, d), [a, b, c, d], [0, 2, 1, 3]),
+    ]
+    for lens, leaves, order in cases:
+        fwd = _blocks([o.fwd for o in leaves], order)
+        bwd = _blocks([o.bwd for o in leaves], order)
+        x = np.arange(float(lens.src.fwd))
+        z = 100.0 + np.arange(float(lens.dst.bwd))
+        assert np.array_equal(lens.get(x), x[fwd])
+        assert np.array_equal(lens.put(np.concatenate([x, z]))[bwd], z)

@@ -1,5 +1,9 @@
+import gc
+
 import pytest
 
+from paralens.checks import pd_game
+from paralens.demos import run_gan
 from paralens.errors import CompositionError
 from paralens.finite_base import (
     FINITE,
@@ -19,16 +23,15 @@ from paralens.para_optic import (
     embed_trivial,
     flatten_params,
     is_unit_param,
-    join_left_assoc,
     para_compose,
     para_costate_solution_input,
     para_tensor,
     reparametrise,
     shape_leaves,
     shape_obj,
-    split_left_assoc,
     unit_param,
 )
+from paralens.selection_games import compositional_game, hicks_games, solution_set
 
 
 def _switch_para() -> ParaLens:
@@ -160,16 +163,6 @@ def test_flatten_drops_unit_factor():
     assert lens_equal(flat.carrier, p.carrier)
 
 
-def test_join_split_left_assoc():
-    sets = [FinSet(("a", "b")), FinSet(("c",)), FinSet(("d", "e"))]
-    joined = join_left_assoc(FINITE, sets, ["b", "c", "d"])
-    assert joined == "((b,c),d)"
-    assert split_left_assoc(FINITE, sets, joined) == ["b", "c", "d"]
-    assert join_left_assoc(FINITE, [], []) == UNIT_LABEL
-    assert join_left_assoc(FINITE, sets[:1], ["a"]) == "a"
-    assert split_left_assoc(FINITE, sets[:1], "a") == ["a"]
-
-
 def test_solution_input_costate():
     params = ParamObj(FinSet(("w0", "w1")), FinSet(("g0", "g1")))
     u = unit_obj(FINITE)
@@ -200,3 +193,19 @@ def test_solution_input_costate():
 def test_solution_input_rejects_open_boundaries():
     with pytest.raises(CompositionError):
         para_costate_solution_input(_switch_para())
+
+
+def test_dropped_lenses_leave_no_cyclic_garbage():
+    # lenses must be freed by reference counting alone; a reference cycle,
+    # such as a recursive local helper, leaves every one to the cyclic collector
+    gc.collect()
+    gc.disable()
+    try:
+        g = pd_game()
+        solution_set(compositional_game(g, "argmax_each"))
+        for route in hicks_games(g):
+            solution_set(route)
+        run_gan(steps=3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -117,6 +117,14 @@ def test_argmax_frozen():
     assert rel.accepts("z", k)
 
 
+def test_argmax_rejects_reward_function_outside_its_rewards():
+    moves = FinSet(("x", "y"))
+    rel = argmax_rel(moves, FinSet(("0", "1")))
+    k = FinFn(moves, FinSet(("0", "1", "2")), {"x": "2", "y": "0"})
+    with pytest.raises(CompositionError):
+        rel.accepts("x", k)
+
+
 def test_argmax_rejects_empty_moves():
     with pytest.raises(CompositionError):
         argmax_rel(FinSet(()), FinSet(("0",)))

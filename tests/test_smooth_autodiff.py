@@ -8,7 +8,8 @@ re-implemented with straight numpy as an independent oracle.
 import numpy as np
 import pytest
 
-from paralens.checks import fd_gradient, rel_close
+from paralens import smooth_autodiff
+from paralens.checks import check_weight_tying, fd_gradient, rel_close
 from paralens.errors import CompositionError, NumericError, SpecFormatError
 from paralens.lens_core import LensObj
 from paralens.para_optic import flatten_params, para_compose, reparametrise
@@ -321,6 +322,13 @@ def test_copy_lens_duplicates_and_sums():
     assert np.allclose(back, [11.0, 22.0])
 
 
+def test_weight_tying_suite():
+    # the suite that drives flatten_params and copy_lens over the smooth base
+    result = check_weight_tying()
+    assert result.ok, result.detail
+    assert result.instances == 36
+
+
 def test_train_step_reports_pre_update_loss():
     f = sqerr_head(mlp_map((1, 2, 1)))
     model = reparametrise(apply_R(f), gd_lens(0.05, f.param_dim))
@@ -389,6 +397,24 @@ def test_gan_step_ties_discriminator_gradients():
     _, tape2 = forward_eval(disc_graph, pd, real)
     dp2, _ = backward_eval(disc_graph, tape2, np.ones(1))
     assert rel_close(pd2 - pd, dp1 + dp2, rtol=1e-10)
+
+
+def test_gan_step_reads_scores_off_one_forward_leg(monkeypatch):
+    gen, disc = apply_R(mlp_map((2, 3, 2))), apply_R(mlp_map((2, 3, 1)))
+    counts = {"forward": 0, "backward": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(smooth_autodiff, "forward_eval", counted("forward", forward_eval))
+    monkeypatch.setattr(smooth_autodiff, "backward_eval", counted("backward", backward_eval))
+    pg, pd = np.full(gen.params.fwd, 0.1), np.full(disc.params.fwd, -0.2)
+    gan_step(gen, disc, pg, pd, np.ones(2), np.zeros(2), 0.1)
+    assert counts == {"forward": 7, "backward": 3}
 
 
 def test_r_functoriality_on_one_pair():
