@@ -28,7 +28,6 @@ from .finite_base import (
     FinSet,
     enumerate_functions,
     finset_product,
-    finset_tuple_product,
 )
 from .lens_core import (
     Lens,
@@ -63,7 +62,6 @@ from .para_optic import (
 )
 from .selection_games import (
     SelectionRelation,
-    argmax_rel,
     brute_force_nash,
     compositional_game,
     hicks_games,
@@ -671,13 +669,13 @@ def pd_game():
 def check_pd_solutions() -> CheckResult:
     g = pd_game()
     nash = solution_set(compositional_game(g))
-    if nash != ("(D,D)",):
+    if nash != (("D", "D"),):
         return CheckResult("pd-solutions", False, 1, f"individual play gave {nash}")
     if nash != brute_force_nash(g):
         return CheckResult("pd-solutions", False, 2, "oracle disagrees on individual play")
     ra, rb = hicks_games(g)
     sa_, sb_ = solution_set(ra), solution_set(rb)
-    if sa_ != ("(C,C)",) or sb_ != ("(C,C)",):
+    if sa_ != (("C", "C"),) or sb_ != (("C", "C"),):
         return CheckResult("pd-solutions", False, 3, f"joint play gave {sa_} and {sb_}")
     if set(sa_) & set(nash):
         return CheckResult("pd-solutions", False, 4, "joint and individual play overlap")

@@ -1,11 +1,13 @@
 """Finite carriers: label sets, checked functions, exact rational payoffs.
 
-Everything here is symbolic and exact.  Product carriers get canonical pair
-labels ``(x,y)`` and n-ary products associate to the left, so any composite
-carrier has a single deterministic presentation.  Morphisms are checked,
-memoised procedures; only ``FiniteBase.mor_equal`` tabulates, to decide
-equality.  Payoff values are ``fractions.Fraction`` throughout; floats never
-enter the game-theoretic side.
+Everything here is symbolic and exact.  Base carriers are sets of string
+labels; a product carrier is the pair of its factors, its elements are
+Python pairs ``(x, y)``, and n-ary products associate to the left, so any
+composite carrier has a single deterministic presentation and no two
+elements can share an encoding.  A product is enumerated only when iterated.
+Morphisms are checked, memoised procedures; only ``FiniteBase.mor_equal``
+tabulates, to decide equality.  Payoff values are ``fractions.Fraction``
+throughout; floats never enter the game-theoretic side.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product as iter_product
 from typing import Callable, Iterable, Mapping, Sequence
-from weakref import WeakKeyDictionary
 
 from .errors import CompositionError, SizeCapError
 from .lens_core import Base
@@ -23,10 +24,6 @@ from .lens_core import Base
 UNIT_LABEL = "•"
 
 DEFAULT_ENUM_CAP = 10**6
-
-# Exact rational payoffs.  Fraction already normalises to lowest terms with a
-# positive denominator, which is all the canonicity we need.
-Payoff = Fraction
 
 
 @dataclass(frozen=True)
@@ -47,8 +44,6 @@ class FinSet:
             pos[label] = i
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_hash", hash(labels))
-        # products with this set as left factor, dropped with the right one
-        object.__setattr__(self, "_products", WeakKeyDictionary())
 
     def __hash__(self) -> int:
         return self._hash
@@ -60,13 +55,7 @@ class FinSet:
         return iter(self.labels)
 
     def __contains__(self, label: object) -> bool:
-        return label in self._pos
-
-    def index(self, label: str) -> int:
-        try:
-            return self._pos[label]
-        except KeyError:
-            raise CompositionError(f"label {label!r} is not in {self}") from None
+        return isinstance(label, str) and label in self._pos
 
     def __str__(self) -> str:
         inner = ",".join(self.labels[:6])
@@ -78,50 +67,62 @@ class FinSet:
 UNIT_SET = FinSet((UNIT_LABEL,))
 
 
-def pair_label(x: str, y: str) -> str:
-    return f"({x},{y})"
+@dataclass(frozen=True)
+class FinProd:
+    """The product of two finite carriers, whose elements are pairs ``(x, y)``.
+
+    Length and membership come from the factors.  The elements, first
+    factor varying slowest, are enumerated only when something iterates.
+    """
+
+    left: FinSet | FinProd
+    right: FinSet | FinProd
+
+    def __len__(self) -> int:
+        return len(self.left) * len(self.right)
+
+    def __iter__(self):
+        return iter_product(self.left, self.right)
+
+    @property
+    def labels(self) -> tuple:
+        return tuple(self)
+
+    def __contains__(self, xy: object) -> bool:
+        if type(xy) is not tuple or len(xy) != 2:
+            return False
+        return xy[0] in self.left and xy[1] in self.right
+
+    def __str__(self) -> str:
+        return f"{self.left}×{self.right}"
 
 
-def finset_product(a: FinSet, b: FinSet) -> FinSet:
-    """Product set with pair labels, first factor varying slowest."""
-    # memoised on a, keyed weakly by b: a product lives as long as both factors
-    prod = a._products.get(b)
-    if prod is None:
-        prod = FinSet(tuple(pair_label(x, y) for x in a.labels for y in b.labels))
-        a._products[b] = prod
-    return prod
+Carrier = FinSet | FinProd
+finset_product = FinProd
 
 
-def split_pair(a: FinSet, b: FinSet, label: str) -> tuple[str, str]:
-    """Invert ``pair_label`` by position in the product set (no string parsing)."""
-    i, j = divmod(finset_product(a, b).index(label), len(b))
-    return a.labels[i], b.labels[j]
-
-
-def tuple_label(parts: Sequence[str]) -> str:
-    """Left-associated rendering of an n-tuple of labels."""
+def tuple_label(parts: Sequence) -> object:
+    """Left-associated nesting of an n-tuple of elements into pairs."""
     if not parts:
         return UNIT_LABEL
-    return reduce(pair_label, parts)
+    return reduce(lambda x, y: (x, y), parts)
 
 
-def finset_tuple_product(sets: Sequence[FinSet]) -> FinSet:
+def finset_tuple_product(sets: Sequence[Carrier]) -> Carrier:
     """Left-associated n-ary product; the empty product is the unit set."""
     if not sets:
         return UNIT_SET
-    return reduce(finset_product, sets)
+    return reduce(FinProd, sets)
 
 
-def split_tuple(sets: Sequence[FinSet], label: str) -> tuple[str, ...]:
-    """Decompose a left-associated product label into its components."""
+def split_tuple(sets: Sequence[Carrier], elem: object) -> tuple:
+    """Unnest a left-associated product element into its components."""
     if not sets:
         return ()
     if len(sets) == 1:
-        sets[0].index(label)
-        return (label,)
-    head = finset_tuple_product(sets[:-1])
-    x, y = split_pair(head, sets[-1], label)
-    return split_tuple(sets[:-1], x) + (y,)
+        return (elem,)
+    head, last = elem
+    return split_tuple(sets[:-1], head) + (last,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,21 +130,21 @@ class FinFn:
     """A total function between finite sets, as a checked, memoised procedure.
 
     ``fn`` is a callable or a table given as data.  The first evaluation at
-    a label checks that the label is in ``dom`` and its image in ``cod``,
-    then keeps the image in ``table``, which never outgrows the domain.  A
-    table given as data is checked the same way, eagerly.
+    an element checks that the element is in ``dom`` and its image in
+    ``cod``, then keeps the image in ``table``, which never outgrows the
+    domain.  A table given as data is checked the same way, eagerly.
     """
 
-    dom: FinSet
-    cod: FinSet
-    fn: Callable[[str], str] | Mapping[str, str]
-    table: dict[str, str] = field(init=False, repr=False)
+    dom: Carrier
+    cod: Carrier
+    fn: Callable[[object], object] | Mapping[object, object]
+    table: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "table", {})
         if isinstance(self.fn, Mapping):
             data = dict(self.fn)
-            missing = [x for x in self.dom.labels if x not in data]
+            missing = [x for x in self.dom if x not in data]
             extra = [x for x in data if x not in self.dom]
             if missing or extra:
                 raise CompositionError(
@@ -151,31 +152,31 @@ class FinFn:
                     f"missing {missing[:4]}, extra {extra[:4]}"
                 )
             object.__setattr__(self, "fn", data.__getitem__)
-            for x in self.dom.labels:
+            for x in self.dom:
                 self(x)
 
-    def __call__(self, label: str) -> str:
+    def __call__(self, x: object) -> object:
         table = self.table
-        if label in table:
-            return table[label]
-        if label not in self.dom:
-            raise CompositionError(f"label {label!r} is not in domain {self.dom}")
-        image = self.fn(label)
+        if x in table:
+            return table[x]
+        if x not in self.dom:
+            raise CompositionError(f"element {x!r} is not in domain {self.dom}")
+        image = self.fn(x)
         if image not in self.cod:
             raise CompositionError(
-                f"image {image!r} of {label!r} is not in codomain {self.cod}"
+                f"image {image!r} of {x!r} is not in codomain {self.cod}"
             )
-        table[label] = image
+        table[x] = image
         return image
 
 
 def enumerate_functions(
-    dom: FinSet, cod: FinSet, max_size: int = DEFAULT_ENUM_CAP
+    dom: Carrier, cod: Carrier, max_size: int = DEFAULT_ENUM_CAP
 ) -> list[FinFn]:
     """All total functions ``dom → cod`` in lexicographic order.
 
-    Order is by the image tuple with the earliest domain label most
-    significant, matching the label order of the left-associated product
+    Order is by the image tuple with the earliest domain element most
+    significant, matching the element order of the left-associated product
     ``cod^|dom|``.
     """
     count = len(cod) ** len(dom)
@@ -184,9 +185,10 @@ def enumerate_functions(
             f"{count} functions {dom} → {cod} exceeds the cap of {max_size}",
             count=count,
         )
+    xs = dom.labels
     return [
-        FinFn(dom, cod, dict(zip(dom.labels, images)))
-        for images in iter_product(cod.labels, repeat=len(dom))
+        FinFn(dom, cod, dict(zip(xs, images)))
+        for images in iter_product(cod, repeat=len(dom))
     ]
 
 
@@ -212,26 +214,26 @@ def payoff_grid(values: Iterable[Fraction | int | str]) -> FinSet:
 
 
 class FiniteBase(Base):
-    """Carriers are :class:`FinSet`, morphisms are :class:`FinFn` procedures."""
+    """Carriers are :class:`FinSet` and :class:`FinProd`, morphisms are :class:`FinFn`."""
 
     name = "finite"
 
     def unit(self) -> FinSet:
         return UNIT_SET
 
-    def pair(self, a: FinSet, b: FinSet) -> FinSet:
-        return finset_product(a, b)
+    def pair(self, a: Carrier, b: Carrier) -> FinProd:
+        return FinProd(a, b)
 
-    def contains(self, c: FinSet, x) -> bool:
-        return isinstance(x, str) and x in c
+    def contains(self, c: Carrier, x) -> bool:
+        return x in c
 
-    def describe(self, c: FinSet) -> str:
+    def describe(self, c: Carrier) -> str:
         return str(c)
 
-    def identity(self, c: FinSet) -> FinFn:
+    def identity(self, c: Carrier) -> FinFn:
         return FinFn(c, c, lambda x: x)
 
-    def morphism(self, dom: FinSet, cod: FinSet, fn) -> FinFn:
+    def morphism(self, dom: Carrier, cod: Carrier, fn) -> FinFn:
         return FinFn(dom, cod, fn)
 
     def compose(self, f: FinFn, g: FinFn) -> FinFn:
@@ -244,38 +246,36 @@ class FiniteBase(Base):
         return FinFn(f.dom, g.cod, lambda x: g(f(x)))
 
     def product(self, f: FinFn, g: FinFn) -> FinFn:
-        """Componentwise action on the product of domains."""
-        def fn(xy: str) -> str:
-            x, y = split_pair(f.dom, g.dom, xy)
-            return pair_label(f(x), g(y))
+        """Componentwise action on pairs."""
+        def fn(xy: tuple) -> tuple:
+            x, y = xy
+            return f(x), g(y)
 
-        return FinFn(finset_product(f.dom, g.dom), finset_product(f.cod, g.cod), fn)
+        return FinFn(FinProd(f.dom, g.dom), FinProd(f.cod, g.cod), fn)
 
-    def dom_of(self, f: FinFn) -> FinSet:
+    def dom_of(self, f: FinFn) -> Carrier:
         return f.dom
 
-    def cod_of(self, f: FinFn) -> FinSet:
+    def cod_of(self, f: FinFn) -> Carrier:
         return f.cod
 
-    def apply(self, f: FinFn, x: str) -> str:
+    def apply(self, f: FinFn, x):
         return f(x)
 
     def unit_elem(self) -> str:
         return UNIT_LABEL
 
-    def pair_elem(self, a: FinSet, b: FinSet, x: str, y: str) -> str:
-        return pair_label(x, y)
+    def pair_elem(self, a: Carrier, b: Carrier, x, y) -> tuple:
+        return (x, y)
 
-    def split_elem(self, a: FinSet, b: FinSet, xy: str) -> tuple[str, str]:
-        return split_pair(a, b, xy)
-
-    def elements(self, c: FinSet):
-        return c.labels
+    def split_elem(self, a: Carrier, b: Carrier, xy: tuple) -> tuple:
+        x, y = xy
+        return x, y
 
     def mor_equal(self, f: FinFn, g: FinFn) -> bool:
         """Pointwise equality: the one place a whole domain is enumerated."""
         same_type = f.dom == g.dom and f.cod == g.cod
-        return same_type and all(f(x) == g(x) for x in f.dom.labels)
+        return same_type and all(f(x) == g(x) for x in f.dom)
 
 
 FINITE = FiniteBase()

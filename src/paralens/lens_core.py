@@ -65,7 +65,7 @@ class Base(ABC):
     def morphism(self, dom: Carrier, cod: Carrier, fn: Callable[[Elem], Elem]) -> Mor:
         """Build a base morphism from an element-level function.
 
-        Both bases wrap the callable; finite ones check and memoise it per label.
+        Both bases wrap the callable; finite ones check and memoise it per element.
         """
 
     @abstractmethod
@@ -102,11 +102,6 @@ class Base(ABC):
         ...
 
     # -- only meaningful on enumerable bases ----------------------------
-
-    def elements(self, c: Carrier):
-        raise UnsupportedOperationError(
-            f"cannot enumerate elements on the {self.name} base"
-        )
 
     def mor_equal(self, f: Mor, g: Mor) -> bool:
         raise UnsupportedOperationError(

@@ -30,17 +30,15 @@ from .finite_base import (
     DEFAULT_ENUM_CAP,
     FINITE,
     FinFn,
+    FinProd,
     FinSet,
     UNIT_LABEL,
     UNIT_SET,
     enumerate_functions,
-    finset_product,
     finset_tuple_product,
-    pair_label,
     parse_payoff,
     payoff_grid,
     payoff_label,
-    split_pair,
     split_tuple,
     tuple_label,
 )
@@ -76,22 +74,24 @@ class SelectionRelation:
     """A predicate over (state of obj.fwd, reward function obj.fwd → obj.bwd)."""
 
     obj: ParamObj
-    accepts: Callable[[str, FinFn], bool]
+    accepts: Callable[[object, FinFn], bool]
 
 
-def argmax_rel(moves: FinSet, rewards: FinSet) -> SelectionRelation:
+def argmax_rel(moves: FinSet | FinProd, rewards: FinSet) -> SelectionRelation:
     """Accepts a move iff no other move earns a strictly larger reward."""
     if len(moves) == 0:
         raise CompositionError("argmax over the empty move set is undefined")
     values = {r: parse_payoff(r) for r in rewards.labels}
+    best: list = [None, None]  # the last k and its largest reward, found once
 
-    def accepts(x: str, k: FinFn) -> bool:
+    def accepts(x, k: FinFn) -> bool:
         if k.cod != rewards:
             raise CompositionError(
                 f"reward function lands in {k.cod}, expected the rewards {rewards}"
             )
-        vx = values[k(x)]
-        return all(vx >= values[k(y)] for y in moves.labels)
+        if best[0] is not k:
+            best[:] = [k, max(values[k(y)] for y in moves)]
+        return values[k(x)] >= best[1]
 
     return SelectionRelation(ParamObj(moves, rewards), accepts)
 
@@ -109,12 +109,12 @@ def nash_product(eps: SelectionRelation, delta: SelectionRelation) -> SelectionR
     """
     em, er = eps.obj.fwd, eps.obj.bwd
     dm, dr = delta.obj.fwd, delta.obj.bwd
-    obj = ParamObj(finset_product(em, dm), finset_product(er, dr))
+    obj = ParamObj(FinProd(em, dm), FinProd(er, dr))
 
-    def accepts(xy: str, k: FinFn) -> bool:
-        x, y = split_pair(em, dm, xy)
-        k_y = FinFn(em, er, lambda a: split_pair(er, dr, k(pair_label(a, y)))[0])
-        k_x = FinFn(dm, dr, lambda b: split_pair(er, dr, k(pair_label(x, b)))[1])
+    def accepts(xy: tuple, k: FinFn) -> bool:
+        x, y = xy
+        k_y = FinFn(em, er, lambda a: k((a, y))[0])
+        k_x = FinFn(dm, dr, lambda b: k((x, b))[1])
         return eps.accepts(x, k_y) and delta.accepts(y, k_x)
 
     return SelectionRelation(obj, accepts)
@@ -122,7 +122,7 @@ def nash_product(eps: SelectionRelation, delta: SelectionRelation) -> SelectionR
 
 def _threaded_costate(f: Lens, k: FinFn) -> FinFn:
     """The reward function seen upstream of ``f``: forward out, reward back."""
-    return FinFn(f.src.fwd, f.src.bwd, lambda x: f.put(pair_label(x, k(f.get(x)))))
+    return FinFn(f.src.fwd, f.src.bwd, lambda x: f.put((x, k(f.get(x)))))
 
 
 def sel_pushforward(
@@ -149,12 +149,12 @@ def sel_pushforward(
             count=len(states),
         )
 
-    fibres: dict[str, list[str]] = {}
+    fibres: dict[object, list] = {}
     for x in states:
         fibres.setdefault(f.get(x), []).append(x)
     threaded: list = [None, None]  # the last k and its threaded costate
 
-    def accepts(y: str, k: FinFn) -> bool:
+    def accepts(y, k: FinFn) -> bool:
         if threaded[0] is not k:
             threaded[:] = [k, _threaded_costate(f, k)]
         return any(eps.accepts(x, threaded[1]) for x in fibres.get(y, ()))
@@ -220,21 +220,17 @@ def decision(
     received reward is forwarded to the parameter port unchanged and
     nothing flows further upstream.
     """
-    strategies = enumerate_functions(observations, moves, max_size)
     omega = finset_tuple_product([moves] * len(observations))
-    dom = finset_product(omega, observations)
+    strategies = dict(zip(omega, enumerate_functions(observations, moves, max_size)))
+    dom = FinProd(omega, observations)
 
-    def play(wx: str) -> str:
-        w, x = split_pair(omega, observations, wx)
-        return strategies[omega.index(w)](x)
+    def play(wx: tuple):
+        w, x = wx
+        return strategies[w](x)
 
     get = FinFn(dom, moves, play)
-    cod = finset_product(rewards, UNIT_SET)
-    put = FinFn(
-        finset_product(dom, rewards),
-        cod,
-        lambda wxr: pair_label(split_pair(dom, rewards, wxr)[1], UNIT_LABEL),
-    )
+    cod = FinProd(rewards, UNIT_SET)
+    put = FinFn(FinProd(dom, rewards), cod, lambda wxr: (wxr[1], UNIT_LABEL))
     carrier = Lens(
         FINITE,
         LensObj(dom, cod),
@@ -271,7 +267,7 @@ def open_game(lens: ParaLens, sel: SelectionRelation) -> OpenGame:
     return OpenGame(flat, sel)
 
 
-def context(game: OpenGame, h: str, k: FinFn) -> FinFn:
+def context(game: OpenGame, h, k: FinFn) -> FinFn:
     """The reward function the players face in the context (h, k).
 
     Built by lens composition: introduce the unit on the right of the
@@ -293,7 +289,7 @@ def context(game: OpenGame, h: str, k: FinFn) -> FinFn:
     return costate_fn(composite)
 
 
-def equilibria(game: OpenGame, h: str, k: FinFn) -> tuple[str, ...]:
+def equilibria(game: OpenGame, h, k: FinFn) -> tuple:
     """Parameter states the selection relation accepts in the context (h, k)."""
     reward = context(game, h, k)
     return tuple(
@@ -301,7 +297,7 @@ def equilibria(game: OpenGame, h: str, k: FinFn) -> tuple[str, ...]:
     )
 
 
-def solution_set(game: OpenGame) -> tuple[str, ...]:
+def solution_set(game: OpenGame) -> tuple:
     """Equilibria of a closed game (both boundaries trivial)."""
     lens = game.lens
     if lens.src != unit_obj(FINITE) or lens.dst != unit_obj(FINITE):
@@ -321,8 +317,9 @@ def solution_set(game: OpenGame) -> tuple[str, ...]:
 class NormalFormGame:
     """Strategy sets plus an exact payoff table over the profile product.
 
-    ``payoff`` maps each profile label to a tuple label over the per-player
-    reward grids; ``grids`` records the factorisation of its codomain.
+    ``payoff`` maps each profile, a left-nested tuple of moves, to the
+    left-nested tuple of its payoff labels over the per-player reward
+    grids; ``grids`` records the factorisation of its codomain.
     """
 
     players: tuple[FinSet, ...]
@@ -377,7 +374,7 @@ def profile_values(g: NormalFormGame, prof: Sequence[str]) -> tuple[Fraction, ..
 
 def brute_force_nash(
     g: NormalFormGame, max_size: int = DEFAULT_ENUM_CAP
-) -> tuple[str, ...]:
+) -> tuple:
     """Independent oracle: profiles with no strictly improving unilateral deviation."""
     count = 1
     for p in g.players:
@@ -405,7 +402,7 @@ def brute_force_nash(
     return tuple(out)
 
 
-def brute_force_hicks(g: NormalFormGame) -> tuple[str, ...]:
+def brute_force_hicks(g: NormalFormGame) -> tuple:
     """Profiles maximising the summed payoff, by direct enumeration."""
     profiles = list(iter_product(*[p.labels for p in g.players]))
     totals = {p: sum(profile_values(g, p)) for p in profiles}
@@ -475,8 +472,8 @@ def sum_of_payoffs_lens(g: NormalFormGame) -> Lens:
     combos = iter_product(*[[parse_payoff(l) for l in grid.labels] for grid in g.grids])
     sums = payoff_grid([sum(c) for c in combos])
 
-    def put_fn(wr: str) -> str:
-        _, r = split_pair(omega, prod, wr)
+    def put_fn(wr: tuple) -> str:
+        _, r = wr
         return payoff_label(sum(parse_payoff(p) for p in split_tuple(g.grids, r)))
 
     return Lens(
@@ -484,7 +481,7 @@ def sum_of_payoffs_lens(g: NormalFormGame) -> Lens:
         LensObj(omega, sums),
         LensObj(omega, prod),
         FINITE.identity(omega),
-        FINITE.morphism(finset_product(omega, prod), sums, put_fn),
+        FINITE.morphism(FinProd(omega, prod), sums, put_fn),
     )
 
 

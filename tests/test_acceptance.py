@@ -83,8 +83,8 @@ def test_criterion_02_dilemma_joint_total():
     a, b = solution_set(route_reparam), solution_set(route_pushed)
     nash = solution_set(compositional_game(g))
     elapsed = time.perf_counter() - start
-    assert a == b == ("(C,C)",) == brute_force_hicks(g)
-    assert nash == ("(D,D)",) and set(a).isdisjoint(nash)
+    assert a == b == (("C", "C"),) == brute_force_hicks(g)
+    assert nash == (("D", "D"),) and set(a).isdisjoint(nash)
     assert elapsed < 1.0
     print("criterion 02 PASS: both joint-total routes give cooperate/cooperate")
 

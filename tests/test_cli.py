@@ -90,7 +90,7 @@ def test_spec_parses_rationals_and_tags():
     game, selection = parse_game_spec(spec)
     assert selection == ["argmax", "total"]
     assert [p.labels for p in game.players] == [("C", "D"), ("C", "D")]
-    assert game.payoff("(C,C)") == "(3/2,3/2)"
+    assert game.payoff(("C", "C")) == ("3/2", "3/2")
 
 
 def test_solve_bundled_dilemma(capsys):
@@ -100,6 +100,57 @@ def test_solve_bundled_dilemma(capsys):
         '{"agrees":true,"oracle":[["D","D"]],"selection":"argmax_each",'
         '"solutions":[["D","D"]]}\n'
     )
+
+
+# Written to a file by the golden test: one player, and three players.
+_ONE = {
+    "players": [{"name": "a", "strategies": ["x", "y", "z"]}],
+    "payoffs": {"x": [1], "y": [3], "z": [3]},
+}
+_THREE = {
+    "players": [{"name": n, "strategies": ["L", "R"]} for n in "abc"],
+    "payoffs": {
+        f"{i},{j},{k}": [int(i == j), int(j == k), int(i == k) + (k == "R")]
+        for i in "LR"
+        for j in "LR"
+        for k in "LR"
+    },
+}
+
+_GOLDEN = [
+    ("pd.json", None, 0, '{"agrees":true,"oracle":[["D","D"]],"selection":"argmax_each","solutions":[["D","D"]]}'),
+    ("pd.json", "hicks_sum", 0, '{"agrees":true,"oracle":[["C","C"]],"selection":"hicks_sum","solutions":[["C","C"]]}'),
+    ("pd.json", "argmax_each", 0, '{"agrees":true,"oracle":[["D","D"]],"selection":"argmax_each","solutions":[["D","D"]]}'),
+    ("pd.json", "argmax,total", 0, '{"agrees":true,"oracle":[["D","C"],["D","D"]],"selection":["argmax","total"],"solutions":[["D","C"],["D","D"]]}'),
+    ("pd.json", "total,argmax", 0, '{"agrees":true,"oracle":[["C","D"],["D","D"]],"selection":["total","argmax"],"solutions":[["C","D"],["D","D"]]}'),
+    ("matching_pennies.json", None, 0, '{"agrees":true,"oracle":[],"selection":"argmax_each","solutions":[]}'),
+    ("matching_pennies.json", "hicks_sum", 0, '{"agrees":true,"oracle":[["H","H"],["H","T"],["T","H"],["T","T"]],"selection":"hicks_sum","solutions":[["H","H"],["H","T"],["T","H"],["T","T"]]}'),
+    ("matching_pennies.json", "argmax_each", 0, '{"agrees":true,"oracle":[],"selection":"argmax_each","solutions":[]}'),
+    ("matching_pennies.json", "argmax,total", 0, '{"agrees":true,"oracle":[["H","H"],["T","T"]],"selection":["argmax","total"],"solutions":[["H","H"],["T","T"]]}'),
+    ("matching_pennies.json", "total,argmax", 0, '{"agrees":true,"oracle":[["H","T"],["T","H"]],"selection":["total","argmax"],"solutions":[["H","T"],["T","H"]]}'),
+    ("coordination.json", None, 0, '{"agrees":true,"oracle":[["A","A"],["B","B"]],"selection":"argmax_each","solutions":[["A","A"],["B","B"]]}'),
+    ("coordination.json", "hicks_sum", 0, '{"agrees":true,"oracle":[["A","A"]],"selection":"hicks_sum","solutions":[["A","A"]]}'),
+    ("coordination.json", "argmax_each", 0, '{"agrees":true,"oracle":[["A","A"],["B","B"]],"selection":"argmax_each","solutions":[["A","A"],["B","B"]]}'),
+    ("coordination.json", "argmax,total", 0, '{"agrees":true,"oracle":[["A","A"],["B","B"]],"selection":["argmax","total"],"solutions":[["A","A"],["B","B"]]}'),
+    ("coordination.json", "total,argmax", 0, '{"agrees":true,"oracle":[["A","A"],["B","B"]],"selection":["total","argmax"],"solutions":[["A","A"],["B","B"]]}'),
+    ("one", None, 0, '{"agrees":true,"oracle":[["y"],["z"]],"selection":"argmax_each","solutions":[["y"],["z"]]}'),
+    ("one", "hicks_sum", 0, '{"agrees":true,"oracle":[["y"],["z"]],"selection":"hicks_sum","solutions":[["y"],["z"]]}'),
+    ("one", "total", 0, '{"agrees":true,"oracle":[["x"],["y"],["z"]],"selection":["total"],"solutions":[["x"],["y"],["z"]]}'),
+    ("three", None, 0, '{"agrees":true,"oracle":[["L","L","L"],["R","R","R"]],"selection":"argmax_each","solutions":[["L","L","L"],["R","R","R"]]}'),
+    ("three", "hicks_sum", 0, '{"agrees":true,"oracle":[["R","R","R"]],"selection":"hicks_sum","solutions":[["R","R","R"]]}'),
+    ("three", "argmax,total,argmax", 0, '{"agrees":true,"oracle":[["L","L","L"],["L","L","R"],["R","R","R"]],"selection":["argmax","total","argmax"],"solutions":[["L","L","L"],["L","L","R"],["R","R","R"]]}'),
+]
+
+
+@pytest.mark.parametrize("spec, selection, code, stdout", _GOLDEN)
+def test_solve_golden_output(spec, selection, code, stdout, tmp_path, capsys):
+    if spec in ("one", "three"):
+        path = tmp_path / f"{spec}.json"
+        path.write_text(json.dumps(_ONE if spec == "one" else _THREE), encoding="utf-8")
+        spec = str(path)
+    argv = ["solve", spec] + ([] if selection is None else ["--selection", selection])
+    assert main(argv) == code
+    assert capsys.readouterr().out == stdout + "\n"
 
 
 def test_solve_output_is_reproducible(capsys):

@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -14,11 +15,9 @@ from paralens.finite_base import (
     enumerate_functions,
     finset_product,
     finset_tuple_product,
-    pair_label,
     parse_payoff,
     payoff_grid,
     payoff_label,
-    split_pair,
     split_tuple,
     tuple_label,
 )
@@ -31,7 +30,6 @@ def test_finset_basics():
     assert len(s) == 3
     assert list(s) == ["a", "b", "c"]
     assert "b" in s and "z" not in s
-    assert s.index("c") == 2
 
 
 def test_finset_rejects_duplicates_and_nonstrings():
@@ -48,31 +46,36 @@ def test_unit_set():
 
 def test_product_order_first_factor_slowest():
     p = finset_product(FinSet(("a", "b")), FinSet(("x", "y")))
-    assert p.labels == ("(a,x)", "(a,y)", "(b,x)", "(b,y)")
+    assert p.labels == (("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"))
 
 
-def test_split_pair_round_trip():
-    a, b = FinSet(("a", "b", "c")), FinSet(("x", "y"))
-    for la in a.labels:
-        for lb in b.labels:
-            assert split_pair(a, b, pair_label(la, lb)) == (la, lb)
+def test_product_elements_cannot_collide():
+    # rendered as "(x,y)" strings, (a,b)×(c) and (a)×(b,c) would coincide
+    p = finset_product(FinSet(("a,b", "a")), FinSet(("c", "b,c")))
+    assert len(p) == len(set(p.labels)) == 4
+    assert ("a,b", "c") in p and ("a", "b,c") in p
+    assert "(a,b,c)" not in p and ["a", "c"] not in p
 
 
-def test_split_pair_is_positional_not_textual():
-    # labels that themselves contain commas and parens must not confuse it
-    inner = finset_product(FinSet(("a", "b")), FinSet(("x", "y")))
-    outer = finset_product(inner, inner)
-    for li in inner.labels:
-        for lj in inner.labels:
-            assert split_pair(inner, inner, pair_label(li, lj)) == (li, lj)
-    assert len(outer) == 16
+def test_product_carrier_is_not_enumerated():
+    a = FinSet(tuple(f"a{i}" for i in range(1000)))
+    b = FinSet(tuple(f"b{i}" for i in range(1000)))
+    tracemalloc.start()
+    try:
+        p = finset_product(a, b)
+        assert len(p) == 10**6
+        assert FINITE.contains(p, ("a999", "b0"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_tuple_label_left_associated():
     assert tuple_label([]) == UNIT_LABEL
     assert tuple_label(["a"]) == "a"
-    assert tuple_label(["a", "b"]) == "(a,b)"
-    assert tuple_label(["a", "b", "c"]) == "((a,b),c)"
+    assert tuple_label(["a", "b"]) == ("a", "b")
+    assert tuple_label(["a", "b", "c"]) == (("a", "b"), "c")
 
 
 def test_tuple_product_and_split():
@@ -140,15 +143,15 @@ def test_fn_product_componentwise():
     f = FinFn(FinSet(("a", "b")), FinSet(("x", "y")), {"a": "x", "b": "y"})
     g = FinFn(FinSet(("0",)), FinSet(("p", "q")), {"0": "q"})
     fg = FINITE.product(f, g)
-    assert fg(pair_label("a", "0")) == pair_label("x", "q")
-    assert fg(pair_label("b", "0")) == pair_label("y", "q")
+    assert fg(("a", "0")) == ("x", "q")
+    assert fg(("b", "0")) == ("y", "q")
 
 
 def test_product_carriers_die_with_their_game():
     players = [FinSet(("C", "D")), FinSet(("C", "D"))]
     table = {("C", "C"): (2, 2), ("C", "D"): (0, 3), ("D", "C"): (3, 0), ("D", "D"): (1, 1)}
     game = compositional_game(normal_form_game(players, table))
-    assert solution_set(game) == ("(D,D)",)
+    assert solution_set(game) == (("D", "D"),)
     profiles = weakref.ref(game.lens.params.fwd)
     del game, players
     gc.collect()

@@ -11,7 +11,7 @@ import pytest
 
 from paralens.checks import random_lens, random_obj
 from paralens.errors import CompositionError, UnsupportedOperationError
-from paralens.finite_base import FINITE, FinFn, FinSet, finset_product, pair_label
+from paralens.finite_base import FINITE, FinFn, FinSet, finset_product
 from paralens.lens_core import (
     Lens,
     LensObj,
@@ -47,7 +47,7 @@ def _l1() -> Lens:
     put = FinFn(
         finset_product(A.fwd, B.bwd),
         A.bwd,
-        {"(a0,r)": "p", "(a0,s)": "q", "(a1,r)": "q", "(a1,s)": "p"},
+        {("a0", "r"): "p", ("a0", "s"): "q", ("a1", "r"): "q", ("a1", "s"): "p"},
     )
     return Lens(FINITE, A, B, get, put)
 
@@ -57,7 +57,7 @@ def _l2() -> Lens:
     put = FinFn(
         finset_product(B.fwd, C.bwd),
         B.bwd,
-        {"(b0,t)": "r", "(b0,u)": "s", "(b1,t)": "s", "(b1,u)": "r"},
+        {("b0", "t"): "r", ("b0", "u"): "s", ("b1", "t"): "s", ("b1", "u"): "r"},
     )
     return Lens(FINITE, B, C, get, put)
 
@@ -65,7 +65,7 @@ def _l2() -> Lens:
 def test_boundary_validation():
     get = FinFn(A.fwd, B.fwd, {"a0": "b0", "a1": "b1"})
     bad_put = FinFn(finset_product(A.fwd, C.bwd), A.bwd, {
-        "(a0,t)": "p", "(a0,u)": "p", "(a1,t)": "p", "(a1,u)": "p",
+        ("a0", "t"): "p", ("a0", "u"): "p", ("a1", "t"): "p", ("a1", "u"): "p",
     })
     with pytest.raises(CompositionError):
         Lens(FINITE, A, B, get, bad_put)
@@ -88,7 +88,7 @@ def test_compose_backward_replays_first_leg():
         ("a1", "u"): "q",
     }
     for (x, z), want in expected.items():
-        assert FINITE.apply(comp.put, pair_label(x, z)) == want
+        assert FINITE.apply(comp.put, (x, z)) == want
 
 
 def test_compose_rejects_mismatch():
@@ -102,7 +102,7 @@ def test_lens_equal_discriminates():
     tweaked = FinFn(
         finset_product(A.fwd, B.bwd),
         A.bwd,
-        {"(a0,r)": "q", "(a0,s)": "q", "(a1,r)": "q", "(a1,s)": "p"},
+        {("a0", "r"): "q", ("a0", "s"): "q", ("a1", "r"): "q", ("a1", "s"): "p"},
     )
     assert not lens_equal(other, Lens(FINITE, A, B, other.get, tweaked))
 
@@ -133,9 +133,9 @@ def test_identity_and_associativity_random():
 
 def test_tensor_componentwise():
     t = lens_tensor(_l1(), _l2())
-    assert FINITE.apply(t.get, pair_label("a0", "b1")) == pair_label("b0", "c0")
-    back = FINITE.apply(t.put, pair_label(pair_label("a1", "b0"), pair_label("s", "u")))
-    assert back == pair_label("p", "s")
+    assert FINITE.apply(t.get, ("a0", "b1")) == ("b0", "c0")
+    back = FINITE.apply(t.put, (("a1", "b0"), ("s", "u")))
+    assert back == ("p", "s")
 
 
 def test_state_and_costate():
@@ -166,8 +166,8 @@ def test_relabel_lens_ignores_forward_point():
         lambda v: {"p": "q", "q": "p"}[v],
     )
     assert FINITE.apply(r.get, "a0") == "a0"
-    assert FINITE.apply(r.put, pair_label("a0", "p")) == "q"
-    assert FINITE.apply(r.put, pair_label("a1", "p")) == "q"
+    assert FINITE.apply(r.put, ("a0", "p")) == "q"
+    assert FINITE.apply(r.put, ("a1", "p")) == "q"
 
 
 def test_structural_round_trips_random():
@@ -190,10 +190,8 @@ def test_structural_round_trips_random():
 
 def test_interchange_shuffles_middle_pair():
     x = lens_interchange(FINITE, A, B, C, A)
-    lhs = pair_label(pair_label("a0", "b1"), pair_label("c0", "a1"))
-    assert FINITE.apply(x.get, lhs) == pair_label(
-        pair_label("a0", "c0"), pair_label("b1", "a1")
-    )
+    lhs = (("a0", "b1"), ("c0", "a1"))
+    assert FINITE.apply(x.get, lhs) == (("a0", "c0"), ("b1", "a1"))
     inv = lens_interchange(FINITE, A, C, B, A)
     assert lens_equal(lens_compose(x, inv), lens_id(FINITE, x.src))
 

@@ -12,7 +12,6 @@ from paralens.finite_base import (
     FinSet,
     UNIT_SET,
     finset_product,
-    pair_label,
 )
 from paralens.lens_core import Lens, LensObj, costate_fn, lens_equal, lens_id, unit_obj
 from paralens.para_optic import (
@@ -40,12 +39,12 @@ def _switch_para() -> ParaLens:
     src = LensObj(FinSet(("x0",)), FinSet(("s0",)))
     dst = LensObj(FinSet(("y0", "y1")), FinSet(("r0", "r1")))
     dom = finset_product(params.fwd, src.fwd)
-    get = FinFn(dom, dst.fwd, {"(w0,x0)": "y0", "(w1,x0)": "y1"})
+    get = FinFn(dom, dst.fwd, {("w0", "x0"): "y0", ("w1", "x0"): "y1"})
     put = FinFn(
         finset_product(dom, dst.bwd),
         finset_product(params.bwd, src.bwd),
         {
-            pair_label(wx, r): pair_label(r, "s0")
+            (wx, r): (r, "s0")
             for wx in dom.labels
             for r in dst.bwd.labels
         },
@@ -74,7 +73,7 @@ def test_unit_param():
 def test_embed_trivial_wraps_plain_lens():
     p = embed_trivial(lens_id(FINITE, LensObj(FinSet(("m", "n")), FinSet(("u",)))))
     assert is_unit_param(FINITE, p.params)
-    assert FINITE.apply(p.carrier.get, pair_label(UNIT_LABEL, "m")) == "m"
+    assert FINITE.apply(p.carrier.get, (UNIT_LABEL, "m")) == "m"
 
 
 def test_para_compose_parameter_order():
@@ -97,7 +96,7 @@ def test_para_compose_parameter_order():
                 finset_product(q.params.fwd, p.dst.fwd),
                 q.dst.fwd,
                 {
-                    pair_label(w, y): "y0" if w == "w0" else "y1"
+                    (w, y): "y0" if w == "w0" else "y1"
                     for w in q.params.fwd.labels
                     for y in p.dst.fwd.labels
                 },
@@ -106,7 +105,7 @@ def test_para_compose_parameter_order():
                 finset_product(finset_product(q.params.fwd, p.dst.fwd), q.dst.bwd),
                 finset_product(q.params.bwd, p.dst.bwd),
                 {
-                    pair_label(pair_label(w, y), r): pair_label(r, r)
+                    ((w, y), r): (r, r)
                     for w in q.params.fwd.labels
                     for y in p.dst.fwd.labels
                     for r in q.dst.bwd.labels
@@ -120,7 +119,7 @@ def test_para_compose_parameter_order():
     assert comp.params.fwd == finset_product(q2.params.fwd, p.params.fwd)
     assert comp.param_shape == ShapePair(q2.param_shape, p.param_shape)
     out = FINITE.apply(
-        comp.carrier.get, pair_label(pair_label("w1", "w0"), "x0")
+        comp.carrier.get, (("w1", "w0"), "x0")
     )
     assert out == "y1"  # q2 holds w1, ignores p's y0, emits y1
 
@@ -132,9 +131,9 @@ def test_para_tensor_componentwise_evaluation():
         for wq in ("w0", "w1"):
             out = FINITE.apply(
                 t.carrier.get,
-                pair_label(pair_label(wp, wq), pair_label("x0", "x0")),
+                ((wp, wq), ("x0", "x0")),
             )
-            want = pair_label(
+            want = (
                 "y0" if wp == "w0" else "y1", "y0" if wq == "w0" else "y1"
             )
             assert out == want
@@ -177,7 +176,7 @@ def test_solution_input_costate():
             finset_product(dom, UNIT_SET),
             finset_product(params.bwd, UNIT_SET),
             {
-                pair_label(pair_label(w, UNIT_LABEL), UNIT_LABEL): pair_label(
+                ((w, UNIT_LABEL), UNIT_LABEL): (
                     reward[w], UNIT_LABEL
                 )
                 for w in params.fwd.labels

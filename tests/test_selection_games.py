@@ -17,7 +17,6 @@ from paralens.finite_base import (
     FinSet,
     UNIT_SET,
     finset_product,
-    pair_label,
 )
 from paralens.lens_core import (
     LensObj,
@@ -117,6 +116,29 @@ def test_argmax_frozen():
     assert rel.accepts("z", k)
 
 
+def test_argmax_finds_the_largest_reward_once_per_reward_function(monkeypatch):
+    n = 40
+    moves = FinSet(tuple(f"m{i}" for i in range(n)))
+    grid = FinSet(tuple(str(i) for i in range(7)))
+    rel = argmax_rel(moves, grid)
+    k = FinFn(moves, grid, {m: str(i % 7) for i, m in enumerate(moves.labels)})
+    k2 = FinFn(moves, grid, {m: str(i % 5) for i, m in enumerate(moves.labels)})
+    calls = [0]
+    real = FinFn.__call__
+
+    def counted(self, x):
+        calls[0] += 1
+        return real(self, x)
+
+    monkeypatch.setattr(FinFn, "__call__", counted)
+    accepted = [m for m in moves.labels if rel.accepts(m, k)]
+    assert accepted == [m for i, m in enumerate(moves.labels) if i % 7 == 6]
+    assert calls[0] <= 2 * n
+    # a different reward function gets its own maximum
+    accepted = [m for m in moves.labels if rel.accepts(m, k2)]
+    assert accepted == [m for i, m in enumerate(moves.labels) if i % 5 == 4]
+
+
 def test_argmax_rejects_reward_function_outside_its_rewards():
     moves = FinSet(("x", "y"))
     rel = argmax_rel(moves, FinSet(("0", "1")))
@@ -145,18 +167,18 @@ def test_nash_product_on_dilemma_costate():
         finset_product(cd, cd),
         finset_product(grid, grid),
         {
-            "(C,C)": "(2,2)",
-            "(C,D)": "(0,3)",
-            "(D,C)": "(3,0)",
-            "(D,D)": "(1,1)",
+            ("C", "C"): ("2", "2"),
+            ("C", "D"): ("0", "3"),
+            ("D", "C"): ("3", "0"),
+            ("D", "D"): ("1", "1"),
         },
     )
     verdict = {xy: rel.accepts(xy, k) for xy in k.dom.labels}
     assert verdict == {
-        "(C,C)": False,
-        "(C,D)": False,
-        "(D,C)": False,
-        "(D,D)": True,
+        ("C", "C"): False,
+        ("C", "D"): False,
+        ("D", "C"): False,
+        ("D", "D"): True,
     }
 
 
@@ -218,12 +240,12 @@ def test_decision_strategy_order_and_play():
     moves = FinSet(("L", "R"))
     grid = FinSet(("0", "1"))
     d = decision(obs, moves, grid)
-    assert d.params.fwd.labels == ("(L,L)", "(L,R)", "(R,L)", "(R,R)")
+    assert d.params.fwd.labels == (("L", "L"), ("L", "R"), ("R", "L"), ("R", "R"))
     assert d.params.bwd is grid
-    assert FINITE.apply(d.carrier.get, "((L,R),h0)") == "L"
-    assert FINITE.apply(d.carrier.get, "((L,R),h1)") == "R"
+    assert FINITE.apply(d.carrier.get, (("L", "R"), "h0")) == "L"
+    assert FINITE.apply(d.carrier.get, (("L", "R"), "h1")) == "R"
     # coplay hands the reward straight to the parameter port
-    assert FINITE.apply(d.carrier.put, "(((R,L),h1),1)") == "(1,•)"
+    assert FINITE.apply(d.carrier.put, ((("R", "L"), "h1"), "1")) == ("1", "•")
 
 
 def test_decision_respects_strategy_cap():
@@ -244,10 +266,10 @@ def test_context_agrees_with_pointwise_play():
     for h in obs.labels:
         reward = context(game, h, k)
         for w in d.params.fwd.labels:
-            played = FINITE.apply(d.carrier.get, pair_label(w, h))
+            played = FINITE.apply(d.carrier.get, (w, h))
             assert reward(w) == k(played)
-    assert equilibria(game, "h0", k) == ("(L,L)", "(L,R)")
-    assert equilibria(game, "h1", k) == ("(L,L)", "(R,L)")
+    assert equilibria(game, "h0", k) == (("L", "L"), ("L", "R"))
+    assert equilibria(game, "h1", k) == (("L", "L"), ("R", "L"))
 
 
 def test_solution_set_needs_closed_boundaries():
@@ -292,12 +314,12 @@ def test_profile_values_decode():
 
 
 def test_brute_force_oracles_frozen():
-    assert brute_force_nash(_pd()) == ("(D,D)",)
+    assert brute_force_nash(_pd()) == (("D", "D"),)
     assert brute_force_nash(_pennies()) == ()
-    assert brute_force_nash(_coordination()) == ("(A,A)", "(B,B)")
-    assert brute_force_nash(_battle()) == ("(B,B)", "(S,S)")
-    assert brute_force_hicks(_pd()) == ("(C,C)",)
-    assert brute_force_hicks(_battle()) == ("(B,B)", "(S,S)")
+    assert brute_force_nash(_coordination()) == (("A", "A"), ("B", "B"))
+    assert brute_force_nash(_battle()) == (("B", "B"), ("S", "S"))
+    assert brute_force_hicks(_pd()) == (("C", "C"),)
+    assert brute_force_hicks(_battle()) == (("B", "B"), ("S", "S"))
     with pytest.raises(SizeCapError):
         brute_force_nash(_pd(), max_size=3)
 
@@ -336,12 +358,12 @@ def test_solution_sets_match_oracle_on_random_games():
 def test_mixed_selection_tags_on_dilemma():
     g = _pd()
     assert solution_set(compositional_game(g, ["argmax", "total"])) == (
-        "(D,C)",
-        "(D,D)",
+        ("D", "C"),
+        ("D", "D"),
     )
     assert solution_set(compositional_game(g, ["total", "argmax"])) == (
-        "(C,D)",
-        "(D,D)",
+        ("C", "D"),
+        ("D", "D"),
     )
     with pytest.raises(CompositionError):
         compositional_game(g, ["argmax"])
@@ -357,9 +379,9 @@ def test_mixed_selection_tags_on_dilemma():
 def test_sum_lens_tables():
     collapse = sum_of_payoffs_lens(_pd())
     assert collapse.src.bwd.labels == ("0", "1", "2", "3", "4", "5", "6")
-    assert FINITE.apply(collapse.get, "(C,C)") == "(C,C)"
-    assert FINITE.apply(collapse.put, "((C,C),(2,2))") == "4"
-    assert FINITE.apply(collapse.put, "((D,C),(3,0))") == "3"
+    assert FINITE.apply(collapse.get, ("C", "C")) == ("C", "C")
+    assert FINITE.apply(collapse.put, (("C", "C"), ("2", "2"))) == "4"
+    assert FINITE.apply(collapse.put, (("D", "C"), ("3", "0"))) == "3"
 
 
 def test_hicks_routes_agree_on_fixtures():
@@ -386,8 +408,8 @@ def test_dilemma_nash_and_hicks_disjoint():
     g = _pd()
     nash = solution_set(compositional_game(g))
     hicks = solution_set(hicks_games(g)[0])
-    assert nash == ("(D,D)",)
-    assert hicks == ("(C,C)",)
+    assert nash == (("D", "D"),)
+    assert hicks == (("C", "C"),)
     assert set(nash).isdisjoint(hicks)
 
 
