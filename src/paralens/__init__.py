@@ -26,7 +26,6 @@ from .finite_base import (
     UNIT_LABEL,
     UNIT_SET,
     enumerate_functions,
-    finset_product,
     finset_tuple_product,
     parse_payoff,
     payoff_grid,

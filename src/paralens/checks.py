@@ -25,9 +25,9 @@ from .errors import ParalensError
 from .finite_base import (
     FINITE,
     FinFn,
+    FinProd,
     FinSet,
     enumerate_functions,
-    finset_product,
 )
 from .lens_core import (
     Lens,
@@ -135,7 +135,7 @@ def random_obj(rng: random.Random, max_size: int = 3) -> LensObj:
 
 def random_lens(rng: random.Random, src: LensObj, dst: LensObj) -> Lens:
     get = random_finfn(rng, src.fwd, dst.fwd)
-    put = random_finfn(rng, finset_product(src.fwd, dst.bwd), src.bwd)
+    put = random_finfn(rng, FinProd(src.fwd, dst.bwd), src.bwd)
     return Lens(FINITE, src, dst, get, put)
 
 

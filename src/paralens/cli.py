@@ -23,7 +23,7 @@ from typing import Sequence
 from .checks import ALL_CHECKS, run_checks
 from .demos import DEMOS, write_csv
 from .errors import ParalensError, SpecFormatError
-from .finite_base import DEFAULT_ENUM_CAP, FinSet, split_tuple, tuple_label
+from .finite_base import DEFAULT_ENUM_CAP, FinSet, split_tuple
 from .selection_games import (
     NormalFormGame,
     brute_force_hicks,
@@ -31,11 +31,12 @@ from .selection_games import (
     compositional_game,
     hicks_games,
     normal_form_game,
-    profile_values,
     solution_set,
 )
 
 _TAGS = ("argmax", "total")
+
+_deviation_oracle = brute_force_nash  # the name bench/tracing.py times
 
 
 def parse_game_spec(data: object) -> tuple[NormalFormGame, str | list[str] | None]:
@@ -124,29 +125,6 @@ def _validate_selection(selection: object, n: int, path: str) -> None:
     raise SpecFormatError("expected a string or a list of tags", path)
 
 
-def _deviation_oracle(g: NormalFormGame, tags: Sequence[str]) -> tuple[str, ...]:
-    """Brute force for mixed tags: only argmax players are held to deviations."""
-    out = []
-    for prof in iter_product(*[p.labels for p in g.players]):
-        vals = profile_values(g, prof)
-        stable = True
-        for i, (player, tag) in enumerate(zip(g.players, tags)):
-            if tag != "argmax":
-                continue
-            for dev in player.labels:
-                if dev == prof[i]:
-                    continue
-                alt = prof[:i] + (dev,) + prof[i + 1 :]
-                if profile_values(g, alt)[i] > vals[i]:
-                    stable = False
-                    break
-            if not stable:
-                break
-        if stable:
-            out.append(tuple_label(prof))
-    return tuple(out)
-
-
 def load_spec_file(path: str) -> object:
     """Read a spec from disk, falling back to the bundled fixtures by name."""
     try:
@@ -158,10 +136,12 @@ def load_spec_file(path: str) -> object:
             text = bundle.read_text(encoding="utf-8")
         else:
             raise SpecFormatError(f"no such spec file: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecFormatError(f"cannot read spec file {path}: {exc}")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"invalid JSON: {exc}")
+    except ValueError as exc:  # also an integer too long to convert
+        raise SpecFormatError(f"invalid JSON in {path}: {exc}")
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -193,7 +173,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         if selection == "argmax_each":
             oracle = brute_force_nash(game, args.max_strategies)
         else:
-            oracle = _deviation_oracle(game, tags)
+            oracle = brute_force_nash(game, tags=tags)
         agrees = sols == oracle
 
     report = {
@@ -244,9 +224,11 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def _fraction_arg(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"cannot read {text!r} as a rational")
+        value = Fraction(text)
+        float(value)  # the demos step in floats
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise argparse.ArgumentTypeError(f"cannot read {text!r} as a rational within float range")
+    return value
 
 
 def _nonneg_int(text: str) -> int:

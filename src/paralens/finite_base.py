@@ -5,8 +5,11 @@ labels; a product carrier is the pair of its factors, its elements are
 Python pairs ``(x, y)``, and n-ary products associate to the left, so any
 composite carrier has a single deterministic presentation and no two
 elements can share an encoding.  A product is enumerated only when iterated.
-Morphisms are checked, memoised procedures; only ``FiniteBase.mor_equal``
-tabulates, to decide equality.  Payoff values are ``fractions.Fraction``
+Morphisms are memoised procedures; only ``FiniteBase.mor_equal`` tabulates,
+to decide equality.  Those built from caller data check each element and its
+image on first evaluation; those derived from others (``compose``,
+``product``, a composite lens's ``put``) only memoise, as every part of their
+input reaches a checked one.  Payoff values are ``fractions.Fraction``
 throughout; floats never enter the game-theoretic side.
 """
 
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iter_product
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 from .errors import CompositionError, SizeCapError
 from .lens_core import Base
@@ -98,7 +101,6 @@ class FinProd:
 
 
 Carrier = FinSet | FinProd
-finset_product = FinProd
 
 
 def tuple_label(parts: Sequence) -> object:
@@ -132,8 +134,11 @@ class FinFn:
     ``fn`` is a callable or a table given as data.  The first evaluation at
     an element checks that the element is in ``dom`` and its image in
     ``cod``, then keeps the image in ``table``, which never outgrows the
-    domain.  A table given as data is checked the same way, eagerly.
+    domain.  A table given as data is checked the same way, eagerly.  A
+    morphism from :meth:`FiniteBase.derived` skips both checks.
     """
+
+    checked: ClassVar[bool] = True
 
     dom: Carrier
     cod: Carrier
@@ -159,15 +164,21 @@ class FinFn:
         table = self.table
         if x in table:
             return table[x]
-        if x not in self.dom:
+        if self.checked and x not in self.dom:
             raise CompositionError(f"element {x!r} is not in domain {self.dom}")
         image = self.fn(x)
-        if image not in self.cod:
+        if self.checked and image not in self.cod:
             raise CompositionError(
                 f"image {image!r} of {x!r} is not in codomain {self.cod}"
             )
         table[x] = image
         return image
+
+
+class _DerivedFn(FinFn):
+    """A morphism that passes each part of its input to a checked one; it only memoises."""
+
+    checked = False
 
 
 def enumerate_functions(
@@ -236,6 +247,9 @@ class FiniteBase(Base):
     def morphism(self, dom: Carrier, cod: Carrier, fn) -> FinFn:
         return FinFn(dom, cod, fn)
 
+    def derived(self, dom: Carrier, cod: Carrier, fn) -> FinFn:
+        return _DerivedFn(dom, cod, fn)
+
     def compose(self, f: FinFn, g: FinFn) -> FinFn:
         """The procedure ``x ↦ g(f(x))``."""
         if f.cod != g.dom:
@@ -243,15 +257,15 @@ class FiniteBase(Base):
                 f"cannot compose: codomain {f.cod} of the first function "
                 f"differs from domain {g.dom} of the second"
             )
-        return FinFn(f.dom, g.cod, lambda x: g(f(x)))
+        return self.derived(f.dom, g.cod, lambda x: g(f(x)))
 
     def product(self, f: FinFn, g: FinFn) -> FinFn:
         """Componentwise action on pairs."""
         def fn(xy: tuple) -> tuple:
-            x, y = xy
+            x, y = self.split_elem(f.dom, g.dom, xy)
             return f(x), g(y)
 
-        return FinFn(FinProd(f.dom, g.dom), FinProd(f.cod, g.cod), fn)
+        return self.derived(FinProd(f.dom, g.dom), FinProd(f.cod, g.cod), fn)
 
     def dom_of(self, f: FinFn) -> Carrier:
         return f.dom
@@ -269,8 +283,9 @@ class FiniteBase(Base):
         return (x, y)
 
     def split_elem(self, a: Carrier, b: Carrier, xy: tuple) -> tuple:
-        x, y = xy
-        return x, y
+        if type(xy) is not tuple or len(xy) != 2:
+            raise CompositionError(f"element {xy!r} is not a pair in {FinProd(a, b)}")
+        return xy
 
     def mor_equal(self, f: FinFn, g: FinFn) -> bool:
         """Pointwise equality: the one place a whole domain is enumerated."""

@@ -44,9 +44,6 @@ class Base(ABC):
     def pair(self, a: Carrier, b: Carrier) -> Carrier:
         """Binary product of carriers."""
 
-    def carrier_eq(self, a: Carrier, b: Carrier) -> bool:
-        return a == b
-
     @abstractmethod
     def contains(self, c: Carrier, x: Elem) -> bool:
         """Whether ``x`` is an inhabitant of carrier ``c``."""
@@ -67,6 +64,10 @@ class Base(ABC):
 
         Both bases wrap the callable; finite ones check and memoise it per element.
         """
+
+    def derived(self, dom: Carrier, cod: Carrier, fn: Callable[[Elem], Elem]) -> Mor:
+        """Like :meth:`morphism`, for a ``fn`` passing each input part to a checked morphism."""
+        return self.morphism(dom, cod, fn)
 
     @abstractmethod
     def compose(self, f: Mor, g: Mor) -> Mor:
@@ -139,7 +140,7 @@ class Lens:
             (b.cod_of(self.put), self.src.bwd, "put codomain"),
         )
         for actual, expected, what in checks:
-            if not b.carrier_eq(actual, expected):
+            if actual != expected:
                 raise CompositionError(
                     f"{what} is {b.describe(actual)}, expected {b.describe(expected)}"
                 )
@@ -188,7 +189,7 @@ def lens_compose(l1: Lens, l2: Lens) -> Lens:
         s = base.apply(l2.put, base.pair_elem(mid.fwd, dst.bwd, y, z))
         return base.apply(l1.put, base.pair_elem(src.fwd, mid.bwd, x, s))
 
-    put = base.morphism(base.pair(src.fwd, dst.bwd), src.bwd, put_fn)
+    put = base.derived(base.pair(src.fwd, dst.bwd), src.bwd, put_fn)
     return Lens(base, src, dst, get, put)
 
 
@@ -211,7 +212,7 @@ def lens_tensor(l1: Lens, l2: Lens) -> Lens:
         s2 = base.apply(l2.put, base.pair_elem(l2.src.fwd, l2.dst.bwd, x2, z2))
         return base.pair_elem(l1.src.bwd, l2.src.bwd, s1, s2)
 
-    put = base.morphism(base.pair(fwd_pair, bwd_pair), src.bwd, put_fn)
+    put = base.derived(base.pair(fwd_pair, bwd_pair), src.bwd, put_fn)
     return Lens(base, src, dst, get, put)
 
 
@@ -231,9 +232,7 @@ def make_state(base: Base, a: LensObj, point: Elem) -> Lens:
 
 def make_costate(base: Base, a: LensObj, f: Mor) -> Lens:
     """The costate of ``a`` whose backward leg is the base morphism ``f : a.fwd → a.bwd``."""
-    if not base.carrier_eq(base.dom_of(f), a.fwd) or not base.carrier_eq(
-        base.cod_of(f), a.bwd
-    ):
+    if base.dom_of(f) != a.fwd or base.cod_of(f) != a.bwd:
         raise CompositionError(
             f"costate map has type {base.describe(base.dom_of(f))} → "
             f"{base.describe(base.cod_of(f))}, expected {base.describe(a.fwd)} → "

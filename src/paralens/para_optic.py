@@ -60,8 +60,7 @@ def unit_param(base: Base) -> ParamObj:
 
 
 def is_unit_param(base: Base, p: ParamObj) -> bool:
-    u = base.unit()
-    return base.carrier_eq(p.fwd, u) and base.carrier_eq(p.bwd, u)
+    return p == unit_param(base)
 
 
 @dataclass(frozen=True)

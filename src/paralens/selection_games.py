@@ -106,16 +106,25 @@ def nash_product(eps: SelectionRelation, delta: SelectionRelation) -> SelectionR
 
     The joint reward function is restricted for each factor by freezing the
     other factor's move and projecting onto the factor's own reward carrier.
+    For the last ``k`` seen, compared by identity, each restriction is built
+    once per frozen move, so a factor's best responses are found once.
     """
     em, er = eps.obj.fwd, eps.obj.bwd
     dm, dr = delta.obj.fwd, delta.obj.bwd
     obj = ParamObj(FinProd(em, dm), FinProd(er, dr))
+    last: list = [None, {}, {}]  # the last k, its restrictions k_y by y and k_x by x
 
     def accepts(xy: tuple, k: FinFn) -> bool:
-        x, y = xy
-        k_y = FinFn(em, er, lambda a: k((a, y))[0])
-        k_x = FinFn(dm, dr, lambda b: k((x, b))[1])
-        return eps.accepts(x, k_y) and delta.accepts(y, k_x)
+        if last[0] is not k:
+            if k.dom != obj.fwd or k.cod != obj.bwd:
+                raise CompositionError(f"reward function is not {obj.fwd} → {obj.bwd}")
+            last[:] = [k, {}, {}]
+        x, y = FINITE.split_elem(em, dm, xy)
+        if y not in last[1]:
+            last[1][y] = FINITE.derived(em, er, lambda a: k((a, y))[0])
+        if x not in last[2]:
+            last[2][x] = FINITE.derived(dm, dr, lambda b: k((x, b))[1])
+        return eps.accepts(x, last[1][y]) and delta.accepts(y, last[2][x])
 
     return SelectionRelation(obj, accepts)
 
@@ -373,12 +382,13 @@ def profile_values(g: NormalFormGame, prof: Sequence[str]) -> tuple[Fraction, ..
 
 
 def brute_force_nash(
-    g: NormalFormGame, max_size: int = DEFAULT_ENUM_CAP
+    g: NormalFormGame, max_size: int = DEFAULT_ENUM_CAP, tags: Sequence[str] | None = None
 ) -> tuple:
-    """Independent oracle: profiles with no strictly improving unilateral deviation."""
-    count = 1
-    for p in g.players:
-        count *= len(p)
+    """Independent oracle: profiles with no strictly improving unilateral deviation.
+
+    Given per-player ``tags``, only ``"argmax"`` players are held to deviations.
+    """
+    count = len(finset_tuple_product(g.players))
     if count > max_size:
         raise SizeCapError(
             f"{count} profiles exceed the cap of {max_size}", count=count
@@ -386,18 +396,13 @@ def brute_force_nash(
     out = []
     for prof in iter_product(*[p.labels for p in g.players]):
         vals = profile_values(g, prof)
-        stable = True
-        for i, player in enumerate(g.players):
-            for dev in player.labels:
-                if dev == prof[i]:
-                    continue
-                alt = prof[:i] + (dev,) + prof[i + 1 :]
-                if profile_values(g, alt)[i] > vals[i]:
-                    stable = False
-                    break
-            if not stable:
-                break
-        if stable:
+        if not any(
+            profile_values(g, prof[:i] + (dev,) + prof[i + 1 :])[i] > vals[i]
+            for i, player in enumerate(g.players)
+            if tags is None or tags[i] == "argmax"
+            for dev in player.labels
+            if dev != prof[i]
+        ):
             out.append(tuple_label(prof))
     return tuple(out)
 

@@ -183,11 +183,18 @@ def test_solve_with_tag_override(capsys):
     assert report["agrees"] is True
 
 
-def test_solve_rejects_bad_inputs(capsys):
+def test_solve_rejects_bad_inputs(tmp_path, capsys):
     assert main(["solve", "pd.json", "--selection", "argmax"]) == 2
     assert "--selection" in capsys.readouterr().err
     assert main(["solve", "/nonexistent/game.json"]) == 2
     assert "no such spec" in capsys.readouterr().err
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(_pd_spec()).replace("[2, 2]", "[2, " + "7" * 5000 + "]"))
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b"\xff{")
+    for path in (tmp_path, huge, latin1):
+        assert main(["solve", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
     for flag, value in (("--max-strategies", "-1"), ("--max-costates", "-5")):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "pd.json", flag, value])
@@ -244,10 +251,12 @@ def test_train_default_output_name(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "linreg.csv").is_file()
 
 
-def test_train_flag_validation():
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "linreg", "--alpha", "1/0"])
-    assert exc.value.code == 2
+def test_train_flag_validation(capsys):
+    for alpha in ("1/0", "1e400"):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "linreg", "--alpha", alpha])
+        assert exc.value.code == 2
+        assert "--alpha" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["train", "linreg", "--steps", "-3"])
     assert exc.value.code == 2

@@ -11,9 +11,9 @@ from paralens.finite_base import (
     UNIT_LABEL,
     UNIT_SET,
     FinFn,
+    FinProd,
     FinSet,
     enumerate_functions,
-    finset_product,
     finset_tuple_product,
     parse_payoff,
     payoff_grid,
@@ -45,13 +45,13 @@ def test_unit_set():
 
 
 def test_product_order_first_factor_slowest():
-    p = finset_product(FinSet(("a", "b")), FinSet(("x", "y")))
+    p = FinProd(FinSet(("a", "b")), FinSet(("x", "y")))
     assert p.labels == (("a", "x"), ("a", "y"), ("b", "x"), ("b", "y"))
 
 
 def test_product_elements_cannot_collide():
     # rendered as "(x,y)" strings, (a,b)×(c) and (a)×(b,c) would coincide
-    p = finset_product(FinSet(("a,b", "a")), FinSet(("c", "b,c")))
+    p = FinProd(FinSet(("a,b", "a")), FinSet(("c", "b,c")))
     assert len(p) == len(set(p.labels)) == 4
     assert ("a,b", "c") in p and ("a", "b,c") in p
     assert "(a,b,c)" not in p and ["a", "c"] not in p
@@ -62,7 +62,7 @@ def test_product_carrier_is_not_enumerated():
     b = FinSet(tuple(f"b{i}" for i in range(1000)))
     tracemalloc.start()
     try:
-        p = finset_product(a, b)
+        p = FinProd(a, b)
         assert len(p) == 10**6
         assert FINITE.contains(p, ("a999", "b0"))
         _, peak = tracemalloc.get_traced_memory()
@@ -145,6 +145,46 @@ def test_fn_product_componentwise():
     fg = FINITE.product(f, g)
     assert fg(("a", "0")) == ("x", "q")
     assert fg(("b", "0")) == ("y", "q")
+
+
+def test_product_and_split_reject_non_pairs():
+    f = FinFn(FinSet(("a", "b")), FinSet(("x",)), {"a": "x", "b": "x"})
+    fg = FINITE.product(f, f)
+    for bad in ("ab", ("a", "b", "a")):
+        with pytest.raises(CompositionError, match="not a pair"):
+            FINITE.split_elem(f.dom, f.dom, bad)
+        with pytest.raises(CompositionError):
+            fg(bad)
+    with pytest.raises(CompositionError):
+        fg(("a", "zz"))
+    assert fg.table == {}
+
+
+def test_composite_checks_membership_at_its_edges(monkeypatch):
+    s = FinSet(("a", "b"))
+    c = FinProd(FinProd(FinProd(s, s), s), s)
+    idents = [FINITE.identity(c) for _ in range(8)]
+    composite = idents[0]
+    for f in idents[1:]:
+        composite = FINITE.compose(composite, f)
+    calls, depth = [0], [0]
+    real = FinProd.__contains__
+
+    def counted(self, xy):
+        calls[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return real(self, xy)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(FinProd, "__contains__", counted)
+    assert [composite(x) for x in c] == list(c)
+    # each identity checks an element and its image once; the seven
+    # composites check nothing
+    assert calls[0] == 2 * len(idents) * len(c)
+    with pytest.raises(CompositionError):
+        composite(((("a", "b"), "zz"), "a"))
 
 
 def test_product_carriers_die_with_their_game():

@@ -11,7 +11,7 @@ import pytest
 
 from paralens.checks import random_lens, random_obj
 from paralens.errors import CompositionError, UnsupportedOperationError
-from paralens.finite_base import FINITE, FinFn, FinSet, finset_product
+from paralens.finite_base import FINITE, FinFn, FinProd, FinSet
 from paralens.lens_core import (
     Lens,
     LensObj,
@@ -45,7 +45,7 @@ C = LensObj(FinSet(("c0",)), FinSet(("t", "u")))
 def _l1() -> Lens:
     get = FinFn(A.fwd, B.fwd, {"a0": "b0", "a1": "b1"})
     put = FinFn(
-        finset_product(A.fwd, B.bwd),
+        FinProd(A.fwd, B.bwd),
         A.bwd,
         {("a0", "r"): "p", ("a0", "s"): "q", ("a1", "r"): "q", ("a1", "s"): "p"},
     )
@@ -55,7 +55,7 @@ def _l1() -> Lens:
 def _l2() -> Lens:
     get = FinFn(B.fwd, C.fwd, {"b0": "c0", "b1": "c0"})
     put = FinFn(
-        finset_product(B.fwd, C.bwd),
+        FinProd(B.fwd, C.bwd),
         B.bwd,
         {("b0", "t"): "r", ("b0", "u"): "s", ("b1", "t"): "s", ("b1", "u"): "r"},
     )
@@ -64,7 +64,7 @@ def _l2() -> Lens:
 
 def test_boundary_validation():
     get = FinFn(A.fwd, B.fwd, {"a0": "b0", "a1": "b1"})
-    bad_put = FinFn(finset_product(A.fwd, C.bwd), A.bwd, {
+    bad_put = FinFn(FinProd(A.fwd, C.bwd), A.bwd, {
         ("a0", "t"): "p", ("a0", "u"): "p", ("a1", "t"): "p", ("a1", "u"): "p",
     })
     with pytest.raises(CompositionError):
@@ -96,11 +96,27 @@ def test_compose_rejects_mismatch():
         lens_compose(_l2(), _l1())
 
 
+def test_composite_put_rejects_elements_outside_its_domain():
+    comp = lens_compose(_l1(), _l2())
+    tensor = lens_tensor(_l1(), _l2())
+    for put, bad in (
+        (comp.put, "ab"),
+        (comp.put, ("zz", "t")),
+        (comp.put, ("a0", "zz")),
+        (tensor.put, "ab"),
+        (tensor.put, (("a0", "b0"), "st")),
+        (tensor.put, (("a0", "b0"), ("r", "zz"))),
+    ):
+        with pytest.raises(CompositionError):
+            put(bad)
+        assert put.table == {}
+
+
 def test_lens_equal_discriminates():
     assert lens_equal(_l1(), _l1())
     other = _l1()
     tweaked = FinFn(
-        finset_product(A.fwd, B.bwd),
+        FinProd(A.fwd, B.bwd),
         A.bwd,
         {("a0", "r"): "q", ("a0", "s"): "q", ("a1", "r"): "q", ("a1", "s"): "p"},
     )

@@ -9,9 +9,9 @@ from paralens.finite_base import (
     FINITE,
     UNIT_LABEL,
     FinFn,
+    FinProd,
     FinSet,
     UNIT_SET,
-    finset_product,
 )
 from paralens.lens_core import Lens, LensObj, costate_fn, lens_equal, lens_id, unit_obj
 from paralens.para_optic import (
@@ -38,18 +38,18 @@ def _switch_para() -> ParaLens:
     params = ParamObj(FinSet(("w0", "w1")), FinSet(("r0", "r1")))
     src = LensObj(FinSet(("x0",)), FinSet(("s0",)))
     dst = LensObj(FinSet(("y0", "y1")), FinSet(("r0", "r1")))
-    dom = finset_product(params.fwd, src.fwd)
+    dom = FinProd(params.fwd, src.fwd)
     get = FinFn(dom, dst.fwd, {("w0", "x0"): "y0", ("w1", "x0"): "y1"})
     put = FinFn(
-        finset_product(dom, dst.bwd),
-        finset_product(params.bwd, src.bwd),
+        FinProd(dom, dst.bwd),
+        FinProd(params.bwd, src.bwd),
         {
             (wx, r): (r, "s0")
             for wx in dom.labels
             for r in dst.bwd.labels
         },
     )
-    carrier = Lens(FINITE, LensObj(dom, finset_product(params.bwd, src.bwd)), dst, get, put)
+    carrier = Lens(FINITE, LensObj(dom, FinProd(params.bwd, src.bwd)), dst, get, put)
     return ParaLens(FINITE, params, src, dst, carrier, ShapeLeaf(params))
 
 
@@ -58,8 +58,8 @@ def test_shape_fold_and_leaves():
     q2 = ParamObj(FinSet(("c", "d")), FinSet(("e",)))
     shape = ShapePair(ShapeLeaf(q1), ShapeLeaf(q2))
     folded = shape_obj(FINITE, shape)
-    assert folded.fwd == finset_product(q1.fwd, q2.fwd)
-    assert folded.bwd == finset_product(q1.bwd, q2.bwd)
+    assert folded.fwd == FinProd(q1.fwd, q2.fwd)
+    assert folded.bwd == FinProd(q1.bwd, q2.bwd)
     assert shape_leaves(shape) == [q1, q2]
 
 
@@ -88,12 +88,12 @@ def test_para_compose_parameter_order():
         Lens(
             FINITE,
             LensObj(
-                finset_product(q.params.fwd, p.dst.fwd),
-                finset_product(q.params.bwd, p.dst.bwd),
+                FinProd(q.params.fwd, p.dst.fwd),
+                FinProd(q.params.bwd, p.dst.bwd),
             ),
             q.dst,
             FinFn(
-                finset_product(q.params.fwd, p.dst.fwd),
+                FinProd(q.params.fwd, p.dst.fwd),
                 q.dst.fwd,
                 {
                     (w, y): "y0" if w == "w0" else "y1"
@@ -102,8 +102,8 @@ def test_para_compose_parameter_order():
                 },
             ),
             FinFn(
-                finset_product(finset_product(q.params.fwd, p.dst.fwd), q.dst.bwd),
-                finset_product(q.params.bwd, p.dst.bwd),
+                FinProd(FinProd(q.params.fwd, p.dst.fwd), q.dst.bwd),
+                FinProd(q.params.bwd, p.dst.bwd),
                 {
                     ((w, y), r): (r, r)
                     for w in q.params.fwd.labels
@@ -116,7 +116,7 @@ def test_para_compose_parameter_order():
     )
     comp = para_compose(p, q2)
     # later stage's parameters ride leftmost
-    assert comp.params.fwd == finset_product(q2.params.fwd, p.params.fwd)
+    assert comp.params.fwd == FinProd(q2.params.fwd, p.params.fwd)
     assert comp.param_shape == ShapePair(q2.param_shape, p.param_shape)
     out = FINITE.apply(
         comp.carrier.get, (("w1", "w0"), "x0")
@@ -155,7 +155,7 @@ def test_flatten_drops_unit_factor():
     p = _switch_para()
     ident = embed_trivial(lens_id(FINITE, p.src))
     comp = para_compose(ident, p)
-    assert comp.params.fwd == finset_product(p.params.fwd, UNIT_SET)
+    assert comp.params.fwd == FinProd(p.params.fwd, UNIT_SET)
     flat = flatten_params(comp)
     assert flat.params == p.params
     assert isinstance(flat.param_shape, ShapeLeaf)
@@ -165,16 +165,16 @@ def test_flatten_drops_unit_factor():
 def test_solution_input_costate():
     params = ParamObj(FinSet(("w0", "w1")), FinSet(("g0", "g1")))
     u = unit_obj(FINITE)
-    dom = finset_product(params.fwd, UNIT_SET)
+    dom = FinProd(params.fwd, UNIT_SET)
     reward = {"w0": "g1", "w1": "g0"}
     carrier = Lens(
         FINITE,
-        LensObj(dom, finset_product(params.bwd, UNIT_SET)),
+        LensObj(dom, FinProd(params.bwd, UNIT_SET)),
         u,
         FinFn(dom, UNIT_SET, {x: UNIT_LABEL for x in dom.labels}),
         FinFn(
-            finset_product(dom, UNIT_SET),
-            finset_product(params.bwd, UNIT_SET),
+            FinProd(dom, UNIT_SET),
+            FinProd(params.bwd, UNIT_SET),
             {
                 ((w, UNIT_LABEL), UNIT_LABEL): (
                     reward[w], UNIT_LABEL

@@ -14,9 +14,9 @@ from paralens.errors import CompositionError, SizeCapError
 from paralens.finite_base import (
     FINITE,
     FinFn,
+    FinProd,
     FinSet,
     UNIT_SET,
-    finset_product,
 )
 from paralens.lens_core import (
     LensObj,
@@ -147,6 +147,45 @@ def test_argmax_rejects_reward_function_outside_its_rewards():
         rel.accepts("x", k)
 
 
+def test_nash_product_rejects_reward_function_of_the_wrong_type():
+    cd = FinSet(("C", "D"))
+    grid = FinSet(("0", "1"))
+    rel = nash_product(argmax_rel(cd, grid), argmax_rel(cd, grid))
+    wide = FinSet(("0", "1", "2"))
+    k = FinFn(
+        FinProd(cd, cd),
+        FinProd(wide, grid),
+        {xy: ("2", "0") for xy in FinProd(cd, cd)},
+    )
+    with pytest.raises(CompositionError, match="reward function"):
+        rel.accepts(("C", "D"), k)
+
+
+def test_nash_product_restricts_once_per_frozen_move(monkeypatch):
+    n = 12
+    moves = FinSet(tuple(f"m{i}" for i in range(n)))
+    grid = FinSet(tuple(str(i) for i in range(5)))
+    rel = nash_product(argmax_rel(moves, grid), argmax_rel(moves, grid))
+    k = FinFn(
+        FinProd(moves, moves),
+        FinProd(grid, grid),
+        {(a, b): (str((i * j) % 5), str((i + j) % 5))
+         for i, a in enumerate(moves) for j, b in enumerate(moves)},
+    )
+    calls = [0]
+    real = FinFn.__call__
+
+    def counted(self, x):
+        calls[0] += self is k
+        return real(self, x)
+
+    monkeypatch.setattr(FinFn, "__call__", counted)
+    for xy in k.dom:
+        rel.accepts(xy, k)
+    # each of the two restrictions of k reads it once per profile
+    assert calls[0] <= 2 * n * n
+
+
 def test_argmax_rejects_empty_moves():
     with pytest.raises(CompositionError):
         argmax_rel(FinSet(()), FinSet(("0",)))
@@ -164,8 +203,8 @@ def test_nash_product_on_dilemma_costate():
     grid = FinSet(("0", "1", "2", "3"))
     rel = nash_product(argmax_rel(cd, grid), argmax_rel(cd, grid))
     k = FinFn(
-        finset_product(cd, cd),
-        finset_product(grid, grid),
+        FinProd(cd, cd),
+        FinProd(grid, grid),
         {
             ("C", "C"): ("2", "2"),
             ("C", "D"): ("0", "3"),
@@ -322,6 +361,11 @@ def test_brute_force_oracles_frozen():
     assert brute_force_hicks(_battle()) == (("B", "B"), ("S", "S"))
     with pytest.raises(SizeCapError):
         brute_force_nash(_pd(), max_size=3)
+    # only argmax players are held to deviations
+    assert brute_force_nash(_pd(), tags=["argmax", "total"]) == (("D", "C"), ("D", "D"))
+    assert brute_force_nash(_pennies(), tags=["total", "total"]) == (
+        ("H", "H"), ("H", "T"), ("T", "H"), ("T", "T"),
+    )
 
 
 def test_game_scalar_recovers_the_payoff_table():
