@@ -117,9 +117,6 @@ from .smooth_autodiff import (
     ga_lens,
     gan_step,
     gd_lens,
-    graph_from_json,
-    graph_to_json,
-    identity_map,
     mlp_map,
     sqerr_head,
     train_step,

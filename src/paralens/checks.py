@@ -1,10 +1,11 @@
 """Named invariant suites with their random-instance generators.
 
-Every suite is a function returning a CheckResult; the registry at the
-bottom drives the command-line `check` subcommand, and the tests reuse
-both the suites and the generators.  Finite-side properties are decided
-exactly; numeric properties compare against central finite differences or
-use a tight relative tolerance.
+Every suite is a generator of ``(holds, detail)`` instances, which
+``_suite`` turns into a function returning a CheckResult.  The registry at
+the bottom drives the command-line `check` subcommand, and the tests reuse
+both the suites and the random-instance generators.  Finite-side
+properties are decided exactly; numeric properties compare against central
+finite differences or use a tight relative tolerance.
 
 The descent/ascent suite resolves the optimiser constructors through the
 smooth_autodiff module object on purpose, so a deliberately broken
@@ -13,10 +14,11 @@ constructor is picked up rather than a captured original.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -95,6 +97,31 @@ class CheckResult:
     detail: str = ""
 
 
+Instances = Iterator[tuple[bool, str]]
+
+
+def _suite(name: str):
+    """Turn a generator of ``(holds, detail)`` instances into a named check.
+
+    Instances are counted in order; the first that does not hold ends the
+    check with its detail.
+    """
+
+    def wrap(gen: Callable[..., Instances]) -> Callable[..., CheckResult]:
+        @functools.wraps(gen)
+        def run(*args, **kwargs) -> CheckResult:
+            instances = 0
+            for holds, detail in gen(*args, **kwargs):
+                instances += 1
+                if not holds:
+                    return CheckResult(name, False, instances, detail)
+            return CheckResult(name, True, instances)
+
+        return run
+
+    return wrap
+
+
 def rel_close(a, b, rtol: float, atol: float = 1e-12) -> bool:
     return bool(np.allclose(np.asarray(a), np.asarray(b), rtol=rtol, atol=atol))
 
@@ -148,9 +175,9 @@ def random_para(rng: random.Random, src: LensObj, dst: LensObj, max_size: int = 
 # -- lens laws ----------------------------------------------------------
 
 
-def check_lens_category_laws(seed: int = 0, rounds: int = 60) -> CheckResult:
+@_suite("lens-category-laws")
+def check_lens_category_laws(seed: int = 0, rounds: int = 60) -> Instances:
     rng = random.Random(seed)
-    instances = 0
     for r in range(rounds):
         a, b, c, d = (random_obj(rng) for _ in range(4))
         l1 = random_lens(rng, a, b)
@@ -166,17 +193,12 @@ def check_lens_category_laws(seed: int = 0, rounds: int = 60) -> CheckResult:
             ),
         ]
         for name, lhs, rhs in laws:
-            instances += 1
-            if not lens_equal(lhs, rhs):
-                return CheckResult(
-                    "lens-category-laws", False, instances, f"{name} failed at round {r}"
-                )
-    return CheckResult("lens-category-laws", True, instances)
+            yield lens_equal(lhs, rhs), f"{name} failed at round {r}"
 
 
-def check_lens_monoidal_laws(seed: int = 1, rounds: int = 60) -> CheckResult:
+@_suite("lens-monoidal-laws")
+def check_lens_monoidal_laws(seed: int = 1, rounds: int = 60) -> Instances:
     rng = random.Random(seed)
-    instances = 0
     for r in range(rounds):
         a, b, c, d, e, f = (random_obj(rng, 2) for _ in range(6))
         l1, l2 = random_lens(rng, a, b), random_lens(rng, b, c)
@@ -243,12 +265,7 @@ def check_lens_monoidal_laws(seed: int = 1, rounds: int = 60) -> CheckResult:
             ),
         ]
         for name, lhs, rhs in laws:
-            instances += 1
-            if not lens_equal(lhs, rhs):
-                return CheckResult(
-                    "lens-monoidal-laws", False, instances, f"{name} failed at round {r}"
-                )
-    return CheckResult("lens-monoidal-laws", True, instances)
+            yield lens_equal(lhs, rhs), f"{name} failed at round {r}"
 
 
 def _triangle_lhs(a: LensObj, b: LensObj) -> Lens:
@@ -294,9 +311,13 @@ def _flat_perm(raw: ParaLens, order: Sequence[int]) -> Lens:
     return rewire(FINITE, leaves, left_bracketing(range(len(leaves))), left_bracketing(order))
 
 
-def check_para_laws(seed: int = 2, rounds: int = 40) -> CheckResult:
+def _para_equal(lhs: ParaLens, rhs: ParaLens) -> bool:
+    return lhs.params == rhs.params and lens_equal(lhs.carrier, rhs.carrier)
+
+
+@_suite("para-laws")
+def check_para_laws(seed: int = 2, rounds: int = 40) -> Instances:
     rng = random.Random(seed)
-    instances = 0
     for r in range(rounds):
         a, b, c, d = (random_obj(rng, 2) for _ in range(4))
         p1 = random_para(rng, a, b)
@@ -305,38 +326,22 @@ def check_para_laws(seed: int = 2, rounds: int = 40) -> CheckResult:
 
         lhs = flatten_params(para_compose(para_compose(p1, p2), p3))
         rhs = flatten_params(para_compose(p1, para_compose(p2, p3)))
-        instances += 1
-        if lhs.params != rhs.params or not lens_equal(lhs.carrier, rhs.carrier):
-            return CheckResult(
-                "para-laws", False, instances, f"composition associativity failed at round {r}"
-            )
+        yield _para_equal(lhs, rhs), f"composition associativity failed at round {r}"
 
         ident = embed_trivial(lens_id(FINITE, a))
         lhs = flatten_params(para_compose(ident, p1))
         rhs = flatten_params(p1)
-        instances += 1
-        if lhs.params != rhs.params or not lens_equal(lhs.carrier, rhs.carrier):
-            return CheckResult(
-                "para-laws", False, instances, f"left unit failed at round {r}"
-            )
+        yield _para_equal(lhs, rhs), f"left unit failed at round {r}"
 
         ident = embed_trivial(lens_id(FINITE, b))
         lhs = flatten_params(para_compose(p1, ident))
-        instances += 1
-        if lhs.params != rhs.params or not lens_equal(lhs.carrier, rhs.carrier):
-            return CheckResult(
-                "para-laws", False, instances, f"right unit failed at round {r}"
-            )
+        yield _para_equal(lhs, rhs), f"right unit failed at round {r}"
 
         r2 = random_lens(rng, random_obj(rng, 2), p1.params.as_obj())
         r3 = random_lens(rng, random_obj(rng, 2), r2.src)
         lhs = reparametrise(reparametrise(p1, r2), r3)
         rhs = reparametrise(p1, lens_compose(r3, r2))
-        instances += 1
-        if lhs.params != rhs.params or not lens_equal(lhs.carrier, rhs.carrier):
-            return CheckResult(
-                "para-laws", False, instances, f"reparametrisation functoriality failed at round {r}"
-            )
+        yield _para_equal(lhs, rhs), f"reparametrisation functoriality failed at round {r}"
 
         p4 = random_para(rng, d, a)
         q1, q2 = random_para(rng, a, b), random_para(rng, b, c)
@@ -346,12 +351,8 @@ def check_para_laws(seed: int = 2, rounds: int = 40) -> CheckResult:
         split = flatten_params(split_raw)
         # leaves: composite-of-tensors [p4,q2,p3,q1]; tensor-of-composites [p4,p3,q2,q1]
         perm = _flat_perm(both_raw, [0, 2, 1, 3])
-        instances += 1
-        if not lens_equal(both.carrier, reparametrise(split, perm).carrier):
-            return CheckResult(
-                "para-laws", False, instances, f"interchange failed at round {r}"
-            )
-    return CheckResult("para-laws", True, instances)
+        holds = lens_equal(both.carrier, reparametrise(split, perm).carrier)
+        yield holds, f"interchange failed at round {r}"
 
 
 # -- numeric suites -----------------------------------------------------
@@ -368,7 +369,8 @@ def _single_node_map(prim) -> SmoothMap:
     return b.build(b.node(prim, *wires, name="only"))
 
 
-def check_gradient_primitives(seed: int = 11) -> CheckResult:
+@_suite("gradient-primitives")
+def check_gradient_primitives(seed: int = 11) -> Instances:
     rng = np.random.default_rng(seed)
     cases = [
         PRIMITIVES["linear"](2, 3),
@@ -381,7 +383,6 @@ def check_gradient_primitives(seed: int = 11) -> CheckResult:
         PRIMITIVES["sum"](3),
         PRIMITIVES["sqerr"](3),
     ]
-    instances = 0
     for prim in cases:
         f = _single_node_map(prim)
         x = rng.uniform(-1.0, 1.0, f.in_dim)
@@ -392,11 +393,7 @@ def check_gradient_primitives(seed: int = 11) -> CheckResult:
         y, tape = forward_eval(f, np.zeros(0), x)
         _, dx = backward_eval(f, tape, c)
         g_fd = fd_gradient(lambda v: float(c @ forward_eval(f, np.zeros(0), v)[0]), x)
-        instances += 1
-        if not rel_close(dx, g_fd, rtol=1e-4, atol=1e-8):
-            return CheckResult(
-                "gradient-primitives", False, instances, f"{prim.name} disagrees with differences"
-            )
+        yield rel_close(dx, g_fd, rtol=1e-4, atol=1e-8), f"{prim.name} disagrees with differences"
         # linearity of the pullback in the cotangent
         c2 = rng.uniform(-1.0, 1.0, f.out_dim)
         ins = tuple(x[sum(prim.in_dims[:i]) : sum(prim.in_dims[: i + 1])] for i in range(len(prim.in_dims)))
@@ -404,12 +401,8 @@ def check_gradient_primitives(seed: int = 11) -> CheckResult:
         rhs = tuple(
             2.0 * u + 3.0 * v for u, v in zip(prim.vjp(ins, c), prim.vjp(ins, c2))
         )
-        instances += 1
-        if not all(rel_close(u, v, rtol=1e-10) for u, v in zip(lhs, rhs)):
-            return CheckResult(
-                "gradient-primitives", False, instances, f"{prim.name} pullback is not linear"
-            )
-    return CheckResult("gradient-primitives", True, instances)
+        linear = all(rel_close(u, v, rtol=1e-10) for u, v in zip(lhs, rhs))
+        yield linear, f"{prim.name} pullback is not linear"
 
 
 def random_chain_graph(
@@ -446,10 +439,10 @@ def _clean_sample(f: SmoothMap, nrng: np.random.Generator, tries: int = 200):
     return None
 
 
-def check_gradient_graphs(seed: int = 3, graphs: int = 50) -> CheckResult:
+@_suite("gradient-graphs")
+def check_gradient_graphs(seed: int = 3, graphs: int = 50) -> Instances:
     rng = random.Random(seed)
     nrng = np.random.default_rng(seed)
-    instances = 0
     built = 0
     while built < graphs:
         f = random_chain_graph(rng)
@@ -466,25 +459,22 @@ def check_gradient_graphs(seed: int = 3, graphs: int = 50) -> CheckResult:
             lambda w: float(c @ forward_eval(f, w[: f.param_dim], w[f.param_dim :])[0]),
             v,
         )
-        instances += 1
-        if not rel_close(np.concatenate([dp, dx]), g_fd, rtol=1e-4, atol=1e-8):
-            return CheckResult(
-                "gradient-graphs", False, instances, f"graph {built} disagrees with differences"
-            )
-    return CheckResult("gradient-graphs", True, instances)
+        holds = rel_close(np.concatenate([dp, dx]), g_fd, rtol=1e-4, atol=1e-8)
+        yield holds, f"graph {built} disagrees with differences"
 
 
-def check_r_functoriality(seed: int = 6, evals: int = 100) -> CheckResult:
+@_suite("r-functoriality")
+def check_r_functoriality(seed: int = 6, evals: int = 100) -> Instances:
     rng = random.Random(seed)
     nrng = np.random.default_rng(seed)
-    instances = 0
-    while instances < evals:
+    done = 0
+    while done < evals:
         f = random_chain_graph(rng)
         g = random_chain_graph(rng, in_dim=f.out_dim)
         comp = compose_maps(f, g)
         flat = flatten_params(para_compose(apply_R(f), apply_R(g)))
         for _ in range(10):
-            if instances >= evals:
+            if done >= evals:
                 break
             pc = nrng.uniform(-0.5, 0.5, comp.param_dim)
             x = nrng.uniform(-0.5, 0.5, comp.in_dim)
@@ -493,17 +483,15 @@ def check_r_functoriality(seed: int = 6, evals: int = 100) -> CheckResult:
             dp, dx = backward_eval(comp, tape, dy)
             y_lens = flat.carrier.get(np.concatenate([pc, x]))
             back_lens = flat.carrier.put(np.concatenate([pc, x, dy]))
-            instances += 1
-            if not rel_close(y_lens, y_direct, rtol=1e-10) or not rel_close(
+            done += 1
+            holds = rel_close(y_lens, y_direct, rtol=1e-10) and rel_close(
                 back_lens, np.concatenate([dp, dx]), rtol=1e-10
-            ):
-                return CheckResult(
-                    "r-functoriality", False, instances, "composite and composed lenses differ"
-                )
-    return CheckResult("r-functoriality", True, instances)
+            )
+            yield holds, "composite and composed lenses differ"
 
 
-def check_gradient_descent_lens(seed: int = 4, trials: int = 10) -> CheckResult:
+@_suite("gradient-descent-lens")
+def check_gradient_descent_lens(seed: int = 4, trials: int = 10) -> Instances:
     nrng = np.random.default_rng(seed)
     b = GraphBuilder(in_dim=0)
     w = b.param(3)
@@ -513,31 +501,23 @@ def check_gradient_descent_lens(seed: int = 4, trials: int = 10) -> CheckResult:
     model = apply_R(f)
     costate = unit_loss_costate()
     alpha = 0.05
-    instances = 0
     for _ in range(trials):
         p = nrng.uniform(-1.0, 1.0, 3)
         g_fd = fd_gradient(lambda v: float(forward_eval(f, v, np.zeros(0))[0][0]), p)
         down = reparametrise(model, sa.gd_lens(alpha, 3))
         p_down, _ = train_step(down, p, np.zeros(0), costate)
-        instances += 1
-        if not rel_close(p_down, p - alpha * g_fd, rtol=1e-4, atol=1e-8):
-            return CheckResult(
-                "gradient-descent-lens", False, instances, "descent step is not p - alpha*grad"
-            )
+        holds = rel_close(p_down, p - alpha * g_fd, rtol=1e-4, atol=1e-8)
+        yield holds, "descent step is not p - alpha*grad"
         up = reparametrise(model, sa.ga_lens(alpha, 3))
         p_up, _ = train_step(up, p, np.zeros(0), costate)
-        instances += 1
-        if not rel_close(p_up, p + alpha * g_fd, rtol=1e-4, atol=1e-8):
-            return CheckResult(
-                "gradient-descent-lens", False, instances, "ascent step is not p + alpha*grad"
-            )
-    return CheckResult("gradient-descent-lens", True, instances)
+        holds = rel_close(p_up, p + alpha * g_fd, rtol=1e-4, atol=1e-8)
+        yield holds, "ascent step is not p + alpha*grad"
 
 
-def check_weight_tying(seed: int = 5, trials: int = 20) -> CheckResult:
+@_suite("weight-tying")
+def check_weight_tying(seed: int = 5, trials: int = 20) -> Instances:
     rng = random.Random(seed)
     nrng = np.random.default_rng(seed)
-    instances = 0
     for _ in range(trials):
         d = rng.randint(1, 4)
         tie = copy_lens(d)
@@ -545,13 +525,10 @@ def check_weight_tying(seed: int = 5, trials: int = 20) -> CheckResult:
         ga, gb = nrng.uniform(-1.0, 1.0, d), nrng.uniform(-1.0, 1.0, d)
         fwd = tie.get(p)
         back = tie.put(np.concatenate([p, ga, gb]))
-        instances += 1
-        if not rel_close(fwd, np.concatenate([p, p]), rtol=1e-12) or not rel_close(
+        holds = rel_close(fwd, np.concatenate([p, p]), rtol=1e-12) and rel_close(
             back, ga + gb, rtol=1e-10
-        ):
-            return CheckResult(
-                "weight-tying", False, instances, "copy lens does not sum its feedback"
-            )
+        )
+        yield holds, "copy lens does not sum its feedback"
 
         f = random_chain_graph(rng)
         if f.param_dim == 0:
@@ -570,12 +547,8 @@ def check_weight_tying(seed: int = 5, trials: int = 20) -> CheckResult:
         _, t2 = forward_eval(f, p, x2)
         dp2, _ = backward_eval(f, t2, dy2)
         fed = tied.carrier.put(np.concatenate([p, x, x2, dy1, dy2]))
-        instances += 1
-        if not rel_close(fed[: f.param_dim], dp1 + dp2, rtol=1e-10):
-            return CheckResult(
-                "weight-tying", False, instances, "tied gradient is not the sum of both uses"
-            )
-    return CheckResult("weight-tying", True, instances)
+        holds = rel_close(fed[: f.param_dim], dp1 + dp2, rtol=1e-10)
+        yield holds, "tied gradient is not the sum of both uses"
 
 
 # -- game suites --------------------------------------------------------
@@ -595,10 +568,10 @@ def random_relation(rng: random.Random, obj: ParamObj) -> SelectionRelation:
     return SelectionRelation(obj, accepts)
 
 
-def check_nash_naturality(seed: int = 7, instances_target: int = 100) -> CheckResult:
+@_suite("nash-naturality")
+def check_nash_naturality(seed: int = 7, instances_target: int = 100) -> Instances:
     rng = random.Random(seed)
-    instances = 0
-    while instances < instances_target:
+    for _ in range(instances_target):
         a = LensObj(random_finset(rng, 3), random_finset(rng, 2))
         a2 = LensObj(random_finset(rng, 3), random_finset(rng, 2))
         b = LensObj(random_finset(rng, 2), random_finset(rng, 2))
@@ -609,12 +582,7 @@ def check_nash_naturality(seed: int = 7, instances_target: int = 100) -> CheckRe
         delta = random_relation(rng, ParamObj(a2.fwd, a2.bwd))
         joint = sel_pushforward(lens_tensor(f, f2), nash_product(eps, delta))
         split = nash_product(sel_pushforward(f, eps), sel_pushforward(f2, delta))
-        instances += 1
-        if not relations_equal(joint, split):
-            return CheckResult(
-                "nash-naturality", False, instances, "pushforward does not commute with the product"
-            )
-    return CheckResult("nash-naturality", True, instances)
+        yield relations_equal(joint, split), "pushforward does not commute with the product"
 
 
 _PAYOFF_POOL = (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(2))
@@ -635,22 +603,14 @@ def random_game(rng: random.Random):
     return normal_form_game(players, table)
 
 
-def check_oracle_equivalence(seed: int = 8, games: int = 200) -> CheckResult:
+@_suite("oracle-equivalence")
+def check_oracle_equivalence(seed: int = 8, games: int = 200) -> Instances:
     rng = random.Random(seed)
-    instances = 0
     for i in range(games):
         g = random_game(rng)
         found = solution_set(compositional_game(g))
         expected = brute_force_nash(g)
-        instances += 1
-        if found != expected:
-            return CheckResult(
-                "oracle-equivalence",
-                False,
-                instances,
-                f"game {i}: engine {found} vs oracle {expected}",
-            )
-    return CheckResult("oracle-equivalence", True, instances)
+        yield found == expected, f"game {i}: engine {found} vs oracle {expected}"
 
 
 _PD_TABLE = {
@@ -666,20 +626,16 @@ def pd_game():
     return normal_form_game([cd, cd], _PD_TABLE)
 
 
-def check_pd_solutions() -> CheckResult:
+@_suite("pd-solutions")
+def check_pd_solutions() -> Instances:
     g = pd_game()
     nash = solution_set(compositional_game(g))
-    if nash != (("D", "D"),):
-        return CheckResult("pd-solutions", False, 1, f"individual play gave {nash}")
-    if nash != brute_force_nash(g):
-        return CheckResult("pd-solutions", False, 2, "oracle disagrees on individual play")
+    yield nash == (("D", "D"),), f"individual play gave {nash}"
+    yield nash == brute_force_nash(g), "oracle disagrees on individual play"
     ra, rb = hicks_games(g)
     sa_, sb_ = solution_set(ra), solution_set(rb)
-    if sa_ != (("C", "C"),) or sb_ != (("C", "C"),):
-        return CheckResult("pd-solutions", False, 3, f"joint play gave {sa_} and {sb_}")
-    if set(sa_) & set(nash):
-        return CheckResult("pd-solutions", False, 4, "joint and individual play overlap")
-    return CheckResult("pd-solutions", True, 4)
+    yield sa_ == sb_ == (("C", "C"),), f"joint play gave {sa_} and {sb_}"
+    yield not set(sa_) & set(nash), "joint and individual play overlap"
 
 
 ALL_CHECKS: dict[str, Callable[[], CheckResult]] = {

@@ -38,6 +38,8 @@ _TAGS = ("argmax", "total")
 
 _deviation_oracle = brute_force_nash  # the name bench/tracing.py times
 
+_MAX_PAYOFF_DIGITS = 4300  # Python's int-string limit, which payoff labels must stay within
+
 
 def parse_game_spec(data: object) -> tuple[NormalFormGame, str | list[str] | None]:
     """Validate a decoded spec and build the game.
@@ -95,10 +97,7 @@ def parse_game_spec(data: object) -> tuple[NormalFormGame, str | list[str] | Non
         for i, v in enumerate(vals):
             if isinstance(v, bool) or not isinstance(v, (int, float, str)):
                 raise SpecFormatError("payoffs must be numbers or rational strings", f"{path}[{i}]")
-            try:
-                row.append(Fraction(str(v)))
-            except (ValueError, ZeroDivisionError):
-                raise SpecFormatError(f"cannot read {v!r} as a rational", f"{path}[{i}]")
+            row.append(_read_payoff(v, f"{path}[{i}]"))
         table[prof] = tuple(row)
     for prof in iter_product(*[p.labels for p in players]):
         if prof not in table:
@@ -108,6 +107,22 @@ def parse_game_spec(data: object) -> tuple[NormalFormGame, str | list[str] | Non
     if selection is not None:
         _validate_selection(selection, n, "$.selection")
     return normal_form_game(players, table), selection
+
+
+def _read_payoff(v: int | float | str, path: str) -> Fraction:
+    """A payoff whose numerator and denominator stay within the digit limit.
+
+    The exponent is bounded before ``Fraction`` expands it into an integer.
+    """
+    text = str(v)
+    mantissa, _, exponent = text.lower().partition("e")
+    try:
+        digits = sum(c.isdigit() for c in mantissa) + abs(int(exponent or 0))
+        if digits <= _MAX_PAYOFF_DIGITS:
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise SpecFormatError(f"cannot read {v!r} as a rational", path)
+    raise SpecFormatError(f"payoff has more than {_MAX_PAYOFF_DIGITS} digits", path)
 
 
 def _validate_selection(selection: object, n: int, path: str) -> None:
@@ -251,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="run a training demo and write per-step CSV")
     p_train.add_argument("demo", choices=sorted(DEMOS))
-    p_train.add_argument("--seed", type=int)
+    p_train.add_argument("--seed", type=_nonneg_int)
     p_train.add_argument("--steps", type=_nonneg_int)
     p_train.add_argument("--alpha", type=_fraction_arg)
     p_train.add_argument("--out")

@@ -162,8 +162,11 @@ class FinFn:
 
     def __call__(self, x: object) -> object:
         table = self.table
-        if x in table:
-            return table[x]
+        try:
+            if x in table:
+                return table[x]
+        except TypeError:  # unhashable, so in no carrier
+            raise CompositionError(f"element {x!r} is not in domain {self.dom}") from None
         if self.checked and x not in self.dom:
             raise CompositionError(f"element {x!r} is not in domain {self.dom}")
         image = self.fn(x)
@@ -266,12 +269,6 @@ class FiniteBase(Base):
             return f(x), g(y)
 
         return self.derived(FinProd(f.dom, g.dom), FinProd(f.cod, g.cod), fn)
-
-    def dom_of(self, f: FinFn) -> Carrier:
-        return f.dom
-
-    def cod_of(self, f: FinFn) -> Carrier:
-        return f.cod
 
     def apply(self, f: FinFn, x):
         return f(x)

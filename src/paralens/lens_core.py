@@ -30,7 +30,10 @@ Elem = Any
 
 
 class Base(ABC):
-    """A cartesian base: carriers, total morphisms and pairing of both."""
+    """A cartesian base: carriers, total morphisms and pairing of both.
+
+    A morphism carries its domain and codomain as ``.dom`` and ``.cod``.
+    """
 
     name: str = "base"
 
@@ -76,14 +79,6 @@ class Base(ABC):
     @abstractmethod
     def product(self, f: Mor, g: Mor) -> Mor:
         """Componentwise action on paired carriers."""
-
-    @abstractmethod
-    def dom_of(self, f: Mor) -> Carrier:
-        ...
-
-    @abstractmethod
-    def cod_of(self, f: Mor) -> Carrier:
-        ...
 
     def apply(self, f: Mor, x: Elem) -> Elem:
         return f(x)
@@ -134,10 +129,10 @@ class Lens:
     def __post_init__(self):
         b = self.base
         checks = (
-            (b.dom_of(self.get), self.src.fwd, "get domain"),
-            (b.cod_of(self.get), self.dst.fwd, "get codomain"),
-            (b.dom_of(self.put), b.pair(self.src.fwd, self.dst.bwd), "put domain"),
-            (b.cod_of(self.put), self.src.bwd, "put codomain"),
+            (self.get.dom, self.src.fwd, "get domain"),
+            (self.get.cod, self.dst.fwd, "get codomain"),
+            (self.put.dom, b.pair(self.src.fwd, self.dst.bwd), "put domain"),
+            (self.put.cod, self.src.bwd, "put codomain"),
         )
         for actual, expected, what in checks:
             if actual != expected:
@@ -232,10 +227,10 @@ def make_state(base: Base, a: LensObj, point: Elem) -> Lens:
 
 def make_costate(base: Base, a: LensObj, f: Mor) -> Lens:
     """The costate of ``a`` whose backward leg is the base morphism ``f : a.fwd → a.bwd``."""
-    if base.dom_of(f) != a.fwd or base.cod_of(f) != a.bwd:
+    if f.dom != a.fwd or f.cod != a.bwd:
         raise CompositionError(
-            f"costate map has type {base.describe(base.dom_of(f))} → "
-            f"{base.describe(base.cod_of(f))}, expected {base.describe(a.fwd)} → "
+            f"costate map has type {base.describe(f.dom)} → "
+            f"{base.describe(f.cod)}, expected {base.describe(a.fwd)} → "
             f"{base.describe(a.bwd)}"
         )
     unit_c = base.unit()

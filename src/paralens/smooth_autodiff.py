@@ -24,11 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    CompositionError,
-    NumericError,
-    SpecFormatError,
-)
+from .errors import CompositionError, NumericError
 from .lens_core import (
     Base,
     Lens,
@@ -122,12 +118,6 @@ class SmoothBase(Base):
             return np.concatenate([f(x[: f.dom]), g(x[f.dom :])])
 
         return SmoothFn(f.dom + g.dom, f.cod + g.cod, both)
-
-    def dom_of(self, f: SmoothFn) -> int:
-        return f.dom
-
-    def cod_of(self, f: SmoothFn) -> int:
-        return f.cod
 
     def unit_elem(self) -> Vector:
         return np.zeros(0)
@@ -433,10 +423,6 @@ def backward_eval(f: SmoothMap, tape: Tape, dy) -> tuple[Vector, Vector]:
     return dp, dx
 
 
-def identity_map(n: int) -> SmoothMap:
-    return SmoothMap(0, n, n, (), Wire("input", 0, n))
-
-
 def compose_maps(f: SmoothMap, g: SmoothMap) -> SmoothMap:
     """Feed ``f``'s output into ``g``.  Parameters concatenate as [g, f].
 
@@ -545,75 +531,6 @@ def sqerr_head(f: SmoothMap) -> SmoothMap:
         1,
         f.nodes + (loss,),
         Wire(name, 0, 1),
-    )
-
-
-# -- JSON graph description ---------------------------------------------
-
-
-def graph_to_json(f: SmoothMap) -> dict:
-    return {
-        "param_dim": f.param_dim,
-        "in_dim": f.in_dim,
-        "out_dim": f.out_dim,
-        "nodes": [
-            {
-                "name": n.name,
-                "prim": n.prim.name,
-                "args": list(n.prim.args),
-                "inputs": [[w.src, w.lo, w.hi] for w in n.inputs],
-            }
-            for n in f.nodes
-        ],
-        "output": [f.output.src, f.output.lo, f.output.hi],
-    }
-
-
-def _wire_from_json(data, path: str) -> Wire:
-    if (
-        not isinstance(data, (list, tuple))
-        or len(data) != 3
-        or not isinstance(data[0], str)
-        or not all(isinstance(v, int) for v in data[1:])
-    ):
-        raise SpecFormatError("wire must be [source, lo, hi]", path)
-    return Wire(data[0], data[1], data[2])
-
-
-def graph_from_json(data) -> SmoothMap:
-    if not isinstance(data, dict):
-        raise SpecFormatError("graph description must be an object", "$")
-    for key in ("param_dim", "in_dim", "out_dim", "nodes", "output"):
-        if key not in data:
-            raise SpecFormatError(f"missing key {key!r}", "$")
-    if not isinstance(data["nodes"], list):
-        raise SpecFormatError("expected a list of nodes", "$.nodes")
-    nodes = []
-    for i, nd in enumerate(data["nodes"]):
-        path = f"$.nodes[{i}]"
-        if not isinstance(nd, dict) or "prim" not in nd or "name" not in nd:
-            raise SpecFormatError("node needs 'name' and 'prim'", path)
-        factory = PRIMITIVES.get(nd["prim"])
-        if factory is None:
-            raise SpecFormatError(f"unknown primitive {nd['prim']!r}", path)
-        args = nd.get("args", [])
-        arity = factory.__code__.co_argcount
-        if not isinstance(args, list) or len(args) != arity or not all(
-            isinstance(a, int) and a >= 0 for a in args
-        ):
-            message = f"{nd['prim']} takes {arity} non-negative integer dimensions"
-            raise SpecFormatError(message, f"{path}.args")
-        inputs = nd.get("inputs", [])
-        if not isinstance(inputs, list):
-            raise SpecFormatError("expected a list of wires", f"{path}.inputs")
-        wires = [_wire_from_json(w, f"{path}.inputs[{j}]") for j, w in enumerate(inputs)]
-        nodes.append(Node(nd["name"], factory(*args), tuple(wires)))
-    return SmoothMap(
-        data["param_dim"],
-        data["in_dim"],
-        data["out_dim"],
-        tuple(nodes),
-        _wire_from_json(data["output"], "$.output"),
     )
 
 

@@ -94,7 +94,7 @@ def test_criterion_03_oracle_equivalence():
     result = check_oracle_equivalence(games=200)
     elapsed = time.perf_counter() - start
     assert result.ok, result.detail
-    assert result.instances >= 200
+    assert result.instances == 200
     assert elapsed < 60.0
     print(f"criterion 03 PASS: {result.instances} games match the deviation oracle")
 
@@ -102,7 +102,7 @@ def test_criterion_03_oracle_equivalence():
 def test_criterion_04_nash_naturality():
     result = check_nash_naturality(instances_target=100)
     assert result.ok, result.detail
-    assert result.instances >= 100
+    assert result.instances == 100
     print(f"criterion 04 PASS: product-then-push = push-then-product on {result.instances} instances")
 
 
@@ -114,6 +114,7 @@ def test_criterion_05_lens_and_para_laws():
     ]
     for r in results:
         assert r.ok, f"{r.name}: {r.detail}"
+    assert [r.instances for r in results] == [180, 660, 200]
     total = sum(r.instances for r in results)
     assert total >= 500
     print(f"criterion 05 PASS: {total} law instances, all exact")
@@ -126,7 +127,7 @@ def test_criterion_06_gradients_match_finite_differences():
     elapsed = time.perf_counter() - start
     assert prim.ok, prim.detail
     assert graphs.ok, graphs.detail
-    assert graphs.instances >= 50
+    assert (prim.instances, graphs.instances) == (18, 50)
     assert elapsed < 30.0
     print(f"criterion 06 PASS: {prim.instances} primitive and {graphs.instances} graph checks")
 
@@ -134,13 +135,14 @@ def test_criterion_06_gradients_match_finite_differences():
 def test_criterion_07_derivative_lens_functoriality():
     result = check_r_functoriality(evals=100)
     assert result.ok, result.detail
-    assert result.instances >= 100
+    assert result.instances == 100
     print(f"criterion 07 PASS: composite lenses agree to {EXACT_RTOL} on {result.instances} evaluations")
 
 
 def test_criterion_08_descent_and_ascent_lenses():
     result = check_gradient_descent_lens()
     assert result.ok, result.detail
+    assert result.instances == 20
     print("criterion 08 PASS: one-step updates equal p -/+ alpha * gradient")
 
 

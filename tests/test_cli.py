@@ -195,6 +195,18 @@ def test_solve_rejects_bad_inputs(tmp_path, capsys):
     for path in (tmp_path, huge, latin1):
         assert main(["solve", str(path)]) == 2
         assert str(path) in capsys.readouterr().err
+    # exponents are bounded before Fraction expands them into integers
+    for payoff in ("1e5000", "1e999999999", "7" * 4000 + "e1000", "1e-4300"):
+        spec = _pd_spec()
+        spec["payoffs"]["D,C"] = [3, payoff]
+        path = tmp_path / "big_exponent.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert main(["solve", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "$.payoffs['D,C'][1]: payoff has more than 4300 digits" in err
+    spec["payoffs"]["D,C"] = [3, "1e4299"]  # 4,300 digits: within the limit
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["solve", str(path)]) == 0
     for flag, value in (("--max-strategies", "-1"), ("--max-costates", "-5")):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "pd.json", flag, value])
@@ -257,9 +269,11 @@ def test_train_flag_validation(capsys):
             main(["train", "linreg", "--alpha", alpha])
         assert exc.value.code == 2
         assert "--alpha" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "linreg", "--steps", "-3"])
-    assert exc.value.code == 2
+    for flag in ("--steps", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "linreg", flag, "-3"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_gan_with_zero_rate_keeps_parameters():
@@ -279,6 +293,22 @@ def test_check_unknown_name(capsys):
     err = capsys.readouterr().err
     assert "unknown check" in err
     assert "pd-solutions" in err
+
+
+def test_check_stops_at_the_first_failing_instance(monkeypatch):
+    from paralens import checks
+
+    real, calls = checks.lens_equal, []
+
+    def fails_fifth(lhs, rhs):
+        calls.append(None)
+        return len(calls) != 5 and real(lhs, rhs)
+
+    monkeypatch.setattr(checks, "lens_equal", fails_fifth)
+    result = checks.check_lens_category_laws()
+    assert (result.ok, result.instances) == (False, 5)
+    assert result.detail == "right identity failed at round 1"
+    assert len(calls) == 5
 
 
 def test_check_catches_a_planted_bug(capsys, monkeypatch):

@@ -109,6 +109,23 @@ def test_finfn_rejects_label_outside_domain():
         FINITE.apply(f, "zz")
 
 
+def test_unhashable_elements_are_rejected_by_name():
+    s = FinSet(("a", "b"))
+    f = FinFn(s, s, {"a": "b", "b": "a"})
+    cases = (
+        (f, ["a"]),
+        (FINITE.product(f, f), ["a", "b"]),
+        (FINITE.product(f, f), (["a"], "b")),
+        (FINITE.compose(f, f), ["a"]),
+    )
+    for fn, bad in cases:
+        before = dict(fn.table)
+        with pytest.raises(CompositionError) as exc:
+            fn(bad)
+        assert str(exc.value) == f"element {bad!r} is not in domain {fn.dom}"
+        assert fn.table == before
+
+
 def test_finfn_procedure_checks_image_at_first_evaluation():
     f = FINITE.morphism(FinSet(("a", "b")), FinSet(("x",)), lambda a: "y")
     with pytest.raises(CompositionError, match="codomain"):

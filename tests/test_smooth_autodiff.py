@@ -10,7 +10,7 @@ import pytest
 
 from paralens import smooth_autodiff
 from paralens.checks import check_weight_tying, fd_gradient, rel_close
-from paralens.errors import CompositionError, NumericError, SpecFormatError
+from paralens.errors import CompositionError, NumericError
 from paralens.lens_core import LensObj
 from paralens.para_optic import flatten_params, para_compose, reparametrise
 from paralens.smooth_autodiff import (
@@ -27,9 +27,6 @@ from paralens.smooth_autodiff import (
     ga_lens,
     gan_step,
     gd_lens,
-    graph_from_json,
-    graph_to_json,
-    identity_map,
     mlp_map,
     sqerr_head,
     train_step,
@@ -191,15 +188,6 @@ def test_tape_bound_to_its_graph():
         backward_eval(g, tape, np.ones(2))
 
 
-def test_identity_map():
-    f = identity_map(3)
-    x = np.array([1.0, -2.0, 3.0])
-    y, tape = forward_eval(f, np.zeros(0), x)
-    assert np.allclose(y, x)
-    _, dx = backward_eval(f, tape, np.array([4.0, 5.0, 6.0]))
-    assert np.allclose(dx, [4.0, 5.0, 6.0])
-
-
 def test_compose_maps_layout_and_values():
     rng = np.random.default_rng(1)
     f = mlp_map((2, 3, 2))
@@ -245,43 +233,6 @@ def test_sqerr_head_value():
     out = forward_eval(lossy, p, np.concatenate([x, t]))[0]
     want = ((forward_eval(f, p, x)[0] - t) ** 2).sum()
     assert rel_close(out, [want], rtol=1e-12)
-
-
-def test_json_round_trip():
-    f = sqerr_head(mlp_map((2, 3, 1)))
-    data = graph_to_json(f)
-    g = graph_from_json(data)
-    rng = np.random.default_rng(4)
-    p = rng.uniform(-1, 1, f.param_dim)
-    x = rng.uniform(-1, 1, f.in_dim)
-    assert np.array_equal(forward_eval(f, p, x)[0], forward_eval(g, p, x)[0])
-
-
-def test_json_errors_carry_paths():
-    f = mlp_map((1, 2, 1))
-    data = graph_to_json(f)
-    data["nodes"][1]["prim"] = "frobnicate"
-    with pytest.raises(SpecFormatError, match=r"\$\.nodes\[1\]"):
-        graph_from_json(data)
-    data2 = graph_to_json(f)
-    data2["output"] = ["lin1", 0]
-    with pytest.raises(SpecFormatError, match=r"\$\.output"):
-        graph_from_json(data2)
-    with pytest.raises(SpecFormatError, match="missing key"):
-        graph_from_json({"param_dim": 0})
-    bad_nodes = graph_to_json(f)
-    bad_nodes["nodes"] = 5
-    with pytest.raises(SpecFormatError, match=r"\$\.nodes:"):
-        graph_from_json(bad_nodes)
-    bad_inputs = graph_to_json(f)
-    bad_inputs["nodes"][0]["inputs"] = 5
-    with pytest.raises(SpecFormatError, match=r"\$\.nodes\[0\]\.inputs"):
-        graph_from_json(bad_inputs)
-    for i, prim, args in ((0, "linear", [1]), (1, "tanh", [-1])):
-        bad_args = graph_to_json(f)
-        bad_args["nodes"][i].update(prim=prim, args=args)
-        with pytest.raises(SpecFormatError, match=rf"\$\.nodes\[{i}\]\.args"):
-            graph_from_json(bad_args)
 
 
 # -- lenses and steps ---------------------------------------------------
