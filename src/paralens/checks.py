@@ -82,6 +82,8 @@ from .smooth_autodiff import (
     compose_maps,
     copy_lens,
     forward_eval,
+    join_flat,
+    split_flat,
     train_step,
     unit_loss_costate,
 )
@@ -481,11 +483,12 @@ def check_r_functoriality(seed: int = 6, evals: int = 100) -> Instances:
             dy = nrng.uniform(-1.0, 1.0, comp.out_dim)
             y_direct, tape = forward_eval(comp, pc, x)
             dp, dx = backward_eval(comp, tape, dy)
-            y_lens = flat.carrier.get(np.concatenate([pc, x]))
-            back_lens = flat.carrier.put(np.concatenate([pc, x, dy]))
+            params = split_flat(flat.params.fwd, pc)  # unit leaves were dropped by flattening
+            y_lens = flat.carrier.get((params, x))
+            back_lens = flat.carrier.put(((params, x), dy))
             done += 1
             holds = rel_close(y_lens, y_direct, rtol=1e-10) and rel_close(
-                back_lens, np.concatenate([dp, dx]), rtol=1e-10
+                join_flat(back_lens), np.concatenate([dp, dx]), rtol=1e-10
             )
             yield holds, "composite and composed lenses differ"
 
@@ -524,8 +527,8 @@ def check_weight_tying(seed: int = 5, trials: int = 20) -> Instances:
         p = nrng.uniform(-1.0, 1.0, d)
         ga, gb = nrng.uniform(-1.0, 1.0, d), nrng.uniform(-1.0, 1.0, d)
         fwd = tie.get(p)
-        back = tie.put(np.concatenate([p, ga, gb]))
-        holds = rel_close(fwd, np.concatenate([p, p]), rtol=1e-12) and rel_close(
+        back = tie.put((p, (ga, gb)))
+        holds = rel_close(join_flat(fwd), np.concatenate([p, p]), rtol=1e-12) and rel_close(
             back, ga + gb, rtol=1e-10
         )
         yield holds, "copy lens does not sum its feedback"
@@ -546,8 +549,8 @@ def check_weight_tying(seed: int = 5, trials: int = 20) -> Instances:
         dp1, _ = backward_eval(f, t1, dy1)
         _, t2 = forward_eval(f, p, x2)
         dp2, _ = backward_eval(f, t2, dy2)
-        fed = tied.carrier.put(np.concatenate([p, x, x2, dy1, dy2]))
-        holds = rel_close(fed[: f.param_dim], dp1 + dp2, rtol=1e-10)
+        fed = tied.carrier.put(((p, (x, x2)), (dy1, dy2)))
+        holds = rel_close(fed[0], dp1 + dp2, rtol=1e-10)
         yield holds, "tied gradient is not the sum of both uses"
 
 

@@ -97,7 +97,7 @@ def parse_game_spec(data: object) -> tuple[NormalFormGame, str | list[str] | Non
         for i, v in enumerate(vals):
             if isinstance(v, bool) or not isinstance(v, (int, float, str)):
                 raise SpecFormatError("payoffs must be numbers or rational strings", f"{path}[{i}]")
-            row.append(_read_payoff(v, f"{path}[{i}]"))
+            row.append(_read_rational(v, f"{path}[{i}]"))
         table[prof] = tuple(row)
     for prof in iter_product(*[p.labels for p in players]):
         if prof not in table:
@@ -109,8 +109,8 @@ def parse_game_spec(data: object) -> tuple[NormalFormGame, str | list[str] | Non
     return normal_form_game(players, table), selection
 
 
-def _read_payoff(v: int | float | str, path: str) -> Fraction:
-    """A payoff whose numerator and denominator stay within the digit limit.
+def _read_rational(v: int | float | str, path: str) -> Fraction:
+    """A payoff or flag value whose numerator and denominator stay within the digit limit.
 
     The exponent is bounded before ``Fraction`` expands it into an integer.
     """
@@ -212,7 +212,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         kwargs["alpha"] = args.alpha
     result = run(**kwargs)
     out = args.out if args.out is not None else f"{args.demo}.csv"
-    write_csv(result, out)
+    try:
+        write_csv(result, out)
+    except OSError as exc:
+        raise SpecFormatError(f"cannot write {out}: {exc.strerror}", "--out") from exc
     print(f"wrote {out} ({len(result.rows)} steps)")
     for key in sorted(result.final_metrics):
         print(f"final {key} = {result.final_metrics[key]}")
@@ -224,7 +227,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.filter is not None:
         if args.filter not in ALL_CHECKS:
             known = ", ".join(ALL_CHECKS)
-            print(f"error: unknown check {args.filter!r}; known: {known}", file=sys.stderr)
+            print(f"error: --filter: unknown check {args.filter!r}; known: {known}", file=sys.stderr)
             return 2
         names = [args.filter]
     failed = False
@@ -239,9 +242,9 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def _fraction_arg(text: str) -> Fraction:
     try:
-        value = Fraction(text)
+        value = _read_rational(text, "--alpha")
         float(value)  # the demos step in floats
-    except (ValueError, ZeroDivisionError, OverflowError):
+    except (SpecFormatError, OverflowError):
         raise argparse.ArgumentTypeError(f"cannot read {text!r} as a rational within float range")
     return value
 

@@ -14,7 +14,8 @@ and weight tying are then ordinary lenses attached to the parameter port by
 reparametrisation, and a GAN update step is nothing but a composite lens
 evaluated once.
 
-All vectors are 1-D float64 arrays; dimensions play the role of carriers.
+A carrier is a dimension or a pair of carriers.  An element of a pair is a
+:class:`Pair` of its factors' elements, so pairing and splitting copy no array.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from .errors import CompositionError, NumericError
 from .lens_core import (
     Base,
+    Carrier,
     Lens,
     LensObj,
     lens_compose,
@@ -39,47 +41,64 @@ from .para_optic import (
     ParaLens,
     ParamObj,
     ShapeLeaf,
-    flatten_params,
     para_compose,
     para_tensor,
     reparametrise,
 )
 
 Vector = np.ndarray
+_F64 = np.dtype(np.float64)
 
 
-def as_vector(x, dim: int, what: str = "vector") -> Vector:
-    """Validate and convert to a finite 1-D float64 array of length ``dim``."""
-    arr = np.asarray(x, dtype=np.float64)
+class Pair(tuple):
+    """An element of a product carrier; ``nbytes`` counts the bytes pairing copies."""
+
+    __slots__ = ()
+    nbytes = 0
+
+
+def as_vector(x, dim: Carrier, what: str = "vector", finite: bool = True):
+    """Validate and convert to an element of ``dim``: pairs of 1-D float64 arrays, finite by default."""
+    if type(dim) is tuple:
+        if not (isinstance(x, tuple) and len(x) == 2):
+            raise NumericError(f"{what} is not a pair of {SMOOTH.describe(dim)}")
+        return Pair((as_vector(x[0], dim[0], what, finite), as_vector(x[1], dim[1], what, finite)))
+    try:
+        arr = np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise NumericError(f"{what} is not a vector of R^{dim}") from None
     if arr.shape != (dim,):
         raise NumericError(f"{what} has shape {arr.shape}, expected ({dim},)")
-    if not np.all(np.isfinite(arr)):
+    if finite and not np.all(np.isfinite(arr)):
         raise NumericError(f"{what} contains non-finite entries")
     return arr
 
 
+def _shaped(x, c: Carrier) -> bool:
+    """Whether ``x`` needs no conversion to be an element of ``c``, values aside."""
+    if type(c) is tuple:
+        return isinstance(x, tuple) and len(x) == 2 and _shaped(x[0], c[0]) and _shaped(x[1], c[1])
+    return type(x) is np.ndarray and x.shape == (c,) and x.dtype is _F64
+
+
 @dataclass(frozen=True)
 class SmoothFn:
-    """A smooth map between vector spaces, stored as a procedure."""
+    """A smooth map between carriers, stored as a procedure; outputs are shape-checked."""
 
-    dom: int
-    cod: int
-    fn: Callable[[Vector], Vector]
+    dom: Carrier
+    cod: Carrier
+    fn: Callable
 
-    def __call__(self, x: Vector) -> Vector:
-        out = np.asarray(self.fn(x), dtype=np.float64)
-        if out.shape != (self.cod,):
-            raise NumericError(
-                f"smooth map produced shape {out.shape}, expected ({self.cod},)"
-            )
-        return out
+    def __call__(self, x):
+        out = self.fn(x)
+        return out if _shaped(out, self.cod) else as_vector(out, self.cod, "smooth map output", False)
 
 
 class SmoothBase(Base):
-    """Carriers are dimensions, morphisms are :class:`SmoothFn` procedures.
+    """Carriers are dimensions and pairs of carriers, morphisms are :class:`SmoothFn` procedures.
 
-    Pairing is concatenation, so the unit carrier is dimension zero.  Table
-    equality and element enumeration are undefined here.
+    Pairing keeps both factors, so the unit carrier is dimension zero and no
+    element is copied.  Table equality and element enumeration are undefined.
     """
 
     name = "smooth"
@@ -87,49 +106,76 @@ class SmoothBase(Base):
     def unit(self) -> int:
         return 0
 
-    def pair(self, a: int, b: int) -> int:
-        return a + b
+    def pair(self, a: Carrier, b: Carrier) -> tuple:
+        return (a, b)
 
-    def contains(self, c: int, x) -> bool:
+    def contains(self, c: Carrier, x) -> bool:
         try:
             as_vector(x, c)
         except NumericError:
             return False
         return True
 
-    def describe(self, c: int) -> str:
-        return f"R^{c}"
+    def describe(self, c: Carrier, nested: bool = False) -> str:
+        if type(c) is not tuple:
+            return f"R^{c}"
+        text = f"{self.describe(c[0], True)} × {self.describe(c[1], True)}"
+        return f"({text})" if nested else text
 
-    def identity(self, c: int) -> SmoothFn:
+    def identity(self, c: Carrier) -> SmoothFn:
         return SmoothFn(c, c, lambda x: x)
 
-    def morphism(self, dom: int, cod: int, fn) -> SmoothFn:
+    def morphism(self, dom: Carrier, cod: Carrier, fn) -> SmoothFn:
         return SmoothFn(dom, cod, fn)
 
     def compose(self, f: SmoothFn, g: SmoothFn) -> SmoothFn:
         if f.cod != g.dom:
             raise CompositionError(
-                f"cannot compose: R^{f.cod} does not match R^{g.dom}"
+                f"cannot compose: {self.describe(f.cod)} does not match {self.describe(g.dom)}"
             )
         return SmoothFn(f.dom, g.cod, lambda x: g(f(x)))
 
     def product(self, f: SmoothFn, g: SmoothFn) -> SmoothFn:
-        def both(x):
-            return np.concatenate([f(x[: f.dom]), g(x[f.dom :])])
+        def both(xy):
+            x, y = self.split_elem(f.dom, g.dom, xy)
+            return Pair((f(x), g(y)))
 
-        return SmoothFn(f.dom + g.dom, f.cod + g.cod, both)
+        return SmoothFn(self.pair(f.dom, g.dom), self.pair(f.cod, g.cod), both)
 
     def unit_elem(self) -> Vector:
         return np.zeros(0)
 
-    def pair_elem(self, a: int, b: int, x: Vector, y: Vector) -> Vector:
-        return np.concatenate([np.asarray(x, np.float64), np.asarray(y, np.float64)])
+    def pair_elem(self, a: Carrier, b: Carrier, x, y) -> Pair:
+        return Pair((x, y))
 
-    def split_elem(self, a: int, b: int, xy: Vector) -> tuple[Vector, Vector]:
-        return xy[:a], xy[a:]
+    def split_elem(self, a: Carrier, b: Carrier, xy) -> Pair:
+        """Unpack a pair, checking that its leaves are float64 arrays of their dimensions."""
+        if not _shaped(xy, (a, b)):
+            raise CompositionError(f"element is not a pair of {self.describe((a, b))} of float64 arrays")
+        return xy
 
 
 SMOOTH = SmoothBase()
+
+
+def flat_dim(c: Carrier) -> int:
+    """The number of coordinates of an element of ``c``."""
+    return flat_dim(c[0]) + flat_dim(c[1]) if type(c) is tuple else c
+
+
+def split_flat(c: Carrier, v):
+    """The element of ``c`` whose leaves, left to right, concatenate to ``v``."""
+    if type(c) is not tuple:
+        return as_vector(v, c, "flat vector")
+    k = flat_dim(c[0])
+    return Pair((split_flat(c[0], v[:k]), split_flat(c[1], v[k:])))
+
+
+def join_flat(x) -> Vector:
+    """The concatenation of an element's leaves, left to right."""
+    if isinstance(x, tuple):
+        return np.concatenate([join_flat(x[0]), join_flat(x[1])])
+    return np.asarray(x, dtype=np.float64)
 
 
 # -- primitives ---------------------------------------------------------
@@ -426,8 +472,8 @@ def backward_eval(f: SmoothMap, tape: Tape, dy) -> tuple[Vector, Vector]:
 def compose_maps(f: SmoothMap, g: SmoothMap) -> SmoothMap:
     """Feed ``f``'s output into ``g``.  Parameters concatenate as [g, f].
 
-    The layout matches sequential composition of the corresponding
-    parametrised lenses, so the two routes agree coordinate by coordinate.
+    The layout is the joined parameter pair ``(g, f)`` of the corresponding
+    parametrised composite, so the two routes agree coordinate by coordinate.
     """
     if f.out_dim != g.in_dim:
         raise CompositionError(
@@ -540,27 +586,29 @@ def sqerr_head(f: SmoothMap) -> SmoothMap:
 def apply_R(f: SmoothMap) -> ParaLens:
     """The parametrised lens of a graph: evaluate forward, differentiate backward.
 
-    The backward leg recomputes the forward pass for the tape on every call,
-    so the lens is a pure function of its arguments.
+    Its carrier runs from ``⟨(pd, n), (pd, n)⟩``: ``get`` maps ``(p, x)`` to
+    ``y`` and ``put`` maps ``((p, x), dy)`` to ``(dp, dx)``.  The backward leg
+    recomputes the forward pass for the tape on every call, so the lens is a
+    pure function of its arguments.
     """
     pd, n, m = f.param_dim, f.in_dim, f.out_dim
+    px = SMOOTH.pair(pd, n)
 
     def get_fn(v):
-        y, _ = forward_eval(f, v[:pd], v[pd:])
+        y, _ = forward_eval(f, *SMOOTH.split_elem(pd, n, v))
         return y
 
     def put_fn(v):
-        p, x, dy = v[:pd], v[pd : pd + n], v[pd + n :]
+        (p, x), dy = SMOOTH.split_elem(px, m, v)
         _, tape = forward_eval(f, p, x)
-        dp, dx = backward_eval(f, tape, dy)
-        return np.concatenate([dp, dx])
+        return Pair(backward_eval(f, tape, dy))
 
     carrier = Lens(
         SMOOTH,
-        LensObj(pd + n, pd + n),
+        LensObj(px, px),
         LensObj(m, m),
-        SMOOTH.morphism(pd + n, m, get_fn),
-        SMOOTH.morphism(pd + n + m, pd + n, put_fn),
+        SMOOTH.morphism(px, m, get_fn),
+        SMOOTH.morphism(SMOOTH.pair(px, m), px, put_fn),
     )
     params = ParamObj(pd, pd)
     return ParaLens(
@@ -569,12 +617,17 @@ def apply_R(f: SmoothMap) -> ParaLens:
 
 
 def gd_lens(alpha: float, dim: int) -> Lens:
-    """Gradient descent as a lens: identity forward, ``p − α·g`` backward."""
+    """Gradient descent as a lens: identity forward, ``(p, g) ↦ p − α·g`` backward."""
     alpha = float(alpha)
     if not np.isfinite(alpha):
         raise NumericError("learning rate must be finite")
     obj = LensObj(dim, dim)
-    put = SMOOTH.morphism(2 * dim, dim, lambda v: v[:dim] - alpha * v[dim:])
+
+    def step(pg):
+        out = alpha * pg[1]
+        return np.subtract(pg[0], out, out=out)  # p − α·g, written over the fresh α·g
+
+    put = SMOOTH.morphism(SMOOTH.pair(dim, dim), dim, step)
     return Lens(SMOOTH, obj, obj, SMOOTH.identity(dim), put)
 
 
@@ -584,13 +637,11 @@ def ga_lens(alpha: float, dim: int) -> Lens:
 
 
 def copy_lens(dim: int) -> Lens:
-    """Weight tying: duplicate forward, sum the two gradients backward."""
+    """Weight tying: ``p ↦ (p, p)`` forward, ``(p, (ga, gb)) ↦ ga + gb`` backward."""
     obj = LensObj(dim, dim)
-    dbl = LensObj(2 * dim, 2 * dim)
-    get = SMOOTH.morphism(dim, 2 * dim, lambda p: np.concatenate([p, p]))
-    put = SMOOTH.morphism(
-        3 * dim, dim, lambda v: v[dim : 2 * dim] + v[2 * dim :]
-    )
+    dbl = LensObj((dim, dim), (dim, dim))
+    get = SMOOTH.morphism(dim, dbl.fwd, lambda p: Pair((p, p)))
+    put = SMOOTH.morphism(SMOOTH.pair(dim, dbl.bwd), dim, lambda v: v[1][0] + v[1][1])
     return Lens(SMOOTH, obj, dbl, get, put)
 
 
@@ -612,21 +663,20 @@ def train_step(model: ParaLens, p, x, loss_costate: Lens) -> tuple[Vector, float
         raise CompositionError("train_step expects a smooth-base lens")
     if model.dst != LensObj(1, 1):
         raise CompositionError(
-            f"train_step expects a scalar loss output, got R^{model.dst.fwd}"
+            f"train_step expects a scalar loss output, got {SMOOTH.describe(model.dst.fwd)}"
         )
     if loss_costate.src != model.dst:
         raise CompositionError("loss costate does not match the model output")
-    pd = model.params.fwd
-    p = as_vector(p, pd, "parameter vector")
+    p = as_vector(p, model.params.fwd, "parameter vector")
     x = as_vector(x, model.src.fwd, "input vector")
-    px = np.concatenate([p, x])
+    px = Pair((p, x))
     loss_vec = model.carrier.get(px)
     loss = float(loss_vec[0])
     if not np.isfinite(loss):
         raise NumericError("loss is non-finite")
-    dy = loss_costate.put(np.concatenate([loss_vec, np.zeros(0)]))
-    fed_back = model.carrier.put(np.concatenate([px, dy]))
-    return fed_back[:pd].copy(), loss
+    dy = loss_costate.put(Pair((loss_vec, SMOOTH.unit_elem())))
+    with np.errstate(over="ignore", invalid="ignore"):  # the next step rejects non-finite parameters
+        return model.carrier.put(Pair((px, dy)))[0], loss
 
 
 def gan_step(
@@ -652,11 +702,6 @@ def gan_step(
     """
     if gen.base is not SMOOTH or disc.base is not SMOOTH:
         raise CompositionError("gan_step expects smooth-base lenses")
-    if gen.dst != disc.src:
-        raise CompositionError(
-            f"generator output R^{gen.dst.fwd} does not match "
-            f"discriminator input R^{disc.src.fwd}"
-        )
     if disc.dst != LensObj(1, 1):
         raise CompositionError("discriminator must produce a scalar score")
     pg, pd = gen.params.fwd, disc.params.fwd
@@ -665,8 +710,8 @@ def gan_step(
     z = as_vector(z, gen.src.fwd, "latent vector")
     real = as_vector(real, disc.src.fwd, "real sample")
 
-    # params [[disc, gen], disc], flattened to the concatenation [disc, gen, disc]
-    both = flatten_params(para_tensor(para_compose(gen, disc), disc))
+    # params ((disc, gen), disc), the layout the tie below produces
+    both = para_tensor(para_compose(gen, disc), disc)
     d, g = LensObj(pd, pd), LensObj(pg, pg)
     tie = lens_compose(
         lens_tensor(copy_lens(pd), lens_id(SMOOTH, g)),
@@ -675,9 +720,9 @@ def gan_step(
     optimisers = lens_tensor(ga_lens(alpha, pd), gd_lens(alpha, pg))
     stepped = reparametrise(both, lens_compose(optimisers, tie))
 
-    px = np.concatenate([p_disc, p_gen, z, real])
-    d_fake, d_real = (float(s) for s in stepped.carrier.get(px))
-    fed = stepped.carrier.put(np.concatenate([px, np.ones(2)]))
-    p_disc_next = fed[:pd].copy()
-    p_gen_next = fed[pd : pd + pg].copy()
-    return p_gen_next, p_disc_next, (d_fake, d_real)
+    px = Pair((Pair((p_disc, p_gen)), Pair((z, real))))
+    d_fake, d_real = stepped.carrier.get(px)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in train_step
+        fed = stepped.carrier.put(Pair((px, Pair((np.ones(1), np.ones(1))))))
+    p_disc_next, p_gen_next = fed[0]
+    return p_gen_next, p_disc_next, (float(d_fake[0]), float(d_real[0]))

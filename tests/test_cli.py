@@ -2,6 +2,7 @@
 
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +242,28 @@ def test_train_writes_csv(tmp_path, capsys):
     assert lines[0] == "step,loss"
     assert len(lines) == 6
     assert lines[1].startswith("0,")
+
+
+_TRAIN_GOLDEN = Path(__file__).parent / "golden" / "train"
+
+
+# stdout and CSV bytes of each run with default steps and alpha, recorded
+# with numpy 2.4 and its bundled OpenBLAS on x86-64
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["linreg"], "linreg"),
+        (["mlp"], "mlp"),
+        (["gan"], "gan"),
+        (["gan", "--seed", "3", "--steps", "50"], "gan_seed3_steps50"),
+    ],
+)
+def test_train_golden_output(argv, name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", *argv]) == 0
+    assert capsys.readouterr().out == (_TRAIN_GOLDEN / f"{name}.stdout").read_text("utf-8")
+    written = (tmp_path / f"{argv[0]}.csv").read_bytes()
+    assert written == (_TRAIN_GOLDEN / f"{name}.csv").read_bytes()
 
 
 def test_train_zero_steps_is_header_only(tmp_path):

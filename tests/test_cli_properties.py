@@ -1,18 +1,23 @@
-"""Property: a mutated spec makes ``paralens solve`` fail cleanly or succeed.
+"""Properties: mutated specs and flags make the CLI fail cleanly or succeed.
 
 Mutations of the bundled dilemma replace or delete any field of the decoded
 spec, then splice the bytes of its JSON text.  Whatever comes out, ``main``
 returns an exit code and lets no exception escape, and a spec that does not
-parse exits 2.
+parse exits 2.  Mutated ``train`` and ``check`` flags (non-numbers,
+negatives, huge exponents, ``nan``/``inf``, unknown demo and check names)
+let no exception but argparse's exit escape, and a rejected flag exits 2
+naming the flag on stderr.
 """
 
 import json
 from importlib import resources
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from paralens.checks import ALL_CHECKS
 from paralens.cli import load_spec_file, main, parse_game_spec
+from paralens.demos import DEMOS
 from paralens.errors import SpecFormatError
 
 PD = json.loads(
@@ -84,3 +89,94 @@ def test_mutated_specs_exit_cleanly(data, tmp_path):
         assert code == 2
     else:
         assert code in (0, 1)
+
+
+# -- train and check flags ------------------------------------------------
+
+_NO_DIGITS = st.text(alphabet="abcdefinxyz_-+/. ", max_size=6)
+_NAN_INF = st.sampled_from(["nan", "NaN", "inf", "-inf", "+inf", "Infinity"])
+_HUGE_EXPONENT = st.integers(309, 10**9).map(lambda k: f"{'-' if k % 2 else ''}1e{k}")
+_HUGE_INT = st.integers(4301, 6000).map(lambda n: "9" * n)  # past Python's int-string limit
+
+# each flag's value strategy: (value, rejected?)
+_FLAG_VALUES = {
+    "--seed": st.one_of(
+        st.integers(0, 10**30).map(lambda v: (str(v), False)),
+        st.integers(max_value=-1).map(lambda v: (str(v), True)),
+        st.one_of(_NO_DIGITS, _NAN_INF, _HUGE_EXPONENT, _HUGE_INT, st.just("2.0")).map(
+            lambda v: (v, True)
+        ),
+    ),
+    "--steps": st.one_of(
+        st.integers(0, 3).map(lambda v: (str(v), False)),
+        st.integers(max_value=-1).map(lambda v: (str(v), True)),
+        st.one_of(_NO_DIGITS, _NAN_INF, _HUGE_EXPONENT, _HUGE_INT, st.just("1e1")).map(
+            lambda v: (v, True)
+        ),
+    ),
+    "--alpha": st.one_of(
+        st.sampled_from(["1/20", "0", "-1/2", "3", "1e-400", "1e300", "1.7e308"]).map(
+            lambda v: (v, False)
+        ),
+        st.integers(-(10**6), 10**6).map(lambda v: (str(v), False)),
+        st.one_of(_NO_DIGITS, _NAN_INF, _HUGE_EXPONENT, st.just("1/0")).map(lambda v: (v, True)),
+    ),
+}
+
+
+def _run(argv, capsys):
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects a flag this way
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@st.composite
+def train_argvs(draw):
+    """One mutated flag of ``paralens train``; the others stay valid and small."""
+    values = {"--seed": (str(draw(st.integers(0, 99))), False), "--steps": ("2", False)}
+    values["--alpha"] = draw(_FLAG_VALUES["--alpha"].filter(lambda v: not v[1]))
+    demo, flag = draw(st.sampled_from(sorted(DEMOS))), draw(st.sampled_from(["demo", *_FLAG_VALUES]))
+    if flag == "demo":
+        demo = draw(st.text(max_size=8).filter(lambda s: s not in DEMOS))
+        rejected = True
+    else:
+        values[flag] = draw(_FLAG_VALUES[flag])
+        rejected = values[flag][1]
+    flags = [f"{name}={value}" for name, (value, _) in values.items()]
+    return flags + ["--", demo], flag, rejected
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=train_argvs())
+# an update past float range (numpy's overflow warning escaped), and an exponent
+# that Fraction would expand into a 10^9-digit integer before any check
+@example(case=(["--seed=0", "--steps=2", "--alpha=1.7e308", "--", "gan"], "--alpha", False))
+@example(case=(["--seed=0", "--steps=2", "--alpha=1e999999999", "--", "linreg"], "--alpha", True))
+def test_train_flags_exit_cleanly(case, tmp_path, capsys):
+    tail, flag, rejected = case
+    code, err = _run(["train", f"--out={tmp_path / 'run.csv'}", *tail], capsys)
+    if rejected:
+        assert code == 2 and flag in err, err
+    else:
+        assert code in (0, 1), err
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(name=st.text(max_size=12) | st.sampled_from([n.upper() for n in ALL_CHECKS]))
+def test_check_filter_exits_cleanly(name, capsys):
+    assume(name not in ALL_CHECKS)
+    code, err = _run(["check", f"--filter={name}"], capsys)
+    assert code == 2 and "--filter" in err, err
+
+
+def test_out_that_cannot_be_written_names_the_flag(tmp_path, capsys):
+    for out in (tmp_path, tmp_path / "missing" / "run.csv"):
+        code, err = _run(["train", "linreg", "--steps=1", f"--out={out}"], capsys)
+        assert code == 2 and "--out" in err, err

@@ -34,7 +34,7 @@ from paralens.lens_core import (
     relabel_lens,
     unit_obj,
 )
-from paralens.smooth_autodiff import SMOOTH
+from paralens.smooth_autodiff import SMOOTH, flat_dim, join_flat, split_flat
 
 
 A = LensObj(FinSet(("a0", "a1")), FinSet(("p", "q")))
@@ -233,7 +233,8 @@ def test_structural_lenses_move_vector_slices():
     for lens, leaves, order in cases:
         fwd = _blocks([o.fwd for o in leaves], order)
         bwd = _blocks([o.bwd for o in leaves], order)
-        x = np.arange(float(lens.src.fwd))
-        z = 100.0 + np.arange(float(lens.dst.bwd))
-        assert np.array_equal(lens.get(x), x[fwd])
-        assert np.array_equal(lens.put(np.concatenate([x, z]))[bwd], z)
+        x = np.arange(float(flat_dim(lens.src.fwd)))
+        z = 100.0 + np.arange(float(flat_dim(lens.dst.bwd)))
+        assert np.array_equal(join_flat(lens.get(split_flat(lens.src.fwd, x))), x[fwd])
+        back = lens.put(split_flat(lens.put.dom, np.concatenate([x, z])))
+        assert np.array_equal(join_flat(back)[bwd], z)

@@ -5,6 +5,8 @@ against central finite differences otherwise.  The MLP forward pass is
 re-implemented with straight numpy as an independent oracle.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from paralens.lens_core import LensObj
 from paralens.para_optic import flatten_params, para_compose, reparametrise
 from paralens.smooth_autodiff import (
     PRIMITIVES,
+    SMOOTH,
     GraphBuilder,
     Node,
     SmoothMap,
@@ -27,6 +30,7 @@ from paralens.smooth_autodiff import (
     ga_lens,
     gan_step,
     gd_lens,
+    join_flat,
     mlp_map,
     sqerr_head,
     train_step,
@@ -247,10 +251,9 @@ def test_apply_r_matches_direct_evaluation():
     dy = rng.uniform(-1, 1, 2)
     y, tape = forward_eval(f, p, x)
     dp, dx = backward_eval(f, tape, dy)
-    assert np.array_equal(lensed.carrier.get(np.concatenate([p, x])), y)
-    assert np.array_equal(
-        lensed.carrier.put(np.concatenate([p, x, dy])), np.concatenate([dp, dx])
-    )
+    assert np.array_equal(lensed.carrier.get((p, x)), y)
+    back_p, back_x = lensed.carrier.put(((p, x), dy))
+    assert np.array_equal(back_p, dp) and np.array_equal(back_x, dx)
 
 
 def test_optimiser_lens_formulas():
@@ -258,9 +261,9 @@ def test_optimiser_lens_formulas():
     g = np.array([10.0, -4.0])
     down = gd_lens(0.1, 2)
     assert np.allclose(down.get(p), p)
-    assert np.allclose(down.put(np.concatenate([p, g])), [0.0, 2.4])
+    assert np.allclose(down.put((p, g)), [0.0, 2.4])
     up = ga_lens(0.1, 2)
-    assert np.allclose(up.put(np.concatenate([p, g])), [2.0, 1.6])
+    assert np.allclose(up.put((p, g)), [2.0, 1.6])
     with pytest.raises(NumericError):
         gd_lens(float("nan"), 2)
 
@@ -268,8 +271,8 @@ def test_optimiser_lens_formulas():
 def test_copy_lens_duplicates_and_sums():
     tie = copy_lens(2)
     p = np.array([1.0, 2.0])
-    assert np.allclose(tie.get(p), [1.0, 2.0, 1.0, 2.0])
-    back = tie.put(np.array([1.0, 2.0, 10.0, 20.0, 1.0, 2.0]))
+    assert np.allclose(join_flat(tie.get(p)), [1.0, 2.0, 1.0, 2.0])
+    back = tie.put((p, (np.array([10.0, 20.0]), np.array([1.0, 2.0]))))
     assert np.allclose(back, [11.0, 22.0])
 
 
@@ -350,6 +353,13 @@ def test_gan_step_ties_discriminator_gradients():
     assert rel_close(pd2 - pd, dp1 + dp2, rtol=1e-10)
 
 
+def test_gan_step_rejects_mismatched_generator():
+    gen, disc = apply_R(mlp_map((2, 3, 2))), apply_R(mlp_map((3, 3, 1)))
+    pg, pd = np.zeros(gen.params.fwd), np.zeros(disc.params.fwd)
+    with pytest.raises(CompositionError, match="cannot compose"):
+        gan_step(gen, disc, pg, pd, np.zeros(2), np.zeros(3), 0.1)
+
+
 def test_gan_step_reads_scores_off_one_forward_leg(monkeypatch):
     gen, disc = apply_R(mlp_map((2, 3, 2))), apply_R(mlp_map((2, 3, 1)))
     counts = {"forward": 0, "backward": 0}
@@ -379,9 +389,51 @@ def test_r_functoriality_on_one_pair():
     dy = rng.uniform(-1, 1, 1)
     y, tape = forward_eval(comp, p, x)
     dp, dx = backward_eval(comp, tape, dy)
-    assert rel_close(flat.carrier.get(np.concatenate([p, x])), y, rtol=1e-10)
+    # the flattened parameters are the pair (g's, f's) of compose_maps' layout
+    pair = (p[: g.param_dim], p[g.param_dim :])
+    assert rel_close(flat.carrier.get((pair, x)), y, rtol=1e-10)
     assert rel_close(
-        flat.carrier.put(np.concatenate([p, x, dy])),
+        join_flat(flat.carrier.put(((pair, x), dy))),
         np.concatenate([dp, dx]),
         rtol=1e-10,
     )
+
+
+def test_train_step_peak_memory_is_a_few_parameter_vectors():
+    # pairing keeps references, so at its peak a step holds the gradient
+    # and one more parameter-sized array, never a copy of p
+    f = sqerr_head(mlp_map((8, 256, 256, 1)))
+    model = reparametrise(apply_R(f), gd_lens(1e-3, f.param_dim))
+    costate = unit_loss_costate()
+    rng = np.random.default_rng(10)
+    p = rng.uniform(-0.05, 0.05, f.param_dim)
+    data = rng.uniform(-1.0, 1.0, 9)
+    train_step(model, p, data, costate)  # warm up lazily built numpy state
+    tracemalloc.start()
+    try:
+        p_next, _ = train_step(model, p, data, costate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * p.nbytes, f"peak {peak / p.nbytes:.1f} parameter vectors"
+    assert not np.shares_memory(p_next, p)
+
+
+def test_smooth_product_and_split_reject_non_pairs():
+    f, g = SMOOTH.identity(2), SMOOTH.identity(3)
+    both = SMOOTH.product(f, g)
+    flat, triple = np.zeros(5), (np.zeros(2), np.zeros(3), np.zeros(1))
+    swapped = (np.zeros(3), np.zeros(2))
+    for bad in (flat, triple, swapped):
+        with pytest.raises(CompositionError, match=r"R\^2 × R\^3"):
+            SMOOTH.split_elem(2, 3, bad)
+        with pytest.raises(CompositionError, match=r"R\^2 × R\^3"):
+            both(bad)
+    x, y = both((np.ones(2), np.ones(3)))
+    assert np.array_equal(x, np.ones(2)) and np.array_equal(y, np.ones(3))
+    wrong_leaf = SMOOTH.morphism(2, (2, 3), lambda v: (v, np.zeros(4)))
+    with pytest.raises(NumericError, match=r"shape \(4,\), expected \(3,\)"):
+        wrong_leaf(np.ones(2))
+    assert SMOOTH.contains((2, 3), (np.ones(2), np.ones(3)))
+    assert not SMOOTH.contains((2, 3), np.ones(5))
+    assert SMOOTH.describe(((1, 2), 3)) == "(R^1 × R^2) × R^3"
