@@ -115,6 +115,7 @@ from .smooth_autodiff import (
     copy_lens,
     forward_eval,
     ga_lens,
+    gan_model,
     gan_step,
     gd_lens,
     mlp_map,

@@ -19,6 +19,7 @@ from .smooth_autodiff import (
     SmoothMap,
     apply_R,
     forward_eval,
+    gan_model,
     gan_step,
     gd_lens,
     mlp_map,
@@ -148,11 +149,12 @@ def run_gan(seed: int = 0, steps: int = 200, alpha: Alpha = Fraction(1, 100)) ->
     result = TrainResult("gan", ("step", "d_fake", "d_real"))
     result.initial_params = {"gen": p_gen.copy(), "disc": p_disc.copy()}
     result.snapshots.append(_snapshot(result.initial_params))
+    model = gan_model(gen, disc, float(alpha))
     for t in range(steps):
         i = t % len(_GAN_REALS)
         try:
             p_gen, p_disc, (d_fake, d_real) = gan_step(
-                gen, disc, p_gen, p_disc, latents[i], _GAN_REALS[i], float(alpha)
+                model, p_gen, p_disc, latents[i], _GAN_REALS[i]
             )
         except NumericError as exc:
             raise NumericError(f"training diverged at step {t}: {exc}") from exc

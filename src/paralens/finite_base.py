@@ -8,8 +8,8 @@ elements can share an encoding.  A product is enumerated only when iterated.
 Morphisms are memoised procedures; only ``FiniteBase.mor_equal`` tabulates,
 to decide equality.  Those built from caller data check each element and its
 image on first evaluation; those derived from others (``compose``,
-``product``, a composite lens's ``put``) only memoise, as every part of their
-input reaches a checked one.  Payoff values are ``fractions.Fraction``
+``product``, a composite lens's ``get`` and ``put``) only memoise, as every
+part of their input reaches a checked one.  Payoff values are ``fractions.Fraction``
 throughout; floats never enter the game-theoretic side.
 """
 

@@ -1,25 +1,30 @@
 """Bidirectional lenses over an abstract cartesian base.
 
-A lens between boundary objects ``⟨A, A'⟩ → ⟨B, B'⟩`` is a forward map
-``get : A → B`` together with a backward map ``put : A × B' → A'`` that may
-consult the forward input.  The base category is abstracted behind
+A lens between boundary objects ``⟨A, A'⟩ → ⟨B, B'⟩`` is an optic: a
+forward leg ``x ↦ (y, r)`` that leaves a residual ``r``, and a backward leg
+``(r, z) ↦ x'`` that consumes it.  The base category is abstracted behind
 :class:`Base` so the same combinators drive both the finite (exact) and
 the smooth (numeric) instantiations.
 
-Composition threads the forward pass into the backward pass:
+Composition pairs the residuals, so the backward pass consumes the forward
+pass it follows instead of replaying it:
 
-    (l1 ; l2).get = l1.get ; l2.get
-    (l1 ; l2).put(x, z) = l1.put(x, l2.put(l1.get(x), z))
+    (l1 ; l2).forward(x) = (y2, (r1, r2))
+        where (y1, r1) = l1.forward(x) and (y2, r2) = l2.forward(y1)
+    (l1 ; l2).backward((r1, r2), z) = l1.backward(r1, l2.backward(r2, z))
 
-The tensor acts componentwise on pairs.  States are lenses out of the unit
-boundary (they pick a point), costates are lenses into it (their put is an
-ordinary map out of the forward carrier).
+Every lens also has base morphisms ``get : A → B`` and ``put : A × B' → A'``
+with ``get(x) = y`` and ``put(x, z) = backward(r, z)`` for
+``(y, r) = forward(x)``; a lens given by ``get`` and ``put`` alone keeps its
+input as its residual.  The tensor acts componentwise on pairs.  States are
+lenses out of the unit boundary (they pick a point), costates are lenses
+into it (their put is an ordinary map out of the forward carrier).
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from .errors import CompositionError, UnsupportedOperationError
@@ -115,9 +120,11 @@ class LensObj:
 
 @dataclass(frozen=True)
 class Lens:
-    """A morphism of boundary objects: ``get`` forward, ``put`` backward.
+    """A morphism of boundary objects: forward and backward legs, ``get`` and ``put``.
 
     ``get : src.fwd → dst.fwd`` and ``put : src.fwd × dst.bwd → src.bwd``.
+    Without legs, ``forward`` is ``x ↦ (get(x), x)`` and ``backward`` is
+    ``(x, z) ↦ put(x, z)``.
     """
 
     base: Base
@@ -125,6 +132,8 @@ class Lens:
     dst: LensObj
     get: Mor
     put: Mor
+    forward: Callable[[Elem], tuple[Elem, Any]] = field(default=None, compare=False, repr=False)
+    backward: Callable[[Any, Elem], Elem] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         b = self.base
@@ -139,6 +148,22 @@ class Lens:
                 raise CompositionError(
                     f"{what} is {b.describe(actual)}, expected {b.describe(expected)}"
                 )
+        if self.forward is None:
+            get, put, x_c, z_c = self.get, self.put, self.src.fwd, self.dst.bwd
+            object.__setattr__(self, "forward", lambda x: (get(x), x))
+            object.__setattr__(self, "backward", lambda x, z: put(b.pair_elem(x_c, z_c, x, z)))
+
+
+def optic(base: Base, src: LensObj, dst: LensObj, forward, backward) -> Lens:
+    """The lens of a forward leg ``x ↦ (y, r)`` and a backward leg ``(r, z) ↦ x'``."""
+
+    def put_fn(xz):
+        x, z = base.split_elem(src.fwd, dst.bwd, xz)
+        return backward(forward(x)[1], z)
+
+    get = base.derived(src.fwd, dst.fwd, lambda x: forward(x)[0])
+    put = base.derived(base.pair(src.fwd, dst.bwd), src.bwd, put_fn)
+    return Lens(base, src, dst, get, put, forward, backward)
 
 
 def unit_obj(base: Base) -> LensObj:
@@ -166,7 +191,7 @@ def lens_id(base: Base, a: LensObj) -> Lens:
 
 
 def lens_compose(l1: Lens, l2: Lens) -> Lens:
-    """Sequential composition.  The backward pass replays l1's forward leg."""
+    """Sequential composition.  The backward leg consumes both residuals."""
     base = l1.base
     if base is not l2.base:
         raise CompositionError("cannot compose lenses over different bases")
@@ -175,17 +200,14 @@ def lens_compose(l1: Lens, l2: Lens) -> Lens:
             f"cannot compose: first lens ends at {describe_obj(base, l1.dst)}, "
             f"second starts at {describe_obj(base, l2.src)}"
         )
-    src, mid, dst = l1.src, l1.dst, l2.dst
-    get = base.compose(l1.get, l2.get)
+    f1, b1, f2, b2 = l1.forward, l1.backward, l2.forward, l2.backward
 
-    def put_fn(xz):
-        x, z = base.split_elem(src.fwd, dst.bwd, xz)
-        y = base.apply(l1.get, x)
-        s = base.apply(l2.put, base.pair_elem(mid.fwd, dst.bwd, y, z))
-        return base.apply(l1.put, base.pair_elem(src.fwd, mid.bwd, x, s))
+    def forward(x):
+        y1, r1 = f1(x)
+        y2, r2 = f2(y1)
+        return y2, (r1, r2)
 
-    put = base.derived(base.pair(src.fwd, dst.bwd), src.bwd, put_fn)
-    return Lens(base, src, dst, get, put)
+    return optic(base, l1.src, l2.dst, forward, lambda r, z: b1(r[0], b2(r[1], z)))
 
 
 def lens_tensor(l1: Lens, l2: Lens) -> Lens:
@@ -193,22 +215,18 @@ def lens_tensor(l1: Lens, l2: Lens) -> Lens:
     base = l1.base
     if base is not l2.base:
         raise CompositionError("cannot tensor lenses over different bases")
-    src = obj_pair(base, l1.src, l2.src)
-    dst = obj_pair(base, l1.dst, l2.dst)
-    get = base.product(l1.get, l2.get)
-    fwd_pair = src.fwd
-    bwd_pair = dst.bwd
+    (a1, c1), (a2, c2) = (l1.src, l1.dst), (l2.src, l2.dst)
 
-    def put_fn(xz):
-        xs, zs = base.split_elem(fwd_pair, bwd_pair, xz)
-        x1, x2 = base.split_elem(l1.src.fwd, l2.src.fwd, xs)
-        z1, z2 = base.split_elem(l1.dst.bwd, l2.dst.bwd, zs)
-        s1 = base.apply(l1.put, base.pair_elem(l1.src.fwd, l1.dst.bwd, x1, z1))
-        s2 = base.apply(l2.put, base.pair_elem(l2.src.fwd, l2.dst.bwd, x2, z2))
-        return base.pair_elem(l1.src.bwd, l2.src.bwd, s1, s2)
+    def forward(xs):
+        x1, x2 = base.split_elem(a1.fwd, a2.fwd, xs)
+        (y1, r1), (y2, r2) = l1.forward(x1), l2.forward(x2)
+        return base.pair_elem(c1.fwd, c2.fwd, y1, y2), (r1, r2)
 
-    put = base.derived(base.pair(fwd_pair, bwd_pair), src.bwd, put_fn)
-    return Lens(base, src, dst, get, put)
+    def backward(r, zs):
+        z1, z2 = base.split_elem(c1.bwd, c2.bwd, zs)
+        return base.pair_elem(a1.bwd, a2.bwd, l1.backward(r[0], z1), l2.backward(r[1], z2))
+
+    return optic(base, obj_pair(base, a1, a2), obj_pair(base, c1, c2), forward, backward)
 
 
 def make_state(base: Base, a: LensObj, point: Elem) -> Lens:

@@ -8,11 +8,11 @@ through each primitive's vector-Jacobian product and summing contributions
 where wires fan out.
 
 :func:`apply_R` turns a graph into a parametrised lens over the smooth base:
-forward is evaluation, backward is gradient computation (forward-then-
-backward on demand, so no tape outlives a call).  Gradient descent, ascent
-and weight tying are then ordinary lenses attached to the parameter port by
-reparametrisation, and a GAN update step is nothing but a composite lens
-evaluated once.
+its forward leg is evaluation and leaves the tape as its residual, its
+backward leg is the gradient computation that consumes that tape.  Gradient
+descent, ascent and weight tying are then ordinary lenses attached to the
+parameter port by reparametrisation, and a GAN update step is nothing but
+a composite lens run forward and backward once.
 
 A carrier is a dimension or a pair of carriers.  An element of a pair is a
 :class:`Pair` of its factors' elements, so pairing and splitting copy no array.
@@ -35,6 +35,7 @@ from .lens_core import (
     lens_id,
     lens_tensor,
     make_costate,
+    optic,
     rewire,
 )
 from .para_optic import (
@@ -587,29 +588,19 @@ def apply_R(f: SmoothMap) -> ParaLens:
     """The parametrised lens of a graph: evaluate forward, differentiate backward.
 
     Its carrier runs from ``⟨(pd, n), (pd, n)⟩``: ``get`` maps ``(p, x)`` to
-    ``y`` and ``put`` maps ``((p, x), dy)`` to ``(dp, dx)``.  The backward leg
-    recomputes the forward pass for the tape on every call, so the lens is a
-    pure function of its arguments.
+    ``y`` and ``put`` maps ``((p, x), dy)`` to ``(dp, dx)``.  The forward leg
+    leaves its :class:`Tape` as the residual, which one backward leg consumes.
     """
     pd, n, m = f.param_dim, f.in_dim, f.out_dim
     px = SMOOTH.pair(pd, n)
 
-    def get_fn(v):
-        y, _ = forward_eval(f, *SMOOTH.split_elem(pd, n, v))
-        return y
+    def forward(v):
+        return forward_eval(f, *SMOOTH.split_elem(pd, n, v))
 
-    def put_fn(v):
-        (p, x), dy = SMOOTH.split_elem(px, m, v)
-        _, tape = forward_eval(f, p, x)
+    def backward(tape, dy):
         return Pair(backward_eval(f, tape, dy))
 
-    carrier = Lens(
-        SMOOTH,
-        LensObj(px, px),
-        LensObj(m, m),
-        SMOOTH.morphism(px, m, get_fn),
-        SMOOTH.morphism(SMOOTH.pair(px, m), px, put_fn),
-    )
+    carrier = optic(SMOOTH, LensObj(px, px), LensObj(m, m), forward, backward)
     params = ParamObj(pd, pd)
     return ParaLens(
         SMOOTH, params, LensObj(n, n), LensObj(m, m), carrier, ShapeLeaf(params)
@@ -655,9 +646,10 @@ def unit_loss_costate() -> Lens:
 def train_step(model: ParaLens, p, x, loss_costate: Lens) -> tuple[Vector, float]:
     """One optimisation step of a lens already reparametrised by an optimiser.
 
-    Runs the forward pass, seeds the backward pass through ``loss_costate``
-    (constantly one for the usual loss), and reads the updated parameters
-    off the parameter port.  Returns ``(p_next, loss)``.
+    Runs the forward leg once, reads the loss off it, seeds the backward
+    leg through ``loss_costate`` (constantly one for the usual loss) and
+    reads the updated parameters off the parameter port.  Returns
+    ``(p_next, loss)``.
     """
     if model.base is not SMOOTH:
         raise CompositionError("train_step expects a smooth-base lens")
@@ -669,47 +661,29 @@ def train_step(model: ParaLens, p, x, loss_costate: Lens) -> tuple[Vector, float
         raise CompositionError("loss costate does not match the model output")
     p = as_vector(p, model.params.fwd, "parameter vector")
     x = as_vector(x, model.src.fwd, "input vector")
-    px = Pair((p, x))
-    loss_vec = model.carrier.get(px)
+    loss_vec, residual = model.carrier.forward(Pair((p, x)))
     loss = float(loss_vec[0])
     if not np.isfinite(loss):
         raise NumericError("loss is non-finite")
     dy = loss_costate.put(Pair((loss_vec, SMOOTH.unit_elem())))
     with np.errstate(over="ignore", invalid="ignore"):  # the next step rejects non-finite parameters
-        return model.carrier.put(Pair((px, dy)))[0], loss
+        return model.carrier.backward(residual, dy)[0], loss
 
 
-def gan_step(
-    gen: ParaLens,
-    disc: ParaLens,
-    p_gen,
-    p_disc,
-    z,
-    real,
-    alpha: float,
-) -> tuple[Vector, Vector, tuple[float, float]]:
-    """One adversarial update with a weight-tied discriminator.
+def gan_model(gen: ParaLens, disc: ParaLens, alpha: float) -> ParaLens:
+    """The adversarial update lens of a generator and a weight-tied discriminator.
 
     The fake branch scores ``disc(gen(z))``, the real branch scores
     ``disc(real)``; one discriminator parameter vector is copied into both
     branches on the way forward and the two gradients are summed on the way
-    back.  Both scores are read off one forward leg and fed backward with
-    cotangent one; the generator port descends while the tied discriminator
-    port ascends, so the discriminator pushes both scores up and the
-    generator pulls the fake score down.  A step makes 7 forward and 3
-    backward graph evaluations.  Returns
-    ``(p_gen_next, p_disc_next, (d_fake, d_real))``.
+    back.  The generator port descends while the tied discriminator port
+    ascends.  Parameters are ``(p_disc, p_gen)``, inputs ``(z, real)``.
     """
     if gen.base is not SMOOTH or disc.base is not SMOOTH:
-        raise CompositionError("gan_step expects smooth-base lenses")
+        raise CompositionError("gan_model expects smooth-base lenses")
     if disc.dst != LensObj(1, 1):
         raise CompositionError("discriminator must produce a scalar score")
     pg, pd = gen.params.fwd, disc.params.fwd
-    p_gen = as_vector(p_gen, pg, "generator parameters")
-    p_disc = as_vector(p_disc, pd, "discriminator parameters")
-    z = as_vector(z, gen.src.fwd, "latent vector")
-    real = as_vector(real, disc.src.fwd, "real sample")
-
     # params ((disc, gen), disc), the layout the tie below produces
     both = para_tensor(para_compose(gen, disc), disc)
     d, g = LensObj(pd, pd), LensObj(pg, pg)
@@ -718,11 +692,30 @@ def gan_step(
         rewire(SMOOTH, [d, d, g], ((0, 1), 2), ((0, 2), 1)),
     )
     optimisers = lens_tensor(ga_lens(alpha, pd), gd_lens(alpha, pg))
-    stepped = reparametrise(both, lens_compose(optimisers, tie))
+    return reparametrise(both, lens_compose(optimisers, tie))
 
+
+def gan_step(
+    model: ParaLens, p_gen, p_disc, z, real
+) -> tuple[Vector, Vector, tuple[float, float]]:
+    """One adversarial update through a :func:`gan_model`.
+
+    Both scores are read off one forward leg and fed backward with
+    cotangent one, so the discriminator pushes both scores up and the
+    generator pulls the fake score down.  A step makes 3 forward and 3
+    backward graph evaluations.  Returns
+    ``(p_gen_next, p_disc_next, (d_fake, d_real))``.
+    """
+    if model.base is not SMOOTH or model.dst != LensObj((1, 1), (1, 1)) or type(model.params.fwd) is not tuple:
+        raise CompositionError("gan_step expects a lens built by gan_model")
+    (pd, pg), (zd, xd) = model.params.fwd, model.src.fwd
+    p_gen = as_vector(p_gen, pg, "generator parameters")
+    p_disc = as_vector(p_disc, pd, "discriminator parameters")
+    z = as_vector(z, zd, "latent vector")
+    real = as_vector(real, xd, "real sample")
     px = Pair((Pair((p_disc, p_gen)), Pair((z, real))))
-    d_fake, d_real = stepped.carrier.get(px)
+    (d_fake, d_real), residual = model.carrier.forward(px)
     with np.errstate(over="ignore", invalid="ignore"):  # as in train_step
-        fed = stepped.carrier.put(Pair((px, Pair((np.ones(1), np.ones(1))))))
+        fed = model.carrier.backward(residual, Pair((np.ones(1), np.ones(1))))
     p_disc_next, p_gen_next = fed[0]
     return p_gen_next, p_disc_next, (float(d_fake[0]), float(d_real[0]))

@@ -44,6 +44,7 @@ from paralens.smooth_autodiff import (
     apply_R,
     backward_eval,
     forward_eval,
+    gan_model,
     gan_step,
     mlp_map,
 )
@@ -157,7 +158,7 @@ def test_criterion_09_gan_step():
     real = rng.uniform(-1, 1, 2)
     alpha = 0.01
 
-    pg2, pd2, _ = gan_step(gen, disc, pg, pd, z, real, alpha)
+    pg2, pd2, _ = gan_step(gan_model(gen, disc, alpha), pg, pd, z, real)
 
     def value(pdv, pgv):
         fake = forward_eval(gen_graph, pgv, z)[0]
@@ -173,7 +174,7 @@ def test_criterion_09_gan_step():
 
     # tying identity at unit rate: the discriminator delta is exactly the
     # sum of the gradients from its fake-side and real-side uses
-    _, pd_unit, _ = gan_step(gen, disc, pg, pd, z, real, 1.0)
+    _, pd_unit, _ = gan_step(gan_model(gen, disc, 1.0), pg, pd, z, real)
     fake = forward_eval(gen_graph, pg, z)[0]
     _, tape1 = forward_eval(disc_graph, pd, fake)
     dp1, _ = backward_eval(disc_graph, tape1, np.ones(1))

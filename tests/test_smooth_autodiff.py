@@ -6,6 +6,7 @@ re-implemented with straight numpy as an independent oracle.
 """
 
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ import pytest
 from paralens import smooth_autodiff
 from paralens.checks import check_weight_tying, fd_gradient, rel_close
 from paralens.errors import CompositionError, NumericError
-from paralens.lens_core import LensObj
+from paralens.demos import run_gan
+from paralens.lens_core import Lens, LensObj
 from paralens.para_optic import flatten_params, para_compose, reparametrise
 from paralens.smooth_autodiff import (
     PRIMITIVES,
@@ -26,12 +28,15 @@ from paralens.smooth_autodiff import (
     backward_eval,
     compose_maps,
     copy_lens,
+    flat_dim,
     forward_eval,
     ga_lens,
+    gan_model,
     gan_step,
     gd_lens,
     join_flat,
     mlp_map,
+    split_flat,
     sqerr_head,
     train_step,
     unit_loss_costate,
@@ -313,7 +318,7 @@ def test_gan_step_against_finite_differences():
     real = rng.uniform(-1, 1, 2)
     alpha = 0.01
 
-    pg2, pd2, (d_fake, d_real) = gan_step(gen, disc, pg, pd, z, real, alpha)
+    pg2, pd2, (d_fake, d_real) = gan_step(gan_model(gen, disc, alpha), pg, pd, z, real)
 
     def value(pdv, pgv):
         fake = forward_eval(gen_graph, pgv, z)[0]
@@ -344,7 +349,7 @@ def test_gan_step_ties_discriminator_gradients():
     z = rng.uniform(-1, 1, 2)
     real = rng.uniform(-1, 1, 2)
 
-    _, pd2, _ = gan_step(gen, disc, pg, pd, z, real, 1.0)
+    _, pd2, _ = gan_step(gan_model(gen, disc, 1.0), pg, pd, z, real)
     fake = forward_eval(gen_graph, pg, z)[0]
     _, tape1 = forward_eval(disc_graph, pd, fake)
     dp1, _ = backward_eval(disc_graph, tape1, np.ones(1))
@@ -355,13 +360,13 @@ def test_gan_step_ties_discriminator_gradients():
 
 def test_gan_step_rejects_mismatched_generator():
     gen, disc = apply_R(mlp_map((2, 3, 2))), apply_R(mlp_map((3, 3, 1)))
-    pg, pd = np.zeros(gen.params.fwd), np.zeros(disc.params.fwd)
     with pytest.raises(CompositionError, match="cannot compose"):
-        gan_step(gen, disc, pg, pd, np.zeros(2), np.zeros(3), 0.1)
+        gan_model(gen, disc, 0.1)
 
 
-def test_gan_step_reads_scores_off_one_forward_leg(monkeypatch):
-    gen, disc = apply_R(mlp_map((2, 3, 2))), apply_R(mlp_map((2, 3, 1)))
+@pytest.fixture
+def eval_counts(monkeypatch):
+    """Counts of graph evaluations made through ``smooth_autodiff``'s globals."""
     counts = {"forward": 0, "backward": 0}
 
     def counted(key, fn):
@@ -373,9 +378,71 @@ def test_gan_step_reads_scores_off_one_forward_leg(monkeypatch):
 
     monkeypatch.setattr(smooth_autodiff, "forward_eval", counted("forward", forward_eval))
     monkeypatch.setattr(smooth_autodiff, "backward_eval", counted("backward", backward_eval))
+    return counts
+
+
+def test_gan_step_rejects_a_model_not_built_by_gan_model():
+    f = sqerr_head(mlp_map((1, 2, 1)))
+    model = reparametrise(apply_R(f), gd_lens(0.05, f.param_dim))
+    with pytest.raises(CompositionError, match="gan_model"):
+        gan_step(model, np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2))
+
+
+def test_gan_step_reads_scores_off_one_forward_leg(eval_counts):
+    gen, disc = apply_R(mlp_map((2, 3, 2))), apply_R(mlp_map((2, 3, 1)))
     pg, pd = np.full(gen.params.fwd, 0.1), np.full(disc.params.fwd, -0.2)
-    gan_step(gen, disc, pg, pd, np.ones(2), np.zeros(2), 0.1)
-    assert counts == {"forward": 7, "backward": 3}
+    gan_step(gan_model(gen, disc, 0.1), pg, pd, np.ones(2), np.zeros(2))
+    assert eval_counts == {"forward": 3, "backward": 3}
+
+
+@pytest.mark.parametrize("depth", [1, 4, 16])
+def test_put_of_a_chain_evaluates_each_graph_once(eval_counts, depth):
+    chain = reduce(para_compose, [apply_R(mlp_map((2, 2)))] * depth)
+    p = split_flat(chain.params.fwd, np.full(flat_dim(chain.params.fwd), 0.1))
+    chain.carrier.put(((p, np.ones(2)), np.ones(2)))
+    assert eval_counts == {"forward": depth, "backward": depth}
+
+
+def test_train_step_evaluates_the_graph_once_each_way(eval_counts):
+    f = sqerr_head(mlp_map((1, 2, 1)))
+    model = reparametrise(apply_R(f), gd_lens(0.05, f.param_dim))
+    train_step(model, np.full(f.param_dim, 0.1), np.array([0.4, 0.9]), unit_loss_costate())
+    assert eval_counts == {"forward": 1, "backward": 1}
+
+
+def test_run_gan_builds_its_lenses_once(monkeypatch):
+    built = [0]
+    post_init = Lens.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Lens, "__post_init__", counted)
+    counts = []
+    for steps in (2, 6):
+        built[0] = 0
+        run_gan(steps=steps)
+        counts.append(built[0])
+    assert counts[0] == counts[1] > 0
+
+
+def test_a_residual_feeds_one_backward_pass():
+    f = sqerr_head(mlp_map((1, 2, 1)))
+    model = reparametrise(apply_R(f), gd_lens(0.05, f.param_dim))
+    px = (np.full(f.param_dim, 0.1), np.array([0.4, 0.9]))
+    _, residual = model.carrier.forward(px)
+    model.carrier.backward(residual, np.ones(1))
+    with pytest.raises(CompositionError, match="already consumed"):
+        model.carrier.backward(residual, np.ones(1))
+
+
+def test_composite_put_is_a_pure_function():
+    f = sqerr_head(mlp_map((1, 2, 1)))
+    model = reparametrise(apply_R(f), gd_lens(0.05, f.param_dim))
+    xz = ((np.full(f.param_dim, 0.1), np.array([0.4, 0.9])), np.ones(1))
+    first, again = model.carrier.put(xz), model.carrier.put(xz)
+    assert np.array_equal(join_flat(first), join_flat(again))
 
 
 def test_r_functoriality_on_one_pair():
