@@ -59,19 +59,12 @@ from .lens_core import (
 )
 from .para_optic import (
     ParaLens,
-    ParamObj,
-    ParamShape,
-    ShapeLeaf,
-    ShapePair,
     embed_trivial,
     flatten_params,
     para_compose,
     para_costate_solution_input,
     para_tensor,
     reparametrise,
-    shape_leaves,
-    shape_obj,
-    unit_param,
 )
 from .selection_games import (
     NormalFormGame,

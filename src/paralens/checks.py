@@ -51,16 +51,12 @@ from .lens_core import (
 )
 from .para_optic import (
     ParaLens,
-    ParamObj,
-    ShapeLeaf,
     embed_trivial,
     flatten_params,
-    is_unit_param,
     left_bracketing,
     para_compose,
     para_tensor,
     reparametrise,
-    shape_leaves,
 )
 from .selection_games import (
     SelectionRelation,
@@ -169,9 +165,9 @@ def random_lens(rng: random.Random, src: LensObj, dst: LensObj) -> Lens:
 
 
 def random_para(rng: random.Random, src: LensObj, dst: LensObj, max_size: int = 2) -> ParaLens:
-    params = ParamObj(random_finset(rng, max_size), random_finset(rng, max_size))
-    carrier = random_lens(rng, obj_pair(FINITE, params.as_obj(), src), dst)
-    return ParaLens(FINITE, params, src, dst, carrier, ShapeLeaf(params))
+    params = random_obj(rng, max_size)
+    carrier = random_lens(rng, obj_pair(FINITE, params, src), dst)
+    return ParaLens(FINITE, (params,), src, dst, carrier, 0)
 
 
 # -- lens laws ----------------------------------------------------------
@@ -309,7 +305,7 @@ def _flat_perm(raw: ParaLens, order: Sequence[int]) -> Lens:
     itself collapses the shape.  ``order[i]`` says which source leaf
     supplies destination slot i.
     """
-    leaves = [o.as_obj() for o in shape_leaves(raw.param_shape) if not is_unit_param(FINITE, o)]
+    leaves = [o for o in raw.leaves if o != unit_obj(FINITE)]
     return rewire(FINITE, leaves, left_bracketing(range(len(leaves))), left_bracketing(order))
 
 
@@ -339,7 +335,7 @@ def check_para_laws(seed: int = 2, rounds: int = 40) -> Instances:
         lhs = flatten_params(para_compose(p1, ident))
         yield _para_equal(lhs, rhs), f"right unit failed at round {r}"
 
-        r2 = random_lens(rng, random_obj(rng, 2), p1.params.as_obj())
+        r2 = random_lens(rng, random_obj(rng, 2), p1.params)
         r3 = random_lens(rng, random_obj(rng, 2), r2.src)
         lhs = reparametrise(reparametrise(p1, r2), r3)
         rhs = reparametrise(p1, lens_compose(r3, r2))
@@ -557,7 +553,7 @@ def check_weight_tying(seed: int = 5, trials: int = 20) -> Instances:
 # -- game suites --------------------------------------------------------
 
 
-def random_relation(rng: random.Random, obj: ParamObj) -> SelectionRelation:
+def random_relation(rng: random.Random, obj: LensObj) -> SelectionRelation:
     """An arbitrary relation, tabulated over every (state, reward fn) pair."""
     table = {}
     for k in enumerate_functions(obj.fwd, obj.bwd):
@@ -581,8 +577,8 @@ def check_nash_naturality(seed: int = 7, instances_target: int = 100) -> Instanc
         b2 = LensObj(random_finset(rng, 2), random_finset(rng, 2))
         f = random_lens(rng, a, b)
         f2 = random_lens(rng, a2, b2)
-        eps = random_relation(rng, ParamObj(a.fwd, a.bwd))
-        delta = random_relation(rng, ParamObj(a2.fwd, a2.bwd))
+        eps = random_relation(rng, a)
+        delta = random_relation(rng, a2)
         joint = sel_pushforward(lens_tensor(f, f2), nash_product(eps, delta))
         split = nash_product(sel_pushforward(f, eps), sel_pushforward(f2, delta))
         yield relations_equal(joint, split), "pushforward does not commute with the product"

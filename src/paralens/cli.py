@@ -185,10 +185,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         tags = ["argmax"] * n if selection == "argmax_each" else list(selection)
         open_g = compositional_game(game, tags, args.max_strategies)
         sols = solution_set(open_g)
-        if selection == "argmax_each":
-            oracle = brute_force_nash(game, args.max_strategies)
-        else:
-            oracle = brute_force_nash(game, tags=tags)
+        oracle = brute_force_nash(game, tags=tags)
         agrees = sols == oracle
 
     report = {

@@ -5,13 +5,15 @@ is carried by an ordinary lens
 
     ⟨P × src.fwd, P' × src.bwd⟩  →  dst
 
-with the parameter always the left factor.  Sequential composition
+with the parameter always the left factor.  A parameter port is a boundary
+object like any other, a :class:`LensObj`.  Sequential composition
 accumulates parameter ports with the *second* factor's parameters leftmost,
-and the tensor interleaves them, so the parameter carrier of a composite is
-a tree.  ``param_shape`` records that tree; :func:`flatten_params` rewrites
-a composite to a single left-associated parameter leaf (dropping unit
-leaves) without changing behaviour, which is what solvers and optimisers
-want to talk to.
+and the tensor interleaves them, so a composite's port is a product of the
+ports it was built from.  ``leaves`` lists those ports left to right and
+``param_shape`` brackets their indices in :func:`rewire`'s notation;
+:func:`flatten_params` rewrites a composite to a single left-associated
+parameter leaf (dropping unit leaves) by reparametrising along that
+``rewire``, which is what solvers and optimisers want to talk to.
 
 All structural rewiring is done with ``rewire`` relabelling lenses from
 ``lens_core``; nothing here peeks inside a base element except through the
@@ -20,14 +22,13 @@ base's own pair/split operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import CompositionError
 from .lens_core import (
     Base,
-    Carrier,
     Lens,
     LensObj,
     lens_assoc,
@@ -45,94 +46,63 @@ from .lens_core import (
 
 
 @dataclass(frozen=True)
-class ParamObj:
-    """A parameter port: forward carrier of parameters, backward carrier of feedback."""
-
-    fwd: Carrier
-    bwd: Carrier
-
-    def as_obj(self) -> LensObj:
-        return LensObj(self.fwd, self.bwd)
-
-
-def unit_param(base: Base) -> ParamObj:
-    return ParamObj(base.unit(), base.unit())
-
-
-def is_unit_param(base: Base, p: ParamObj) -> bool:
-    return p == unit_param(base)
-
-
-@dataclass(frozen=True)
-class ShapeLeaf:
-    obj: ParamObj
-
-
-@dataclass(frozen=True)
-class ShapePair:
-    left: "ParamShape"
-    right: "ParamShape"
-
-
-ParamShape = Union[ShapeLeaf, ShapePair]
-
-
-def shape_obj(base: Base, shape: ParamShape) -> ParamObj:
-    """Fold a shape tree back into the parameter port it describes."""
-    if isinstance(shape, ShapeLeaf):
-        return shape.obj
-    left = shape_obj(base, shape.left)
-    right = shape_obj(base, shape.right)
-    return ParamObj(base.pair(left.fwd, right.fwd), base.pair(left.bwd, right.bwd))
-
-
-def shape_leaves(shape: ParamShape) -> list[ParamObj]:
-    if isinstance(shape, ShapeLeaf):
-        return [shape.obj]
-    return shape_leaves(shape.left) + shape_leaves(shape.right)
-
-
-@dataclass(frozen=True)
 class ParaLens:
     """A lens with a parameter port.
 
     ``carrier`` is the underlying lens
-    ``⟨params.fwd × src.fwd, params.bwd × src.bwd⟩ → dst`` and
-    ``param_shape`` records how ``params`` was assembled.
+    ``⟨params.fwd × src.fwd, params.bwd × src.bwd⟩ → dst``.  ``leaves`` are
+    the parameter ports it was assembled from, left to right, and
+    ``param_shape`` brackets their indices as :func:`rewire` does; a
+    single-leaf lens has ``leaves == (port,)`` and ``param_shape == 0``.
+    ``params`` is the port that bracketing folds to.
     """
 
     base: Base
-    params: ParamObj
+    leaves: tuple[LensObj, ...]
     src: LensObj
     dst: LensObj
     carrier: Lens
-    param_shape: ParamShape
+    param_shape: object
+    params: LensObj = field(init=False)
 
     def __post_init__(self):
         base = self.base
-        expected_src = LensObj(
-            base.pair(self.params.fwd, self.src.fwd),
-            base.pair(self.params.bwd, self.src.bwd),
-        )
+        seen: list[int] = []
+        object.__setattr__(self, "params", _fold(base, self.leaves, self.param_shape, seen))
+        if len(seen) != len(self.leaves):
+            raise CompositionError(f"param_shape leaves out some of the {len(self.leaves)} leaves")
+        expected_src = obj_pair(base, self.params, self.src)
         if self.carrier.src != expected_src or self.carrier.dst != self.dst:
             raise CompositionError(
                 f"carrier has boundary {describe_obj(base, self.carrier.src)} → "
                 f"{describe_obj(base, self.carrier.dst)}, expected "
                 f"{describe_obj(base, expected_src)} → {describe_obj(base, self.dst)}"
             )
-        folded = shape_obj(base, self.param_shape)
-        if folded != self.params:
-            raise CompositionError(
-                "param_shape folds to a different parameter port than params"
-            )
+
+
+def _fold(base: Base, leaves: Sequence[LensObj], shape, seen: list[int]) -> LensObj:
+    """The port ``shape`` brackets ``leaves`` into; leaf indices must run 0, 1, …"""
+    if isinstance(shape, tuple) and len(shape) == 2:
+        left, right = shape
+        return obj_pair(base, _fold(base, leaves, left, seen), _fold(base, leaves, right, seen))
+    if shape != len(seen) or shape >= len(leaves):
+        raise CompositionError(f"param_shape must number the leaves left to right, got {shape!r}")
+    seen.append(shape)
+    return leaves[shape]
+
+
+def _shifted(shape, by: int):
+    """``shape`` with every leaf index raised by ``by``."""
+    if isinstance(shape, tuple):
+        return tuple(_shifted(s, by) for s in shape)
+    return shape + by
 
 
 def embed_trivial(l: Lens) -> ParaLens:
     """View a plain lens as parametrised by the unit port."""
     base = l.base
     carrier = lens_compose(lens_lunit(base, l.src), l)
-    params = unit_param(base)
-    return ParaLens(base, params, l.src, l.dst, carrier, ShapeLeaf(params))
+    return ParaLens(base, (unit_obj(base),), l.src, l.dst, carrier, 0)
 
 
 def para_compose(p1: ParaLens, p2: ParaLens) -> ParaLens:
@@ -146,12 +116,11 @@ def para_compose(p1: ParaLens, p2: ParaLens) -> ParaLens:
             f"second starts at {describe_obj(base, p2.src)}"
         )
     q2, q1 = p2.params, p1.params
-    params = ParamObj(base.pair(q2.fwd, q1.fwd), base.pair(q2.bwd, q1.bwd))
-    reassoc = lens_assoc(base, q2.as_obj(), q1.as_obj(), p1.src)
-    step = lens_tensor(lens_id(base, q2.as_obj()), p1.carrier)
+    reassoc = lens_assoc(base, q2, q1, p1.src)
+    step = lens_tensor(lens_id(base, q2), p1.carrier)
     carrier = lens_compose(lens_compose(reassoc, step), p2.carrier)
-    shape = ShapePair(p2.param_shape, p1.param_shape)
-    return ParaLens(base, params, p1.src, p2.dst, carrier, shape)
+    shape = (p2.param_shape, _shifted(p1.param_shape, len(p2.leaves)))
+    return ParaLens(base, p2.leaves + p1.leaves, p1.src, p2.dst, carrier, shape)
 
 
 def para_tensor(p1: ParaLens, p2: ParaLens) -> ParaLens:
@@ -159,18 +128,12 @@ def para_tensor(p1: ParaLens, p2: ParaLens) -> ParaLens:
     base = p1.base
     if base is not p2.base:
         raise CompositionError("cannot tensor parametrised lenses over different bases")
-    params = ParamObj(
-        base.pair(p1.params.fwd, p2.params.fwd),
-        base.pair(p1.params.bwd, p2.params.bwd),
-    )
-    interleave = lens_interchange(
-        base, p1.params.as_obj(), p2.params.as_obj(), p1.src, p2.src
-    )
+    interleave = lens_interchange(base, p1.params, p2.params, p1.src, p2.src)
     carrier = lens_compose(interleave, lens_tensor(p1.carrier, p2.carrier))
-    shape = ShapePair(p1.param_shape, p2.param_shape)
+    shape = (p1.param_shape, _shifted(p2.param_shape, len(p1.leaves)))
     src = obj_pair(base, p1.src, p2.src)
     dst = obj_pair(base, p1.dst, p2.dst)
-    return ParaLens(base, params, src, dst, carrier, shape)
+    return ParaLens(base, p1.leaves + p2.leaves, src, dst, carrier, shape)
 
 
 def reparametrise(p: ParaLens, r: Lens) -> ParaLens:
@@ -183,15 +146,13 @@ def reparametrise(p: ParaLens, r: Lens) -> ParaLens:
     base = p.base
     if r.base is not base:
         raise CompositionError("reparametrising lens lives over a different base")
-    expected = p.params.as_obj()
-    if r.dst != expected:
+    if r.dst != p.params:
         raise CompositionError(
             f"reparametrising lens ends at {describe_obj(base, r.dst)}, "
-            f"expected the parameter port {describe_obj(base, expected)}"
+            f"expected the parameter port {describe_obj(base, p.params)}"
         )
     carrier = lens_compose(lens_tensor(r, lens_id(base, p.src)), p.carrier)
-    params = ParamObj(r.src.fwd, r.src.bwd)
-    return ParaLens(base, params, p.src, p.dst, carrier, ShapeLeaf(params))
+    return ParaLens(base, (r.src,), p.src, p.dst, carrier, 0)
 
 
 # -- flattening -----------------------------------------------------------
@@ -202,31 +163,18 @@ def left_bracketing(indices: Sequence[int]):
     return reduce(lambda acc, i: (acc, i), indices) if indices else None
 
 
-def _numbered(shape: ParamShape, start: int = 0):
-    """The bracketing of a shape tree with its leaves numbered left to right."""
-    if isinstance(shape, ShapeLeaf):
-        return start, start + 1
-    left, mid = _numbered(shape.left, start)
-    right, end = _numbered(shape.right, mid)
-    return (left, right), end
-
-
 def flatten_params(p: ParaLens) -> ParaLens:
-    """Collapse the parameter tree to one left-associated leaf.
+    """Collapse the parameter bracketing to one left-associated leaf.
 
     Unit leaves (from ``embed_trivial``) are dropped; the remaining leaves
     keep their left-to-right order.  Behaviour is unchanged: the carrier is
-    reparametrised by the :func:`rewire` from the flat layout to the tree.
-    Lenses whose shape is already a single leaf are returned as-is.
+    reparametrised by the :func:`rewire` from the flat layout to the
+    bracketing.  Lenses with a single leaf are returned as-is.
     """
-    base = p.base
-    if isinstance(p.param_shape, ShapeLeaf):
+    if isinstance(p.param_shape, int):
         return p
-    params = shape_leaves(p.param_shape)
-    kept = [i for i, q in enumerate(params) if not is_unit_param(base, q)]
-    leaves = [q.as_obj() for q in params]
-    nested, _ = _numbered(p.param_shape)
-    return reparametrise(p, rewire(base, leaves, left_bracketing(kept), nested))
+    kept = [i for i, q in enumerate(p.leaves) if q != unit_obj(p.base)]
+    return reparametrise(p, rewire(p.base, p.leaves, left_bracketing(kept), p.param_shape))
 
 
 def para_costate_solution_input(p: ParaLens) -> Lens:
@@ -255,4 +203,4 @@ def para_costate_solution_input(p: ParaLens) -> Lens:
         fb, _ = base.split_elem(pbwd, unit_c, out)
         return fb
 
-    return make_costate(base, p.params.as_obj(), base.morphism(pfwd, pbwd, fn))
+    return make_costate(base, p.params, base.morphism(pfwd, pbwd, fn))

@@ -57,8 +57,6 @@ from .lens_core import (
 )
 from .para_optic import (
     ParaLens,
-    ParamObj,
-    ShapeLeaf,
     embed_trivial,
     flatten_params,
     left_bracketing,
@@ -73,7 +71,7 @@ from .para_optic import (
 class SelectionRelation:
     """A predicate over (state of obj.fwd, reward function obj.fwd → obj.bwd)."""
 
-    obj: ParamObj
+    obj: LensObj
     accepts: Callable[[object, FinFn], bool]
 
 
@@ -93,10 +91,10 @@ def argmax_rel(moves: FinSet | FinProd, rewards: FinSet) -> SelectionRelation:
             best[:] = [k, max(values[k(y)] for y in moves)]
         return values[k(x)] >= best[1]
 
-    return SelectionRelation(ParamObj(moves, rewards), accepts)
+    return SelectionRelation(LensObj(moves, rewards), accepts)
 
 
-def total_rel(obj: ParamObj) -> SelectionRelation:
+def total_rel(obj: LensObj) -> SelectionRelation:
     """The relation that accepts everything (an indifferent agent)."""
     return SelectionRelation(obj, lambda x, k: True)
 
@@ -111,7 +109,7 @@ def nash_product(eps: SelectionRelation, delta: SelectionRelation) -> SelectionR
     """
     em, er = eps.obj.fwd, eps.obj.bwd
     dm, dr = delta.obj.fwd, delta.obj.bwd
-    obj = ParamObj(FinProd(em, dm), FinProd(er, dr))
+    obj = LensObj(FinProd(em, dm), FinProd(er, dr))
     last: list = [None, {}, {}]  # the last k, its restrictions k_y by y and k_x by x
 
     def accepts(xy: tuple, k: FinFn) -> bool:
@@ -147,7 +145,7 @@ def sel_pushforward(
     """
     if f.base is not FINITE:
         raise CompositionError("relations only push forward over the finite base")
-    if f.src != eps.obj.as_obj():
+    if f.src != eps.obj:
         raise CompositionError(
             "lens source does not match the relation's parameter port"
         )
@@ -168,7 +166,7 @@ def sel_pushforward(
             threaded[:] = [k, _threaded_costate(f, k)]
         return any(eps.accepts(x, threaded[1]) for x in fibres.get(y, ()))
 
-    return SelectionRelation(ParamObj(f.dst.fwd, f.dst.bwd), accepts)
+    return SelectionRelation(f.dst, accepts)
 
 
 def is_sel_morphism(
@@ -183,7 +181,7 @@ def is_sel_morphism(
     the target, acceptance of h upstream must imply acceptance of get(h)
     downstream.
     """
-    if f.src != eps.obj.as_obj() or f.dst != delta.obj.as_obj():
+    if f.src != eps.obj or f.dst != delta.obj:
         raise CompositionError("lens boundaries do not match the two relations")
     costates = enumerate_functions(f.dst.fwd, f.dst.bwd, max_size)
     for k in costates:
@@ -247,14 +245,13 @@ def decision(
         get,
         put,
     )
-    params = ParamObj(omega, rewards)
     return ParaLens(
         FINITE,
-        params,
+        (LensObj(omega, rewards),),
         LensObj(observations, UNIT_SET),
         LensObj(moves, rewards),
         carrier,
-        ShapeLeaf(params),
+        0,
     )
 
 
@@ -284,7 +281,7 @@ def context(game: OpenGame, h, k: FinFn) -> FinFn:
     the costate k.  Equals ω ↦ coplay(ω, h, k(play(ω, h))).
     """
     lens = game.lens
-    pobj = lens.params.as_obj()
+    pobj = lens.params
     composite = lens_compose(
         lens_compose(
             lens_compose(
@@ -388,6 +385,7 @@ def brute_force_nash(
 
     Given per-player ``tags``, only ``"argmax"`` players are held to deviations.
     """
+    tags = _checked_tags(g, ["argmax"] * len(g.players) if tags is None else tags)
     count = len(finset_tuple_product(g.players))
     if count > max_size:
         raise SizeCapError(
@@ -399,7 +397,7 @@ def brute_force_nash(
         if not any(
             profile_values(g, prof[:i] + (dev,) + prof[i + 1 :])[i] > vals[i]
             for i, player in enumerate(g.players)
-            if tags is None or tags[i] == "argmax"
+            if tags[i] == "argmax"
             for dev in player.labels
             if dev != prof[i]
         ):
@@ -435,16 +433,15 @@ def game_scalar(g: NormalFormGame, max_size: int = DEFAULT_ENUM_CAP) -> ParaLens
     return flatten_params(closed)
 
 
-def _player_relations(g: NormalFormGame, tags: Sequence[str]) -> SelectionRelation:
-    rels = []
-    for player, grid, tag in zip(g.players, g.grids, tags):
-        if tag == "argmax":
-            rels.append(argmax_rel(player, grid))
-        elif tag == "total":
-            rels.append(total_rel(ParamObj(player, grid)))
-        else:
+def _checked_tags(g: NormalFormGame, tags: Sequence[str]) -> list[str]:
+    """Per-player selection tags, each ``"argmax"`` or ``"total"``."""
+    tags = list(tags)
+    if len(tags) != len(g.players):
+        raise CompositionError("one selection tag per player required")
+    for tag in tags:
+        if tag not in ("argmax", "total"):
             raise CompositionError(f"unknown selection tag {tag!r}")
-    return reduce(nash_product, rels)
+    return tags
 
 
 def compositional_game(
@@ -453,16 +450,15 @@ def compositional_game(
     max_size: int = DEFAULT_ENUM_CAP,
 ) -> OpenGame:
     """Assemble the open game for a normal-form game and a selection policy."""
-    scalar = game_scalar(g, max_size)
     if selection == "argmax_each":
-        sel = _player_relations(g, ["argmax"] * len(g.players))
+        selection = ["argmax"] * len(g.players)
     elif isinstance(selection, str):
         raise CompositionError(f"unknown selection {selection!r}")
-    else:
-        if len(selection) != len(g.players):
-            raise CompositionError("one selection tag per player required")
-        sel = _player_relations(g, list(selection))
-    return open_game(scalar, sel)
+    rels = [
+        argmax_rel(player, grid) if tag == "argmax" else total_rel(LensObj(player, grid))
+        for player, grid, tag in zip(g.players, g.grids, _checked_tags(g, selection))
+    ]
+    return open_game(game_scalar(g, max_size), reduce(nash_product, rels))
 
 
 def sum_of_payoffs_lens(g: NormalFormGame) -> Lens:

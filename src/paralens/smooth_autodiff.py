@@ -40,8 +40,6 @@ from .lens_core import (
 )
 from .para_optic import (
     ParaLens,
-    ParamObj,
-    ShapeLeaf,
     para_compose,
     para_tensor,
     reparametrise,
@@ -601,10 +599,7 @@ def apply_R(f: SmoothMap) -> ParaLens:
         return Pair(backward_eval(f, tape, dy))
 
     carrier = optic(SMOOTH, LensObj(px, px), LensObj(m, m), forward, backward)
-    params = ParamObj(pd, pd)
-    return ParaLens(
-        SMOOTH, params, LensObj(n, n), LensObj(m, m), carrier, ShapeLeaf(params)
-    )
+    return ParaLens(SMOOTH, (LensObj(pd, pd),), LensObj(n, n), LensObj(m, m), carrier, 0)
 
 
 def gd_lens(alpha: float, dim: int) -> Lens:

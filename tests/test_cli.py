@@ -140,6 +140,9 @@ _GOLDEN = [
     ("three", None, 0, '{"agrees":true,"oracle":[["L","L","L"],["R","R","R"]],"selection":"argmax_each","solutions":[["L","L","L"],["R","R","R"]]}'),
     ("three", "hicks_sum", 0, '{"agrees":true,"oracle":[["R","R","R"]],"selection":"hicks_sum","solutions":[["R","R","R"]]}'),
     ("three", "argmax,total,argmax", 0, '{"agrees":true,"oracle":[["L","L","L"],["L","L","R"],["R","R","R"]],"selection":["argmax","total","argmax"],"solutions":[["L","L","L"],["L","L","R"],["R","R","R"]]}'),
+    # --max-strategies caps strategies per decision, not the oracle's profiles, in either spelling
+    ("pd.json --max-strategies 3", "argmax_each", 0, '{"agrees":true,"oracle":[["D","D"]],"selection":"argmax_each","solutions":[["D","D"]]}'),
+    ("pd.json --max-strategies 3", "argmax,argmax", 0, '{"agrees":true,"oracle":[["D","D"]],"selection":["argmax","argmax"],"solutions":[["D","D"]]}'),
 ]
 
 
@@ -149,7 +152,8 @@ def test_solve_golden_output(spec, selection, code, stdout, tmp_path, capsys):
         path = tmp_path / f"{spec}.json"
         path.write_text(json.dumps(_ONE if spec == "one" else _THREE), encoding="utf-8")
         spec = str(path)
-    argv = ["solve", spec] + ([] if selection is None else ["--selection", selection])
+    # the spec column may carry extra flags after the file name
+    argv = ["solve", *spec.split()] + ([] if selection is None else ["--selection", selection])
     assert main(argv) == code
     assert capsys.readouterr().out == stdout + "\n"
 

@@ -13,29 +13,30 @@ from paralens.finite_base import (
     FinSet,
     UNIT_SET,
 )
-from paralens.lens_core import Lens, LensObj, costate_fn, lens_equal, lens_id, unit_obj
+from paralens.lens_core import (
+    Lens,
+    LensObj,
+    costate_fn,
+    lens_equal,
+    lens_id,
+    obj_pair,
+    unit_obj,
+)
 from paralens.para_optic import (
     ParaLens,
-    ParamObj,
-    ShapeLeaf,
-    ShapePair,
     embed_trivial,
     flatten_params,
-    is_unit_param,
     para_compose,
     para_costate_solution_input,
     para_tensor,
     reparametrise,
-    shape_leaves,
-    shape_obj,
-    unit_param,
 )
 from paralens.selection_games import compositional_game, hicks_games, solution_set
 
 
 def _switch_para() -> ParaLens:
     """One parametrised step: the parameter picks which output to emit."""
-    params = ParamObj(FinSet(("w0", "w1")), FinSet(("r0", "r1")))
+    params = LensObj(FinSet(("w0", "w1")), FinSet(("r0", "r1")))
     src = LensObj(FinSet(("x0",)), FinSet(("s0",)))
     dst = LensObj(FinSet(("y0", "y1")), FinSet(("r0", "r1")))
     dom = FinProd(params.fwd, src.fwd)
@@ -50,29 +51,45 @@ def _switch_para() -> ParaLens:
         },
     )
     carrier = Lens(FINITE, LensObj(dom, FinProd(params.bwd, src.bwd)), dst, get, put)
-    return ParaLens(FINITE, params, src, dst, carrier, ShapeLeaf(params))
+    return ParaLens(FINITE, (params,), src, dst, carrier, 0)
+
+
+def _echo_para(tag: str) -> ParaLens:
+    """A scalar on port ``{tag}0, {tag}1`` whose feedback ``{tag}r0, {tag}r1`` echoes the choice."""
+    port = LensObj(FinSet((f"{tag}0", f"{tag}1")), FinSet((f"{tag}r0", f"{tag}r1")))
+    u = unit_obj(FINITE)
+    src = obj_pair(FINITE, port, u)
+    carrier = Lens(
+        FINITE,
+        src,
+        u,
+        FinFn(src.fwd, UNIT_SET, lambda wx: UNIT_LABEL),
+        FinFn(FinProd(src.fwd, UNIT_SET), src.bwd, lambda wxr: (f"{tag}r{wxr[0][0][-1]}", UNIT_LABEL)),
+    )
+    return ParaLens(FINITE, (port,), u, u, carrier, 0)
 
 
 def test_shape_fold_and_leaves():
-    q1 = ParamObj(FinSet(("a",)), FinSet(("b",)))
-    q2 = ParamObj(FinSet(("c", "d")), FinSet(("e",)))
-    shape = ShapePair(ShapeLeaf(q1), ShapeLeaf(q2))
-    folded = shape_obj(FINITE, shape)
-    assert folded.fwd == FinProd(q1.fwd, q2.fwd)
-    assert folded.bwd == FinProd(q1.bwd, q2.bwd)
-    assert shape_leaves(shape) == [q1, q2]
+    q1, q2 = _echo_para("a").params, _echo_para("b").params
+    both = para_tensor(_echo_para("a"), _echo_para("b"))
+    assert both.params.fwd == FinProd(q1.fwd, q2.fwd)
+    assert both.params.bwd == FinProd(q1.bwd, q2.bwd)
+    assert both.leaves == (q1, q2) and both.param_shape == (0, 1)
+    # the bracketing must number the leaves once each, left to right
+    for bad in ((1, 0), 0, (0, (1, 2)), (0, 0), (0, 1, 2), None):
+        with pytest.raises(CompositionError):
+            ParaLens(FINITE, both.leaves, both.src, both.dst, both.carrier, bad)
 
 
 def test_unit_param():
-    u = unit_param(FINITE)
-    assert u.fwd is UNIT_SET and u.bwd is UNIT_SET
-    assert is_unit_param(FINITE, u)
-    assert not is_unit_param(FINITE, ParamObj(FinSet(("a",)), UNIT_SET))
+    p = embed_trivial(lens_id(FINITE, LensObj(FinSet(("m",)), FinSet(("u",)))))
+    assert p.leaves == (unit_obj(FINITE),) and p.param_shape == 0
+    assert p.params.fwd is UNIT_SET and p.params.bwd is UNIT_SET
 
 
 def test_embed_trivial_wraps_plain_lens():
     p = embed_trivial(lens_id(FINITE, LensObj(FinSet(("m", "n")), FinSet(("u",)))))
-    assert is_unit_param(FINITE, p.params)
+    assert p.params == unit_obj(FINITE)
     assert FINITE.apply(p.carrier.get, (UNIT_LABEL, "m")) == "m"
 
 
@@ -82,7 +99,7 @@ def test_para_compose_parameter_order():
     # q consumes p's output, so its source must be rebuilt to match
     q2 = ParaLens(
         FINITE,
-        q.params,
+        (q.params,),
         p.dst,
         q.dst,
         Lens(
@@ -112,12 +129,13 @@ def test_para_compose_parameter_order():
                 },
             ),
         ),
-        ShapeLeaf(q.params),
+        0,
     )
     comp = para_compose(p, q2)
     # later stage's parameters ride leftmost
     assert comp.params.fwd == FinProd(q2.params.fwd, p.params.fwd)
-    assert comp.param_shape == ShapePair(q2.param_shape, p.param_shape)
+    assert comp.leaves == (q2.params, p.params)
+    assert comp.param_shape == (0, 1)
     out = FINITE.apply(
         comp.carrier.get, (("w1", "w0"), "x0")
     )
@@ -158,12 +176,33 @@ def test_flatten_drops_unit_factor():
     assert comp.params.fwd == FinProd(p.params.fwd, UNIT_SET)
     flat = flatten_params(comp)
     assert flat.params == p.params
-    assert isinstance(flat.param_shape, ShapeLeaf)
+    assert flat.leaves == (p.params,) and flat.param_shape == 0
     assert lens_equal(flat.carrier, p.carrier)
 
 
+def test_para_tensor_of_multi_leaf_operands():
+    a, b, c, d = (_echo_para(t) for t in "abcd")
+    unit = unit_obj(FINITE)
+    left = para_compose(a, b)
+    right = para_tensor(c, para_compose(embed_trivial(lens_id(FINITE, unit)), d))
+    assert left.leaves == (b.params, a.params) and left.param_shape == (0, 1)
+    assert right.leaves == (c.params, d.params, unit) and right.param_shape == (0, (1, 2))
+    t = para_tensor(left, right)
+    assert t.leaves == (b.params, a.params, c.params, d.params, unit)
+    assert t.param_shape == ((0, 1), (2, (3, 4)))
+    flat = flatten_params(t)
+    want = obj_pair(
+        FINITE, obj_pair(FINITE, obj_pair(FINITE, b.params, a.params), c.params), d.params
+    )
+    assert flat.leaves == (want,) and flat.param_shape == 0
+    x, z = t.src.fwd.labels[0], t.dst.bwd.labels[0]
+    w = ((("b1", "a0"), "c1"), "d0")
+    feedback, _ = FINITE.apply(flat.carrier.put, ((w, x), z))
+    assert feedback == ((("br1", "ar0"), "cr1"), "dr0")
+
+
 def test_solution_input_costate():
-    params = ParamObj(FinSet(("w0", "w1")), FinSet(("g0", "g1")))
+    params = LensObj(FinSet(("w0", "w1")), FinSet(("g0", "g1")))
     u = unit_obj(FINITE)
     dom = FinProd(params.fwd, UNIT_SET)
     reward = {"w0": "g1", "w1": "g0"}
@@ -183,7 +222,7 @@ def test_solution_input_costate():
             },
         ),
     )
-    p = ParaLens(FINITE, params, u, u, carrier, ShapeLeaf(params))
+    p = ParaLens(FINITE, (params,), u, u, carrier, 0)
     co = para_costate_solution_input(p)
     fn = costate_fn(co)
     assert {w: FINITE.apply(fn, w) for w in params.fwd.labels} == reward

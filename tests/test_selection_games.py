@@ -26,7 +26,7 @@ from paralens.lens_core import (
     lens_id,
     lens_swap,
 )
-from paralens.para_optic import ParamObj, para_costate_solution_input
+from paralens.para_optic import para_costate_solution_input
 from paralens.selection_games import (
     argmax_rel,
     brute_force_hicks,
@@ -192,7 +192,7 @@ def test_argmax_rejects_empty_moves():
 
 
 def test_total_accepts_everything():
-    obj = ParamObj(FinSet(("a", "b")), FinSet(("0", "1")))
+    obj = LensObj(FinSet(("a", "b")), FinSet(("0", "1")))
     rel = total_rel(obj)
     assert relation_subset(argmax_rel(obj.fwd, obj.bwd), rel)
     assert not relation_subset(rel, argmax_rel(obj.fwd, obj.bwd))
@@ -224,9 +224,9 @@ def test_nash_product_on_dilemma_costate():
 def test_pushforward_along_identity_is_noop():
     rng = random.Random(30)
     for _ in range(10):
-        obj = ParamObj(FinSet(("a", "b")), FinSet(("0", "1")))
+        obj = LensObj(FinSet(("a", "b")), FinSet(("0", "1")))
         eps = random_relation(rng, obj)
-        assert relations_equal(sel_pushforward(lens_id(FINITE, obj.as_obj()), eps), eps)
+        assert relations_equal(sel_pushforward(lens_id(FINITE, obj), eps), eps)
 
 
 def test_pushforward_functoriality():
@@ -238,17 +238,17 @@ def test_pushforward_functoriality():
         a, b, c = (random_obj(rng, 2) for _ in range(3))
         f = random_lens(rng, a, b)
         g = random_lens(rng, b, c)
-        eps = random_relation(rng, ParamObj(a.fwd, a.bwd))
+        eps = random_relation(rng, a)
         lhs = sel_pushforward(lens_compose(f, g), eps)
         rhs = sel_pushforward(g, sel_pushforward(f, eps))
         assert relations_equal(lhs, rhs)
 
 
 def test_pushforward_guards():
-    obj = ParamObj(FinSet(("a", "b", "c", "d", "e")), FinSet(("0",)))
+    obj = LensObj(FinSet(("a", "b", "c", "d", "e")), FinSet(("0",)))
     eps = total_rel(obj)
     with pytest.raises(SizeCapError) as exc:
-        sel_pushforward(lens_id(FINITE, obj.as_obj()), eps, max_size=4)
+        sel_pushforward(lens_id(FINITE, obj), eps, max_size=4)
     assert exc.value.count == 5
     other = LensObj(FinSet(("q",)), FinSet(("0",)))
     with pytest.raises(CompositionError):
@@ -261,14 +261,14 @@ def test_sel_morphism_examples():
     moves = FinSet(("a", "b"))
     grid = FinSet(("0", "1"))
     arg = argmax_rel(moves, grid)
-    every = total_rel(ParamObj(moves, grid))
+    every = total_rel(LensObj(moves, grid))
     ident = lens_id(FINITE, LensObj(moves, grid))
     assert is_sel_morphism(ident, arg, arg)
     assert is_sel_morphism(ident, arg, every)
     # an indifferent agent is not an optimiser
     assert not is_sel_morphism(ident, every, arg)
     with pytest.raises(CompositionError):
-        is_sel_morphism(ident, arg, total_rel(ParamObj(grid, grid)))
+        is_sel_morphism(ident, arg, total_rel(LensObj(grid, grid)))
 
 
 # -- decisions ----------------------------------------------------------
@@ -366,6 +366,11 @@ def test_brute_force_oracles_frozen():
     assert brute_force_nash(_pennies(), tags=["total", "total"]) == (
         ("H", "H"), ("H", "T"), ("T", "H"), ("T", "T"),
     )
+    # tags are checked as compositional_game checks them
+    with pytest.raises(CompositionError, match="unknown selection tag 'bogus'"):
+        brute_force_nash(_pd(), tags=["argmax", "bogus"])
+    with pytest.raises(CompositionError, match="one selection tag per player"):
+        brute_force_nash(_pd(), tags=["argmax"])
 
 
 def test_game_scalar_recovers_the_payoff_table():
@@ -462,27 +467,27 @@ def test_dilemma_nash_and_hicks_disjoint():
 
 def test_nash_product_commutes_with_swap():
     rng = random.Random(34)
-    a = ParamObj(FinSet(("a0", "a1")), FinSet(("0", "1")))
-    b = ParamObj(FinSet(("b0", "b1")), FinSet(("0", "2")))
+    a = LensObj(FinSet(("a0", "a1")), FinSet(("0", "1")))
+    b = LensObj(FinSet(("b0", "b1")), FinSet(("0", "2")))
     for _ in range(12):
         eps = random_relation(rng, a)
         delta = random_relation(rng, b)
         pushed = sel_pushforward(
-            lens_swap(FINITE, a.as_obj(), b.as_obj()), nash_product(eps, delta)
+            lens_swap(FINITE, a, b), nash_product(eps, delta)
         )
         assert relations_equal(pushed, nash_product(delta, eps))
 
 
 def test_nash_product_commutes_with_reassociation():
     rng = random.Random(35)
-    a = ParamObj(FinSet(("a0", "a1")), FinSet(("0",)))
-    b = ParamObj(FinSet(("b0", "b1")), FinSet(("1",)))
-    c = ParamObj(FinSet(("c0", "c1")), FinSet(("0", "3")))
+    a = LensObj(FinSet(("a0", "a1")), FinSet(("0",)))
+    b = LensObj(FinSet(("b0", "b1")), FinSet(("1",)))
+    c = LensObj(FinSet(("c0", "c1")), FinSet(("0", "3")))
     for _ in range(6):
         e1, e2, e3 = (random_relation(rng, o) for o in (a, b, c))
         nested_left = nash_product(nash_product(e1, e2), e3)
         nested_right = nash_product(e1, nash_product(e2, e3))
         pushed = sel_pushforward(
-            lens_assoc(FINITE, a.as_obj(), b.as_obj(), c.as_obj()), nested_left
+            lens_assoc(FINITE, a, b, c), nested_left
         )
         assert relations_equal(pushed, nested_right)
