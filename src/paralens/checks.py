@@ -425,13 +425,13 @@ def random_chain_graph(
 
 def _clean_sample(f: SmoothMap, nrng: np.random.Generator, tries: int = 200):
     """Draw (p, x) with every relu input away from its kink."""
-    relu_nodes = [n.name for n in f.nodes if n.prim.name == "relu"]
+    relu_nodes = [k for k, n in enumerate(f.nodes) if n.prim.name == "relu"]
     for _ in range(tries):
         p = nrng.uniform(-0.5, 0.5, f.param_dim)
         x = nrng.uniform(-0.5, 0.5, f.in_dim)
         _, tape = forward_eval(f, p, x)
         if all(
-            np.all(np.abs(tape.node_inputs[name][0]) >= 1e-3) for name in relu_nodes
+            np.all(np.abs(tape.node_inputs[k][0]) >= 1e-3) for k in relu_nodes
         ):
             return p, x
     return None

@@ -211,16 +211,17 @@ def enumerate_functions(
 
 def payoff_label(value: Fraction | int | str) -> str:
     """Canonical label of a rational payoff, e.g. ``3`` or ``-1/2``."""
-    return str(Fraction(value))
+    return str(parse_payoff(value))
 
 
-def parse_payoff(label: str) -> Fraction:
-    return Fraction(label)
+def parse_payoff(label: Fraction | int | str) -> Fraction:
+    """The rational value of a payoff label or number; a ``Fraction`` is returned as it is."""
+    return label if type(label) is Fraction else Fraction(label)
 
 
 def payoff_grid(values: Iterable[Fraction | int | str]) -> FinSet:
     """The finite carrier of a set of payoff values, sorted ascending."""
-    distinct = sorted({Fraction(v) for v in values})
+    distinct = sorted({parse_payoff(v) for v in values})
     return FinSet(tuple(payoff_label(v) for v in distinct))
 
 

@@ -344,7 +344,7 @@ def normal_form_game(
     values: dict[tuple[str, ...], tuple[Fraction, ...]] = {}
     for prof, vals in table.items():
         prof = tuple(prof)
-        vals = tuple(Fraction(v) for v in vals)
+        vals = tuple(parse_payoff(v) for v in vals)
         if len(vals) != n:
             raise CompositionError(
                 f"profile {prof} has {len(vals)} payoffs for {n} players"
@@ -470,12 +470,11 @@ def sum_of_payoffs_lens(g: NormalFormGame) -> Lens:
     """
     omega = finset_tuple_product(g.players)
     prod = finset_tuple_product(g.grids)
-    combos = iter_product(*[[parse_payoff(l) for l in grid.labels] for grid in g.grids])
-    sums = payoff_grid([sum(c) for c in combos])
+    values = [{l: parse_payoff(l) for l in grid.labels} for grid in g.grids]  # parsed once per grid
+    sums = payoff_grid([sum(c) for c in iter_product(*[v.values() for v in values])])
 
     def put_fn(wr: tuple) -> str:
-        _, r = wr
-        return payoff_label(sum(parse_payoff(p) for p in split_tuple(g.grids, r)))
+        return payoff_label(sum(v[p] for v, p in zip(values, split_tuple(g.grids, wr[1]))))
 
     return Lens(
         FINITE,

@@ -2,10 +2,14 @@
 
 A :class:`SmoothMap` is a graph of primitive vector operations with two
 designated source ports (a parameter vector and an input vector) and one
-output wire.  ``forward_eval`` runs the graph and records a tape of per-node
-inputs; ``backward_eval`` replays the tape in reverse, pushing a cotangent
-through each primitive's vector-Jacobian product and summing contributions
-where wires fan out.
+output wire.  Its constructor compiles it once into a plan: each node's
+bound ``forward``/``vjp`` with its inputs as integer-addressed slices of a
+port or of one contiguous buffer of node outputs.  ``forward_eval`` walks
+the plan, scans the value buffer for non-finite entries once (naming the
+first node that produced one) and records a tape of per-node inputs;
+``backward_eval`` walks it in reverse over one zeroed cotangent buffer,
+pushing a cotangent through each primitive's vector-Jacobian product and
+summing contributions where wires fan out.
 
 :func:`apply_R` turns a graph into a parametrised lens over the smooth base:
 its forward leg is evaluation and leaves the tape as its residual, its
@@ -20,7 +24,7 @@ A carrier is a dimension or a pair of carriers.  An element of a pair is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,7 +72,7 @@ def as_vector(x, dim: Carrier, what: str = "vector", finite: bool = True):
         raise NumericError(f"{what} is not a vector of R^{dim}") from None
     if arr.shape != (dim,):
         raise NumericError(f"{what} has shape {arr.shape}, expected ({dim},)")
-    if finite and not np.all(np.isfinite(arr)):
+    if finite and not np.isfinite(arr).all():
         raise NumericError(f"{what} contains non-finite entries")
     return arr
 
@@ -295,9 +299,6 @@ PRIMITIVES: dict[str, Callable[..., Primitive]] = {
 
 # -- graphs -------------------------------------------------------------
 
-_PORTS = ("param", "input")
-
-
 @dataclass(frozen=True)
 class Wire:
     """A slice of a port or of an earlier node's output."""
@@ -331,7 +332,8 @@ class SmoothMap:
 
     Nodes must be listed in topological order (each wire refers to a port or
     an earlier node), every node must feed into the output, and all wire
-    dimensions must line up; the constructor checks all of it.
+    dimensions must line up; the constructor checks all of it and compiles
+    the graph into its ``plan``.
     """
 
     param_dim: int
@@ -339,133 +341,145 @@ class SmoothMap:
     out_dim: int
     nodes: tuple[Node, ...]
     output: Wire
+    # (steps, output, width): a step is (forward, vjp, inputs, lo, hi) with each
+    # input a (slot, lo, hi) slice of slot 0 (parameters), 1 (input) or 2 (the
+    # value buffer of width ``width``, where the node's output is [lo:hi])
+    plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         for d, what in ((self.param_dim, "param_dim"), (self.in_dim, "in_dim"), (self.out_dim, "out_dim")):
             if not isinstance(d, int) or d < 0:
                 raise CompositionError(f"{what} must be a non-negative integer")
-        dims: dict[str, int] = {"param": self.param_dim, "input": self.in_dim}
+        # source -> (slot, offset, dimension)
+        at = {"param": (0, 0, self.param_dim), "input": (1, 0, self.in_dim)}
+        steps, width = [], 0
         for node in self.nodes:
-            if node.name in dims:
-                kind = "reserved" if node.name in _PORTS else "duplicate"
+            if node.name in at:
+                kind = "reserved" if node.name in ("param", "input") else "duplicate"
                 raise CompositionError(f"{kind} node name {node.name!r}")
             if len(node.inputs) != len(node.prim.in_dims):
                 raise CompositionError(
                     f"node {node.name!r}: {node.prim.name} takes "
                     f"{len(node.prim.in_dims)} inputs, got {len(node.inputs)}"
                 )
+            ins = []
             for wire, want in zip(node.inputs, node.prim.in_dims):
-                if wire.src not in dims:
+                if wire.src not in at:
                     raise CompositionError(
                         f"node {node.name!r}: wire refers to unknown source "
                         f"{wire.src!r} (cycles and forward references are not allowed)"
                     )
-                if wire.hi > dims[wire.src]:
+                slot, off, dim = at[wire.src]
+                if wire.hi > dim:
                     raise CompositionError(
                         f"node {node.name!r}: slice [{wire.lo}:{wire.hi}] exceeds "
-                        f"{wire.src!r} of dimension {dims[wire.src]}"
+                        f"{wire.src!r} of dimension {dim}"
                     )
                 if wire.dim != want:
                     raise CompositionError(
                         f"node {node.name!r}: wire {wire.src}[{wire.lo}:{wire.hi}] "
                         f"has dimension {wire.dim}, {node.prim.name} expects {want}"
                     )
-            dims[node.name] = node.prim.out_dim
+                ins.append((slot, off + wire.lo, off + wire.hi))
+            steps.append((node.prim.forward, node.prim.vjp, tuple(ins), width, width + node.prim.out_dim))
+            at[node.name] = (2, width, node.prim.out_dim)
+            width += node.prim.out_dim
         out = self.output
-        if out.src not in dims or out.hi > dims[out.src]:
+        if out.src not in at or out.hi > at[out.src][2]:
             raise CompositionError(f"output wire {out} is not resolvable")
         if out.dim != self.out_dim:
             raise CompositionError(
                 f"output wire has dimension {out.dim}, expected {self.out_dim}"
             )
-        # every node must be an ancestor of the output
-        by_name = {node.name: node for node in self.nodes}
-        seen: set[str] = set()
-        stack = [out.src]
-        while stack:
-            name = stack.pop()
-            if name in _PORTS or name in seen:
-                continue
-            seen.add(name)
-            stack.extend(w.src for w in by_name[name].inputs)
-        unused = [n.name for n in self.nodes if n.name not in seen]
+        # every node must be an ancestor of the output; a node's users come after it
+        used = {out.src}
+        for node in reversed(self.nodes):
+            if node.name in used:
+                used.update(w.src for w in node.inputs)
+        unused = [n.name for n in self.nodes if n.name not in used]
         if unused:
             raise CompositionError(f"nodes not feeding the output: {unused}")
+        slot, off, _ = at[out.src]
+        object.__setattr__(self, "plan", (tuple(steps), (slot, off + out.lo, off + out.hi), width))
 
 
 @dataclass
 class Tape:
-    """Saved per-node inputs from one forward pass; feeds one backward pass."""
+    """Saved per-node inputs from one forward pass, in node order; feeds one backward pass."""
 
     graph: SmoothMap
-    node_inputs: dict[str, tuple[Vector, ...]]
+    node_inputs: list[list[Vector]]
     spent: bool = False
 
 
+def _first_non_finite(f: SmoothMap, values: Vector, k: int) -> NumericError | None:
+    """The error naming the first of the first ``k`` nodes whose output is non-finite, if any."""
+    for node, (_, _, _, lo, hi) in zip(f.nodes[:k], f.plan[0]):
+        if not np.isfinite(values[lo:hi]).all():
+            return NumericError(f"non-finite value at node {node.name!r}")
+
+
 def forward_eval(f: SmoothMap, p, x) -> tuple[Vector, Tape]:
-    """Evaluate the graph; returns the output and the tape for one backward."""
+    """Evaluate the graph; returns the output and the tape for one backward.
+
+    A non-finite value is reported at the first node, in topological order,
+    that produced it, even if a later ``tanh`` hides it from the output.
+    """
     p = as_vector(p, f.param_dim, "parameter vector")
     x = as_vector(x, f.in_dim, "input vector")
-    values: dict[str, Vector] = {}
-
-    def resolve(w: Wire) -> Vector:
-        if w.src == "param":
-            return p[w.lo : w.hi]
-        if w.src == "input":
-            return x[w.lo : w.hi]
-        return values[w.src][w.lo : w.hi]
-
-    saved: dict[str, tuple[Vector, ...]] = {}
-    for node in f.nodes:
-        ins = tuple(resolve(w) for w in node.inputs)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.asarray(node.prim.forward(*ins), dtype=np.float64)
-        if out.shape != (node.prim.out_dim,):
-            raise NumericError(
-                f"node {node.name!r} produced shape {out.shape}, "
-                f"expected ({node.prim.out_dim},)"
-            )
-        if not np.all(np.isfinite(out)):
-            raise NumericError(f"non-finite value at node {node.name!r}")
-        saved[node.name] = ins
-        values[node.name] = out
-    return resolve(f.output).copy(), Tape(f, saved)
+    steps, (slot, lo, hi), width = f.plan
+    values = np.empty(width)
+    bufs = (p, x, values)
+    saved = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fwd, _, ins, a, b in steps:
+            args = [bufs[s][i:j] for s, i, j in ins]
+            out = fwd(*args)
+            if type(out) is not np.ndarray or out.shape != (b - a,):
+                out = np.asarray(out, dtype=np.float64)
+                if out.shape != (b - a,):
+                    node = f.nodes[len(saved)]
+                    raise _first_non_finite(f, values, len(saved)) or NumericError(
+                        f"node {node.name!r} produced shape {out.shape}, expected ({b - a},)"
+                    )
+            values[a:b] = out
+            saved.append(args)
+    if not np.isfinite(values).all():
+        raise _first_non_finite(f, values, len(steps))
+    return bufs[slot][lo:hi].copy(), Tape(f, saved)
 
 
 def backward_eval(f: SmoothMap, tape: Tape, dy) -> tuple[Vector, Vector]:
-    """Reverse sweep: cotangent of the output to cotangents of both ports."""
+    """Reverse sweep: cotangent of the output to cotangents of both ports.
+
+    Each cotangent a ``vjp`` returns must have the width of its wire.
+    """
     if tape.graph is not f:
         raise CompositionError("tape was recorded on a different graph")
     if tape.spent:
         raise CompositionError("tape already consumed by a backward pass")
     tape.spent = True
     dy = as_vector(dy, f.out_dim, "output cotangent")
-
-    cot = {node.name: np.zeros(node.prim.out_dim) for node in f.nodes}
-    dp = np.zeros(f.param_dim)
-    dx = np.zeros(f.in_dim)
-
-    def accumulate(w: Wire, val: Vector):
-        if w.src == "param":
-            dp[w.lo : w.hi] += val
-        elif w.src == "input":
-            dx[w.lo : w.hi] += val
-        else:
-            cot[w.src][w.lo : w.hi] += val
-
-    accumulate(f.output, dy)
-    for node in reversed(f.nodes):
-        ins = tape.node_inputs[node.name]
-        out_cots = node.prim.vjp(ins, cot[node.name])
-        if len(out_cots) != len(node.inputs):
-            raise NumericError(
-                f"vjp of {node.prim.name} returned {len(out_cots)} cotangents "
-                f"for {len(node.inputs)} inputs"
-            )
-        for wire, val in zip(node.inputs, out_cots):
-            accumulate(wire, np.asarray(val, dtype=np.float64))
-    return dp, dx
+    steps, (slot, lo, hi), width = f.plan
+    cot = np.zeros(width)
+    cots = (np.zeros(f.param_dim), np.zeros(f.in_dim), cot)
+    cots[slot][lo:hi] += dy
+    for node, (_, vjp, ins, a, b), args in zip(reversed(f.nodes), reversed(steps), reversed(tape.node_inputs)):
+        out_cots = vjp(args, cot[a:b])
+        if len(out_cots) != len(ins):
+            raise NumericError(f"vjp of {node.prim.name} returned {len(out_cots)} cotangents for {len(ins)} inputs")
+        for (s, i, j), val in zip(ins, out_cots):
+            if type(val) is not np.ndarray or val.shape != (j - i,):
+                val = np.asarray(val, dtype=np.float64)
+                if val.shape != (j - i,):
+                    raise NumericError(
+                        f"vjp at node {node.name!r} returned a cotangent of shape "
+                        f"{val.shape} for an input of dimension {j - i}"
+                    )
+            acc = cots[s][i:j]
+            acc += val  # in place, without writing the view back
+    return cots[0], cots[1]
 
 
 def compose_maps(f: SmoothMap, g: SmoothMap) -> SmoothMap:
@@ -638,13 +652,28 @@ def unit_loss_costate() -> Lens:
     )
 
 
+def _forward(model: ParaLens, px: Pair, named: dict):
+    """``model``'s forward leg at ``px``, whose graphs reject non-finite inputs.
+
+    Such a rejection is re-raised naming the first non-finite value of ``named``.
+    """
+    try:
+        return model.carrier.forward(px)
+    except NumericError as exc:
+        for what, v in named.items():
+            if not np.isfinite(join_flat(v)).all():
+                raise NumericError(f"{what} contains non-finite entries") from exc
+        raise
+
+
 def train_step(model: ParaLens, p, x, loss_costate: Lens) -> tuple[Vector, float]:
     """One optimisation step of a lens already reparametrised by an optimiser.
 
     Runs the forward leg once, reads the loss off it, seeds the backward
     leg through ``loss_costate`` (constantly one for the usual loss) and
     reads the updated parameters off the parameter port.  Returns
-    ``(p_next, loss)``.
+    ``(p_next, loss)``.  The graphs that read ``p`` and ``x`` scan them
+    for non-finite entries, once.
     """
     if model.base is not SMOOTH:
         raise CompositionError("train_step expects a smooth-base lens")
@@ -654,9 +683,9 @@ def train_step(model: ParaLens, p, x, loss_costate: Lens) -> tuple[Vector, float
         )
     if loss_costate.src != model.dst:
         raise CompositionError("loss costate does not match the model output")
-    p = as_vector(p, model.params.fwd, "parameter vector")
-    x = as_vector(x, model.src.fwd, "input vector")
-    loss_vec, residual = model.carrier.forward(Pair((p, x)))
+    p = as_vector(p, model.params.fwd, "parameter vector", False)
+    x = as_vector(x, model.src.fwd, "input vector", False)
+    loss_vec, residual = _forward(model, Pair((p, x)), {"parameter vector": p, "input vector": x})
     loss = float(loss_vec[0])
     if not np.isfinite(loss):
         raise NumericError("loss is non-finite")
@@ -704,12 +733,11 @@ def gan_step(
     if model.base is not SMOOTH or model.dst != LensObj((1, 1), (1, 1)) or type(model.params.fwd) is not tuple:
         raise CompositionError("gan_step expects a lens built by gan_model")
     (pd, pg), (zd, xd) = model.params.fwd, model.src.fwd
-    p_gen = as_vector(p_gen, pg, "generator parameters")
-    p_disc = as_vector(p_disc, pd, "discriminator parameters")
-    z = as_vector(z, zd, "latent vector")
-    real = as_vector(real, xd, "real sample")
+    names = ("generator parameters", "discriminator parameters", "latent vector", "real sample")
+    named = {w: as_vector(v, c, w, False) for w, v, c in zip(names, (p_gen, p_disc, z, real), (pg, pd, zd, xd))}
+    p_gen, p_disc, z, real = named.values()
     px = Pair((Pair((p_disc, p_gen)), Pair((z, real))))
-    (d_fake, d_real), residual = model.carrier.forward(px)
+    (d_fake, d_real), residual = _forward(model, px, named)
     with np.errstate(over="ignore", invalid="ignore"):  # as in train_step
         fed = model.carrier.backward(residual, Pair((np.ones(1), np.ones(1))))
     p_disc_next, p_gen_next = fed[0]

@@ -25,6 +25,7 @@ from paralens.smooth_autodiff import (
     SmoothMap,
     Wire,
     apply_R,
+    as_vector,
     backward_eval,
     compose_maps,
     copy_lens,
@@ -102,6 +103,33 @@ def test_overflow_inside_graph_names_node():
     big = np.array([1e308, 1.0])
     with pytest.raises(NumericError, match="n0"):
         forward_eval(f, big, big)
+
+
+def _linear_tanh_graph(extra_neg: bool = False):
+    b = GraphBuilder(in_dim=1)
+    h = b.node(PRIMITIVES["linear"](1, 1), b.param(1), b.input(), name="lin")
+    if extra_neg:
+        h = b.node(PRIMITIVES["neg"](1), h, name="flip")
+    return b.build(b.node(PRIMITIVES["tanh"](1), h, name="squash"))
+
+
+@pytest.mark.parametrize("extra_neg", [False, True])
+def test_non_finite_value_is_named_at_its_first_node(extra_neg):
+    # tanh(inf) = 1 keeps the output finite; with the neg, two nodes are non-finite
+    big = np.array([1e308])
+    with pytest.raises(NumericError, match="node 'lin'"):
+        forward_eval(_linear_tanh_graph(extra_neg), big, big)
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_vjp_cotangent_of_the_wrong_width_names_its_node(width):
+    # unchecked, a 1-wide cotangent would broadcast over the 3-wide wire and a
+    # 2-wide one would fail inside numpy
+    short = smooth_autodiff.Primitive("neg", (3,), (3,), 3, lambda a: -a, lambda ins, c: (-c[:width],))
+    f = SmoothMap(0, 3, 3, (Node("short", short, (Wire("input", 0, 3),)),), Wire("short", 0, 3))
+    _, tape = forward_eval(f, np.zeros(0), np.ones(3))
+    with pytest.raises(NumericError, match=rf"node 'short'.*shape \({width},\).*dimension 3"):
+        backward_eval(f, tape, np.ones(3))
 
 
 # -- primitive derivatives against closed forms -------------------------
@@ -356,6 +384,49 @@ def test_gan_step_ties_discriminator_gradients():
     _, tape2 = forward_eval(disc_graph, pd, real)
     dp2, _ = backward_eval(disc_graph, tape2, np.ones(1))
     assert rel_close(pd2 - pd, dp1 + dp2, rtol=1e-10)
+
+
+@pytest.mark.parametrize("what", ["parameter vector", "input vector"])
+def test_train_step_rejects_non_finite_values_by_name(what):
+    f = sqerr_head(mlp_map((1, 2, 1)))
+    model = reparametrise(apply_R(f), gd_lens(0.05, f.param_dim))
+    p, data = np.full(f.param_dim, 0.1), np.array([0.4, 0.9])
+    if what == "parameter vector":
+        p[3] = np.nan
+    else:
+        data[1] = np.inf
+    with pytest.raises(NumericError, match=f"^{what} contains non-finite entries$"):
+        train_step(model, p, data, unit_loss_costate())
+
+
+def test_train_step_scans_the_parameters_once(monkeypatch):
+    scans = []
+
+    def recorded(x, dim, what="vector", finite=True):
+        scans.append((what, finite))
+        return as_vector(x, dim, what, finite)
+
+    monkeypatch.setattr(smooth_autodiff, "as_vector", recorded)
+    f = sqerr_head(mlp_map((1, 2, 1)))
+    model = reparametrise(apply_R(f), gd_lens(0.05, f.param_dim))
+    train_step(model, np.full(f.param_dim, 0.1), np.array([0.4, 0.9]), unit_loss_costate())
+    assert scans.count(("parameter vector", True)) == 1
+
+
+@pytest.mark.parametrize(
+    "what", ["generator parameters", "discriminator parameters", "latent vector", "real sample"]
+)
+def test_gan_step_rejects_non_finite_values_by_name(what):
+    gen, disc = apply_R(mlp_map((2, 3, 2))), apply_R(mlp_map((2, 3, 1)))
+    args = {
+        "generator parameters": np.full(gen.params.fwd, 0.1),
+        "discriminator parameters": np.full(disc.params.fwd, -0.2),
+        "latent vector": np.ones(2),
+        "real sample": np.zeros(2),
+    }
+    args[what][-1] = np.inf
+    with pytest.raises(NumericError, match=f"^{what} contains non-finite entries$"):
+        gan_step(gan_model(gen, disc, 0.1), *args.values())
 
 
 def test_gan_step_rejects_mismatched_generator():
