@@ -6,11 +6,13 @@ Python pairs ``(x, y)``, and n-ary products associate to the left, so any
 composite carrier has a single deterministic presentation and no two
 elements can share an encoding.  A product is enumerated only when iterated.
 Morphisms are memoised procedures; only ``FiniteBase.mor_equal`` tabulates,
-to decide equality.  Those built from caller data check each element and its
-image on first evaluation; those derived from others (``compose``,
-``product``, a composite lens's ``get`` and ``put``) only memoise, as every
-part of their input reaches a checked one.  Payoff values are ``fractions.Fraction``
-throughout; floats never enter the game-theoretic side.
+to decide equality.  Those built from caller data and a lens's ``get`` and
+``put`` check each element and its image on first evaluation, so a composite
+lens is checked once, at its edge; the structural lenses inside it run on
+their legs, which neither check nor memoise.  Only ``compose``, ``product``
+and the Nash restrictions are ``derived``: they only memoise, as every part
+of their input reaches a checked morphism.  Payoff values are
+``fractions.Fraction`` throughout; floats never enter the game-theoretic side.
 """
 
 from __future__ import annotations
@@ -135,7 +137,8 @@ class FinFn:
     an element checks that the element is in ``dom`` and its image in
     ``cod``, then keeps the image in ``table``, which never outgrows the
     domain.  A table given as data is checked the same way, eagerly.  A
-    morphism from :meth:`FiniteBase.derived` skips both checks.
+    morphism from :meth:`FiniteBase.derived` (``compose``, ``product``, a
+    Nash restriction) skips both checks.
     """
 
     checked: ClassVar[bool] = True

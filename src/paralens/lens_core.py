@@ -16,9 +16,14 @@ pass it follows instead of replaying it:
 Every lens also has base morphisms ``get : A → B`` and ``put : A × B' → A'``
 with ``get(x) = y`` and ``put(x, z) = backward(r, z)`` for
 ``(y, r) = forward(x)``; a lens given by ``get`` and ``put`` alone keeps its
-input as its residual.  The tensor acts componentwise on pairs.  States are
-lenses out of the unit boundary (they pick a point), costates are lenses
-into it (their put is an ordinary map out of the forward carrier).
+input as its residual.  ``get`` and ``put`` are checked morphisms, so a
+composite checks an element and its image once, at its own edge, and the
+lenses inside it run on their legs.  The structural lenses (identities,
+states, costates and every :func:`rewire`) are optics whose legs neither
+check nor memoise; what a caller hands in, a state's point or a costate's
+map, is checked where it enters.  The tensor acts componentwise on pairs.
+States are lenses out of the unit boundary (they pick a point), costates
+are lenses into it (their put is an ordinary map out of the forward carrier).
 """
 
 from __future__ import annotations
@@ -74,7 +79,11 @@ class Base(ABC):
         """
 
     def derived(self, dom: Carrier, cod: Carrier, fn: Callable[[Elem], Elem]) -> Mor:
-        """Like :meth:`morphism`, for a ``fn`` passing each input part to a checked morphism."""
+        """Like :meth:`morphism`, for a ``fn`` passing each input part to a checked morphism.
+
+        Only ``compose``, ``product`` and the Nash restrictions use it; a
+        lens's ``get`` and ``put`` are checked at its edge instead.
+        """
         return self.morphism(dom, cod, fn)
 
     @abstractmethod
@@ -84,9 +93,6 @@ class Base(ABC):
     @abstractmethod
     def product(self, f: Mor, g: Mor) -> Mor:
         """Componentwise action on paired carriers."""
-
-    def apply(self, f: Mor, x: Elem) -> Elem:
-        return f(x)
 
     # -- elements -------------------------------------------------------
 
@@ -155,14 +161,18 @@ class Lens:
 
 
 def optic(base: Base, src: LensObj, dst: LensObj, forward, backward) -> Lens:
-    """The lens of a forward leg ``x ↦ (y, r)`` and a backward leg ``(r, z) ↦ x'``."""
+    """The lens of a forward leg ``x ↦ (y, r)`` and a backward leg ``(r, z) ↦ x'``.
+
+    Its ``get`` and ``put`` are checked morphisms, so an element and its
+    image are checked once, at this lens's edge; the legs check nothing.
+    """
 
     def put_fn(xz):
         x, z = base.split_elem(src.fwd, dst.bwd, xz)
         return backward(forward(x)[1], z)
 
-    get = base.derived(src.fwd, dst.fwd, lambda x: forward(x)[0])
-    put = base.derived(base.pair(src.fwd, dst.bwd), src.bwd, put_fn)
+    get = base.morphism(src.fwd, dst.fwd, lambda x: forward(x)[0])
+    put = base.morphism(base.pair(src.fwd, dst.bwd), src.bwd, put_fn)
     return Lens(base, src, dst, get, put, forward, backward)
 
 
@@ -182,12 +192,7 @@ def describe_obj(base: Base, a: LensObj) -> str:
 
 def lens_id(base: Base, a: LensObj) -> Lens:
     """Identity lens: get is the identity, put projects the backward value."""
-    put = base.morphism(
-        base.pair(a.fwd, a.bwd),
-        a.bwd,
-        lambda xz: base.split_elem(a.fwd, a.bwd, xz)[1],
-    )
-    return Lens(base, a, a, base.identity(a.fwd), put)
+    return optic(base, a, a, lambda x: (x, None), lambda _, z: z)
 
 
 def lens_compose(l1: Lens, l2: Lens) -> Lens:
@@ -235,12 +240,8 @@ def make_state(base: Base, a: LensObj, point: Elem) -> Lens:
         raise CompositionError(
             f"state point {point!r} is not an element of {base.describe(a.fwd)}"
         )
-    unit_c = base.unit()
-    get = base.morphism(unit_c, a.fwd, lambda _: point)
-    put = base.morphism(
-        base.pair(unit_c, a.bwd), unit_c, lambda _: base.unit_elem()
-    )
-    return Lens(base, unit_obj(base), a, get, put)
+    unit = base.unit_elem()
+    return optic(base, unit_obj(base), a, lambda _: (point, None), lambda _, z: unit)
 
 
 def make_costate(base: Base, a: LensObj, f: Mor) -> Lens:
@@ -251,14 +252,8 @@ def make_costate(base: Base, a: LensObj, f: Mor) -> Lens:
             f"{base.describe(f.cod)}, expected {base.describe(a.fwd)} → "
             f"{base.describe(a.bwd)}"
         )
-    unit_c = base.unit()
-    get = base.morphism(a.fwd, unit_c, lambda _: base.unit_elem())
-    put = base.morphism(
-        base.pair(a.fwd, unit_c),
-        a.bwd,
-        lambda xz: base.apply(f, base.split_elem(a.fwd, unit_c, xz)[0]),
-    )
-    return Lens(base, a, unit_obj(base), get, put)
+    unit = base.unit_elem()
+    return optic(base, a, unit_obj(base), lambda x: (unit, x), lambda x, _: f(x))
 
 
 def costate_fn(l: Lens) -> Mor:
@@ -266,12 +261,8 @@ def costate_fn(l: Lens) -> Mor:
     base = l.base
     if l.dst != unit_obj(base):
         raise CompositionError("costate_fn expects a lens into the unit boundary")
-    unit_c = base.unit()
-
-    def fn(x):
-        return base.apply(l.put, base.pair_elem(l.src.fwd, unit_c, x, base.unit_elem()))
-
-    return base.morphism(l.src.fwd, l.src.bwd, fn)
+    unit = base.unit_elem()
+    return base.morphism(l.src.fwd, l.src.bwd, lambda x: l.backward(l.forward(x)[1], unit))
 
 
 def lens_equal(l1: Lens, l2: Lens) -> bool:
@@ -304,13 +295,7 @@ def relabel_lens(
     fwd_fn: Callable[[Elem], Elem],
     bwd_fn: Callable[[Elem], Elem],
 ) -> Lens:
-    get = base.morphism(src.fwd, dst.fwd, fwd_fn)
-    put = base.morphism(
-        base.pair(src.fwd, dst.bwd),
-        src.bwd,
-        lambda xz: bwd_fn(base.split_elem(src.fwd, dst.bwd, xz)[1]),
-    )
-    return Lens(base, src, dst, get, put)
+    return optic(base, src, dst, lambda x: (fwd_fn(x), None), lambda _, z: bwd_fn(z))
 
 
 class _Bracketing:

@@ -192,15 +192,12 @@ def para_costate_solution_input(p: ParaLens) -> Lens:
             f"not a scalar: boundary is {describe_obj(base, p.src)} → "
             f"{describe_obj(base, p.dst)}"
         )
-    unit_c = base.unit()
+    unit_c, unit_x = base.unit(), base.unit_elem()
     pfwd, pbwd = p.params.fwd, p.params.bwd
-    carrier_fwd = base.pair(pfwd, unit_c)
+    forward, backward = p.carrier.forward, p.carrier.backward
 
     def fn(w):
-        x = base.pair_elem(pfwd, unit_c, w, base.unit_elem())
-        xz = base.pair_elem(carrier_fwd, unit_c, x, base.unit_elem())
-        out = base.apply(p.carrier.put, xz)
-        fb, _ = base.split_elem(pbwd, unit_c, out)
-        return fb
+        r = forward(base.pair_elem(pfwd, unit_c, w, unit_x))[1]
+        return base.split_elem(pbwd, unit_c, backward(r, unit_x))[0]
 
     return make_costate(base, p.params, base.morphism(pfwd, pbwd, fn))

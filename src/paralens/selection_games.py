@@ -52,6 +52,7 @@ from .lens_core import (
     lens_tensor,
     make_costate,
     make_state,
+    optic,
     rewire,
     unit_obj,
 )
@@ -129,7 +130,12 @@ def nash_product(eps: SelectionRelation, delta: SelectionRelation) -> SelectionR
 
 def _threaded_costate(f: Lens, k: FinFn) -> FinFn:
     """The reward function seen upstream of ``f``: forward out, reward back."""
-    return FinFn(f.src.fwd, f.src.bwd, lambda x: f.put((x, k(f.get(x)))))
+
+    def fn(x):
+        y, r = f.forward(x)
+        return f.backward(r, k(y))
+
+    return FinFn(f.src.fwd, f.src.bwd, fn)
 
 
 def sel_pushforward(
@@ -229,21 +235,17 @@ def decision(
     """
     omega = finset_tuple_product([moves] * len(observations))
     strategies = dict(zip(omega, enumerate_functions(observations, moves, max_size)))
-    dom = FinProd(omega, observations)
 
     def play(wx: tuple):
         w, x = wx
-        return strategies[w](x)
+        return strategies[w](x), None
 
-    get = FinFn(dom, moves, play)
-    cod = FinProd(rewards, UNIT_SET)
-    put = FinFn(FinProd(dom, rewards), cod, lambda wxr: (wxr[1], UNIT_LABEL))
-    carrier = Lens(
+    carrier = optic(
         FINITE,
-        LensObj(dom, cod),
+        LensObj(FinProd(omega, observations), FinProd(rewards, UNIT_SET)),
         LensObj(moves, rewards),
-        get,
-        put,
+        play,
+        lambda _, r: (r, UNIT_LABEL),
     )
     return ParaLens(
         FINITE,
@@ -378,6 +380,15 @@ def profile_values(g: NormalFormGame, prof: Sequence[str]) -> tuple[Fraction, ..
     return tuple(parse_payoff(p) for p in split_tuple(g.grids, label))
 
 
+def _decoded_payoffs(g: NormalFormGame) -> dict[tuple, tuple[Fraction, ...]]:
+    """Every profile's payoff tuple, keyed by its tuple of moves; each label is parsed once."""
+    values = [{l: parse_payoff(l) for l in grid} for grid in g.grids]
+    return {
+        prof: tuple(v[p] for v, p in zip(values, split_tuple(g.grids, g.payoff(tuple_label(prof)))))
+        for prof in iter_product(*[p.labels for p in g.players])
+    }
+
+
 def brute_force_nash(
     g: NormalFormGame, max_size: int = DEFAULT_ENUM_CAP, tags: Sequence[str] | None = None
 ) -> tuple:
@@ -391,11 +402,11 @@ def brute_force_nash(
         raise SizeCapError(
             f"{count} profiles exceed the cap of {max_size}", count=count
         )
+    payoffs = _decoded_payoffs(g)
     out = []
-    for prof in iter_product(*[p.labels for p in g.players]):
-        vals = profile_values(g, prof)
+    for prof, vals in payoffs.items():
         if not any(
-            profile_values(g, prof[:i] + (dev,) + prof[i + 1 :])[i] > vals[i]
+            payoffs[prof[:i] + (dev,) + prof[i + 1 :]][i] > vals[i]
             for i, player in enumerate(g.players)
             if tags[i] == "argmax"
             for dev in player.labels
@@ -407,10 +418,9 @@ def brute_force_nash(
 
 def brute_force_hicks(g: NormalFormGame) -> tuple:
     """Profiles maximising the summed payoff, by direct enumeration."""
-    profiles = list(iter_product(*[p.labels for p in g.players]))
-    totals = {p: sum(profile_values(g, p)) for p in profiles}
+    totals = {p: sum(vals) for p, vals in _decoded_payoffs(g).items()}
     best = max(totals.values())
-    return tuple(tuple_label(p) for p in profiles if totals[p] == best)
+    return tuple(tuple_label(p) for p in totals if totals[p] == best)
 
 
 def game_scalar(g: NormalFormGame, max_size: int = DEFAULT_ENUM_CAP) -> ParaLens:

@@ -21,8 +21,11 @@ from paralens.finite_base import (
     split_tuple,
     tuple_label,
 )
+from paralens.lens_core import costate_fn
+from paralens.para_optic import para_costate_solution_input
 from paralens.selection_games import compositional_game, normal_form_game, solution_set
 from fractions import Fraction
+from itertools import product as iter_product
 
 
 def test_finset_basics():
@@ -202,6 +205,36 @@ def test_composite_checks_membership_at_its_edges(monkeypatch):
     assert calls[0] == 2 * len(idents) * len(c)
     with pytest.raises(CompositionError):
         composite(((("a", "b"), "zz"), "a"))
+
+
+def test_solution_input_checks_membership_a_fixed_number_of_times_per_profile(monkeypatch):
+    calls, depth = [0], [0]
+    real = FinProd.__contains__
+
+    def counted(self, xy):
+        calls[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return real(self, xy)
+        finally:
+            depth[0] -= 1
+
+    per_profile = []
+    for n in (2, 3):
+        players = [FinSet(("L", "M", "R"))] * n
+        profiles = list(iter_product(*[p.labels for p in players]))
+        table = {p: [i % 3 for i in range(j, j + n)] for j, p in enumerate(profiles)}
+        lens = compositional_game(normal_form_game(players, table)).lens
+        reward = costate_fn(para_costate_solution_input(lens))
+        monkeypatch.setattr(FinProd, "__contains__", counted)
+        calls[0] = 0
+        for w in reward.dom:
+            reward(w)
+        monkeypatch.undo()
+        per_profile.append(calls[0] / len(reward.dom))
+    # the reward map and the costate map it reads each check a profile and
+    # its image once; the lenses of the game inside them check nothing
+    assert per_profile == [4, 4]
 
 
 def test_product_carriers_die_with_their_game():

@@ -32,8 +32,10 @@ from paralens.lens_core import (
     make_state,
     obj_pair,
     relabel_lens,
+    rewire,
     unit_obj,
 )
+from paralens.para_optic import embed_trivial
 from paralens.smooth_autodiff import SMOOTH, flat_dim, join_flat, split_flat
 
 
@@ -184,6 +186,25 @@ def test_relabel_lens_ignores_forward_point():
     assert FINITE.apply(r.get, "a0") == "a0"
     assert FINITE.apply(r.put, ("a0", "p")) == "q"
     assert FINITE.apply(r.put, ("a1", "p")) == "q"
+
+
+def _edge_cases():
+    unit = unit_obj(FINITE)
+    dropped = lens_compose(rewire(FINITE, [A, unit], (0, 1), 0), _l1())
+    ident = lens_compose(lens_id(FINITE, A), lens_id(FINITE, A))
+    return {
+        "embed_trivial unit slot": (embed_trivial(_l1()).carrier.get, ("zz", "a0")),
+        "rewire dropped unit leaf": (dropped.get, ("a0", "zz")),
+        "lens_id forward input": (ident.put, ("zz", "p")),
+    }
+
+
+@pytest.mark.parametrize("case", ["embed_trivial unit slot", "rewire dropped unit leaf", "lens_id forward input"])
+def test_composite_rejects_a_non_member_only_a_structural_lens_reads(case):
+    morphism, bad = _edge_cases()[case]
+    with pytest.raises(CompositionError):
+        morphism(bad)
+    assert morphism.table == {}
 
 
 def test_structural_round_trips_random():
