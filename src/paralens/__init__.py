@@ -39,6 +39,7 @@ from .lens_core import (
     LensObj,
     costate_fn,
     describe_obj,
+    get_put_lens,
     lens_assoc,
     lens_assoc_inv,
     lens_compose,

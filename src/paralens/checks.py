@@ -34,6 +34,7 @@ from .finite_base import (
 from .lens_core import (
     Lens,
     LensObj,
+    get_put_lens,
     lens_assoc,
     lens_assoc_inv,
     lens_compose,
@@ -161,7 +162,7 @@ def random_obj(rng: random.Random, max_size: int = 3) -> LensObj:
 def random_lens(rng: random.Random, src: LensObj, dst: LensObj) -> Lens:
     get = random_finfn(rng, src.fwd, dst.fwd)
     put = random_finfn(rng, FinProd(src.fwd, dst.bwd), src.bwd)
-    return Lens(FINITE, src, dst, get, put)
+    return get_put_lens(FINITE, src, dst, get, put)
 
 
 def random_para(rng: random.Random, src: LensObj, dst: LensObj, max_size: int = 2) -> ParaLens:

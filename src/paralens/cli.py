@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from itertools import product as iter_product
 from typing import Sequence
@@ -253,6 +254,7 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+@cache  # one parser per process, however often main runs in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="paralens", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

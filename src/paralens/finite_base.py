@@ -7,12 +7,13 @@ composite carrier has a single deterministic presentation and no two
 elements can share an encoding.  A product is enumerated only when iterated.
 Morphisms are memoised procedures; only ``FiniteBase.mor_equal`` tabulates,
 to decide equality.  Those built from caller data and a lens's ``get`` and
-``put`` check each element and its image on first evaluation, so a composite
-lens is checked once, at its edge; the structural lenses inside it run on
-their legs, which neither check nor memoise.  Only ``compose``, ``product``
-and the Nash restrictions are ``derived``: they only memoise, as every part
-of their input reaches a checked morphism.  Payoff values are
-``fractions.Fraction`` throughout; floats never enter the game-theoretic side.
+``put``, which a lens builds only when asked for them, check each element
+and its image on first evaluation, so a composite lens is checked once, at
+its edge; the lenses inside it run on their legs, which neither check nor
+memoise.  Only ``compose``, ``product`` and the Nash restrictions are
+``derived``: they only memoise, as every part of their input reaches a
+checked morphism.  Payoff values are ``fractions.Fraction`` throughout;
+floats never enter the game-theoretic side.
 """
 
 from __future__ import annotations
@@ -269,7 +270,7 @@ class FiniteBase(Base):
     def product(self, f: FinFn, g: FinFn) -> FinFn:
         """Componentwise action on pairs."""
         def fn(xy: tuple) -> tuple:
-            x, y = self.split_elem(f.dom, g.dom, xy)
+            x, y = self.split_elem(xy)
             return f(x), g(y)
 
         return self.derived(FinProd(f.dom, g.dom), FinProd(f.cod, g.cod), fn)
@@ -280,12 +281,12 @@ class FiniteBase(Base):
     def unit_elem(self) -> str:
         return UNIT_LABEL
 
-    def pair_elem(self, a: Carrier, b: Carrier, x, y) -> tuple:
+    def pair_elem(self, x, y) -> tuple:
         return (x, y)
 
-    def split_elem(self, a: Carrier, b: Carrier, xy: tuple) -> tuple:
+    def split_elem(self, xy: tuple) -> tuple:
         if type(xy) is not tuple or len(xy) != 2:
-            raise CompositionError(f"element {xy!r} is not a pair in {FinProd(a, b)}")
+            raise CompositionError(f"element {xy!r} is not a pair")
         return xy
 
     def mor_equal(self, f: FinFn, g: FinFn) -> bool:

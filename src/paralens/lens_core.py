@@ -13,15 +13,16 @@ pass it follows instead of replaying it:
         where (y1, r1) = l1.forward(x) and (y2, r2) = l2.forward(y1)
     (l1 ; l2).backward((r1, r2), z) = l1.backward(r1, l2.backward(r2, z))
 
-Every lens also has base morphisms ``get : A → B`` and ``put : A × B' → A'``
-with ``get(x) = y`` and ``put(x, z) = backward(r, z)`` for
-``(y, r) = forward(x)``; a lens given by ``get`` and ``put`` alone keeps its
-input as its residual.  ``get`` and ``put`` are checked morphisms, so a
+A lens is its two legs.  Its base morphisms ``get : A → B`` and
+``put : A × B' → A'``, with ``get(x) = y`` and ``put(x, z) = backward(r, z)``
+for ``(y, r) = forward(x)``, are built on first access and kept for the life
+of the lens; a lens given by ``get`` and ``put`` (:func:`get_put_lens`) keeps
+its input as its residual.  ``get`` and ``put`` are checked morphisms, so a
 composite checks an element and its image once, at its own edge, and the
-lenses inside it run on their legs.  The structural lenses (identities,
-states, costates and every :func:`rewire`) are optics whose legs neither
-check nor memoise; what a caller hands in, a state's point or a costate's
-map, is checked where it enters.  The tensor acts componentwise on pairs.
+lenses inside it run on their legs, which neither check nor memoise.  What a
+caller hands in, a state's point or a costate's map, is checked where it
+enters.  Elements of products are pairs on every base, so pairing and
+splitting take no carriers.  The tensor acts componentwise on pairs.
 States are lenses out of the unit boundary (they pick a point), costates
 are lenses into it (their put is an ordinary map out of the forward carrier).
 """
@@ -29,7 +30,8 @@ are lenses into it (their put is an ordinary map out of the forward carrier).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Sequence
 
 from .errors import CompositionError, UnsupportedOperationError
@@ -75,16 +77,8 @@ class Base(ABC):
     def morphism(self, dom: Carrier, cod: Carrier, fn: Callable[[Elem], Elem]) -> Mor:
         """Build a base morphism from an element-level function.
 
-        Both bases wrap the callable; finite ones check and memoise it per element.
+        Both bases wrap the callable and check its input and output; finite ones also memoise.
         """
-
-    def derived(self, dom: Carrier, cod: Carrier, fn: Callable[[Elem], Elem]) -> Mor:
-        """Like :meth:`morphism`, for a ``fn`` passing each input part to a checked morphism.
-
-        Only ``compose``, ``product`` and the Nash restrictions use it; a
-        lens's ``get`` and ``put`` are checked at its edge instead.
-        """
-        return self.morphism(dom, cod, fn)
 
     @abstractmethod
     def compose(self, f: Mor, g: Mor) -> Mor:
@@ -101,12 +95,12 @@ class Base(ABC):
         ...
 
     @abstractmethod
-    def pair_elem(self, a: Carrier, b: Carrier, x: Elem, y: Elem) -> Elem:
+    def pair_elem(self, x: Elem, y: Elem) -> Elem:
         ...
 
     @abstractmethod
-    def split_elem(self, a: Carrier, b: Carrier, xy: Elem) -> tuple[Elem, Elem]:
-        ...
+    def split_elem(self, xy: Elem) -> tuple[Elem, Elem]:
+        """The two components of a pair; raises :class:`CompositionError` on anything else."""
 
     # -- only meaningful on enumerable bases ----------------------------
 
@@ -124,56 +118,60 @@ class LensObj:
     bwd: Carrier
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lens:
-    """A morphism of boundary objects: forward and backward legs, ``get`` and ``put``.
+    """A morphism of boundary objects: a forward leg ``x ↦ (y, r)`` and a backward leg ``(r, z) ↦ x'``.
 
-    ``get : src.fwd → dst.fwd`` and ``put : src.fwd × dst.bwd → src.bwd``.
-    Without legs, ``forward`` is ``x ↦ (get(x), x)`` and ``backward`` is
-    ``(x, z) ↦ put(x, z)``.
+    ``get : src.fwd → dst.fwd`` and ``put : src.fwd × dst.bwd → src.bwd``
+    are checked base morphisms, built on first access; the legs check nothing.
     """
 
     base: Base
     src: LensObj
     dst: LensObj
-    get: Mor
-    put: Mor
-    forward: Callable[[Elem], tuple[Elem, Any]] = field(default=None, compare=False, repr=False)
-    backward: Callable[[Any, Elem], Elem] = field(default=None, compare=False, repr=False)
+    forward: Callable[[Elem], tuple[Elem, Any]]
+    backward: Callable[[Any, Elem], Elem]
 
     def __post_init__(self):
-        b = self.base
-        checks = (
-            (self.get.dom, self.src.fwd, "get domain"),
-            (self.get.cod, self.dst.fwd, "get codomain"),
-            (self.put.dom, b.pair(self.src.fwd, self.dst.bwd), "put domain"),
-            (self.put.cod, self.src.bwd, "put codomain"),
-        )
-        for actual, expected, what in checks:
-            if actual != expected:
-                raise CompositionError(
-                    f"{what} is {b.describe(actual)}, expected {b.describe(expected)}"
-                )
-        if self.forward is None:
-            get, put, x_c, z_c = self.get, self.put, self.src.fwd, self.dst.bwd
-            object.__setattr__(self, "forward", lambda x: (get(x), x))
-            object.__setattr__(self, "backward", lambda x, z: put(b.pair_elem(x_c, z_c, x, z)))
+        """Checks nothing: the hook where ``bench/tracing.py`` (``lens_core.lenses_built``)
+        and ``test_run_gan_builds_its_lenses_once`` count lens constructions."""
+
+    # the closures below capture the legs, not the lens, so that a lens
+    # keeping its morphisms holds no reference cycle
+
+    @cached_property
+    def get(self) -> Mor:
+        forward = self.forward
+        return self.base.morphism(self.src.fwd, self.dst.fwd, lambda x: forward(x)[0])
+
+    @cached_property
+    def put(self) -> Mor:
+        base, forward, backward = self.base, self.forward, self.backward
+
+        def put(xz):
+            x, z = base.split_elem(xz)
+            return backward(forward(x)[1], z)
+
+        return base.morphism(base.pair(self.src.fwd, self.dst.bwd), self.src.bwd, put)
 
 
-def optic(base: Base, src: LensObj, dst: LensObj, forward, backward) -> Lens:
-    """The lens of a forward leg ``x ↦ (y, r)`` and a backward leg ``(r, z) ↦ x'``.
+def get_put_lens(base: Base, src: LensObj, dst: LensObj, get: Mor, put: Mor) -> Lens:
+    """The lens of ``get : src.fwd → dst.fwd`` and ``put : src.fwd × dst.bwd → src.bwd``.
 
-    Its ``get`` and ``put`` are checked morphisms, so an element and its
-    image are checked once, at this lens's edge; the legs check nothing.
+    Its residual is its input: ``x ↦ (get(x), x)`` forward and
+    ``(x, z) ↦ put(x, z)`` backward.
     """
-
-    def put_fn(xz):
-        x, z = base.split_elem(src.fwd, dst.bwd, xz)
-        return backward(forward(x)[1], z)
-
-    get = base.morphism(src.fwd, dst.fwd, lambda x: forward(x)[0])
-    put = base.morphism(base.pair(src.fwd, dst.bwd), src.bwd, put_fn)
-    return Lens(base, src, dst, get, put, forward, backward)
+    for actual, expected, what in (
+        (get.dom, src.fwd, "get domain"),
+        (get.cod, dst.fwd, "get codomain"),
+        (put.dom, base.pair(src.fwd, dst.bwd), "put domain"),
+        (put.cod, src.bwd, "put codomain"),
+    ):
+        if actual != expected:
+            raise CompositionError(
+                f"{what} is {base.describe(actual)}, expected {base.describe(expected)}"
+            )
+    return Lens(base, src, dst, lambda x: (get(x), x), lambda x, z: put(base.pair_elem(x, z)))
 
 
 def unit_obj(base: Base) -> LensObj:
@@ -192,7 +190,7 @@ def describe_obj(base: Base, a: LensObj) -> str:
 
 def lens_id(base: Base, a: LensObj) -> Lens:
     """Identity lens: get is the identity, put projects the backward value."""
-    return optic(base, a, a, lambda x: (x, None), lambda _, z: z)
+    return Lens(base, a, a, lambda x: (x, None), lambda _, z: z)
 
 
 def lens_compose(l1: Lens, l2: Lens) -> Lens:
@@ -212,7 +210,7 @@ def lens_compose(l1: Lens, l2: Lens) -> Lens:
         y2, r2 = f2(y1)
         return y2, (r1, r2)
 
-    return optic(base, l1.src, l2.dst, forward, lambda r, z: b1(r[0], b2(r[1], z)))
+    return Lens(base, l1.src, l2.dst, forward, lambda r, z: b1(r[0], b2(r[1], z)))
 
 
 def lens_tensor(l1: Lens, l2: Lens) -> Lens:
@@ -220,18 +218,19 @@ def lens_tensor(l1: Lens, l2: Lens) -> Lens:
     base = l1.base
     if base is not l2.base:
         raise CompositionError("cannot tensor lenses over different bases")
-    (a1, c1), (a2, c2) = (l1.src, l1.dst), (l2.src, l2.dst)
+    f1, b1, f2, b2 = l1.forward, l1.backward, l2.forward, l2.backward
 
     def forward(xs):
-        x1, x2 = base.split_elem(a1.fwd, a2.fwd, xs)
-        (y1, r1), (y2, r2) = l1.forward(x1), l2.forward(x2)
-        return base.pair_elem(c1.fwd, c2.fwd, y1, y2), (r1, r2)
+        x1, x2 = base.split_elem(xs)
+        (y1, r1), (y2, r2) = f1(x1), f2(x2)
+        return base.pair_elem(y1, y2), (r1, r2)
 
     def backward(r, zs):
-        z1, z2 = base.split_elem(c1.bwd, c2.bwd, zs)
-        return base.pair_elem(a1.bwd, a2.bwd, l1.backward(r[0], z1), l2.backward(r[1], z2))
+        z1, z2 = base.split_elem(zs)
+        return base.pair_elem(b1(r[0], z1), b2(r[1], z2))
 
-    return optic(base, obj_pair(base, a1, a2), obj_pair(base, c1, c2), forward, backward)
+    src, dst = obj_pair(base, l1.src, l2.src), obj_pair(base, l1.dst, l2.dst)
+    return Lens(base, src, dst, forward, backward)
 
 
 def make_state(base: Base, a: LensObj, point: Elem) -> Lens:
@@ -241,7 +240,7 @@ def make_state(base: Base, a: LensObj, point: Elem) -> Lens:
             f"state point {point!r} is not an element of {base.describe(a.fwd)}"
         )
     unit = base.unit_elem()
-    return optic(base, unit_obj(base), a, lambda _: (point, None), lambda _, z: unit)
+    return Lens(base, unit_obj(base), a, lambda _: (point, None), lambda _, z: unit)
 
 
 def make_costate(base: Base, a: LensObj, f: Mor) -> Lens:
@@ -253,7 +252,7 @@ def make_costate(base: Base, a: LensObj, f: Mor) -> Lens:
             f"{base.describe(a.bwd)}"
         )
     unit = base.unit_elem()
-    return optic(base, a, unit_obj(base), lambda x: (unit, x), lambda x, _: f(x))
+    return Lens(base, a, unit_obj(base), lambda x: (unit, x), lambda x, _: f(x))
 
 
 def costate_fn(l: Lens) -> Mor:
@@ -261,8 +260,8 @@ def costate_fn(l: Lens) -> Mor:
     base = l.base
     if l.dst != unit_obj(base):
         raise CompositionError("costate_fn expects a lens into the unit boundary")
-    unit = base.unit_elem()
-    return base.morphism(l.src.fwd, l.src.bwd, lambda x: l.backward(l.forward(x)[1], unit))
+    unit, forward, backward = base.unit_elem(), l.forward, l.backward
+    return base.morphism(l.src.fwd, l.src.bwd, lambda x: backward(forward(x)[1], unit))
 
 
 def lens_equal(l1: Lens, l2: Lens) -> bool:
@@ -295,58 +294,36 @@ def relabel_lens(
     fwd_fn: Callable[[Elem], Elem],
     bwd_fn: Callable[[Elem], Elem],
 ) -> Lens:
-    return optic(base, src, dst, lambda x: (fwd_fn(x), None), lambda _, z: bwd_fn(z))
+    return Lens(base, src, dst, lambda x: (fwd_fn(x), None), lambda _, z: bwd_fn(z))
 
 
-class _Bracketing:
-    """One node of a bracketing, with its boundary object computed once.
+def _bracketing(base: Base, leaves: Sequence[LensObj], tree, seen: list[int]):
+    """The boundary object ``tree`` brackets ``leaves`` into, and how to split and join along it.
 
-    Splitting and joining walk the tree through methods rather than a
-    recursive closure, so a lens built on it holds no reference cycle.
+    ``split(x, parts)`` records the leaf components of ``x`` in ``parts`` by
+    leaf index and returns it; ``join(parts)`` assembles an element, reading
+    absent leaves as units.  Both are compiled once, and each closure holds
+    only its children's, so a lens built on them holds no reference cycle.
+    The leaf indices of ``tree`` are appended to ``seen``.
     """
+    if isinstance(tree, tuple):
+        (lobj, lsplit, ljoin), (robj, rsplit, rjoin) = (_bracketing(base, leaves, t, seen) for t in tree)
 
-    __slots__ = ("base", "leaf", "left", "right", "obj", "carriers")
+        def split(x, parts):
+            u, v = base.split_elem(x)
+            return rsplit(v, lsplit(u, parts))
 
-    def __init__(self, base: Base, leaves: Sequence[LensObj], tree) -> None:
-        self.base = base
-        self.leaf = tree if isinstance(tree, int) else None
-        self.left = self.right = None
-        if isinstance(tree, tuple):
-            self.left, self.right = (_Bracketing(base, leaves, t) for t in tree)
-            self.obj = obj_pair(base, self.left.obj, self.right.obj)
-        else:
-            self.obj = unit_obj(base) if tree is None else leaves[tree]
-        self.carriers = (self.obj.fwd, self.obj.bwd)
+        return obj_pair(base, lobj, robj), split, lambda parts: base.pair_elem(ljoin(parts), rjoin(parts))
 
-    def indices(self) -> list[int]:
-        if self.left is not None:
-            return self.left.indices() + self.right.indices()
-        return [] if self.leaf is None else [self.leaf]
-
-    def split(self, x: Elem, side: int, parts: dict[int, Elem]) -> dict[int, Elem]:
-        """Record the leaf components of ``x`` in ``parts``, keyed by leaf index."""
-        if self.left is not None:
-            u, v = self.base.split_elem(
-                self.left.carriers[side], self.right.carriers[side], x
-            )
-            self.left.split(u, side, parts)
-            self.right.split(v, side, parts)
-        elif self.leaf is not None:
-            parts[self.leaf] = x
+    def leaf(x, parts):
+        if tree is not None:
+            parts[tree] = x
         return parts
 
-    def join(self, parts: dict[int, Elem], side: int) -> Elem:
-        """Assemble this node's element from leaf components; absent leaves are units."""
-        if self.left is not None:
-            return self.base.pair_elem(
-                self.left.carriers[side],
-                self.right.carriers[side],
-                self.left.join(parts, side),
-                self.right.join(parts, side),
-            )
-        if self.leaf in parts:
-            return parts[self.leaf]
-        return self.base.unit_elem()
+    if tree is not None:
+        seen.append(tree)
+    obj = unit_obj(base) if tree is None else leaves[tree]
+    return obj, leaf, lambda parts: parts[tree] if tree in parts else base.unit_elem()
 
 
 def rewire(base: Base, leaves: Sequence[LensObj], src, dst) -> Lens:
@@ -357,9 +334,9 @@ def rewire(base: Base, leaves: Sequence[LensObj], src, dst) -> Lens:
     ``dst``; backward, the reverse.  A leaf may be missing from one side
     only if it is a unit leaf, which then reads as ``base.unit_elem()``.
     """
-    s = _Bracketing(base, leaves, src)
-    d = _Bracketing(base, leaves, dst)
-    si, di = s.indices(), d.indices()
+    si, di = [], []
+    src_obj, split_src, join_src = _bracketing(base, leaves, src, si)
+    dst_obj, split_dst, join_dst = _bracketing(base, leaves, dst, di)
     unit = unit_obj(base)
     if len(set(si)) != len(si) or len(set(di)) != len(di):
         raise CompositionError("rewire: a bracketing uses a leaf twice")
@@ -367,10 +344,10 @@ def rewire(base: Base, leaves: Sequence[LensObj], src, dst) -> Lens:
         raise CompositionError("rewire: only unit leaves may be dropped or introduced")
     return relabel_lens(
         base,
-        s.obj,
-        d.obj,
-        lambda x: d.join(s.split(x, 0, {}), 0),
-        lambda z: s.join(d.split(z, 1, {}), 1),
+        src_obj,
+        dst_obj,
+        lambda x: join_dst(split_src(x, {})),
+        lambda z: join_src(split_dst(z, {})),
     )
 
 

@@ -192,12 +192,11 @@ def para_costate_solution_input(p: ParaLens) -> Lens:
             f"not a scalar: boundary is {describe_obj(base, p.src)} → "
             f"{describe_obj(base, p.dst)}"
         )
-    unit_c, unit_x = base.unit(), base.unit_elem()
-    pfwd, pbwd = p.params.fwd, p.params.bwd
+    unit_x = base.unit_elem()
     forward, backward = p.carrier.forward, p.carrier.backward
 
     def fn(w):
-        r = forward(base.pair_elem(pfwd, unit_c, w, unit_x))[1]
-        return base.split_elem(pbwd, unit_c, backward(r, unit_x))[0]
+        r = forward(base.pair_elem(w, unit_x))[1]
+        return base.split_elem(backward(r, unit_x))[0]
 
-    return make_costate(base, p.params, base.morphism(pfwd, pbwd, fn))
+    return make_costate(base, p.params, base.morphism(p.params.fwd, p.params.bwd, fn))

@@ -52,7 +52,6 @@ from .lens_core import (
     lens_tensor,
     make_costate,
     make_state,
-    optic,
     rewire,
     unit_obj,
 )
@@ -118,7 +117,7 @@ def nash_product(eps: SelectionRelation, delta: SelectionRelation) -> SelectionR
             if k.dom != obj.fwd or k.cod != obj.bwd:
                 raise CompositionError(f"reward function is not {obj.fwd} → {obj.bwd}")
             last[:] = [k, {}, {}]
-        x, y = FINITE.split_elem(em, dm, xy)
+        x, y = FINITE.split_elem(xy)
         if y not in last[1]:
             last[1][y] = FINITE.derived(em, er, lambda a: k((a, y))[0])
         if x not in last[2]:
@@ -240,7 +239,7 @@ def decision(
         w, x = wx
         return strategies[w](x), None
 
-    carrier = optic(
+    carrier = Lens(
         FINITE,
         LensObj(FinProd(omega, observations), FinProd(rewards, UNIT_SET)),
         LensObj(moves, rewards),
@@ -475,24 +474,18 @@ def sum_of_payoffs_lens(g: NormalFormGame) -> Lens:
     """Collapse the grid product to the grid of possible payoff sums.
 
     Identity forward; backward maps each payoff tuple to its total.  The
-    sum grid is closed under every combination of per-player values, so the
-    table is total.
+    sum grid is closed under every combination of per-player values, so
+    every total is one of its labels.
     """
     omega = finset_tuple_product(g.players)
     prod = finset_tuple_product(g.grids)
     values = [{l: parse_payoff(l) for l in grid.labels} for grid in g.grids]  # parsed once per grid
     sums = payoff_grid([sum(c) for c in iter_product(*[v.values() for v in values])])
 
-    def put_fn(wr: tuple) -> str:
-        return payoff_label(sum(v[p] for v, p in zip(values, split_tuple(g.grids, wr[1]))))
+    def total(_, r: tuple) -> str:
+        return payoff_label(sum(v[p] for v, p in zip(values, split_tuple(g.grids, r))))
 
-    return Lens(
-        FINITE,
-        LensObj(omega, sums),
-        LensObj(omega, prod),
-        FINITE.identity(omega),
-        FINITE.morphism(FinProd(omega, prod), sums, put_fn),
-    )
+    return Lens(FINITE, LensObj(omega, sums), LensObj(omega, prod), lambda w: (w, None), total)
 
 
 def hicks_games(

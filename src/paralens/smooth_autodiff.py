@@ -20,6 +20,9 @@ a composite lens run forward and backward once.
 
 A carrier is a dimension or a pair of carriers.  An element of a pair is a
 :class:`Pair` of its factors' elements, so pairing and splitting copy no array.
+Shapes are checked at the edges only: a :class:`SmoothFn` (a lens's ``get``
+or ``put``, say) rejects an input outside its domain and checks its output,
+and ``train_step``, ``gan_step`` and ``forward_eval`` convert their inputs.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .lens_core import (
     lens_id,
     lens_tensor,
     make_costate,
-    optic,
     rewire,
 )
 from .para_optic import (
@@ -86,13 +88,15 @@ def _shaped(x, c: Carrier) -> bool:
 
 @dataclass(frozen=True)
 class SmoothFn:
-    """A smooth map between carriers, stored as a procedure; outputs are shape-checked."""
+    """A smooth map between carriers, stored as a procedure; inputs and outputs are shape-checked."""
 
     dom: Carrier
     cod: Carrier
     fn: Callable
 
     def __call__(self, x):
+        if not _shaped(x, self.dom):
+            raise CompositionError(f"input is not an element of {SMOOTH.describe(self.dom)} of float64 arrays")
         out = self.fn(x)
         return out if _shaped(out, self.cod) else as_vector(out, self.cod, "smooth map output", False)
 
@@ -139,22 +143,18 @@ class SmoothBase(Base):
         return SmoothFn(f.dom, g.cod, lambda x: g(f(x)))
 
     def product(self, f: SmoothFn, g: SmoothFn) -> SmoothFn:
-        def both(xy):
-            x, y = self.split_elem(f.dom, g.dom, xy)
-            return Pair((f(x), g(y)))
-
-        return SmoothFn(self.pair(f.dom, g.dom), self.pair(f.cod, g.cod), both)
+        # the product's edge checks that its input is a pair of the right shapes
+        return SmoothFn(self.pair(f.dom, g.dom), self.pair(f.cod, g.cod), lambda xy: Pair((f(xy[0]), g(xy[1]))))
 
     def unit_elem(self) -> Vector:
         return np.zeros(0)
 
-    def pair_elem(self, a: Carrier, b: Carrier, x, y) -> Pair:
+    def pair_elem(self, x, y) -> Pair:
         return Pair((x, y))
 
-    def split_elem(self, a: Carrier, b: Carrier, xy) -> Pair:
-        """Unpack a pair, checking that its leaves are float64 arrays of their dimensions."""
-        if not _shaped(xy, (a, b)):
-            raise CompositionError(f"element is not a pair of {self.describe((a, b))} of float64 arrays")
+    def split_elem(self, xy) -> tuple:
+        if not (isinstance(xy, tuple) and len(xy) == 2):
+            raise CompositionError("element is not a pair")
         return xy
 
 
@@ -607,12 +607,12 @@ def apply_R(f: SmoothMap) -> ParaLens:
     px = SMOOTH.pair(pd, n)
 
     def forward(v):
-        return forward_eval(f, *SMOOTH.split_elem(pd, n, v))
+        return forward_eval(f, *SMOOTH.split_elem(v))
 
     def backward(tape, dy):
         return Pair(backward_eval(f, tape, dy))
 
-    carrier = optic(SMOOTH, LensObj(px, px), LensObj(m, m), forward, backward)
+    carrier = Lens(SMOOTH, LensObj(px, px), LensObj(m, m), forward, backward)
     return ParaLens(SMOOTH, (LensObj(pd, pd),), LensObj(n, n), LensObj(m, m), carrier, 0)
 
 
@@ -623,12 +623,11 @@ def gd_lens(alpha: float, dim: int) -> Lens:
         raise NumericError("learning rate must be finite")
     obj = LensObj(dim, dim)
 
-    def step(pg):
-        out = alpha * pg[1]
-        return np.subtract(pg[0], out, out=out)  # p − α·g, written over the fresh α·g
+    def step(p, g):
+        out = alpha * g
+        return np.subtract(p, out, out=out)  # p − α·g, written over the fresh α·g
 
-    put = SMOOTH.morphism(SMOOTH.pair(dim, dim), dim, step)
-    return Lens(SMOOTH, obj, obj, SMOOTH.identity(dim), put)
+    return Lens(SMOOTH, obj, obj, lambda p: (p, p), step)
 
 
 def ga_lens(alpha: float, dim: int) -> Lens:
@@ -638,11 +637,8 @@ def ga_lens(alpha: float, dim: int) -> Lens:
 
 def copy_lens(dim: int) -> Lens:
     """Weight tying: ``p ↦ (p, p)`` forward, ``(p, (ga, gb)) ↦ ga + gb`` backward."""
-    obj = LensObj(dim, dim)
     dbl = LensObj((dim, dim), (dim, dim))
-    get = SMOOTH.morphism(dim, dbl.fwd, lambda p: Pair((p, p)))
-    put = SMOOTH.morphism(SMOOTH.pair(dim, dbl.bwd), dim, lambda v: v[1][0] + v[1][1])
-    return Lens(SMOOTH, obj, dbl, get, put)
+    return Lens(SMOOTH, LensObj(dim, dim), dbl, lambda p: (Pair((p, p)), None), lambda _, g: g[0] + g[1])
 
 
 def unit_loss_costate() -> Lens:

@@ -172,7 +172,7 @@ def test_product_and_split_reject_non_pairs():
     fg = FINITE.product(f, f)
     for bad in ("ab", ("a", "b", "a")):
         with pytest.raises(CompositionError, match="not a pair"):
-            FINITE.split_elem(f.dom, f.dom, bad)
+            FINITE.split_elem(bad)
         with pytest.raises(CompositionError):
             fg(bad)
     with pytest.raises(CompositionError):

@@ -16,6 +16,7 @@ from paralens.lens_core import (
     Lens,
     LensObj,
     costate_fn,
+    get_put_lens,
     lens_assoc,
     lens_assoc_inv,
     lens_compose,
@@ -51,7 +52,7 @@ def _l1() -> Lens:
         A.bwd,
         {("a0", "r"): "p", ("a0", "s"): "q", ("a1", "r"): "q", ("a1", "s"): "p"},
     )
-    return Lens(FINITE, A, B, get, put)
+    return get_put_lens(FINITE, A, B, get, put)
 
 
 def _l2() -> Lens:
@@ -61,7 +62,7 @@ def _l2() -> Lens:
         B.bwd,
         {("b0", "t"): "r", ("b0", "u"): "s", ("b1", "t"): "s", ("b1", "u"): "r"},
     )
-    return Lens(FINITE, B, C, get, put)
+    return get_put_lens(FINITE, B, C, get, put)
 
 
 def test_boundary_validation():
@@ -70,7 +71,7 @@ def test_boundary_validation():
         ("a0", "t"): "p", ("a0", "u"): "p", ("a1", "t"): "p", ("a1", "u"): "p",
     })
     with pytest.raises(CompositionError):
-        Lens(FINITE, A, B, get, bad_put)
+        get_put_lens(FINITE, A, B, get, bad_put)
 
 
 def test_compose_forward():
@@ -122,7 +123,7 @@ def test_lens_equal_discriminates():
         A.bwd,
         {("a0", "r"): "q", ("a0", "s"): "q", ("a1", "r"): "q", ("a1", "s"): "p"},
     )
-    assert not lens_equal(other, Lens(FINITE, A, B, other.get, tweaked))
+    assert not lens_equal(other, get_put_lens(FINITE, A, B, other.get, tweaked))
 
 
 def test_lens_equal_requires_same_boundary():
@@ -205,6 +206,27 @@ def test_composite_rejects_a_non_member_only_a_structural_lens_reads(case):
     with pytest.raises(CompositionError):
         morphism(bad)
     assert morphism.table == {}
+
+
+def test_a_chain_builds_each_morphism_when_first_read(monkeypatch):
+    built = []
+    init = FinFn.__post_init__
+
+    def counted(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(FinFn, "__post_init__", counted)
+    chain = lens_compose(
+        lens_tensor(lens_id(FINITE, A), lens_swap(FINITE, B, C)),
+        lens_assoc_inv(FINITE, A, C, B),
+    )
+    assert built == []
+    for name in ("get", "put"):
+        first = getattr(chain, name)
+        assert built == [first]
+        assert getattr(chain, name) is first
+        built.clear()
 
 
 def test_structural_round_trips_random():

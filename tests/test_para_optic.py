@@ -14,9 +14,9 @@ from paralens.finite_base import (
     UNIT_SET,
 )
 from paralens.lens_core import (
-    Lens,
     LensObj,
     costate_fn,
+    get_put_lens,
     lens_equal,
     lens_id,
     obj_pair,
@@ -50,7 +50,7 @@ def _switch_para() -> ParaLens:
             for r in dst.bwd.labels
         },
     )
-    carrier = Lens(FINITE, LensObj(dom, FinProd(params.bwd, src.bwd)), dst, get, put)
+    carrier = get_put_lens(FINITE, LensObj(dom, FinProd(params.bwd, src.bwd)), dst, get, put)
     return ParaLens(FINITE, (params,), src, dst, carrier, 0)
 
 
@@ -59,7 +59,7 @@ def _echo_para(tag: str) -> ParaLens:
     port = LensObj(FinSet((f"{tag}0", f"{tag}1")), FinSet((f"{tag}r0", f"{tag}r1")))
     u = unit_obj(FINITE)
     src = obj_pair(FINITE, port, u)
-    carrier = Lens(
+    carrier = get_put_lens(
         FINITE,
         src,
         u,
@@ -102,7 +102,7 @@ def test_para_compose_parameter_order():
         (q.params,),
         p.dst,
         q.dst,
-        Lens(
+        get_put_lens(
             FINITE,
             LensObj(
                 FinProd(q.params.fwd, p.dst.fwd),
@@ -206,7 +206,7 @@ def test_solution_input_costate():
     u = unit_obj(FINITE)
     dom = FinProd(params.fwd, UNIT_SET)
     reward = {"w0": "g1", "w1": "g0"}
-    carrier = Lens(
+    carrier = get_put_lens(
         FINITE,
         LensObj(dom, FinProd(params.bwd, UNIT_SET)),
         u,

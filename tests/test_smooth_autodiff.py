@@ -22,6 +22,7 @@ from paralens.smooth_autodiff import (
     SMOOTH,
     GraphBuilder,
     Node,
+    Pair,
     SmoothMap,
     Wire,
     apply_R,
@@ -309,6 +310,17 @@ def test_copy_lens_duplicates_and_sums():
     assert np.allclose(back, [11.0, 22.0])
 
 
+def test_optimiser_lenses_reject_a_mis_shaped_input_at_their_edge():
+    one, three = np.ones(1), np.ones(3)
+    cases = [
+        (copy_lens(3).put, Pair((three, Pair((three, one)))), r"R\^3 × \(R\^3 × R\^3\)"),
+        (gd_lens(0.1, 3).put, Pair((three, one)), r"R\^3 × R\^3"),
+    ]
+    for put, bad, carrier in cases:
+        with pytest.raises(CompositionError, match=carrier):
+            put(bad)
+
+
 def test_weight_tying_suite():
     # the suite that drives flatten_params and copy_lens over the smooth base
     result = check_weight_tying()
@@ -562,9 +574,11 @@ def test_smooth_product_and_split_reject_non_pairs():
     both = SMOOTH.product(f, g)
     flat, triple = np.zeros(5), (np.zeros(2), np.zeros(3), np.zeros(1))
     swapped = (np.zeros(3), np.zeros(2))
+    for bad in (flat, triple):
+        with pytest.raises(CompositionError, match="not a pair"):
+            SMOOTH.split_elem(bad)
+    # split_elem knows no dimensions; the morphism's edge does
     for bad in (flat, triple, swapped):
-        with pytest.raises(CompositionError, match=r"R\^2 × R\^3"):
-            SMOOTH.split_elem(2, 3, bad)
         with pytest.raises(CompositionError, match=r"R\^2 × R\^3"):
             both(bad)
     x, y = both((np.ones(2), np.ones(3)))
