@@ -55,7 +55,6 @@ from .lens_core import (
     make_costate,
     make_state,
     obj_pair,
-    relabel_lens,
     unit_obj,
 )
 from .para_optic import (

@@ -25,13 +25,15 @@ enters.  Elements of products are pairs on every base, so pairing and
 splitting take no carriers.  The tensor acts componentwise on pairs.
 States are lenses out of the unit boundary (they pick a point), costates
 are lenses into it (their put is an ordinary map out of the forward carrier).
+Structural isomorphisms are :func:`rewire` lenses; their legs are flat
+functions compiled once per pair of bracketings and kept in a bounded cache.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Any, Callable, Sequence
 
 from .errors import CompositionError, UnsupportedOperationError
@@ -70,23 +72,11 @@ class Base(ABC):
     # -- morphisms ------------------------------------------------------
 
     @abstractmethod
-    def identity(self, c: Carrier) -> Mor:
-        ...
-
-    @abstractmethod
     def morphism(self, dom: Carrier, cod: Carrier, fn: Callable[[Elem], Elem]) -> Mor:
         """Build a base morphism from an element-level function.
 
         Both bases wrap the callable and check its input and output; finite ones also memoise.
         """
-
-    @abstractmethod
-    def compose(self, f: Mor, g: Mor) -> Mor:
-        ...
-
-    @abstractmethod
-    def product(self, f: Mor, g: Mor) -> Mor:
-        """Componentwise action on paired carriers."""
 
     # -- elements -------------------------------------------------------
 
@@ -287,68 +277,82 @@ def lens_equal(l1: Lens, l2: Lens) -> bool:
 # same leaves, so one :func:`rewire` builds them all.
 
 
-def relabel_lens(
-    base: Base,
-    src: LensObj,
-    dst: LensObj,
-    fwd_fn: Callable[[Elem], Elem],
-    bwd_fn: Callable[[Elem], Elem],
-) -> Lens:
-    return Lens(base, src, dst, lambda x: (fwd_fn(x), None), lambda _, z: bwd_fn(z))
+def fold_bracketing(base: Base, leaves: Sequence[LensObj], tree, seen: list) -> LensObj:
+    """The boundary object ``tree`` brackets ``leaves`` into; a malformed ``tree`` raises.
 
-
-def _bracketing(base: Base, leaves: Sequence[LensObj], tree, seen: list[int]):
-    """The boundary object ``tree`` brackets ``leaves`` into, and how to split and join along it.
-
-    ``split(x, parts)`` records the leaf components of ``x`` in ``parts`` by
-    leaf index and returns it; ``join(parts)`` assembles an element, reading
-    absent leaves as units.  Both are compiled once, and each closure holds
-    only its children's, so a lens built on them holds no reference cycle.
-    The leaf indices of ``tree`` are appended to ``seen``.
+    The leaves met, indices or ``None``, are appended to ``seen`` left to right.
     """
-    if isinstance(tree, tuple):
-        (lobj, lsplit, ljoin), (robj, rsplit, rjoin) = (_bracketing(base, leaves, t, seen) for t in tree)
+    if type(tree) is tuple and len(tree) == 2:
+        left = fold_bracketing(base, leaves, tree[0], seen)
+        return obj_pair(base, left, fold_bracketing(base, leaves, tree[1], seen))
+    if tree is not None and (type(tree) is not int or not 0 <= tree < len(leaves)):
+        raise CompositionError(f"a bracketing of {len(leaves)} leaves is a leaf index, a pair or None, got {tree!r}")
+    seen.append(tree)
+    return unit_obj(base) if tree is None else leaves[tree]
 
-        def split(x, parts):
-            u, v = base.split_elem(x)
-            return rsplit(v, lsplit(u, parts))
 
-        return obj_pair(base, lobj, robj), split, lambda parts: base.pair_elem(ljoin(parts), rjoin(parts))
+def _unpack(tree, var: str, lines: list[str], bound: set[int]) -> None:
+    """Append the lines that split ``var`` along ``tree`` and add the leaves they bind to ``bound``.
 
-    def leaf(x, parts):
-        if tree is not None:
-            parts[tree] = x
-        return parts
+    Leaf ``i`` binds ``x<i>``; a unit binds ``xNone``, which no join reads.
+    """
+    if type(tree) is tuple:
+        names = [f"t{len(lines)}{side}" if type(t) is tuple else f"x{t}" for side, t in zip("lr", tree)]
+        lines.append(f"{names[0]}, {names[1]} = base.split_elem({var})")
+        for t, name in zip(tree, names):
+            _unpack(t, name, lines, bound)
+    elif tree is not None:
+        bound.add(tree)
 
-    if tree is not None:
-        seen.append(tree)
-    obj = unit_obj(base) if tree is None else leaves[tree]
-    return obj, leaf, lambda parts: parts[tree] if tree in parts else base.unit_elem()
+
+def _pack(tree, lines: list[str], bound: set[int]) -> str:
+    """Append the lines that join the ``bound`` leaves along ``tree``; return what names the result."""
+    if type(tree) is not tuple:
+        return f"x{tree}" if tree in bound else "base.unit_elem()"
+    left, right = (_pack(t, lines, bound) for t in tree)
+    lines.append(f"p{len(lines)} = base.pair_elem({left}, {right})")
+    return f"p{len(lines) - 1}"
+
+
+@lru_cache(maxsize=256)
+def _rewire_legs(base: Base, src, dst) -> tuple[Callable, Callable]:
+    """The legs of a :func:`rewire` from ``src`` to ``dst``, compiled from generated source.
+
+    ``base``'s element operations are looked up at every call.  The legs are
+    taken out of their namespace, so a lens holding them holds no cycle.
+    """
+    source: list[str] = []
+    for head, split_along, join_along, tail in (("forward(", src, dst, ", None"), ("backward(_r, ", dst, src, "")):
+        lines: list[str] = []
+        bound: set[int] = set()
+        arg = "x" if type(split_along) is tuple else f"x{split_along}"
+        _unpack(split_along, arg, lines, bound)
+        out = _pack(join_along, lines, bound)
+        source += [f"def {head}{arg}):", *(f"    {line}" for line in lines), f"    return {out}{tail}"]
+    namespace = {"base": base}
+    exec(compile("\n".join(source) + "\n", "<rewire>", "exec"), namespace)
+    return namespace.pop("forward"), namespace.pop("backward")
 
 
 def rewire(base: Base, leaves: Sequence[LensObj], src, dst) -> Lens:
     """The relabelling lens between two bracketings of the same ``leaves``.
 
     A bracketing is a leaf index, a pair of bracketings, or ``None`` for the
-    unit.  Forward, an element is split along ``src`` and joined along
-    ``dst``; backward, the reverse.  A leaf may be missing from one side
-    only if it is a unit leaf, which then reads as ``base.unit_elem()``.
+    unit; a malformed one raises :class:`CompositionError`.  Forward, an
+    element is split along ``src`` and joined along ``dst``; backward, the
+    reverse.  A leaf may be missing from one side only if it is a unit
+    leaf, which then reads as ``base.unit_elem()``.  The legs are compiled
+    once per ``(base, src, dst)`` into flat functions, kept in a cache of
+    bounded size and shared by every lens of that shape.
     """
     si, di = [], []
-    src_obj, split_src, join_src = _bracketing(base, leaves, src, si)
-    dst_obj, split_dst, join_dst = _bracketing(base, leaves, dst, di)
-    unit = unit_obj(base)
+    src_obj, dst_obj = fold_bracketing(base, leaves, src, si), fold_bracketing(base, leaves, dst, di)
+    si, di = [i for i in si if i is not None], [i for i in di if i is not None]
     if len(set(si)) != len(si) or len(set(di)) != len(di):
         raise CompositionError("rewire: a bracketing uses a leaf twice")
-    if any(leaves[i] != unit for i in set(si) ^ set(di)):
+    if any(leaves[i] != unit_obj(base) for i in set(si) ^ set(di)):
         raise CompositionError("rewire: only unit leaves may be dropped or introduced")
-    return relabel_lens(
-        base,
-        src_obj,
-        dst_obj,
-        lambda x: join_dst(split_src(x, {})),
-        lambda z: join_src(split_dst(z, {})),
-    )
+    return Lens(base, src_obj, dst_obj, *_rewire_legs(base, src, dst))
 
 
 def lens_lunit(base: Base, a: LensObj) -> Lens:

@@ -40,6 +40,7 @@ from .lens_core import (
     make_costate,
     obj_pair,
     describe_obj,
+    fold_bracketing,
     rewire,
     unit_obj,
 )
@@ -67,10 +68,12 @@ class ParaLens:
 
     def __post_init__(self):
         base = self.base
-        seen: list[int] = []
-        object.__setattr__(self, "params", _fold(base, self.leaves, self.param_shape, seen))
-        if len(seen) != len(self.leaves):
-            raise CompositionError(f"param_shape leaves out some of the {len(self.leaves)} leaves")
+        seen: list = []
+        object.__setattr__(self, "params", fold_bracketing(base, self.leaves, self.param_shape, seen))
+        if seen != list(range(len(self.leaves))):
+            raise CompositionError(
+                f"param_shape must number the {len(self.leaves)} leaves left to right, got {self.param_shape!r}"
+            )
         expected_src = obj_pair(base, self.params, self.src)
         if self.carrier.src != expected_src or self.carrier.dst != self.dst:
             raise CompositionError(
@@ -78,17 +81,6 @@ class ParaLens:
                 f"{describe_obj(base, self.carrier.dst)}, expected "
                 f"{describe_obj(base, expected_src)} → {describe_obj(base, self.dst)}"
             )
-
-
-def _fold(base: Base, leaves: Sequence[LensObj], shape, seen: list[int]) -> LensObj:
-    """The port ``shape`` brackets ``leaves`` into; leaf indices must run 0, 1, …"""
-    if isinstance(shape, tuple) and len(shape) == 2:
-        left, right = shape
-        return obj_pair(base, _fold(base, leaves, left, seen), _fold(base, leaves, right, seen))
-    if shape != len(seen) or shape >= len(leaves):
-        raise CompositionError(f"param_shape must number the leaves left to right, got {shape!r}")
-    seen.append(shape)
-    return leaves[shape]
 
 
 def _shifted(shape, by: int):

@@ -475,17 +475,18 @@ def sum_of_payoffs_lens(g: NormalFormGame) -> Lens:
 
     Identity forward; backward maps each payoff tuple to its total.  The
     sum grid is closed under every combination of per-player values, so
-    every total is one of its labels.
+    every total is one of its labels.  Totals are read from a table built
+    in the one pass over the grid product that builds the sum grid.
     """
     omega = finset_tuple_product(g.players)
     prod = finset_tuple_product(g.grids)
     values = [{l: parse_payoff(l) for l in grid.labels} for grid in g.grids]  # parsed once per grid
-    sums = payoff_grid([sum(c) for c in iter_product(*[v.values() for v in values])])
-
-    def total(_, r: tuple) -> str:
-        return payoff_label(sum(v[p] for v, p in zip(values, split_tuple(g.grids, r))))
-
-    return Lens(FINITE, LensObj(omega, sums), LensObj(omega, prod), lambda w: (w, None), total)
+    totals = {
+        tuple_label([l for l, _ in c]): sum(v for _, v in c) for c in iter_product(*[v.items() for v in values])
+    }
+    sums = payoff_grid(totals.values())
+    table = {r: payoff_label(t) for r, t in totals.items()}
+    return Lens(FINITE, LensObj(omega, sums), LensObj(omega, prod), lambda w: (w, None), lambda _, r: table[r])
 
 
 def hicks_games(

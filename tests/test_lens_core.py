@@ -8,6 +8,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paralens.checks import random_lens, random_obj
 from paralens.errors import CompositionError, UnsupportedOperationError
@@ -32,12 +34,11 @@ from paralens.lens_core import (
     make_costate,
     make_state,
     obj_pair,
-    relabel_lens,
     rewire,
     unit_obj,
 )
 from paralens.para_optic import embed_trivial
-from paralens.smooth_autodiff import SMOOTH, flat_dim, join_flat, split_flat
+from paralens.smooth_autodiff import SMOOTH, Pair, flat_dim, join_flat, split_flat
 
 
 A = LensObj(FinSet(("a0", "a1")), FinSet(("p", "q")))
@@ -177,16 +178,10 @@ def test_costate_fn_requires_trivial_target():
 
 
 def test_relabel_lens_ignores_forward_point():
-    r = relabel_lens(
-        FINITE,
-        A,
-        LensObj(A.fwd, A.bwd),
-        lambda x: x,
-        lambda v: {"p": "q", "q": "p"}[v],
-    )
-    assert FINITE.apply(r.get, "a0") == "a0"
-    assert FINITE.apply(r.put, ("a0", "p")) == "q"
-    assert FINITE.apply(r.put, ("a1", "p")) == "q"
+    r = lens_swap(FINITE, A, B)
+    assert FINITE.apply(r.get, ("a0", "b1")) == ("b1", "a0")
+    assert FINITE.apply(r.put, (("a0", "b1"), ("r", "q"))) == ("q", "r")
+    assert FINITE.apply(r.put, (("a1", "b0"), ("r", "q"))) == ("q", "r")
 
 
 def _edge_cases():
@@ -281,3 +276,97 @@ def test_structural_lenses_move_vector_slices():
         assert np.array_equal(join_flat(lens.get(split_flat(lens.src.fwd, x))), x[fwd])
         back = lens.put(split_flat(lens.put.dom, np.concatenate([x, z])))
         assert np.array_equal(join_flat(back)[bwd], z)
+
+
+@pytest.mark.parametrize(
+    "src, dst",
+    [(0, 1), ((0, 1, 2), 0), ("0", 0), (-1, -1), ((0,), 0), ([0], 0), (True, True), ((0, None), (0, 0))],
+)
+def test_rewire_rejects_a_malformed_bracketing(src, dst):
+    with pytest.raises(CompositionError):
+        rewire(FINITE, [A], src, dst)
+
+
+# -- rewire against a recursive split/join written out here ---------------
+
+
+def _ref_split(base, tree, x, parts: dict) -> dict:
+    if isinstance(tree, tuple):
+        u, v = base.split_elem(x)
+        _ref_split(base, tree[1], v, _ref_split(base, tree[0], u, parts))
+    elif tree is not None:
+        parts[tree] = x
+    return parts
+
+
+def _ref_join(base, tree, parts: dict, absent):
+    if isinstance(tree, tuple):
+        return base.pair_elem(_ref_join(base, tree[0], parts, absent), _ref_join(base, tree[1], parts, absent))
+    return parts[tree] if tree in parts else absent()
+
+
+def _plain(x):
+    """A comparable rendering of an element that keeps its pair type."""
+    if isinstance(x, tuple):
+        return (type(x).__name__,) + tuple(_plain(e) for e in x)
+    if isinstance(x, np.ndarray):
+        return ("array", x.dtype.str, tuple(x.tolist()))
+    return x
+
+
+@st.composite
+def _bracketing(draw, items: list):
+    if not items:
+        return None
+    if len(items) == 1:
+        return items[0]
+    k = draw(st.integers(1, len(items) - 1))
+    return (draw(_bracketing(items[:k])), draw(_bracketing(items[k:])))
+
+
+@st.composite
+def _rewire_cases(draw):
+    """Leaves (``True`` for a unit leaf) and two bracketings of them.
+
+    Every other leaf sits on both sides; a unit leaf, or a ``None``, may sit
+    on either side, both or neither.
+    """
+    units = draw(st.lists(st.booleans(), min_size=1, max_size=6))
+
+    def side():
+        items = [i for i, unit in enumerate(units) if not unit or draw(st.booleans())]
+        items += [None] * draw(st.integers(0, 2))
+        return draw(_bracketing(draw(st.permutations(items))))
+
+    return units, side(), side()
+
+
+@pytest.mark.parametrize("base", [FINITE, SMOOTH], ids=["finite", "smooth"])
+@settings(max_examples=150, deadline=None)
+@given(case=_rewire_cases())
+def test_rewire_matches_a_recursive_split_and_join(base, case):
+    units, src, dst = case
+    if base is FINITE:
+        carriers = [FinSet((f"a{i}", f"b{i}")) for i in range(len(units))]
+        values = {i: f"b{i}" for i in range(len(units))}
+        marker = "not a unit"
+    else:
+        carriers = [1 + i % 3 for i in range(len(units))]
+        values = {i: np.arange(float(d)) + i for i, d in enumerate(carriers)}
+        marker = np.array([-1.0])
+    leaves = [unit_obj(base) if u else LensObj(c, c) for u, c in zip(units, carriers)]
+    members = {i: base.unit_elem() if u else values[i] for i, u in enumerate(units)}
+    lens = rewire(base, leaves, src, dst)
+    x = _ref_join(base, src, members, base.unit_elem)
+    expected = _ref_join(base, dst, _ref_split(base, src, x, {}), base.unit_elem)
+    y, r = lens.forward(x)
+    assert _plain(y) == _plain(expected) == _plain(lens.get(x))
+    assert _plain(lens.backward(r, y)) == _plain(x)
+    # the legs check nothing: a leaf dropped on the way reads as the unit, whatever it held
+    marked = _ref_join(base, src, {i: marker if u else values[i] for i, u in enumerate(units)}, lambda: marker)
+    expected = _ref_join(base, dst, _ref_split(base, src, marked, {}), base.unit_elem)
+    assert _plain(lens.forward(marked)[0]) == _plain(expected)
+    # the legs are compiled once per shape and shared
+    assert rewire(base, leaves, src, dst).forward is lens.forward
+    if base is SMOOTH and isinstance(dst, tuple):
+        assert type(y) is Pair
