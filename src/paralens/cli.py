@@ -90,8 +90,6 @@ def parse_game_spec(data: object) -> tuple[NormalFormGame, str | list[str] | Non
         for i, move in enumerate(prof):
             if move not in players[i]:
                 raise SpecFormatError(f"unknown move {move!r} for player {i}", path)
-        if prof in table:
-            raise SpecFormatError("duplicate profile", path)
         if not isinstance(vals, list) or len(vals) != n:
             raise SpecFormatError(f"expected a list of {n} payoffs", path)
         row = []

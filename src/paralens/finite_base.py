@@ -18,6 +18,7 @@ floats never enter the game-theoretic side.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -215,7 +216,11 @@ def enumerate_functions(
 
 def payoff_label(value: Fraction | int | str) -> str:
     """Canonical label of a rational payoff, e.g. ``3`` or ``-1/2``."""
-    return str(parse_payoff(value))
+    value = parse_payoff(value)
+    try:
+        return str(value)
+    except ValueError:  # past Python's int-string limit, which a sum of payoffs within it can pass
+        raise SizeCapError(f"payoff has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def parse_payoff(label: Fraction | int | str) -> Fraction:

@@ -39,7 +39,6 @@ from .finite_base import (
     parse_payoff,
     payoff_grid,
     payoff_label,
-    split_tuple,
     tuple_label,
 )
 from .lens_core import (
@@ -127,16 +126,6 @@ def nash_product(eps: SelectionRelation, delta: SelectionRelation) -> SelectionR
     return SelectionRelation(obj, accepts)
 
 
-def _threaded_costate(f: Lens, k: FinFn) -> FinFn:
-    """The reward function seen upstream of ``f``: forward out, reward back."""
-
-    def fn(x):
-        y, r = f.forward(x)
-        return f.backward(r, k(y))
-
-    return FinFn(f.src.fwd, f.src.bwd, fn)
-
-
 def sel_pushforward(
     f: Lens, eps: SelectionRelation, max_size: int = DEFAULT_ENUM_CAP
 ) -> SelectionRelation:
@@ -168,7 +157,7 @@ def sel_pushforward(
 
     def accepts(y, k: FinFn) -> bool:
         if threaded[0] is not k:
-            threaded[:] = [k, _threaded_costate(f, k)]
+            threaded[:] = [k, costate_fn(lens_compose(f, make_costate(FINITE, f.dst, k)))]
         return any(eps.accepts(x, threaded[1]) for x in fibres.get(y, ()))
 
     return SelectionRelation(f.dst, accepts)
@@ -180,21 +169,11 @@ def is_sel_morphism(
     delta: SelectionRelation,
     max_size: int = DEFAULT_ENUM_CAP,
 ) -> bool:
-    """Whether ``f`` carries ``eps`` into ``delta``.
-
-    Checked by enumeration: for every state h and every reward function k on
-    the target, acceptance of h upstream must imply acceptance of get(h)
-    downstream.
-    """
+    """Whether ``f`` carries ``eps`` into ``delta``: whether the pushforward
+    of ``eps`` along ``f`` lies inside ``delta``."""
     if f.src != eps.obj or f.dst != delta.obj:
         raise CompositionError("lens boundaries do not match the two relations")
-    costates = enumerate_functions(f.dst.fwd, f.dst.bwd, max_size)
-    for k in costates:
-        fk = _threaded_costate(f, k)
-        for h in f.src.fwd.labels:
-            if eps.accepts(h, fk) and not delta.accepts(f.get(h), k):
-                return False
-    return True
+    return relation_subset(sel_pushforward(f, eps, max_size), delta, max_size)
 
 
 def relations_equal(
@@ -326,12 +305,14 @@ class NormalFormGame:
 
     ``payoff`` maps each profile, a left-nested tuple of moves, to the
     left-nested tuple of its payoff labels over the per-player reward
-    grids; ``grids`` records the factorisation of its codomain.
+    grids; ``grids`` records the factorisation of its codomain.  ``values``
+    is the exact table they were rendered from, keyed by tuples of moves.
     """
 
     players: tuple[FinSet, ...]
     grids: tuple[FinSet, ...]
     payoff: FinFn
+    values: Mapping[tuple[str, ...], tuple[Fraction, ...]]
 
 
 def normal_form_game(
@@ -370,22 +351,12 @@ def normal_form_game(
             for p in profiles
         },
     )
-    return NormalFormGame(players, grids, payoff)
+    return NormalFormGame(players, grids, payoff, {p: values[p] for p in profiles})
 
 
 def profile_values(g: NormalFormGame, prof: Sequence[str]) -> tuple[Fraction, ...]:
-    """Decode the payoff tuple of one profile."""
-    label = g.payoff(tuple_label(tuple(prof)))
-    return tuple(parse_payoff(p) for p in split_tuple(g.grids, label))
-
-
-def _decoded_payoffs(g: NormalFormGame) -> dict[tuple, tuple[Fraction, ...]]:
-    """Every profile's payoff tuple, keyed by its tuple of moves; each label is parsed once."""
-    values = [{l: parse_payoff(l) for l in grid} for grid in g.grids]
-    return {
-        prof: tuple(v[p] for v, p in zip(values, split_tuple(g.grids, g.payoff(tuple_label(prof)))))
-        for prof in iter_product(*[p.labels for p in g.players])
-    }
+    """The exact payoff tuple of one profile."""
+    return g.values[tuple(prof)]
 
 
 def brute_force_nash(
@@ -396,16 +367,15 @@ def brute_force_nash(
     Given per-player ``tags``, only ``"argmax"`` players are held to deviations.
     """
     tags = _checked_tags(g, ["argmax"] * len(g.players) if tags is None else tags)
-    count = len(finset_tuple_product(g.players))
+    count = len(g.values)
     if count > max_size:
         raise SizeCapError(
             f"{count} profiles exceed the cap of {max_size}", count=count
         )
-    payoffs = _decoded_payoffs(g)
     out = []
-    for prof, vals in payoffs.items():
+    for prof, vals in g.values.items():
         if not any(
-            payoffs[prof[:i] + (dev,) + prof[i + 1 :]][i] > vals[i]
+            g.values[prof[:i] + (dev,) + prof[i + 1 :]][i] > vals[i]
             for i, player in enumerate(g.players)
             if tags[i] == "argmax"
             for dev in player.labels
@@ -417,7 +387,7 @@ def brute_force_nash(
 
 def brute_force_hicks(g: NormalFormGame) -> tuple:
     """Profiles maximising the summed payoff, by direct enumeration."""
-    totals = {p: sum(vals) for p, vals in _decoded_payoffs(g).items()}
+    totals = {p: sum(vals) for p, vals in g.values.items()}
     best = max(totals.values())
     return tuple(tuple_label(p) for p in totals if totals[p] == best)
 

@@ -219,6 +219,21 @@ def test_solve_rejects_bad_inputs(tmp_path, capsys):
         assert flag in capsys.readouterr().err
 
 
+def test_solve_hicks_total_past_the_digit_limit(tmp_path, capsys):
+    # each payoff has 4,300 digits, within the limit; their sum has 4,301
+    big = int("9" * 4300)
+    spec = {
+        "players": [{"name": "a", "strategies": ["x"]}, {"name": "b", "strategies": ["y"]}],
+        "payoffs": {"x,y": [big, big]},
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["solve", str(path), "--selection", "argmax_each"]) == 0
+    assert json.loads(capsys.readouterr().out)["solutions"] == [["x", "y"]]
+    assert main(["solve", str(path), "--selection", "hicks_sum"]) == 1
+    assert capsys.readouterr() == ("", "error: payoff has more than 4300 digits\n")
+
+
 def test_solve_user_spec_from_disk(tmp_path, capsys):
     # the dilemma with the labels' roles swapped: now C dominates
     spec = _pd_spec()
@@ -268,6 +283,15 @@ def test_train_golden_output(argv, name, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == (_TRAIN_GOLDEN / f"{name}.stdout").read_text("utf-8")
     written = (tmp_path / f"{argv[0]}.csv").read_bytes()
     assert written == (_TRAIN_GOLDEN / f"{name}.csv").read_bytes()
+
+
+# a step size far past stability: the loss overflows and the run stops at
+# the first non-finite value with one line on stderr and exit 1
+@pytest.mark.parametrize("demo, step", [("linreg", 70), ("mlp", 79)])
+def test_train_divergence_fails_loudly(demo, step, tmp_path, capsys):
+    assert main(["train", demo, "--alpha", "10", "--out", str(tmp_path / "run.csv")]) == 1
+    err = f"error: training diverged at step {step}: non-finite value at node 'loss'\n"
+    assert capsys.readouterr() == ("", err)
 
 
 def test_train_zero_steps_is_header_only(tmp_path):

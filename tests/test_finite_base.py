@@ -274,6 +274,9 @@ def test_payoff_labels():
     assert payoff_label(Fraction(3, 2)) == "3/2"
     assert payoff_label(2) == "2"
     assert payoff_label(Fraction(-1)) == "-1"
+    # past Python's limit on int-string conversion
+    with pytest.raises(SizeCapError, match="payoff has more than 4300 digits"):
+        payoff_label(Fraction(10**4300, 3))
     assert parse_payoff("3/2") == Fraction(3, 2)
     assert parse_payoff("-7") == Fraction(-7)
 

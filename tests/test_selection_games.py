@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from paralens.checks import random_relation
+from paralens.checks import random_finset, random_lens, random_obj, random_relation
 from paralens.errors import CompositionError, SizeCapError
 from paralens.finite_base import (
     FINITE,
@@ -17,6 +17,7 @@ from paralens.finite_base import (
     FinProd,
     FinSet,
     UNIT_SET,
+    enumerate_functions,
 )
 from paralens.lens_core import (
     LensObj,
@@ -269,6 +270,38 @@ def test_sel_morphism_examples():
     assert not is_sel_morphism(ident, every, arg)
     with pytest.raises(CompositionError):
         is_sel_morphism(ident, arg, total_rel(LensObj(grid, grid)))
+
+
+def _enumerated_sel_morphism(f, eps, delta) -> bool:
+    """The definition, checked state by state: for every reward function k on
+    the target, each h that ``eps`` accepts against k threaded back through
+    ``f`` must have get(h) accepted by ``delta`` against k."""
+    for k in enumerate_functions(f.dst.fwd, f.dst.bwd):
+
+        def threaded(x, k=k):
+            y, r = f.forward(x)
+            return f.backward(r, k(y))
+
+        fk = FinFn(f.src.fwd, f.src.bwd, threaded)
+        for h in f.src.fwd.labels:
+            if eps.accepts(h, fk) and not delta.accepts(f.get(h), k):
+                return False
+    return True
+
+
+def test_sel_morphism_matches_its_enumerated_definition():
+    rng = random.Random(15)
+    verdicts = []
+    for _ in range(150):
+        a = random_obj(rng, 3)
+        b = LensObj(random_finset(rng, 2), random_finset(rng, 2))
+        f = random_lens(rng, a, b)
+        eps, delta = random_relation(rng, a), random_relation(rng, b)
+        verdicts.append(is_sel_morphism(f, eps, delta))
+        assert verdicts[-1] == _enumerated_sel_morphism(f, eps, delta)
+        assert is_sel_morphism(f, eps, sel_pushforward(f, eps))
+        assert is_sel_morphism(f, eps, total_rel(b))
+    assert True in verdicts and False in verdicts
 
 
 # -- decisions ----------------------------------------------------------
