@@ -82,6 +82,7 @@ def parse_game_spec(data: object) -> tuple[NormalFormGame, str | list[str] | Non
     if not isinstance(raw_payoffs, dict):
         raise SpecFormatError("expected an object keyed by comma-joined profiles", "$.payoffs")
     table = {}
+    read: dict = {}  # (type, value) -> Fraction, so each distinct payoff is read once
     for key, vals in raw_payoffs.items():
         path = f"$.payoffs[{key!r}]"
         prof = tuple(key.split(","))
@@ -96,7 +97,8 @@ def parse_game_spec(data: object) -> tuple[NormalFormGame, str | list[str] | Non
         for i, v in enumerate(vals):
             if isinstance(v, bool) or not isinstance(v, (int, float, str)):
                 raise SpecFormatError("payoffs must be numbers or rational strings", f"{path}[{i}]")
-            row.append(_read_rational(v, f"{path}[{i}]"))
+            typed = (type(v), v)
+            row.append(read[typed] if typed in read else read.setdefault(typed, _read_rational(v, f"{path}[{i}]")))
         table[prof] = tuple(row)
     for prof in iter_product(*[p.labels for p in players]):
         if prof not in table:

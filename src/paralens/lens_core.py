@@ -6,31 +6,36 @@ forward leg ``x ↦ (y, r)`` that leaves a residual ``r``, and a backward leg
 :class:`Base` so the same combinators drive both the finite (exact) and
 the smooth (numeric) instantiations.
 
-Composition pairs the residuals, so the backward pass consumes the forward
-pass it follows instead of replaying it:
+A lens given by its legs is a leaf; composition, tensor, identities and
+:func:`rewire` build a composite, a term over leaves.  A composite's legs
+are straight-line code generated once per ``(base, term)`` and built when
+first read, so a composite only ever inlined into a larger one is never
+compiled.  Its residual is the flat tuple of its leaves' residuals, so no
+forward pass is replayed; for leaves ``l1`` and ``l2``,
 
     (l1 ; l2).forward(x) = (y2, (r1, r2))
         where (y1, r1) = l1.forward(x) and (y2, r2) = l2.forward(y1)
     (l1 ; l2).backward((r1, r2), z) = l1.backward(r1, l2.backward(r2, z))
 
-A lens is its two legs.  Its base morphisms ``get : A → B`` and
-``put : A × B' → A'``, with ``get(x) = y`` and ``put(x, z) = backward(r, z)``
-for ``(y, r) = forward(x)``, are built on first access and kept for the life
-of the lens; a lens given by ``get`` and ``put`` (:func:`get_put_lens`) keeps
-its input as its residual.  ``get`` and ``put`` are checked morphisms, so a
-composite checks an element and its image once, at its own edge, and the
-lenses inside it run on their legs, which neither check nor memoise.  What a
-caller hands in, a state's point or a costate's map, is checked where it
-enters.  Elements of products are pairs on every base, so pairing and
-splitting take no carriers.  The tensor acts componentwise on pairs.
-States are lenses out of the unit boundary (they pick a point), costates
-are lenses into it (their put is an ordinary map out of the forward carrier).
-Structural isomorphisms are :func:`rewire` lenses; their legs are flat
-functions compiled once per pair of bracketings and kept in a bounded cache.
+Tensor pairing, identities and rewires are renaming: an element is split
+only where it leaves a leaf or enters the composite, and paired only where
+a leaf or the output reads it.
+
+A lens's ``get : A → B`` and ``put : A × B' → A'``, ``get(x) = y`` and
+``put(x, z) = backward(r, z)`` for ``(y, r) = forward(x)``, are checked base
+morphisms built on first access, so a composite checks an element and its
+image once, at its own edge, and its leaves run on their legs, which
+neither check nor memoise; :func:`get_put_lens` keeps its input as its
+residual.  What a caller hands in, a state's point or a costate's map, is
+checked where it enters.  Elements of products are pairs on every base, so
+pairing and splitting take no carriers.  States are lenses out of the unit
+boundary (they pick a point), costates are lenses into it (their put is an
+ordinary map out of the forward carrier).
 """
 
 from __future__ import annotations
 
+import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -108,10 +113,16 @@ class LensObj:
     bwd: Carrier
 
 
-@dataclass(frozen=True, eq=False)
+LEAF = "leaf"  # the term of a lens given by its two legs
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Lens:
     """A morphism of boundary objects: a forward leg ``x ↦ (y, r)`` and a backward leg ``(r, z) ↦ x'``.
 
+    ``Lens(base, src, dst, forward, backward)`` is a leaf, whose ``term`` is
+    :data:`LEAF`; a combinator passes a composite's ``term`` and ``legs``,
+    each leaf's forward and backward leg, leaves left to right.
     ``get : src.fwd → dst.fwd`` and ``put : src.fwd × dst.bwd → src.bwd``
     are checked base morphisms, built on first access; the legs check nothing.
     """
@@ -119,12 +130,26 @@ class Lens:
     base: Base
     src: LensObj
     dst: LensObj
-    forward: Callable[[Elem], tuple[Elem, Any]]
-    backward: Callable[[Any, Elem], Elem]
+    term: Any
+    legs: tuple
+
+    def __init__(self, base, src, dst, forward=None, backward=None, *, term=LEAF, legs=None):
+        if term == LEAF:
+            legs = (forward, backward)
+            self.__dict__.update(forward=forward, backward=backward)
+        self.__dict__.update(base=base, src=src, dst=dst, term=term, legs=legs)
+        self.__post_init__()
 
     def __post_init__(self):
         """Checks nothing: the hook where ``bench/tracing.py`` (``lens_core.lenses_built``)
         and ``test_run_gan_builds_its_lenses_once`` count lens constructions."""
+
+    def __getattr__(self, name: str):
+        """A composite's ``forward`` and ``backward``, generated on first access."""
+        if name not in ("forward", "backward"):
+            raise AttributeError(name)
+        self.__dict__.update(zip(("forward", "backward"), _compile(self.base, self.term)(*self.legs)))
+        return self.__dict__[name]
 
     # the closures below capture the legs, not the lens, so that a lens
     # keeping its morphisms holds no reference cycle
@@ -180,7 +205,7 @@ def describe_obj(base: Base, a: LensObj) -> str:
 
 def lens_id(base: Base, a: LensObj) -> Lens:
     """Identity lens: get is the identity, put projects the backward value."""
-    return Lens(base, a, a, lambda x: (x, None), lambda _, z: z)
+    return Lens(base, a, a, term=("rewire", 0, 0), legs=())
 
 
 def lens_compose(l1: Lens, l2: Lens) -> Lens:
@@ -193,14 +218,7 @@ def lens_compose(l1: Lens, l2: Lens) -> Lens:
             f"cannot compose: first lens ends at {describe_obj(base, l1.dst)}, "
             f"second starts at {describe_obj(base, l2.src)}"
         )
-    f1, b1, f2, b2 = l1.forward, l1.backward, l2.forward, l2.backward
-
-    def forward(x):
-        y1, r1 = f1(x)
-        y2, r2 = f2(y1)
-        return y2, (r1, r2)
-
-    return Lens(base, l1.src, l2.dst, forward, lambda r, z: b1(r[0], b2(r[1], z)))
+    return Lens(base, l1.src, l2.dst, term=("compose", l1.term, l2.term), legs=l1.legs + l2.legs)
 
 
 def lens_tensor(l1: Lens, l2: Lens) -> Lens:
@@ -208,19 +226,8 @@ def lens_tensor(l1: Lens, l2: Lens) -> Lens:
     base = l1.base
     if base is not l2.base:
         raise CompositionError("cannot tensor lenses over different bases")
-    f1, b1, f2, b2 = l1.forward, l1.backward, l2.forward, l2.backward
-
-    def forward(xs):
-        x1, x2 = base.split_elem(xs)
-        (y1, r1), (y2, r2) = f1(x1), f2(x2)
-        return base.pair_elem(y1, y2), (r1, r2)
-
-    def backward(r, zs):
-        z1, z2 = base.split_elem(zs)
-        return base.pair_elem(b1(r[0], z1), b2(r[1], z2))
-
     src, dst = obj_pair(base, l1.src, l2.src), obj_pair(base, l1.dst, l2.dst)
-    return Lens(base, src, dst, forward, backward)
+    return Lens(base, src, dst, term=("tensor", l1.term, l2.term), legs=l1.legs + l2.legs)
 
 
 def make_state(base: Base, a: LensObj, point: Elem) -> Lens:
@@ -268,6 +275,86 @@ def lens_equal(l1: Lens, l2: Lens) -> bool:
     return base.mor_equal(l1.get, l2.get) and base.mor_equal(l1.put, l2.put)
 
 
+# -- generated legs -------------------------------------------------------
+#
+# A term is LEAF, ("compose", t1, t2), ("tensor", t1, t2) or ("rewire", src,
+# dst).  While generating, a value is a name bound at run time, a pair of
+# values, or None for the unit; only a split of a name emits code.
+
+
+class _Source(list):
+    """The lines of one generated leg; methods, not closures, so generating leaves no reference cycle."""
+
+    def join(self, v) -> str:
+        if type(v) is tuple:
+            return f"base.pair_elem({self.join(v[0])}, {self.join(v[1])})"
+        return "base.unit_elem()" if v is None else v
+
+    def split(self, v) -> tuple:
+        if type(v) is tuple:
+            return v
+        k = len(self)
+        self.append(f"s{k}l, s{k}r = base.split_elem({self.join(v)})")
+        return f"s{k}l", f"s{k}r"
+
+    def bind(self, tree, v, bound: dict) -> dict:
+        if type(tree) is tuple:
+            for t, part in zip(tree, self.split(v)):
+                self.bind(t, part, bound)
+        elif tree is not None:
+            bound[tree] = v
+        return bound
+
+    def build(self, tree, bound: dict):
+        """``tree`` over the ``bound`` values; a leaf not bound is the unit."""
+        return (self.build(tree[0], bound), self.build(tree[1], bound)) if type(tree) is tuple else bound.get(tree)
+
+    def walk(self, t, v, forward: bool):
+        """The value ``t``'s forward (or backward) leg makes of ``v``."""
+        if type(t) is int:
+            self.append(f"y{t}, r{t} = f{t}({self.join(v)})" if forward else f"x{t} = b{t}(r{t}, {self.join(v)})")
+            return f"y{t}" if forward else f"x{t}"
+        tag, a, b = t
+        if tag == "rewire":
+            return self.build(b if forward else a, self.bind(a if forward else b, v, {}))
+        if tag == "compose":
+            return self.walk(b, self.walk(a, v, True), True) if forward else self.walk(a, self.walk(b, v, False), False)
+        left, right = self.split(v)
+        return self.walk(a, left, forward), self.walk(b, right, forward)
+
+
+def _numbered(t, count: itertools.count):
+    """``t`` with its leaves numbered left to right."""
+    if t == LEAF:
+        return next(count)
+    return t if t[0] == "rewire" else (t[0], _numbered(t[1], count), _numbered(t[2], count))
+
+
+@lru_cache(maxsize=256)
+def _compile(base: Base, term) -> Callable[..., tuple[Callable, Callable]]:
+    """``make(f0, b0, f1, b1, …)``: given each leaf's legs, the ``(forward, backward)`` of a composite.
+
+    Leaves run in the combinators' order; ``base``'s element operations are looked up at every call.
+    """
+    count = itertools.count()
+    term = _numbered(term, count)
+    n = next(count)
+    residuals = "".join(f"r{i}, " for i in range(n))
+    source = [f"def make({', '.join(f'f{i}, b{i}' for i in range(n))}):"]
+    for head, forward, tail in (("forward(x)", True, f", ({residuals})"), ("backward(r, z)", False, "")):
+        leg = _Source([f"{residuals}= r"] if n and not forward else [])
+        out = leg.join(leg.walk(term, "x" if forward else "z", forward))
+        source += [f"    def {head}:", *(f"        {line}" for line in leg), f"        return {out}{tail}"]
+    source.append("    return forward, backward")
+    namespace = {"base": base}
+    exec(compile("\n".join(source) + "\n", "<lens>", "exec"), namespace)
+    make = namespace.pop("make")
+    if n:
+        return make
+    legs = make()  # no leaves: every lens of the term shares one pair of legs
+    return lambda: legs
+
+
 # -- structural (relabelling) lenses ------------------------------------
 #
 # A relabelling lens is a bijective rewiring: its get is a bijection of the
@@ -291,49 +378,6 @@ def fold_bracketing(base: Base, leaves: Sequence[LensObj], tree, seen: list) -> 
     return unit_obj(base) if tree is None else leaves[tree]
 
 
-def _unpack(tree, var: str, lines: list[str], bound: set[int]) -> None:
-    """Append the lines that split ``var`` along ``tree`` and add the leaves they bind to ``bound``.
-
-    Leaf ``i`` binds ``x<i>``; a unit binds ``xNone``, which no join reads.
-    """
-    if type(tree) is tuple:
-        names = [f"t{len(lines)}{side}" if type(t) is tuple else f"x{t}" for side, t in zip("lr", tree)]
-        lines.append(f"{names[0]}, {names[1]} = base.split_elem({var})")
-        for t, name in zip(tree, names):
-            _unpack(t, name, lines, bound)
-    elif tree is not None:
-        bound.add(tree)
-
-
-def _pack(tree, lines: list[str], bound: set[int]) -> str:
-    """Append the lines that join the ``bound`` leaves along ``tree``; return what names the result."""
-    if type(tree) is not tuple:
-        return f"x{tree}" if tree in bound else "base.unit_elem()"
-    left, right = (_pack(t, lines, bound) for t in tree)
-    lines.append(f"p{len(lines)} = base.pair_elem({left}, {right})")
-    return f"p{len(lines) - 1}"
-
-
-@lru_cache(maxsize=256)
-def _rewire_legs(base: Base, src, dst) -> tuple[Callable, Callable]:
-    """The legs of a :func:`rewire` from ``src`` to ``dst``, compiled from generated source.
-
-    ``base``'s element operations are looked up at every call.  The legs are
-    taken out of their namespace, so a lens holding them holds no cycle.
-    """
-    source: list[str] = []
-    for head, split_along, join_along, tail in (("forward(", src, dst, ", None"), ("backward(_r, ", dst, src, "")):
-        lines: list[str] = []
-        bound: set[int] = set()
-        arg = "x" if type(split_along) is tuple else f"x{split_along}"
-        _unpack(split_along, arg, lines, bound)
-        out = _pack(join_along, lines, bound)
-        source += [f"def {head}{arg}):", *(f"    {line}" for line in lines), f"    return {out}{tail}"]
-    namespace = {"base": base}
-    exec(compile("\n".join(source) + "\n", "<rewire>", "exec"), namespace)
-    return namespace.pop("forward"), namespace.pop("backward")
-
-
 def rewire(base: Base, leaves: Sequence[LensObj], src, dst) -> Lens:
     """The relabelling lens between two bracketings of the same ``leaves``.
 
@@ -341,9 +385,8 @@ def rewire(base: Base, leaves: Sequence[LensObj], src, dst) -> Lens:
     unit; a malformed one raises :class:`CompositionError`.  Forward, an
     element is split along ``src`` and joined along ``dst``; backward, the
     reverse.  A leaf may be missing from one side only if it is a unit
-    leaf, which then reads as ``base.unit_elem()``.  The legs are compiled
-    once per ``(base, src, dst)`` into flat functions, kept in a cache of
-    bounded size and shared by every lens of that shape.
+    leaf, which then reads as ``base.unit_elem()``.  Its legs are generated
+    like a composite's, and every lens of one ``(base, src, dst)`` shares them.
     """
     si, di = [], []
     src_obj, dst_obj = fold_bracketing(base, leaves, src, si), fold_bracketing(base, leaves, dst, di)
@@ -352,7 +395,7 @@ def rewire(base: Base, leaves: Sequence[LensObj], src, dst) -> Lens:
         raise CompositionError("rewire: a bracketing uses a leaf twice")
     if any(leaves[i] != unit_obj(base) for i in set(si) ^ set(di)):
         raise CompositionError("rewire: only unit leaves may be dropped or introduced")
-    return Lens(base, src_obj, dst_obj, *_rewire_legs(base, src, dst))
+    return Lens(base, src_obj, dst_obj, term=("rewire", src, dst), legs=())
 
 
 def lens_lunit(base: Base, a: LensObj) -> Lens:

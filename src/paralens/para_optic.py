@@ -31,11 +31,13 @@ from .lens_core import (
     Base,
     Lens,
     LensObj,
+    costate_fn,
     lens_assoc,
     lens_compose,
     lens_id,
     lens_interchange,
     lens_lunit,
+    lens_runit_inv,
     lens_tensor,
     make_costate,
     obj_pair,
@@ -184,11 +186,4 @@ def para_costate_solution_input(p: ParaLens) -> Lens:
             f"not a scalar: boundary is {describe_obj(base, p.src)} → "
             f"{describe_obj(base, p.dst)}"
         )
-    unit_x = base.unit_elem()
-    forward, backward = p.carrier.forward, p.carrier.backward
-
-    def fn(w):
-        r = forward(base.pair_elem(w, unit_x))[1]
-        return base.split_elem(backward(r, unit_x))[0]
-
-    return make_costate(base, p.params, base.morphism(p.params.fwd, p.params.bwd, fn))
+    return make_costate(base, p.params, costate_fn(lens_compose(lens_runit_inv(base, p.params), p.carrier)))

@@ -340,16 +340,15 @@ def normal_form_game(
             f"payoff table does not match the profile product: "
             f"missing {missing[:4]}, unknown {extra[:4]}"
         )
-    grids = tuple(
-        payoff_grid([values[p][i] for p in profiles]) for i in range(n)
-    )
+    # one label per payoff object (a parsed spec shares them); grids dedupe by label, not by Fraction hash
+    objs = {id(v): v for vals in values.values() for v in vals}
+    label = {k: payoff_label(v) for k, v in objs.items()}
+    columns = [{label[id(vals[i])]: vals[i] for vals in values.values()} for i in range(n)]
+    grids = tuple(FinSet(tuple(sorted(c, key=c.__getitem__))) for c in columns)
     payoff = FinFn(
         finset_tuple_product(players),
         finset_tuple_product(grids),
-        {
-            tuple_label(p): tuple_label([payoff_label(v) for v in values[p]])
-            for p in profiles
-        },
+        {tuple_label(p): tuple_label([label[id(v)] for v in values[p]]) for p in profiles},
     )
     return NormalFormGame(players, grids, payoff, {p: values[p] for p in profiles})
 

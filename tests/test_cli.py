@@ -74,6 +74,10 @@ def test_spec_error_paths():
     bad["payoffs"]["C,C"] = ["two", 2]
     assert _path_of(bad) == "$.payoffs['C,C'][0]"
     bad = copy.deepcopy(spec)
+    bad["payoffs"]["C,D"] = [0, "1/0"]
+    bad["payoffs"]["D,C"] = ["1/0", 0]
+    assert _path_of(bad) == "$.payoffs['C,D'][1]"
+    bad = copy.deepcopy(spec)
     del bad["payoffs"]["D,D"]
     assert _path_of(bad) == "$.payoffs"
     bad = copy.deepcopy(spec)
@@ -92,6 +96,8 @@ def test_spec_parses_rationals_and_tags():
     assert selection == ["argmax", "total"]
     assert [p.labels for p in game.players] == [("C", "D"), ("C", "D")]
     assert game.payoff(("C", "C")) == ("3/2", "3/2")
+    # a payoff written the same way twice is read once
+    assert game.values[("C", "D")][1] is game.values[("D", "C")][0]
 
 
 def test_solve_bundled_dilemma(capsys):

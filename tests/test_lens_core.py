@@ -16,6 +16,7 @@ from paralens.errors import CompositionError, UnsupportedOperationError
 from paralens.finite_base import FINITE, FinFn, FinProd, FinSet
 from paralens.lens_core import (
     Lens,
+    _compile,
     LensObj,
     costate_fn,
     get_put_lens,
@@ -114,6 +115,38 @@ def test_composite_put_rejects_elements_outside_its_domain():
         with pytest.raises(CompositionError):
             put(bad)
         assert put.table == {}
+
+
+def test_composite_get_rejects_elements_outside_its_domain():
+    comp = lens_compose(_l1(), _l2())
+    tensor = lens_tensor(_l1(), _l2())
+    for get, bad in ((comp.get, "zz"), (tensor.get, "ab"), (tensor.get, ("a0", "zz"))):
+        with pytest.raises(CompositionError):
+            get(bad)
+        assert get.table == {}
+
+
+def test_a_leg_that_returns_a_non_pair_fails_where_a_tensor_splits_it():
+    # legs check nothing, so only the split the generated leg makes of a leaf's output can
+    bc = obj_pair(FINITE, B, C)
+    ids = lens_tensor(lens_id(FINITE, B), lens_id(FINITE, C))
+    forward_liar = lens_compose(Lens(FINITE, A, bc, lambda x: ("ab", None), lambda _, z: "p"), ids)
+    with pytest.raises(CompositionError, match="is not a pair"):
+        forward_liar.forward("a0")
+    backward_liar = lens_compose(ids, Lens(FINITE, bc, A, lambda y: ("a0", None), lambda _, z: "rs"))
+    _, r = backward_liar.forward(("b0", "c0"))
+    with pytest.raises(CompositionError, match="is not a pair"):
+        backward_liar.backward(r, "p")
+
+
+def test_only_a_composite_whose_legs_are_read_is_generated():
+    assert _compile.cache_info().maxsize is not None
+    _compile.cache_clear()
+    inner = lens_tensor(lens_compose(_l1(), _l2()), lens_swap(FINITE, A, B))
+    outer = lens_compose(inner, lens_tensor(lens_id(FINITE, C), lens_id(FINITE, obj_pair(FINITE, B, A))))
+    assert _compile.cache_info().currsize == 0
+    assert outer.get(("a1", ("a0", "b1"))) == ("c0", ("b1", "a0"))
+    assert _compile.cache_info().currsize == 1
 
 
 def test_lens_equal_discriminates():
@@ -370,3 +403,131 @@ def test_rewire_matches_a_recursive_split_and_join(base, case):
     assert rewire(base, leaves, src, dst).forward is lens.forward
     if base is SMOOTH and isinstance(dst, tuple):
         assert type(y) is Pair
+
+
+# -- composites against the closure-based definitions ---------------------
+
+
+def _ref_compose(l1: Lens, l2: Lens) -> Lens:
+    """Sequential composition as closures over the legs, pairing the two residuals."""
+    f1, b1, f2, b2 = l1.forward, l1.backward, l2.forward, l2.backward
+
+    def forward(x):
+        y1, r1 = f1(x)
+        y2, r2 = f2(y1)
+        return y2, (r1, r2)
+
+    return Lens(FINITE, l1.src, l2.dst, forward, lambda r, z: b1(r[0], b2(r[1], z)))
+
+
+def _ref_tensor(l1: Lens, l2: Lens) -> Lens:
+    """Parallel composition as closures that split and pair at every call."""
+    f1, b1, f2, b2 = l1.forward, l1.backward, l2.forward, l2.backward
+
+    def forward(xs):
+        x1, x2 = FINITE.split_elem(xs)
+        (y1, r1), (y2, r2) = f1(x1), f2(x2)
+        return FINITE.pair_elem(y1, y2), (r1, r2)
+
+    def backward(r, zs):
+        z1, z2 = FINITE.split_elem(zs)
+        return FINITE.pair_elem(b1(r[0], z1), b2(r[1], z2))
+
+    return Lens(FINITE, obj_pair(FINITE, l1.src, l2.src), obj_pair(FINITE, l1.dst, l2.dst), forward, backward)
+
+
+def _ref_rewire(leaves, src, dst) -> Lens:
+    """A rewire whose legs are the recursive split and join above."""
+    unit = FINITE.unit_elem
+    boundary = rewire(FINITE, leaves, src, dst)
+    return Lens(
+        FINITE,
+        boundary.src,
+        boundary.dst,
+        lambda x: (_ref_join(FINITE, dst, _ref_split(FINITE, src, x, {}), unit), None),
+        lambda _, z: _ref_join(FINITE, src, _ref_split(FINITE, dst, z, {}), unit),
+    )
+
+
+def _obj(shape) -> LensObj:
+    """The boundary a shape (a ``LensObj`` or a pair of shapes) brackets."""
+    return obj_pair(FINITE, _obj(shape[0]), _obj(shape[1])) if isinstance(shape, tuple) else shape
+
+
+def _atoms(shape) -> list:
+    return _atoms(shape[0]) + _atoms(shape[1]) if isinstance(shape, tuple) else [shape]
+
+
+def _indexed(shape, count):
+    """``shape`` with its atoms replaced by their indices, left to right."""
+    if isinstance(shape, tuple):
+        return _indexed(shape[0], count), _indexed(shape[1], count)
+    return next(count)
+
+
+# op: (its leaves, read off a shape), source and target bracketings, the library lens on those leaves
+_STRUCTURAL = {
+    "lunit_inv": (lambda s: [s], 0, (None, 0), lens_lunit_inv),
+    "runit_inv": (lambda s: [s], 0, (0, None), lens_runit_inv),
+    "lunit": (lambda s: [s[1]], (None, 0), 0, lens_lunit),
+    "runit": (lambda s: [s[0]], (0, None), 0, lens_runit),
+    "swap": (lambda s: list(s), (0, 1), (1, 0), lens_swap),
+    "assoc": (lambda s: [*s[0], s[1]], ((0, 1), 2), (0, (1, 2)), lens_assoc),
+    "assoc_inv": (lambda s: [s[0], *s[1]], (0, (1, 2)), ((0, 1), 2), lens_assoc_inv),
+    "interchange": (lambda s: [*s[0], *s[1]], ((0, 1), (2, 3)), ((0, 2), (1, 3)), lens_interchange),
+}
+
+
+def _grow(draw, rng: random.Random, shape, depth: int):
+    """A random lens out of ``shape``, the same lens built from the reference definitions, and its target shape."""
+    unit = unit_obj(FINITE)
+    a = _obj(shape)
+    ops = ["leaf"] * 4 + ["id", "lunit_inv", "runit_inv", "rewire"]
+    if depth > 0:
+        ops += ["compose"] * 4
+    if isinstance(shape, tuple):
+        ops += ["swap"] + ["tensor"] * 3 * (depth > 0)
+        ops += ["lunit"] * (shape[0] == unit) + ["runit"] * (shape[1] == unit)
+        ops += ["assoc"] * isinstance(shape[0], tuple) + ["assoc_inv"] * isinstance(shape[1], tuple)
+        ops += ["interchange"] * (isinstance(shape[0], tuple) and isinstance(shape[1], tuple))
+    op = draw(st.sampled_from(ops))
+    if op == "leaf":
+        out = random_obj(rng, 2) if len(_atoms(shape)) > 3 else draw(st.sampled_from([random_obj(rng, 2), (random_obj(rng, 2), random_obj(rng, 2))]))
+        lens = random_lens(rng, a, _obj(out))
+        return lens, lens, out
+    if op == "compose":
+        l1, r1, mid = _grow(draw, rng, shape, depth - 1)
+        l2, r2, out = _grow(draw, rng, mid, depth - 1)
+        return lens_compose(l1, l2), _ref_compose(r1, r2), out
+    if op == "tensor":
+        l1, r1, out1 = _grow(draw, rng, shape[0], depth - 1)
+        l2, r2, out2 = _grow(draw, rng, shape[1], depth - 1)
+        return lens_tensor(l1, l2), _ref_tensor(r1, r2), (out1, out2)
+    if op == "id":
+        return lens_id(FINITE, a), Lens(FINITE, a, a, lambda x: (x, None), lambda _, z: z), shape
+    if op == "rewire":
+        atoms = _atoms(shape)
+        src = _indexed(shape, iter(range(len(atoms))))
+        dst = draw(_bracketing(draw(st.permutations(range(len(atoms))))))
+        out = _shape_of(dst, atoms)
+        return rewire(FINITE, atoms, src, dst), _ref_rewire(atoms, src, dst), out
+    parts_of, src, dst, make = _STRUCTURAL[op]
+    parts = parts_of(shape)
+    leaves = [_obj(p) for p in parts]
+    return make(FINITE, *leaves), _ref_rewire(leaves, src, dst), _shape_of(dst, parts)
+
+
+def _shape_of(tree, parts):
+    """The shape a bracketing of ``parts`` builds; ``None`` is the unit."""
+    if isinstance(tree, tuple):
+        return _shape_of(tree[0], parts), _shape_of(tree[1], parts)
+    return unit_obj(FINITE) if tree is None else parts[tree]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rng=st.randoms(use_true_random=False))
+def test_composites_match_their_closure_definitions(data, rng):
+    shape = data.draw(st.sampled_from([random_obj(rng, 2), (random_obj(rng, 2), random_obj(rng, 2))]))
+    lens, ref, _ = _grow(data.draw, rng, shape, 4)
+    assert lens.src == ref.src and lens.dst == ref.dst
+    assert lens_equal(lens, ref)
