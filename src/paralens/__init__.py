@@ -27,9 +27,6 @@ from .finite_base import (
     UNIT_SET,
     enumerate_functions,
     finset_tuple_product,
-    parse_payoff,
-    payoff_grid,
-    payoff_label,
     split_tuple,
     tuple_label,
 )
@@ -83,7 +80,6 @@ from .selection_games import (
     nash_product,
     normal_form_game,
     open_game,
-    profile_values,
     relation_subset,
     relations_equal,
     sel_pushforward,

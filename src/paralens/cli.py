@@ -39,7 +39,7 @@ _TAGS = ("argmax", "total")
 
 _deviation_oracle = brute_force_nash  # the name bench/tracing.py times
 
-_MAX_PAYOFF_DIGITS = 4300  # Python's int-string limit, which payoff labels must stay within
+_MAX_PAYOFF_DIGITS = 4300  # Python's int-string limit, which a spec value must stay within
 
 
 def parse_game_spec(data: object) -> tuple[NormalFormGame, str | list[str] | None]:
@@ -155,9 +155,19 @@ def load_spec_file(path: str) -> object:
     except (OSError, UnicodeDecodeError) as exc:
         raise SpecFormatError(f"cannot read spec file {path}: {exc}")
     try:
-        return json.loads(text)
-    except ValueError as exc:  # also an integer too long to convert
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # also an integer too long to convert, or a duplicate key
         raise SpecFormatError(f"invalid JSON in {path}: {exc}")
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded JSON object; ``json.loads`` alone keeps the last of two equal keys."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

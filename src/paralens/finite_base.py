@@ -1,4 +1,4 @@
-"""Finite carriers: label sets, checked functions, exact rational payoffs.
+"""Finite carriers: label sets, their products, checked functions.
 
 Everything here is symbolic and exact.  Base carriers are sets of string
 labels; a product carrier is the pair of its factors, its elements are
@@ -12,18 +12,15 @@ and its image on first evaluation, so a composite lens is checked once, at
 its edge; the lenses inside it run on their legs, which neither check nor
 memoise.  Only ``compose``, ``product`` and the Nash restrictions are
 ``derived``: they only memoise, as every part of their input reaches a
-checked morphism.  Payoff values are ``fractions.Fraction`` throughout;
-floats never enter the game-theoretic side.
+checked morphism.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
 from itertools import product as iter_product
-from typing import Callable, ClassVar, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, Sequence
 
 from .errors import CompositionError, SizeCapError
 from .lens_core import Base
@@ -209,29 +206,6 @@ def enumerate_functions(
         FinFn(dom, cod, dict(zip(xs, images)))
         for images in iter_product(cod, repeat=len(dom))
     ]
-
-
-# -- payoff helpers -----------------------------------------------------
-
-
-def payoff_label(value: Fraction | int | str) -> str:
-    """Canonical label of a rational payoff, e.g. ``3`` or ``-1/2``."""
-    value = parse_payoff(value)
-    try:
-        return str(value)
-    except ValueError:  # past Python's int-string limit, which a sum of payoffs within it can pass
-        raise SizeCapError(f"payoff has more than {sys.get_int_max_str_digits()} digits") from None
-
-
-def parse_payoff(label: Fraction | int | str) -> Fraction:
-    """The rational value of a payoff label or number; a ``Fraction`` is returned as it is."""
-    return label if type(label) is Fraction else Fraction(label)
-
-
-def payoff_grid(values: Iterable[Fraction | int | str]) -> FinSet:
-    """The finite carrier of a set of payoff values, sorted ascending."""
-    distinct = sorted({parse_payoff(v) for v in values})
-    return FinSet(tuple(payoff_label(v) for v in distinct))
 
 
 # -- the Base instantiation ---------------------------------------------

@@ -31,6 +31,7 @@ from .lens_core import (
     Base,
     Lens,
     LensObj,
+    Mor,
     costate_fn,
     lens_assoc,
     lens_compose,
@@ -39,7 +40,6 @@ from .lens_core import (
     lens_lunit,
     lens_runit_inv,
     lens_tensor,
-    make_costate,
     obj_pair,
     describe_obj,
     fold_bracketing,
@@ -171,13 +171,14 @@ def flatten_params(p: ParaLens) -> ParaLens:
     return reparametrise(p, rewire(p.base, p.leaves, left_bracketing(kept), p.param_shape))
 
 
-def para_costate_solution_input(p: ParaLens) -> Lens:
-    """The costate on the parameter port induced by a scalar.
+def para_costate_solution_input(p: ParaLens) -> Mor:
+    """The map ``params.fwd → params.bwd`` induced by a scalar.
 
     A scalar (both boundaries trivial) is nothing but data on its parameter
     port: feeding it the unit state and unit costate leaves the map that
-    sends each parameter value to its backward feedback.  On finite carriers
-    this is the payoff table a selection relation consumes.
+    sends each parameter value to its backward feedback, as a checked base
+    morphism.  On finite carriers this is the reward function a selection
+    relation consumes.
     """
     base = p.base
     unit = unit_obj(base)
@@ -186,4 +187,4 @@ def para_costate_solution_input(p: ParaLens) -> Lens:
             f"not a scalar: boundary is {describe_obj(base, p.src)} → "
             f"{describe_obj(base, p.dst)}"
         )
-    return make_costate(base, p.params, costate_fn(lens_compose(lens_runit_inv(base, p.params), p.carrier)))
+    return costate_fn(lens_compose(lens_runit_inv(base, p.params), p.carrier))

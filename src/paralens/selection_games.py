@@ -13,8 +13,10 @@ relation accepts against it.  Normal-form games are built compositionally:
 one decision per player, tensored, closed with the payoff table as a
 costate.  A brute-force deviation check provides an independent oracle.
 
-All payoff arithmetic is exact (rational labels), so ties and indifference
-are decided without tolerance.
+Payoffs are exact ``Fraction``s, so ties and indifference are decided
+without tolerance.  A player's reward carrier holds only the ranks of
+their distinct payoffs, since a selection such as argmax needs only their
+order; the exact values stay on the game.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iter_product
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import CompositionError, SizeCapError
 from .finite_base import (
@@ -36,9 +38,6 @@ from .finite_base import (
     UNIT_SET,
     enumerate_functions,
     finset_tuple_product,
-    parse_payoff,
-    payoff_grid,
-    payoff_label,
     tuple_label,
 )
 from .lens_core import (
@@ -75,10 +74,14 @@ class SelectionRelation:
 
 
 def argmax_rel(moves: FinSet | FinProd, rewards: FinSet) -> SelectionRelation:
-    """Accepts a move iff no other move earns a strictly larger reward."""
+    """Accepts a move iff no other move earns a strictly larger reward.
+
+    ``rewards`` lists the rewards in ascending order, so a reward's
+    position in it is its rank.
+    """
     if len(moves) == 0:
         raise CompositionError("argmax over the empty move set is undefined")
-    values = {r: parse_payoff(r) for r in rewards.labels}
+    rank = {r: i for i, r in enumerate(rewards.labels)}
     best: list = [None, None]  # the last k and its largest reward, found once
 
     def accepts(x, k: FinFn) -> bool:
@@ -87,8 +90,8 @@ def argmax_rel(moves: FinSet | FinProd, rewards: FinSet) -> SelectionRelation:
                 f"reward function lands in {k.cod}, expected the rewards {rewards}"
             )
         if best[0] is not k:
-            best[:] = [k, max(values[k(y)] for y in moves)]
-        return values[k(x)] >= best[1]
+            best[:] = [k, max(rank[k(y)] for y in moves)]
+        return rank[k(x)] >= best[1]
 
     return SelectionRelation(LensObj(moves, rewards), accepts)
 
@@ -290,7 +293,7 @@ def solution_set(game: OpenGame) -> tuple:
         raise CompositionError(
             "solution_set needs a closed game with trivial boundaries"
         )
-    reward = costate_fn(para_costate_solution_input(lens))
+    reward = para_costate_solution_input(lens)
     return tuple(
         w for w in lens.params.fwd.labels if game.sel.accepts(w, reward)
     )
@@ -303,16 +306,25 @@ def solution_set(game: OpenGame) -> tuple:
 class NormalFormGame:
     """Strategy sets plus an exact payoff table over the profile product.
 
-    ``payoff`` maps each profile, a left-nested tuple of moves, to the
-    left-nested tuple of its payoff labels over the per-player reward
-    grids; ``grids`` records the factorisation of its codomain.  ``values``
-    is the exact table they were rendered from, keyed by tuples of moves.
+    ``values`` is the exact table, keyed by tuples of moves.  ``levels[i]``
+    lists player i's distinct values in ascending order, and ``grids[i]``
+    is their ranks ``"0" … str(len(levels[i]) - 1)``, player i's reward
+    carrier.  ``payoff`` maps each profile, a left-nested tuple of moves,
+    to the left-nested tuple of its ranks; ``grids`` records the
+    factorisation of its codomain.
     """
 
     players: tuple[FinSet, ...]
     grids: tuple[FinSet, ...]
     payoff: FinFn
     values: Mapping[tuple[str, ...], tuple[Fraction, ...]]
+    levels: tuple[tuple[Fraction, ...], ...]
+
+
+def _ranks(values: Iterable[Fraction]) -> dict[Fraction, str]:
+    """Each distinct value, ascending, to its rank label ``"0"``, ``"1"``, …;
+    equal values share a rank however they were written."""
+    return {v: str(r) for r, v in enumerate(sorted(set(values)))}
 
 
 def normal_form_game(
@@ -326,7 +338,7 @@ def normal_form_game(
     values: dict[tuple[str, ...], tuple[Fraction, ...]] = {}
     for prof, vals in table.items():
         prof = tuple(prof)
-        vals = tuple(parse_payoff(v) for v in vals)
+        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in vals)
         if len(vals) != n:
             raise CompositionError(
                 f"profile {prof} has {len(vals)} payoffs for {n} players"
@@ -340,22 +352,20 @@ def normal_form_game(
             f"payoff table does not match the profile product: "
             f"missing {missing[:4]}, unknown {extra[:4]}"
         )
-    # one label per payoff object (a parsed spec shares them); grids dedupe by label, not by Fraction hash
-    objs = {id(v): v for vals in values.values() for v in vals}
-    label = {k: payoff_label(v) for k, v in objs.items()}
-    columns = [{label[id(vals[i])]: vals[i] for vals in values.values()} for i in range(n)]
-    grids = tuple(FinSet(tuple(sorted(c, key=c.__getitem__))) for c in columns)
+    # each payoff object (a parsed spec shares one per distinct text) is hashed once
+    levels, grids, ranks = [], [], []
+    for i in range(n):
+        objs = {id(vals[i]): vals[i] for vals in values.values()}
+        rank = _ranks(objs.values())
+        levels.append(tuple(rank))
+        grids.append(FinSet(tuple(rank.values())))
+        ranks.append({k: rank[v] for k, v in objs.items()})
     payoff = FinFn(
         finset_tuple_product(players),
         finset_tuple_product(grids),
-        {tuple_label(p): tuple_label([label[id(v)] for v in values[p]]) for p in profiles},
+        {tuple_label(p): tuple_label([r[id(v)] for r, v in zip(ranks, values[p])]) for p in profiles},
     )
-    return NormalFormGame(players, grids, payoff, {p: values[p] for p in profiles})
-
-
-def profile_values(g: NormalFormGame, prof: Sequence[str]) -> tuple[Fraction, ...]:
-    """The exact payoff tuple of one profile."""
-    return g.values[tuple(prof)]
+    return NormalFormGame(players, tuple(grids), payoff, {p: values[p] for p in profiles}, tuple(levels))
 
 
 def brute_force_nash(
@@ -440,21 +450,22 @@ def compositional_game(
 
 
 def sum_of_payoffs_lens(g: NormalFormGame) -> Lens:
-    """Collapse the grid product to the grid of possible payoff sums.
+    """Collapse the grid product to the ranks of the possible payoff sums.
 
-    Identity forward; backward maps each payoff tuple to its total.  The
-    sum grid is closed under every combination of per-player values, so
-    every total is one of its labels.  Totals are read from a table built
-    in the one pass over the grid product that builds the sum grid.
+    Identity forward; backward maps each tuple of ranks to the rank of its
+    total among the distinct totals of every combination of per-player
+    values.  Totals are read from a table built in the one pass over the
+    grid product that ranks them.
     """
     omega = finset_tuple_product(g.players)
     prod = finset_tuple_product(g.grids)
-    values = [{l: parse_payoff(l) for l in grid.labels} for grid in g.grids]  # parsed once per grid
     totals = {
-        tuple_label([l for l, _ in c]): sum(v for _, v in c) for c in iter_product(*[v.items() for v in values])
+        tuple_label([l for l, _ in c]): sum(v for _, v in c)
+        for c in iter_product(*[zip(grid.labels, level) for grid, level in zip(g.grids, g.levels)])
     }
-    sums = payoff_grid(totals.values())
-    table = {r: payoff_label(t) for r, t in totals.items()}
+    rank = _ranks(totals.values())
+    table = {c: rank[t] for c, t in totals.items()}
+    sums = FinSet(tuple(rank.values()))
     return Lens(FINITE, LensObj(omega, sums), LensObj(omega, prod), lambda w: (w, None), lambda _, r: table[r])
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +96,9 @@ def test_spec_parses_rationals_and_tags():
     game, selection = parse_game_spec(spec)
     assert selection == ["argmax", "total"]
     assert [p.labels for p in game.players] == [("C", "D"), ("C", "D")]
-    assert game.payoff(("C", "C")) == ("3/2", "3/2")
+    assert game.values[("C", "C")] == (Fraction(3, 2), Fraction(3, 2))
+    # 3/2 ranks third among each player's values 0, 1, 3/2, 3
+    assert game.payoff(("C", "C")) == ("2", "2")
     # a payoff written the same way twice is read once
     assert game.values[("C", "D")][1] is game.values[("D", "C")][0]
 
@@ -226,7 +229,8 @@ def test_solve_rejects_bad_inputs(tmp_path, capsys):
 
 
 def test_solve_hicks_total_past_the_digit_limit(tmp_path, capsys):
-    # each payoff has 4,300 digits, within the limit; their sum has 4,301
+    # each payoff has 4,300 digits, within the limit; their sum has 4,301,
+    # which is ranked, never rendered
     big = int("9" * 4300)
     spec = {
         "players": [{"name": "a", "strategies": ["x"]}, {"name": "b", "strategies": ["y"]}],
@@ -236,8 +240,24 @@ def test_solve_hicks_total_past_the_digit_limit(tmp_path, capsys):
     path.write_text(json.dumps(spec), encoding="utf-8")
     assert main(["solve", str(path), "--selection", "argmax_each"]) == 0
     assert json.loads(capsys.readouterr().out)["solutions"] == [["x", "y"]]
-    assert main(["solve", str(path), "--selection", "hicks_sum"]) == 1
-    assert capsys.readouterr() == ("", "error: payoff has more than 4300 digits\n")
+    assert main(["solve", str(path), "--selection", "hicks_sum"]) == 0
+    assert json.loads(capsys.readouterr().out)["solutions"] == [["x", "y"]]
+
+
+def test_solve_rejects_duplicate_keys(tmp_path, capsys):
+    # every profile is there; a plain json.loads would keep the last C,C and solve
+    text = json.dumps(_pd_spec()).replace('"C,C": [2, 2]', '"C,C": [9, 9], "C,C": [2, 2]')
+    path = tmp_path / "dup.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["solve", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "duplicate key 'C,C'" in err and str(path) in err
+    # a duplicate player field too, however deep
+    spec = _pd_spec()
+    spec["players"][1]["name"] = "__dup__"
+    path.write_text(json.dumps(spec).replace('"__dup__"', '"x", "strategies": ["C"]'), encoding="utf-8")
+    assert main(["solve", str(path)]) == 2
+    assert "duplicate key 'strategies'" in capsys.readouterr().err
 
 
 def test_solve_user_spec_from_disk(tmp_path, capsys):

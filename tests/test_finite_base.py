@@ -15,16 +15,11 @@ from paralens.finite_base import (
     FinSet,
     enumerate_functions,
     finset_tuple_product,
-    parse_payoff,
-    payoff_grid,
-    payoff_label,
     split_tuple,
     tuple_label,
 )
-from paralens.lens_core import costate_fn
 from paralens.para_optic import para_costate_solution_input
 from paralens.selection_games import compositional_game, normal_form_game, solution_set
-from fractions import Fraction
 from itertools import product as iter_product
 
 
@@ -225,16 +220,16 @@ def test_solution_input_checks_membership_a_fixed_number_of_times_per_profile(mo
         profiles = list(iter_product(*[p.labels for p in players]))
         table = {p: [i % 3 for i in range(j, j + n)] for j, p in enumerate(profiles)}
         lens = compositional_game(normal_form_game(players, table)).lens
-        reward = costate_fn(para_costate_solution_input(lens))
+        reward = para_costate_solution_input(lens)
         monkeypatch.setattr(FinProd, "__contains__", counted)
         calls[0] = 0
         for w in reward.dom:
             reward(w)
         monkeypatch.undo()
         per_profile.append(calls[0] / len(reward.dom))
-    # the reward map and the costate map it reads each check a profile and
-    # its image once; the lenses of the game inside them check nothing
-    assert per_profile == [4, 4]
+    # the reward map checks a profile and its image once; the lenses of the
+    # game inside it check nothing
+    assert per_profile == [2, 2]
 
 
 def test_product_carriers_die_with_their_game():
@@ -269,20 +264,3 @@ def test_enumerate_functions_cap():
         enumerate_functions(dom, cod, max_size=100)
     assert exc.value.count == 4**5
 
-
-def test_payoff_labels():
-    assert payoff_label(Fraction(3, 2)) == "3/2"
-    assert payoff_label(2) == "2"
-    assert payoff_label(Fraction(-1)) == "-1"
-    # past Python's limit on int-string conversion
-    with pytest.raises(SizeCapError, match="payoff has more than 4300 digits"):
-        payoff_label(Fraction(10**4300, 3))
-    assert parse_payoff("3/2") == Fraction(3, 2)
-    assert parse_payoff("-7") == Fraction(-7)
-
-
-def test_payoff_grid_sorted_and_deduplicated():
-    g = payoff_grid([Fraction(2), Fraction(1), Fraction(3, 2), Fraction(1)])
-    assert g.labels == ("1", "3/2", "2")
-    g2 = payoff_grid([Fraction(-1), Fraction(0), Fraction(1)])
-    assert g2.labels == ("-1", "0", "1")

@@ -15,7 +15,6 @@ from paralens.finite_base import (
 )
 from paralens.lens_core import (
     LensObj,
-    costate_fn,
     get_put_lens,
     lens_equal,
     lens_id,
@@ -223,8 +222,8 @@ def test_solution_input_costate():
         ),
     )
     p = ParaLens(FINITE, (params,), u, u, carrier, 0)
-    co = para_costate_solution_input(p)
-    fn = costate_fn(co)
+    fn = para_costate_solution_input(p)
+    assert (fn.dom, fn.cod) == (params.fwd, params.bwd)
     assert {w: FINITE.apply(fn, w) for w in params.fwd.labels} == reward
 
 

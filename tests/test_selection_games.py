@@ -6,10 +6,14 @@ is itself tested directly against the same hand values.
 """
 
 import random
+from itertools import product as iter_product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paralens.checks import random_finset, random_lens, random_obj, random_relation
+from paralens.cli import parse_game_spec
 from paralens.errors import CompositionError, SizeCapError
 from paralens.finite_base import (
     FINITE,
@@ -18,10 +22,11 @@ from paralens.finite_base import (
     FinSet,
     UNIT_SET,
     enumerate_functions,
+    split_tuple,
+    tuple_label,
 )
 from paralens.lens_core import (
     LensObj,
-    costate_fn,
     lens_assoc,
     lens_compose,
     lens_id,
@@ -41,7 +46,6 @@ from paralens.selection_games import (
     nash_product,
     normal_form_game,
     open_game,
-    profile_values,
     relation_subset,
     relations_equal,
     sel_pushforward,
@@ -115,6 +119,11 @@ def test_argmax_frozen():
     assert rel.accepts("x", k)
     assert not rel.accepts("y", k)
     assert rel.accepts("z", k)
+    # rewards are ranked by their position in the carrier, not read as numbers
+    lohi = FinSet(("lo", "hi"))
+    rel = argmax_rel(moves, lohi)
+    k = FinFn(moves, lohi, {"x": "lo", "y": "hi", "z": "lo"})
+    assert [m for m in moves.labels if rel.accepts(m, k)] == ["y"]
 
 
 def test_argmax_finds_the_largest_reward_once_per_reward_function(monkeypatch):
@@ -377,12 +386,49 @@ def test_normal_form_validation():
 
 def test_profile_values_decode():
     g = _pd()
-    assert profile_values(g, ("C", "D")) == (0, 3)
-    assert profile_values(g, ("D", "D")) == (1, 1)
+    assert g.values[("C", "D")] == (0, 3)
+    assert g.values[("D", "D")] == (1, 1)
     assert [grid.labels for grid in g.grids] == [
         ("0", "1", "2", "3"),
         ("0", "1", "2", "3"),
     ]
+    assert g.levels == ((0, 1, 2, 3), (0, 1, 2, 3))
+
+
+# equal values written differently, so that neither the text nor the parsed
+# object of a payoff tells which values are equal
+_EQUAL_WRITTEN_DIFFERENTLY = (1, "1", "2/2", 1.0, "3/2", 1.5, 0, "-1/2", "-0.5")
+
+
+@st.composite
+def _specs(draw):
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    players = [{"name": f"p{i}", "strategies": [f"s{j}" for j in range(m)]} for i, m in enumerate(sizes)]
+    pool = st.sampled_from(_EQUAL_WRITTEN_DIFFERENTLY)
+    payoffs = {
+        ",".join(prof): draw(st.lists(pool, min_size=len(sizes), max_size=len(sizes)))
+        for prof in iter_product(*[p["strategies"] for p in players])
+    }
+    return {"players": players, "payoffs": payoffs}
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_specs())
+def test_each_player_ranks_their_distinct_values_once(spec):
+    g, _ = parse_game_spec(spec)
+    ranks = {p: split_tuple(g.grids, g.payoff(tuple_label(p))) for p in g.values}
+    for i, grid in enumerate(g.grids):
+        distinct = {vals[i] for vals in g.values.values()}
+        assert len(grid) == len(distinct)
+        assert grid.labels == tuple(str(r) for r in range(len(distinct)))
+        assert g.levels[i] == tuple(sorted(distinct))
+        for p, q in iter_product(g.values, repeat=2):
+            a, b = int(ranks[p][i]), int(ranks[q][i])
+            assert (a < b) == (g.values[p][i] < g.values[q][i])
+            assert (a == b) == (g.values[p][i] == g.values[q][i])
+    assert solution_set(compositional_game(g)) == brute_force_nash(g)
+    route_reparam, route_pushed = hicks_games(g)
+    assert solution_set(route_reparam) == solution_set(route_pushed) == brute_force_hicks(g)
 
 
 def test_brute_force_oracles_frozen():
@@ -411,7 +457,7 @@ def test_game_scalar_recovers_the_payoff_table():
     from paralens.selection_games import game_scalar
 
     scalar = game_scalar(g)
-    reward = costate_fn(para_costate_solution_input(scalar))
+    reward = para_costate_solution_input(scalar)
     assert scalar.params.fwd.labels == g.payoff.dom.labels
     for prof in g.payoff.dom.labels:
         assert reward(prof) == g.payoff(prof)
