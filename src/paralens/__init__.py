@@ -58,6 +58,7 @@ from .para_optic import (
     ParaLens,
     embed_trivial,
     flatten_params,
+    in_context,
     para_compose,
     para_costate_solution_input,
     para_tensor,
@@ -71,7 +72,6 @@ from .selection_games import (
     brute_force_hicks,
     brute_force_nash,
     compositional_game,
-    context,
     decision,
     equilibria,
     game_scalar,

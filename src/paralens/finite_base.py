@@ -152,8 +152,8 @@ class FinFn:
         if isinstance(self.fn, Mapping):
             data = dict(self.fn)
             missing = [x for x in self.dom if x not in data]
-            extra = [x for x in data if x not in self.dom]
-            if missing or extra:
+            if missing or len(data) != len(self.dom):  # else no key can be extra
+                extra = [x for x in data if x not in self.dom]
                 raise CompositionError(
                     f"table does not match domain {self.dom}: "
                     f"missing {missing[:4]}, extra {extra[:4]}"

@@ -14,6 +14,8 @@ ports it was built from.  ``leaves`` lists those ports left to right and
 :func:`flatten_params` rewrites a composite to a single left-associated
 parameter leaf (dropping unit leaves) by reparametrising along that
 ``rewire``, which is what solvers and optimisers want to talk to.
+:func:`in_context` closes a para-lens into a scalar by a state on its
+source and a costate on its target.
 
 All structural rewiring is done with ``rewire`` relabelling lenses from
 ``lens_core``; nothing here peeks inside a base element except through the
@@ -40,6 +42,8 @@ from .lens_core import (
     lens_lunit,
     lens_runit_inv,
     lens_tensor,
+    make_costate,
+    make_state,
     obj_pair,
     describe_obj,
     fold_bracketing,
@@ -147,6 +151,20 @@ def reparametrise(p: ParaLens, r: Lens) -> ParaLens:
         )
     carrier = lens_compose(lens_tensor(r, lens_id(base, p.src)), p.carrier)
     return ParaLens(base, (r.src,), p.src, p.dst, carrier, 0)
+
+
+def in_context(p: ParaLens, h, k: Mor) -> ParaLens:
+    """The scalar ``p`` makes in the context ``(h, k)``.
+
+    ``h`` is a point of ``p.src.fwd``, fed in as a state, and ``k :
+    p.dst.fwd → p.dst.bwd`` closes the far side as a costate.  The result
+    keeps ``p``'s parameter port; its carrier is
+    ``(id_params ⊗ state(h)) ; p.carrier ; costate(k)``.
+    """
+    base = p.base
+    feed = lens_tensor(lens_id(base, p.params), make_state(base, p.src, h))
+    carrier = lens_compose(lens_compose(feed, p.carrier), make_costate(base, p.dst, k))
+    return ParaLens(base, p.leaves, unit_obj(base), unit_obj(base), carrier, p.param_shape)
 
 
 # -- flattening -----------------------------------------------------------

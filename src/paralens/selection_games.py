@@ -9,9 +9,11 @@ other's choice held fixed, which is exactly the Nash condition.
 A game is a parametrised scalar (both boundaries trivial) together with a
 selection relation on its parameter port.  The scalar induces a reward
 function on the port; the solution set is the set of parameter states the
-relation accepts against it.  Normal-form games are built compositionally:
-one decision per player, tensored, closed with the payoff table as a
-costate.  A brute-force deviation check provides an independent oracle.
+relation accepts against it.  An open game is closed by playing it in a
+context (h, k), a state h and a continuation k.  Normal-form games are
+built compositionally: the decisions' arena, one decision per player
+tensored, played in the context (unit observations, payoff costate).  A
+brute-force deviation check provides an independent oracle.
 
 Payoffs are exact ``Fraction``s, so ties and indifference are decided
 without tolerance.  A player's reward carrier holds only the ranks of
@@ -45,20 +47,12 @@ from .lens_core import (
     LensObj,
     costate_fn,
     lens_compose,
-    lens_id,
-    lens_runit_inv,
-    lens_tensor,
     make_costate,
-    make_state,
-    rewire,
-    unit_obj,
 )
 from .para_optic import (
     ParaLens,
-    embed_trivial,
     flatten_params,
-    left_bracketing,
-    para_compose,
+    in_context,
     para_costate_solution_input,
     para_tensor,
     reparametrise,
@@ -146,15 +140,14 @@ def sel_pushforward(
         raise CompositionError(
             "lens source does not match the relation's parameter port"
         )
-    states = f.src.fwd.labels
-    if len(states) > max_size:
+    count = len(f.src.fwd)
+    if count > max_size:
         raise SizeCapError(
-            f"{len(states)} source states exceed the cap of {max_size}",
-            count=len(states),
+            f"{count} source states exceed the cap of {max_size}", count=count
         )
 
     fibres: dict[object, list] = {}
-    for x in states:
+    for x in f.src.fwd:
         fibres.setdefault(f.get(x), []).append(x)
     threaded: list = [None, None]  # the last k and its threaded costate
 
@@ -256,46 +249,16 @@ def open_game(lens: ParaLens, sel: SelectionRelation) -> OpenGame:
     return OpenGame(flat, sel)
 
 
-def context(game: OpenGame, h, k: FinFn) -> FinFn:
-    """The reward function the players face in the context (h, k).
-
-    Built by lens composition: introduce the unit on the right of the
-    parameter port, tensor with the state h, feed the carrier, close with
-    the costate k.  Equals ω ↦ coplay(ω, h, k(play(ω, h))).
-    """
-    lens = game.lens
-    pobj = lens.params
-    composite = lens_compose(
-        lens_compose(
-            lens_compose(
-                lens_runit_inv(FINITE, pobj),
-                lens_tensor(lens_id(FINITE, pobj), make_state(FINITE, lens.src, h)),
-            ),
-            lens.carrier,
-        ),
-        make_costate(FINITE, lens.dst, k),
-    )
-    return costate_fn(composite)
-
-
 def equilibria(game: OpenGame, h, k: FinFn) -> tuple:
     """Parameter states the selection relation accepts in the context (h, k)."""
-    reward = context(game, h, k)
-    return tuple(
-        w for w in game.lens.params.fwd.labels if game.sel.accepts(w, reward)
-    )
+    return solution_set(OpenGame(in_context(game.lens, h, k), game.sel))
 
 
 def solution_set(game: OpenGame) -> tuple:
     """Equilibria of a closed game (both boundaries trivial)."""
-    lens = game.lens
-    if lens.src != unit_obj(FINITE) or lens.dst != unit_obj(FINITE):
-        raise CompositionError(
-            "solution_set needs a closed game with trivial boundaries"
-        )
-    reward = para_costate_solution_input(lens)
+    reward = para_costate_solution_input(game.lens)
     return tuple(
-        w for w in lens.params.fwd.labels if game.sel.accepts(w, reward)
+        w for w in game.lens.params.fwd.labels if game.sel.accepts(w, reward)
     )
 
 
@@ -402,23 +365,20 @@ def brute_force_hicks(g: NormalFormGame) -> tuple:
 
 
 def game_scalar(g: NormalFormGame, max_size: int = DEFAULT_ENUM_CAP) -> ParaLens:
-    """The closed compositional form: decisions, tensored, payoff as costate.
+    """The closed compositional form: the decisions' arena played in the
+    context (unit observations, payoff costate).
 
-    The parameter port of the result is the profile product with the grid
-    product as feedback, one leaf per player in player order.
+    The arena is the decisions tensored, one per player, and depends only
+    on the strategy sets and the rank grids; the payoff enters only as the
+    context's costate.  The parameter port of the result is the profile
+    product with the grid product as feedback, one flat leaf.
     """
     parts = [
         decision(UNIT_SET, player, grid, max_size)
         for player, grid in zip(g.players, g.grids)
     ]
-    tensored = reduce(para_tensor, parts)
-    n = len(g.players)
-    closer = rewire(FINITE, [unit_obj(FINITE)] * n, None, left_bracketing(range(n)))
-    payoffs = make_costate(FINITE, tensored.dst, g.payoff)
-    closed = para_compose(
-        para_compose(embed_trivial(closer), tensored), embed_trivial(payoffs)
-    )
-    return flatten_params(closed)
+    arena = flatten_params(reduce(para_tensor, parts))
+    return in_context(arena, tuple_label([UNIT_LABEL] * len(g.players)), g.payoff)
 
 
 def _checked_tags(g: NormalFormGame, tags: Sequence[str]) -> list[str]:

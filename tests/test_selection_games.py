@@ -26,19 +26,19 @@ from paralens.finite_base import (
     tuple_label,
 )
 from paralens.lens_core import (
+    Lens,
     LensObj,
     lens_assoc,
     lens_compose,
     lens_id,
     lens_swap,
 )
-from paralens.para_optic import para_costate_solution_input
+from paralens.para_optic import in_context, para_costate_solution_input
 from paralens.selection_games import (
     argmax_rel,
     brute_force_hicks,
     brute_force_nash,
     compositional_game,
-    context,
     decision,
     equilibria,
     hicks_games,
@@ -267,6 +267,19 @@ def test_pushforward_guards():
         sel_pushforward(gd_lens(0.1, 1), eps)
 
 
+def test_pushforward_checks_its_cap_before_enumerating(monkeypatch):
+    big = FinSet(tuple(f"s{i}" for i in range(1500)))
+    obj = LensObj(FinProd(big, big), UNIT_SET)
+
+    def no_iteration(self):
+        raise AssertionError("the source states were enumerated")
+
+    monkeypatch.setattr(FinProd, "__iter__", no_iteration)
+    with pytest.raises(SizeCapError) as exc:
+        sel_pushforward(lens_id(FINITE, obj), total_rel(obj), max_size=10)
+    assert exc.value.count == 2_250_000
+
+
 def test_sel_morphism_examples():
     moves = FinSet(("a", "b"))
     grid = FinSet(("0", "1"))
@@ -345,7 +358,7 @@ def test_context_agrees_with_pointwise_play():
     game = open_game(d, argmax_rel(d.params.fwd, grid))
     k = FinFn(moves, grid, {"L": "1", "R": "0"})
     for h in obs.labels:
-        reward = context(game, h, k)
+        reward = para_costate_solution_input(in_context(game.lens, h, k))
         for w in d.params.fwd.labels:
             played = FINITE.apply(d.carrier.get, (w, h))
             assert reward(w) == k(played)
@@ -461,6 +474,20 @@ def test_game_scalar_recovers_the_payoff_table():
     assert scalar.params.fwd.labels == g.payoff.dom.labels
     for prof in g.payoff.dom.labels:
         assert reward(prof) == g.payoff(prof)
+
+
+def test_a_two_player_game_builds_17_lenses(monkeypatch):
+    """The arena's decisions, tensored and flattened, and one context: 17 lenses."""
+    built = [0]
+    post_init = Lens.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Lens, "__post_init__", counted)
+    assert solution_set(compositional_game(_pd())) == (("D", "D"),)
+    assert built[0] == 17
 
 
 def test_solution_sets_match_oracle_on_fixtures():
