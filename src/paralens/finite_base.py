@@ -6,21 +6,22 @@ Python pairs ``(x, y)``, and n-ary products associate to the left, so any
 composite carrier has a single deterministic presentation and no two
 elements can share an encoding.  A product is enumerated only when iterated.
 Morphisms are memoised procedures; only ``FiniteBase.mor_equal`` tabulates,
-to decide equality.  Those built from caller data and a lens's ``get`` and
-``put``, which a lens builds only when asked for them, check each element
-and its image on first evaluation, so a composite lens is checked once, at
-its edge; the lenses inside it run on their legs, which neither check nor
-memoise.  Only ``compose``, ``product`` and the Nash restrictions are
-``derived``: they only memoise, as every part of their input reaches a
-checked morphism.
+to decide equality.  One given as a table is checked in one pass when built.
+Those built from other caller data and a lens's ``get`` and ``put``, which a
+lens builds only when asked for them, check each element and its image on
+first evaluation, so a composite lens is checked once, at its edge; the
+lenses inside it run on their legs, which neither check nor memoise.  Only
+``compose``, ``product`` and the Nash restrictions are ``derived``: they
+only memoise, as every part of their input reaches a checked morphism.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product as iter_product
-from typing import Callable, ClassVar, Mapping, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from .errors import CompositionError, SizeCapError
 from .lens_core import Base
@@ -135,9 +136,10 @@ class FinFn:
     ``fn`` is a callable or a table given as data.  The first evaluation at
     an element checks that the element is in ``dom`` and its image in
     ``cod``, then keeps the image in ``table``, which never outgrows the
-    domain.  A table given as data is checked the same way, eagerly.  A
-    morphism from :meth:`FiniteBase.derived` (``compose``, ``product``, a
-    Nash restriction) skips both checks.
+    domain.  A table given as data is checked once, eagerly: its keys
+    against ``dom`` and each distinct image against ``cod``; a copy of it
+    is then the memo table.  A morphism from :meth:`FiniteBase.derived`
+    (``compose``, ``product``, a Nash restriction) skips both checks.
     """
 
     checked: ClassVar[bool] = True
@@ -148,19 +150,24 @@ class FinFn:
     table: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "table", {})
+        table = {}
         if isinstance(self.fn, Mapping):
-            data = dict(self.fn)
-            missing = [x for x in self.dom if x not in data]
-            if missing or len(data) != len(self.dom):  # else no key can be extra
-                extra = [x for x in data if x not in self.dom]
+            table, dom, cod = dict(self.fn), self.dom, self.cod
+            if len(table) != len(dom) or not all(x in table for x in dom):  # equal sizes leave no key extra
+                missing, extra = [x for x in dom if x not in table], [x for x in table if x not in dom]
                 raise CompositionError(
-                    f"table does not match domain {self.dom}: "
+                    f"table does not match domain {dom}: "
                     f"missing {missing[:4]}, extra {extra[:4]}"
                 )
-            object.__setattr__(self, "fn", data.__getitem__)
-            for x in self.dom:
-                self(x)
+            try:  # each distinct image once
+                images = dict.fromkeys(table.values())
+            except TypeError:  # an unhashable image, so in no carrier
+                images = table.values()
+            if not all(y in cod for y in images):
+                x = next(x for x in dom if table[x] not in cod)
+                raise CompositionError(f"image {table[x]!r} of {x!r} is not in codomain {cod}")
+            object.__setattr__(self, "fn", table.__getitem__)
+        object.__setattr__(self, "table", table)
 
     def __call__(self, x: object) -> object:
         table = self.table

@@ -12,8 +12,9 @@ function on the port; the solution set is the set of parameter states the
 relation accepts against it.  An open game is closed by playing it in a
 context (h, k), a state h and a continuation k.  Normal-form games are
 built compositionally: the decisions' arena, one decision per player
-tensored, played in the context (unit observations, payoff costate).  A
-brute-force deviation check provides an independent oracle.
+tensored, played in the context (unit observations, payoff costate); the
+arena is built once per shape.  A brute-force deviation check provides an
+independent oracle.
 
 Payoffs are exact ``Fraction``s, so ties and indifference are decided
 without tolerance.  A player's reward carrier holds only the ranks of
@@ -23,9 +24,10 @@ order; the exact values stay on the game.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product as iter_product
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -71,21 +73,25 @@ def argmax_rel(moves: FinSet | FinProd, rewards: FinSet) -> SelectionRelation:
     """Accepts a move iff no other move earns a strictly larger reward.
 
     ``rewards`` lists the rewards in ascending order, so a reward's
-    position in it is its rank.
+    position in it is its rank.  The largest reward is found once per
+    reward function and kept while that function lives, so a factor of a
+    Nash product, which sees one restriction per frozen move of the
+    others, scans its moves once for each.
     """
     if len(moves) == 0:
         raise CompositionError("argmax over the empty move set is undefined")
     rank = {r: i for i, r in enumerate(rewards.labels)}
-    best: list = [None, None]  # the last k and its largest reward, found once
+    best = weakref.WeakKeyDictionary()  # reward function -> its largest rank
 
     def accepts(x, k: FinFn) -> bool:
-        if k.cod != rewards:
-            raise CompositionError(
-                f"reward function lands in {k.cod}, expected the rewards {rewards}"
-            )
-        if best[0] is not k:
-            best[:] = [k, max(rank[k(y)] for y in moves)]
-        return rank[k(x)] >= best[1]
+        top = best.get(k)
+        if top is None:
+            if k.cod != rewards:
+                raise CompositionError(
+                    f"reward function lands in {k.cod}, expected the rewards {rewards}"
+                )
+            top = best[k] = max(rank[k(y)] for y in moves)
+        return rank[k(x)] >= top
 
     return SelectionRelation(LensObj(moves, rewards), accepts)
 
@@ -100,25 +106,28 @@ def nash_product(eps: SelectionRelation, delta: SelectionRelation) -> SelectionR
 
     The joint reward function is restricted for each factor by freezing the
     other factor's move and projecting onto the factor's own reward carrier.
-    For the last ``k`` seen, compared by identity, each restriction is built
-    once per frozen move, so a factor's best responses are found once.
+    Each restriction is built once per reward function and frozen move and
+    kept while that function lives, so a factor's best responses are found
+    once however the profiles are enumerated.
     """
     em, er = eps.obj.fwd, eps.obj.bwd
     dm, dr = delta.obj.fwd, delta.obj.bwd
     obj = LensObj(FinProd(em, dm), FinProd(er, dr))
-    last: list = [None, {}, {}]  # the last k, its restrictions k_y by y and k_x by x
+    memo = weakref.WeakKeyDictionary()  # k -> a weak k, its restrictions k_y by y and k_x by x
 
     def accepts(xy: tuple, k: FinFn) -> bool:
-        if last[0] is not k:
+        restricted = memo.get(k)
+        if restricted is None:
             if k.dom != obj.fwd or k.cod != obj.bwd:
                 raise CompositionError(f"reward function is not {obj.fwd} → {obj.bwd}")
-            last[:] = [k, {}, {}]
+            restricted = memo[k] = (weakref.ref(k), {}, {})  # a strong k would keep its entry alive
+        weak_k, by_y, by_x = restricted
         x, y = FINITE.split_elem(xy)
-        if y not in last[1]:
-            last[1][y] = FINITE.derived(em, er, lambda a: k((a, y))[0])
-        if x not in last[2]:
-            last[2][x] = FINITE.derived(dm, dr, lambda b: k((x, b))[1])
-        return eps.accepts(x, last[1][y]) and delta.accepts(y, last[2][x])
+        if y not in by_y:
+            by_y[y] = FINITE.derived(em, er, lambda a: weak_k()((a, y))[0])
+        if x not in by_x:
+            by_x[x] = FINITE.derived(dm, dr, lambda b: weak_k()((x, b))[1])
+        return eps.accepts(x, by_y[y]) and delta.accepts(y, by_x[x])
 
     return SelectionRelation(obj, accepts)
 
@@ -284,10 +293,17 @@ class NormalFormGame:
     levels: tuple[tuple[Fraction, ...], ...]
 
 
-def _ranks(values: Iterable[Fraction]) -> dict[Fraction, str]:
-    """Each distinct value, ascending, to its rank label ``"0"``, ``"1"``, …;
-    equal values share a rank however they were written."""
-    return {v: str(r) for r, v in enumerate(sorted(set(values)))}
+def _ranked(values: Iterable[Fraction]) -> tuple[tuple[Fraction, ...], dict[int, str]]:
+    """The distinct values ascending, and the rank label ``"0"``, ``"1"``, …
+    of each value object by its ``id``.  Equal values, neighbours once
+    sorted, share a rank however they were written; no value is hashed."""
+    level: list[Fraction] = []
+    rank = {}
+    for v in sorted(values):
+        if not level or v != level[-1]:
+            level.append(v)
+        rank[id(v)] = str(len(level) - 1)
+    return tuple(level), rank
 
 
 def normal_form_game(
@@ -315,20 +331,17 @@ def normal_form_game(
             f"payoff table does not match the profile product: "
             f"missing {missing[:4]}, unknown {extra[:4]}"
         )
-    # each payoff object (a parsed spec shares one per distinct text) is hashed once
-    levels, grids, ranks = [], [], []
-    for i in range(n):
-        objs = {id(vals[i]): vals[i] for vals in values.values()}
-        rank = _ranks(objs.values())
-        levels.append(tuple(rank))
-        grids.append(FinSet(tuple(rank.values())))
-        ranks.append({k: rank[v] for k, v in objs.items()})
+    # each payoff object (a parsed spec shares one per distinct text) is ranked once
+    ranked = [_ranked({id(vals[i]): vals[i] for vals in values.values()}.values()) for i in range(n)]
+    grids = tuple(FinSet(tuple(map(str, range(len(level))))) for level, _ in ranked)
+    domain = finset_tuple_product(players)  # its elements are the profiles' labels, in order
     payoff = FinFn(
-        finset_tuple_product(players),
+        domain,
         finset_tuple_product(grids),
-        {tuple_label(p): tuple_label([r[id(v)] for r, v in zip(ranks, values[p])]) for p in profiles},
+        {x: tuple_label([rank[id(v)] for (_, rank), v in zip(ranked, values[p])]) for x, p in zip(domain, profiles)},
     )
-    return NormalFormGame(players, tuple(grids), payoff, {p: values[p] for p in profiles}, tuple(levels))
+    levels = tuple(level for level, _ in ranked)
+    return NormalFormGame(players, grids, payoff, {p: values[p] for p in profiles}, levels)
 
 
 def brute_force_nash(
@@ -364,21 +377,32 @@ def brute_force_hicks(g: NormalFormGame) -> tuple:
     return tuple(tuple_label(p) for p in totals if totals[p] == best)
 
 
-def game_scalar(g: NormalFormGame, max_size: int = DEFAULT_ENUM_CAP) -> ParaLens:
-    """The closed compositional form: the decisions' arena played in the
-    context (unit observations, payoff costate).
+@lru_cache(maxsize=64)
+def arena(
+    players: tuple[FinSet, ...], grids: tuple[FinSet, ...], max_size: int = DEFAULT_ENUM_CAP
+) -> ParaLens:
+    """The decisions tensored, one per player with unit observations.
 
-    The arena is the decisions tensored, one per player, and depends only
-    on the strategy sets and the rank grids; the payoff enters only as the
-    context's costate.  The parameter port of the result is the profile
-    product with the grid product as feedback, one flat leaf.
+    It depends only on the strategy sets and the rank grids, so it is built
+    once per shape and kept in a bounded cache.  The cap is part of the key:
+    a shape cached under a large cap still raises under a smaller one.
     """
     parts = [
         decision(UNIT_SET, player, grid, max_size)
-        for player, grid in zip(g.players, g.grids)
+        for player, grid in zip(players, grids)
     ]
-    arena = flatten_params(reduce(para_tensor, parts))
-    return in_context(arena, tuple_label([UNIT_LABEL] * len(g.players)), g.payoff)
+    return flatten_params(reduce(para_tensor, parts))
+
+
+def game_scalar(g: NormalFormGame, max_size: int = DEFAULT_ENUM_CAP) -> ParaLens:
+    """The closed compositional form: the game's :func:`arena` played in
+    the context (unit observations, payoff costate).
+
+    The payoff enters only as the context's costate.  The parameter port of
+    the result is the profile product with the grid product as feedback.
+    """
+    units = tuple_label([UNIT_LABEL] * len(g.players))
+    return in_context(arena(g.players, g.grids, max_size), units, g.payoff)
 
 
 def _checked_tags(g: NormalFormGame, tags: Sequence[str]) -> list[str]:
@@ -423,9 +447,9 @@ def sum_of_payoffs_lens(g: NormalFormGame) -> Lens:
         tuple_label([l for l, _ in c]): sum(v for _, v in c)
         for c in iter_product(*[zip(grid.labels, level) for grid, level in zip(g.grids, g.levels)])
     }
-    rank = _ranks(totals.values())
-    table = {c: rank[t] for c, t in totals.items()}
-    sums = FinSet(tuple(rank.values()))
+    level, rank = _ranked(totals.values())
+    table = {c: rank[id(t)] for c, t in totals.items()}
+    sums = FinSet(tuple(map(str, range(len(level)))))
     return Lens(FINITE, LensObj(omega, sums), LensObj(omega, prod), lambda w: (w, None), lambda _, r: table[r])
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from paralens.errors import CompositionError, SizeCapError
 from paralens.finite_base import (
+    DEFAULT_ENUM_CAP,
     FINITE,
     UNIT_LABEL,
     UNIT_SET,
@@ -19,7 +20,7 @@ from paralens.finite_base import (
     tuple_label,
 )
 from paralens.para_optic import para_costate_solution_input
-from paralens.selection_games import compositional_game, normal_form_game, solution_set
+from paralens.selection_games import arena, compositional_game, normal_form_game, solution_set
 from itertools import product as iter_product
 
 
@@ -99,6 +100,42 @@ def test_finfn_validates_table():
         FinFn(dom, cod, {"a": "x", "b": "zzz"})
     with pytest.raises(CompositionError):
         FinFn(dom, cod, {"a": "x", "b": "x", "c": "x"})
+
+
+def test_a_table_is_checked_in_one_pass(monkeypatch):
+    s = FinSet(("a", "b"))
+    dom, cod = FinProd(FinProd(s, s), s), FinProd(s, s)
+    table = {x: [("a", "b"), ("b", "a")][i % 2] for i, x in enumerate(dom)}
+    calls, depth = [0], [0]
+    real = FinProd.__contains__
+
+    def counted(self, xy):
+        calls[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return real(self, xy)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(FinProd, "__contains__", counted)
+    f = FinFn(dom, cod, table)
+    # each distinct image once; the keys are looked up in the table, not checked against dom
+    assert calls[0] == 2
+    assert [f(x) for x in dom] == list(table.values()) and f.table == table
+    assert calls[0] == 2
+    monkeypatch.undo()
+    small, x = FinSet(("a", "b")), FinSet(("x",))
+    for data, message in (
+        ({"a": "x"}, "table does not match domain {a,b}: missing ['b'], extra []"),
+        ({"a": "x", "b": "x", "c": "x"}, "table does not match domain {a,b}: missing [], extra ['c']"),
+        ({"a": "x", "c": "x"}, "table does not match domain {a,b}: missing ['b'], extra ['c']"),
+        ({"a": "x", "b": "zzz"}, "image 'zzz' of 'b' is not in codomain {x}"),
+        ({"b": "q", "a": "w"}, "image 'w' of 'a' is not in codomain {x}"),
+        ({"a": ["x"], "b": "x"}, "image ['x'] of 'a' is not in codomain {x}"),
+    ):
+        with pytest.raises(CompositionError) as exc:
+            FinFn(small, x, data)
+        assert str(exc.value) == message
 
 
 def test_finfn_rejects_label_outside_domain():
@@ -232,15 +269,36 @@ def test_solution_input_checks_membership_a_fixed_number_of_times_per_profile(mo
     assert per_profile == [2, 2]
 
 
-def test_product_carriers_die_with_their_game():
+def test_arena_cache_is_bounded_and_a_payoff_dies_with_its_game():
+    # one shape per strategy label, so every game below misses the cache
+    def game(label):
+        return normal_form_game([FinSet((label,))], {(label,): (0,)})
+
+    arena.cache_clear()
+    g = game("s0")
+    assert solution_set(compositional_game(g)) == ("s0",)
+    first = weakref.ref(arena(g.players, g.grids, DEFAULT_ENUM_CAP))
+    del g
+    gc.collect()
+    assert first() is not None  # kept by the cache alone
+    maxsize = arena.cache_info().maxsize
+    for i in range(1, maxsize + 1):
+        assert solution_set(compositional_game(game(f"s{i}"))) == (f"s{i}",)
+    gc.collect()
+    assert arena.cache_info().currsize == maxsize
+    assert first() is None
+
+    # the cached arena and the relations' memos keep no part of a game's payoff
     players = [FinSet(("C", "D")), FinSet(("C", "D"))]
     table = {("C", "C"): (2, 2), ("C", "D"): (0, 3), ("D", "C"): (3, 0), ("D", "D"): (1, 1)}
-    game = compositional_game(normal_form_game(players, table))
-    assert solution_set(game) == (("D", "D"),)
-    profiles = weakref.ref(game.lens.params.fwd)
-    del game, players
+    g = normal_form_game(players, table)
+    open_g = compositional_game(g)
+    assert solution_set(open_g) == (("D", "D"),)
+    payoff = weakref.ref(g.payoff)
+    del g, open_g
     gc.collect()
-    assert profiles() is None
+    assert payoff() is None
+    assert arena.cache_info().currsize == maxsize
 
 
 def test_enumerate_functions_order_and_count():

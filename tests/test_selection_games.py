@@ -5,7 +5,10 @@ tables and double-checked with the deviation enumeration oracle, which
 is itself tested directly against the same hand values.
 """
 
+import gc
+import inspect
 import random
+import weakref
 from itertools import product as iter_product
 
 import pytest
@@ -16,6 +19,7 @@ from paralens.checks import random_finset, random_lens, random_obj, random_relat
 from paralens.cli import parse_game_spec
 from paralens.errors import CompositionError, SizeCapError
 from paralens.finite_base import (
+    DEFAULT_ENUM_CAP,
     FINITE,
     FinFn,
     FinProd,
@@ -35,6 +39,7 @@ from paralens.lens_core import (
 )
 from paralens.para_optic import in_context, para_costate_solution_input
 from paralens.selection_games import (
+    arena,
     argmax_rel,
     brute_force_hicks,
     brute_force_nash,
@@ -194,6 +199,57 @@ def test_nash_product_restricts_once_per_frozen_move(monkeypatch):
         rel.accepts(xy, k)
     # each of the two restrictions of k reads it once per profile
     assert calls[0] <= 2 * n * n
+
+
+def _memo(rel, name: str):
+    """The per-reward-function memo that ``rel.accepts`` closes over."""
+    return inspect.getclosurevars(rel.accepts).nonlocals[name]
+
+
+def _alternate(rel, fresh, states, ks) -> list:
+    """Accepted states per reward function, feeding ``rel`` the functions in
+    turn at each state, and checking each answer against a fresh relation."""
+    accepted = [[] for _ in ks]
+    for _ in range(2):
+        for x in states:
+            for i, k in enumerate(ks):
+                ok = rel.accepts(x, k)
+                assert ok == fresh().accepts(x, k)
+                if ok:
+                    accepted[i].append(x)
+    return accepted
+
+
+def test_relations_remember_each_reward_function_while_it_lives():
+    moves, grid = FinSet(("x", "y", "z")), FinSet(("0", "1", "2"))
+    ks = [FinFn(moves, grid, dict(zip(moves, images))) for images in (("2", "1", "2"), ("0", "1", "0"))]
+    rel = argmax_rel(moves, grid)
+    assert _alternate(rel, lambda: argmax_rel(moves, grid), moves, ks) == [["x", "z"] * 2, ["y"] * 2]
+    best = _memo(rel, "best")
+    assert len(best) == 2
+    dead = weakref.ref(ks.pop())
+    gc.collect()
+    assert dead() is None and len(best) == 1
+
+    cd, grid = FinSet(("C", "D")), FinSet(("0", "1", "2", "3"))
+    profiles = FinProd(cd, cd)
+    pd_ranks = {("C", "C"): ("2", "2"), ("C", "D"): ("0", "3"), ("D", "C"): ("3", "0"), ("D", "D"): ("1", "1")}
+    coordination = {("C", "C"): ("2", "2"), ("C", "D"): ("0", "0"), ("D", "C"): ("0", "0"), ("D", "D"): ("1", "1")}
+    ks = [FinFn(profiles, FinProd(grid, grid), t) for t in (pd_ranks, coordination)]
+    eps = argmax_rel(cd, grid)
+    rel = nash_product(eps, argmax_rel(cd, grid))
+
+    def fresh():
+        return nash_product(argmax_rel(cd, grid), argmax_rel(cd, grid))
+
+    want = [[("D", "D")] * 2, [("C", "C"), ("D", "D")] * 2]
+    assert _alternate(rel, fresh, profiles, ks) == want
+    memo = _memo(rel, "memo")
+    # the first factor sees one restriction per reward function and frozen move
+    assert len(memo) == 2 and len(_memo(eps, "best")) == 4
+    dead = weakref.ref(ks.pop())
+    gc.collect()
+    assert dead() is None and len(memo) == 1 and len(_memo(eps, "best")) == 2
 
 
 def test_argmax_rejects_empty_moves():
@@ -476,8 +532,10 @@ def test_game_scalar_recovers_the_payoff_table():
         assert reward(prof) == g.payoff(prof)
 
 
-def test_a_two_player_game_builds_17_lenses(monkeypatch):
-    """The arena's decisions, tensored and flattened, and one context: 17 lenses."""
+@pytest.mark.parametrize("n, cold", [(2, 13), (3, 17)])
+def test_a_game_builds_its_arena_once_per_shape(monkeypatch, n, cold):
+    """Cold: n decisions and n - 1 tensors of 3 lenses each, already flat,
+    then the context (6 lenses) and its reward (2).  Warm: only the last 8."""
     built = [0]
     post_init = Lens.__post_init__
 
@@ -485,9 +543,79 @@ def test_a_two_player_game_builds_17_lenses(monkeypatch):
         built[0] += 1
         post_init(self)
 
+    moves = [FinSet(("C", "D"))] * n
+    profiles = list(iter_product(*[m.labels for m in moves]))
+
+    def game(shift):
+        # each player's values are a permutation of 0 … len(profiles) - 1, so every game has one shape
+        return normal_form_game(moves, {p: [(j + shift * (i + 1)) % len(profiles) for i in range(n)]
+                                        for j, p in enumerate(profiles)})
+
+    arena.cache_clear()
     monkeypatch.setattr(Lens, "__post_init__", counted)
-    assert solution_set(compositional_game(_pd())) == (("D", "D"),)
-    assert built[0] == 17
+    for shift, want in ((0, cold), (1, 8), (2, 8)):
+        built[0] = 0
+        g = game(shift)
+        assert solution_set(compositional_game(g)) == brute_force_nash(g)
+        assert built[0] == want
+    assert arena.cache_info().currsize == 1
+
+
+@st.composite
+def _same_shape_specs(draw):
+    """Two to four specs of one shape, generated like the benchmark's: n
+    players with k strategies each and exactly v distinct payoffs per player,
+    with fresh payoffs for every spec."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    strategies = [f"s{j}" for j in range(k)]
+    profiles = [",".join(p) for p in iter_product(strategies, repeat=n)]
+    v = draw(st.integers(1, min(4, len(profiles))))
+    players = [{"name": f"p{i}", "strategies": strategies} for i in range(n)]
+    specs = []
+    for _ in range(draw(st.integers(2, 4))):
+        columns = []
+        for _ in range(n):
+            pool = draw(st.lists(st.integers(-6, 6), min_size=v, max_size=v, unique=True))
+            rest = draw(st.lists(st.sampled_from(pool), min_size=len(profiles) - v, max_size=len(profiles) - v))
+            columns.append(draw(st.permutations(pool + rest)))
+        specs.append({"players": players, "payoffs": {p: [c[j] for c in columns] for j, p in enumerate(profiles)}})
+    return specs
+
+
+def _solve(g, selection, max_size: int = DEFAULT_ENUM_CAP) -> tuple:
+    if selection == "hicks_sum":
+        route_reparam, route_pushed = hicks_games(g, max_size)
+        assert solution_set(route_reparam) == solution_set(route_pushed)
+        return solution_set(route_reparam)
+    return solution_set(compositional_game(g, selection, max_size))
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs=_same_shape_specs(), data=st.data())
+def test_a_warm_arena_solves_as_a_cold_one(specs, data):
+    games = [parse_game_spec(spec)[0] for spec in specs]
+    n, k = len(games[0].players), len(games[0].players[0])
+    tags = data.draw(st.lists(st.sampled_from(["argmax", "total"]), min_size=n, max_size=n))
+    selections = ("argmax_each", tags, "hicks_sum")
+    arena.cache_clear()
+    warm = []
+    for g in games:
+        for selection in selections:
+            warm.append(_solve(g, selection))
+            if selection == "hicks_sum":
+                assert warm[-1] == brute_force_hicks(g)
+            else:
+                assert warm[-1] == brute_force_nash(g, tags=None if selection == "argmax_each" else selection)
+            with pytest.raises(SizeCapError):
+                _solve(g, selection, k - 1)
+    # every solve after the first ran on the arena the first one built
+    assert arena.cache_info().hits == len(warm) - 1 and arena.cache_info().currsize == 1
+    cold = []
+    for g in games:
+        for selection in selections:
+            arena.cache_clear()
+            cold.append(_solve(g, selection))
+    assert cold == warm
 
 
 def test_solution_sets_match_oracle_on_fixtures():
