@@ -81,30 +81,27 @@ def parse_game_spec(data: object) -> tuple[NormalFormGame, str | list[str] | Non
     raw_payoffs = data.get("payoffs")
     if not isinstance(raw_payoffs, dict):
         raise SpecFormatError("expected an object keyed by comma-joined profiles", "$.payoffs")
-    profiles = {",".join(prof): prof for prof in iter_product(*[p.labels for p in players])}  # labels hold no comma
     table = {}
     read: dict = {}  # (type, value) -> Fraction, so each distinct payoff is read once
-    for key, vals in raw_payoffs.items():
-        prof = profiles.get(key)
-        if prof is None or not isinstance(vals, list) or len(vals) != n:
-            path, moves = f"$.payoffs[{key!r}]", key.split(",")
-            if len(moves) != n:
-                raise SpecFormatError(f"profile has {len(moves)} moves for {n} players", path)
-            for i, move in enumerate(moves):
-                if move not in players[i]:
-                    raise SpecFormatError(f"unknown move {move!r} for player {i}", path)
-            raise SpecFormatError(f"expected a list of {n} payoffs", path)
+    for key, vals in raw_payoffs.items():  # a JSON path is formatted only to raise
+        prof = tuple(key.split(","))
+        if len(prof) != n:
+            raise SpecFormatError(f"profile has {len(prof)} moves for {n} players", f"$.payoffs[{key!r}]")
+        for i, move in enumerate(prof):
+            if move not in players[i]:
+                raise SpecFormatError(f"unknown move {move!r} for player {i}", f"$.payoffs[{key!r}]")
+        if not isinstance(vals, list) or len(vals) != n:
+            raise SpecFormatError(f"expected a list of {n} payoffs", f"$.payoffs[{key!r}]")
         row = []
         for i, v in enumerate(vals):
             if isinstance(v, bool) or not isinstance(v, (int, float, str)):  # before hashing it
                 raise SpecFormatError("payoffs must be numbers or rational strings", f"$.payoffs[{key!r}][{i}]")
-            q = read.get((type(v), v))
-            if q is None:
-                q = read[type(v), v] = _read_rational(v, f"$.payoffs[{key!r}][{i}]")
-            row.append(q)
+            typed = (type(v), v)
+            row.append(read[typed] if typed in read else read.setdefault(typed, _read_rational(v, f"$.payoffs[{key!r}][{i}]")))
         table[prof] = tuple(row)
-    if len(table) != len(profiles):
-        raise SpecFormatError(f"missing profile {next(k for k in profiles if k not in raw_payoffs)}", "$.payoffs")
+    for prof in iter_product(*[p.labels for p in players]):  # stops at the first missing profile
+        if prof not in table:
+            raise SpecFormatError(f"missing profile {','.join(prof)}", "$.payoffs")
 
     selection = data.get("selection")
     if selection is not None:
@@ -118,8 +115,6 @@ def _read_rational(v: int | float | str, path: str) -> Fraction:
     The exponent is bounded before ``Fraction`` expands it into an integer.
     """
     text = str(v)
-    if type(v) is int and len(text) <= _MAX_PAYOFF_DIGITS:  # a sign and digits
-        return Fraction(v)
     mantissa, _, exponent = text.lower().partition("e")
     try:
         digits = sum(c.isdigit() for c in mantissa) + abs(int(exponent or 0))

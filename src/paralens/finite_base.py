@@ -6,13 +6,13 @@ Python pairs ``(x, y)``, and n-ary products associate to the left, so any
 composite carrier has a single deterministic presentation and no two
 elements can share an encoding.  A product is enumerated only when iterated.
 Morphisms are memoised procedures; only ``FiniteBase.mor_equal`` tabulates,
-to decide equality.  One given as a table is checked in one pass when built.
-Those built from other caller data and a lens's ``get`` and ``put``, which a
-lens builds only when asked for them, check each element and its image on
-first evaluation, so a composite lens is checked once, at its edge; the
-lenses inside it run on their legs, which neither check nor memoise.  Only
-``compose``, ``product`` and the Nash restrictions are ``derived``: they
-only memoise, as every part of their input reaches a checked morphism.
+to decide equality.  Those built from caller data and a lens's ``get`` and
+``put``, which a lens builds only when asked for them, check each element
+and its image on first evaluation (a table, when built), so a composite
+lens is checked once, at its edge; the lenses inside it run on their legs,
+which neither check nor memoise.  Only ``compose``, ``product`` and the
+Nash restrictions are ``derived``: they only memoise, as every part of
+their input reaches a checked morphism.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product as iter_product
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar, Iterator, Sequence
 
 from .errors import CompositionError, SizeCapError
 from .lens_core import Base
@@ -136,9 +136,8 @@ class FinFn:
     ``fn`` is a callable or a table given as data.  The first evaluation at
     an element checks that the element is in ``dom`` and its image in
     ``cod``, then keeps the image in ``table``, which never outgrows the
-    domain.  A table given as data is checked once, eagerly: its keys
-    against ``dom`` and each distinct image against ``cod``; a copy of it
-    is then the memo table.  A morphism from :meth:`FiniteBase.derived`
+    domain.  A table given as data is checked eagerly, each distinct image
+    once, and becomes the memo.  A morphism from :meth:`FiniteBase.derived`
     (``compose``, ``product``, a Nash restriction) skips both checks.
     """
 
@@ -150,24 +149,25 @@ class FinFn:
     table: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        table = {}
+        object.__setattr__(self, "table", {})
         if isinstance(self.fn, Mapping):
-            table, dom, cod = dict(self.fn), self.dom, self.cod
-            if len(table) != len(dom) or not all(x in table for x in dom):  # equal sizes leave no key extra
-                missing, extra = [x for x in dom if x not in table], [x for x in table if x not in dom]
+            data = dict(self.fn)
+            missing = [x for x in self.dom if x not in data]
+            if missing or len(data) != len(self.dom):  # else no key can be extra
+                extra = [x for x in data if x not in self.dom]
                 raise CompositionError(
-                    f"table does not match domain {dom}: "
+                    f"table does not match domain {self.dom}: "
                     f"missing {missing[:4]}, extra {extra[:4]}"
                 )
-            try:  # each distinct image once
-                images = dict.fromkeys(table.values())
+            object.__setattr__(self, "fn", data.__getitem__)
+            try:  # each distinct image once, in table order
+                ok = all(y in self.cod for y in dict.fromkeys(data.values()))
             except TypeError:  # an unhashable image, so in no carrier
-                images = table.values()
-            if not all(y in cod for y in images):
-                x = next(x for x in dom if table[x] not in cod)
-                raise CompositionError(f"image {table[x]!r} of {x!r} is not in codomain {cod}")
-            object.__setattr__(self, "fn", table.__getitem__)
-        object.__setattr__(self, "table", table)
+                ok = False
+            if not ok:
+                for x in self.dom:  # raises at the first bad image
+                    self(x)
+            object.__setattr__(self, "table", data)
 
     def __call__(self, x: object) -> object:
         table = self.table
@@ -202,6 +202,14 @@ def enumerate_functions(
     significant, matching the element order of the left-associated product
     ``cod^|dom|``.
     """
+    return list(iter_functions(dom, cod, max_size))
+
+
+def iter_functions(
+    dom: Carrier, cod: Carrier, max_size: int = DEFAULT_ENUM_CAP
+) -> Iterator[FinFn]:
+    """:func:`enumerate_functions` one at a time, so each can die before the
+    next is built; the cap is checked at the call."""
     count = len(cod) ** len(dom)
     if count > max_size:
         raise SizeCapError(
@@ -209,10 +217,7 @@ def enumerate_functions(
             count=count,
         )
     xs = dom.labels
-    return [
-        FinFn(dom, cod, dict(zip(xs, images)))
-        for images in iter_product(cod, repeat=len(dom))
-    ]
+    return (FinFn(dom, cod, dict(zip(xs, images))) for images in iter_product(cod, repeat=len(dom)))
 
 
 # -- the Base instantiation ---------------------------------------------

@@ -13,8 +13,7 @@ ports it was built from.  ``leaves`` lists those ports left to right and
 ``param_shape`` brackets their indices in :func:`rewire`'s notation;
 :func:`flatten_params` rewrites a composite to a single left-associated
 parameter leaf (dropping unit leaves) by reparametrising along that
-``rewire`` (unless it has that port already), which is what solvers and
-optimisers want to talk to.
+``rewire``, which is what solvers and optimisers want to talk to.
 :func:`in_context` closes a para-lens into a scalar by a state on its
 source and a costate on its target.
 
@@ -182,8 +181,7 @@ def flatten_params(p: ParaLens) -> ParaLens:
     Unit leaves (from ``embed_trivial``) are dropped; the remaining leaves
     keep their left-to-right order.  Behaviour is unchanged: the carrier is
     reparametrised by the :func:`rewire` from the flat layout to the
-    bracketing.  Lenses with a single leaf, or already left-associated with
-    no unit leaf, have the flat port and are returned as-is.
+    bracketing.  Lenses with a single leaf or a flat port are returned as-is.
     """
     flat = left_bracketing([i for i, q in enumerate(p.leaves) if q != unit_obj(p.base)])
     if isinstance(p.param_shape, int) or p.param_shape == flat:

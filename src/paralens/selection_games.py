@@ -12,8 +12,8 @@ function on the port; the solution set is the set of parameter states the
 relation accepts against it.  An open game is closed by playing it in a
 context (h, k), a state h and a continuation k.  Normal-form games are
 built compositionally: the decisions' arena, one decision per player
-tensored, played in the context (unit observations, payoff costate); the
-arena is built once per shape.  A brute-force deviation check provides an
+tensored and built once per shape, played in the context (unit
+observations, payoff costate).  A brute-force deviation check provides an
 independent oracle.
 
 Payoffs are exact ``Fraction``s, so ties and indifference are decided
@@ -40,8 +40,8 @@ from .finite_base import (
     FinSet,
     UNIT_LABEL,
     UNIT_SET,
-    enumerate_functions,
     finset_tuple_product,
+    iter_functions,
     tuple_label,
 )
 from .lens_core import (
@@ -74,9 +74,7 @@ def argmax_rel(moves: FinSet | FinProd, rewards: FinSet) -> SelectionRelation:
 
     ``rewards`` lists the rewards in ascending order, so a reward's
     position in it is its rank.  The largest reward is found once per
-    reward function and kept while that function lives, so a factor of a
-    Nash product, which sees one restriction per frozen move of the
-    others, scans its moves once for each.
+    reward function and kept while that function lives.
     """
     if len(moves) == 0:
         raise CompositionError("argmax over the empty move set is undefined")
@@ -106,9 +104,8 @@ def nash_product(eps: SelectionRelation, delta: SelectionRelation) -> SelectionR
 
     The joint reward function is restricted for each factor by freezing the
     other factor's move and projecting onto the factor's own reward carrier.
-    Each restriction is built once per reward function and frozen move and
-    kept while that function lives, so a factor's best responses are found
-    once however the profiles are enumerated.
+    Each restriction is built once per reward function and frozen move, and
+    kept while that function lives, so best responses are found once.
     """
     em, er = eps.obj.fwd, eps.obj.bwd
     dm, dr = delta.obj.fwd, delta.obj.bwd
@@ -194,7 +191,7 @@ def relation_subset(
     """Whether everything ``r1`` accepts is accepted by ``r2``."""
     if r1.obj != r2.obj:
         raise CompositionError("relations live on different parameter ports")
-    for k in enumerate_functions(r1.obj.fwd, r1.obj.bwd, max_size):
+    for k in iter_functions(r1.obj.fwd, r1.obj.bwd, max_size):  # one k alive at a time
         for x in r1.obj.fwd.labels:
             if r1.accepts(x, k) and not r2.accepts(x, k):
                 return False
@@ -217,7 +214,7 @@ def decision(
     nothing flows further upstream.
     """
     omega = finset_tuple_product([moves] * len(observations))
-    strategies = dict(zip(omega, enumerate_functions(observations, moves, max_size)))
+    strategies = dict(zip(omega, iter_functions(observations, moves, max_size)))
 
     def play(wx: tuple):
         w, x = wx
@@ -293,17 +290,10 @@ class NormalFormGame:
     levels: tuple[tuple[Fraction, ...], ...]
 
 
-def _ranked(values: Iterable[Fraction]) -> tuple[tuple[Fraction, ...], dict[int, str]]:
-    """The distinct values ascending, and the rank label ``"0"``, ``"1"``, …
-    of each value object by its ``id``.  Equal values, neighbours once
-    sorted, share a rank however they were written; no value is hashed."""
-    level: list[Fraction] = []
-    rank = {}
-    for v in sorted(values):
-        if not level or v != level[-1]:
-            level.append(v)
-        rank[id(v)] = str(len(level) - 1)
-    return tuple(level), rank
+def _ranks(values: Iterable[Fraction]) -> dict[Fraction, str]:
+    """Each distinct value, ascending, to its rank label ``"0"``, ``"1"``, …;
+    equal values share a rank however they were written."""
+    return {v: str(r) for r, v in enumerate(sorted(set(values)))}
 
 
 def normal_form_game(
@@ -331,17 +321,20 @@ def normal_form_game(
             f"payoff table does not match the profile product: "
             f"missing {missing[:4]}, unknown {extra[:4]}"
         )
-    # each payoff object (a parsed spec shares one per distinct text) is ranked once
-    ranked = [_ranked({id(vals[i]): vals[i] for vals in values.values()}.values()) for i in range(n)]
-    grids = tuple(FinSet(tuple(map(str, range(len(level))))) for level, _ in ranked)
-    domain = finset_tuple_product(players)  # its elements are the profiles' labels, in order
+    # each payoff object (a parsed spec shares one per distinct text) is hashed once
+    levels, grids, ranks = [], [], []
+    for i in range(n):
+        objs = {id(vals[i]): vals[i] for vals in values.values()}
+        rank = _ranks(objs.values())
+        levels.append(tuple(rank))
+        grids.append(FinSet(tuple(rank.values())))
+        ranks.append({k: rank[v] for k, v in objs.items()})
     payoff = FinFn(
-        domain,
+        finset_tuple_product(players),
         finset_tuple_product(grids),
-        {x: tuple_label([rank[id(v)] for (_, rank), v in zip(ranked, values[p])]) for x, p in zip(domain, profiles)},
+        {tuple_label(p): tuple_label([r[id(v)] for r, v in zip(ranks, values[p])]) for p in profiles},
     )
-    levels = tuple(level for level, _ in ranked)
-    return NormalFormGame(players, grids, payoff, {p: values[p] for p in profiles}, levels)
+    return NormalFormGame(players, tuple(grids), payoff, {p: values[p] for p in profiles}, tuple(levels))
 
 
 def brute_force_nash(
@@ -387,20 +380,14 @@ def arena(
     once per shape and kept in a bounded cache.  The cap is part of the key:
     a shape cached under a large cap still raises under a smaller one.
     """
-    parts = [
-        decision(UNIT_SET, player, grid, max_size)
-        for player, grid in zip(players, grids)
-    ]
+    parts = [decision(UNIT_SET, player, grid, max_size) for player, grid in zip(players, grids)]
     return flatten_params(reduce(para_tensor, parts))
 
 
 def game_scalar(g: NormalFormGame, max_size: int = DEFAULT_ENUM_CAP) -> ParaLens:
     """The closed compositional form: the game's :func:`arena` played in
-    the context (unit observations, payoff costate).
-
-    The payoff enters only as the context's costate.  The parameter port of
-    the result is the profile product with the grid product as feedback.
-    """
+    the context (unit observations, payoff costate), so the payoff enters
+    only as the costate.  The parameter port is the profile product."""
     units = tuple_label([UNIT_LABEL] * len(g.players))
     return in_context(arena(g.players, g.grids, max_size), units, g.payoff)
 
@@ -447,9 +434,9 @@ def sum_of_payoffs_lens(g: NormalFormGame) -> Lens:
         tuple_label([l for l, _ in c]): sum(v for _, v in c)
         for c in iter_product(*[zip(grid.labels, level) for grid, level in zip(g.grids, g.levels)])
     }
-    level, rank = _ranked(totals.values())
-    table = {c: rank[id(t)] for c, t in totals.items()}
-    sums = FinSet(tuple(map(str, range(len(level)))))
+    rank = _ranks(totals.values())
+    table = {c: rank[t] for c, t in totals.items()}
+    sums = FinSet(tuple(rank.values()))
     return Lens(FINITE, LensObj(omega, sums), LensObj(omega, prod), lambda w: (w, None), lambda _, r: table[r])
 
 

@@ -228,6 +228,22 @@ def test_solve_rejects_bad_inputs(tmp_path, capsys):
         assert flag in capsys.readouterr().err
 
 
+def test_a_short_table_fails_at_the_spec_cost(tmp_path, capsys):
+    # 10**30 profiles: a parse that touched the whole product would never return
+    players = [{"name": f"p{i}", "strategies": [f"m{j}" for j in range(10)]} for i in range(30)]
+    path = tmp_path / "wide.json"
+    for payoffs, message in (
+        ({}, "$.payoffs: missing profile " + ",".join(["m0"] * 30)),
+        ({",".join(["m0"] * 30): [1] * 30}, "$.payoffs: missing profile " + ",".join(["m0"] * 29 + ["m1"])),
+        ({"m0,m1": [1, 2]}, "$.payoffs['m0,m1']: profile has 2 moves for 30 players"),
+        ({",".join(["m0"] * 29 + ["x"]): [1] * 30}, "unknown move 'x' for player 29"),
+    ):
+        path.write_text(json.dumps({"players": players, "payoffs": payoffs}), encoding="utf-8")
+        assert main(["solve", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
+
 def test_solve_hicks_total_past_the_digit_limit(tmp_path, capsys):
     # each payoff has 4,300 digits, within the limit; their sum has 4,301,
     # which is ranked, never rendered

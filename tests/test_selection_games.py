@@ -39,6 +39,7 @@ from paralens.lens_core import (
 )
 from paralens.para_optic import in_context, para_costate_solution_input
 from paralens.selection_games import (
+    SelectionRelation,
     arena,
     argmax_rel,
     brute_force_hicks,
@@ -250,6 +251,22 @@ def test_relations_remember_each_reward_function_while_it_lives():
     dead = weakref.ref(ks.pop())
     gc.collect()
     assert dead() is None and len(memo) == 1 and len(_memo(eps, "best")) == 2
+
+
+def test_relation_subset_keeps_one_reward_function_alive_at_a_time():
+    # a memo entry lives as long as its k, so holding every k would hold every entry
+    cd, grid = FinSet(("C", "D")), FinSet(("0", "1"))
+    seen = []
+
+    def accepts(x, k):
+        if not seen or seen[-1]() is not k:
+            assert all(ref() is None for ref in seen)
+            seen.append(weakref.ref(k))
+        return True
+
+    rel = SelectionRelation(LensObj(FinProd(cd, cd), FinProd(grid, grid)), accepts)
+    assert relation_subset(rel, total_rel(rel.obj))
+    assert len(seen) == 4**4
 
 
 def test_argmax_rejects_empty_moves():
