@@ -330,6 +330,12 @@ def _numbered(t, count: itertools.count):
     return t if t[0] == "rewire" else (t[0], _numbered(t[1], count), _numbered(t[2], count))
 
 
+def compile_make(source: list[str], namespace: dict, filename: str) -> Callable:
+    """The ``make`` that ``source`` defines in ``namespace``, popped so the globals it shares hold no cycle."""
+    exec(compile("\n".join(source) + "\n", filename, "exec"), namespace)
+    return namespace.pop("make")
+
+
 @lru_cache(maxsize=256)
 def _compile(base: Base, term) -> Callable[..., tuple[Callable, Callable]]:
     """``make(f0, b0, f1, b1, …)``: given each leaf's legs, the ``(forward, backward)`` of a composite.
@@ -346,9 +352,7 @@ def _compile(base: Base, term) -> Callable[..., tuple[Callable, Callable]]:
         out = leg.join(leg.walk(term, "x" if forward else "z", forward))
         source += [f"    def {head}:", *(f"        {line}" for line in leg), f"        return {out}{tail}"]
     source.append("    return forward, backward")
-    namespace = {"base": base}
-    exec(compile("\n".join(source) + "\n", "<lens>", "exec"), namespace)
-    make = namespace.pop("make")
+    make = compile_make(source, {"base": base}, "<lens>")
     if n:
         return make
     legs = make()  # no leaves: every lens of the term shares one pair of legs

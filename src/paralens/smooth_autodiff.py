@@ -2,14 +2,14 @@
 
 A :class:`SmoothMap` is a graph of primitive vector operations with two
 designated source ports (a parameter vector and an input vector) and one
-output wire.  Its constructor compiles it once into a plan: each node's
-bound ``forward``/``vjp`` with its inputs as integer-addressed slices of a
-port or of one contiguous buffer of node outputs.  ``forward_eval`` walks
-the plan, scans the value buffer for non-finite entries once (naming the
-first node that produced one) and records a tape of per-node inputs;
-``backward_eval`` walks it in reverse over one zeroed cotangent buffer,
-pushing a cotangent through each primitive's vector-Jacobian product and
-summing contributions where wires fan out.
+output wire.  Its constructor checks it and lays it out as a plan, every
+wire a literal slice of a port or of one buffer of node outputs.  A graph's
+two legs are straight-line code generated once per plan and bound to it
+when first evaluated: ``forward_eval``'s calls each primitive in
+topological order, scans the value buffer for non-finite entries once
+(naming the first node that produced one) and saves per-node inputs on a
+tape; ``backward_eval``'s runs the vector-Jacobian products in reverse,
+summing cotangents in place where wires fan out.
 
 :func:`apply_R` turns a graph into a parametrised lens over the smooth base:
 its forward leg is evaluation and leaves the tape as its residual, its
@@ -28,6 +28,7 @@ and ``train_step``, ``gan_step`` and ``forward_eval`` convert their inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -38,6 +39,7 @@ from .lens_core import (
     Carrier,
     Lens,
     LensObj,
+    compile_make,
     lens_compose,
     lens_id,
     lens_tensor,
@@ -341,9 +343,9 @@ class SmoothMap:
     out_dim: int
     nodes: tuple[Node, ...]
     output: Wire
-    # (steps, output, width): a step is (forward, vjp, inputs, lo, hi) with each
-    # input a (slot, lo, hi) slice of slot 0 (parameters), 1 (input) or 2 (the
-    # value buffer of width ``width``, where the node's output is [lo:hi])
+    # (steps, output, dims), the generated legs' cache key: a step is (inputs, lo, hi),
+    # each input and the output a (slot, lo, hi) slice of buffer 0 (parameters), 1
+    # (input) or 2 (node outputs, node k's at its [lo:hi]), whose sizes are ``dims``
     plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -382,7 +384,7 @@ class SmoothMap:
                         f"has dimension {wire.dim}, {node.prim.name} expects {want}"
                     )
                 ins.append((slot, off + wire.lo, off + wire.hi))
-            steps.append((node.prim.forward, node.prim.vjp, tuple(ins), width, width + node.prim.out_dim))
+            steps.append((tuple(ins), width, width + node.prim.out_dim))
             at[node.name] = (2, width, node.prim.out_dim)
             width += node.prim.out_dim
         out = self.output
@@ -401,7 +403,13 @@ class SmoothMap:
         if unused:
             raise CompositionError(f"nodes not feeding the output: {unused}")
         slot, off, _ = at[out.src]
-        object.__setattr__(self, "plan", (tuple(steps), (slot, off + out.lo, off + out.hi), width))
+        dims = (self.param_dim, self.in_dim, width)
+        object.__setattr__(self, "plan", (tuple(steps), (slot, off + out.lo, off + out.hi), dims))
+
+    @cached_property
+    def legs(self) -> tuple[Callable, Callable]:
+        """The generated ``forward(p, x)`` and ``backward(saved, dy)``; they hold the nodes, not the graph."""
+        return _make_legs(self.plan)(self.nodes, *(fn for n in self.nodes for fn in (n.prim.forward, n.prim.vjp)))
 
 
 @dataclass
@@ -409,15 +417,77 @@ class Tape:
     """Saved per-node inputs from one forward pass, in node order; feeds one backward pass."""
 
     graph: SmoothMap
-    node_inputs: list[list[Vector]]
+    node_inputs: tuple[tuple[Vector, ...], ...]
     spent: bool = False
 
 
-def _first_non_finite(f: SmoothMap, values: Vector, k: int) -> NumericError | None:
+def _first_non_finite(nodes: Sequence[Node], values: Vector, k: int) -> NumericError | None:
     """The error naming the first of the first ``k`` nodes whose output is non-finite, if any."""
-    for node, (_, _, _, lo, hi) in zip(f.nodes[:k], f.plan[0]):
-        if not np.isfinite(values[lo:hi]).all():
+    for node, hi in zip(nodes, np.cumsum([node.prim.out_dim for node in nodes[:k]])):
+        if not np.isfinite(values[hi - node.prim.out_dim : hi]).all():
             return NumericError(f"non-finite value at node {node.name!r}")
+
+
+def _node_output(nodes: Sequence[Node], values: Vector, k: int, out) -> Vector:
+    out, dim = np.asarray(out, dtype=np.float64), nodes[k].prim.out_dim
+    if out.shape != (dim,):
+        msg = f"node {nodes[k].name!r} produced shape {out.shape}, expected ({dim},)"
+        raise _first_non_finite(nodes, values, k) or NumericError(msg)
+    return out
+
+
+def _arity(node: Node, out_cots):
+    raise NumericError(f"vjp of {node.prim.name} returned {len(out_cots)} cotangents for {len(node.inputs)} inputs")
+
+
+def _cotangent(node: Node, val, dim: int) -> Vector:
+    val = np.asarray(val, dtype=np.float64)
+    if val.shape != (dim,):
+        raise NumericError(f"vjp at node {node.name!r} returned a cotangent of shape {val.shape} for an input of dimension {dim}")
+    return val
+
+
+_LEG_GLOBALS = dict(ndarray=np.ndarray, empty=np.empty, zeros=np.zeros, isfinite=np.isfinite, errstate=np.errstate)
+_LEG_GLOBALS.update(_first_non_finite=_first_non_finite, _node_output=_node_output, _arity=_arity, _cotangent=_cotangent)
+
+
+@lru_cache(maxsize=256)
+def _make_legs(plan) -> Callable[..., tuple[Callable, Callable]]:
+    """``make(nodes, F0, V0, F1, V1, …)``: given the nodes and each one's ``forward`` and ``vjp``, the
+    ``forward(p, x)`` and ``backward(saved, dy)`` of every graph whose ``plan`` this is.
+
+    Slices are literals.  ``forward`` saves node ``k``'s inputs as ``a{k}`` and scans the value buffer
+    ``v`` once; ``backward`` runs the nodes in reverse and adds each cotangent in place into a view of
+    ``dp``, ``dx`` or ``dv``, without writing the view back.
+    """
+    steps, out, dims = plan
+    n, ports, cots = len(steps), ("p", "x", "v"), ("dp", "dx", "dv")
+
+    def view(bufs, s, i, j):
+        return bufs[s] if (i, j) == (0, dims[s]) else f"{bufs[s]}[{i}:{j}]"
+
+    def checked(y, dim, fix):
+        return [f"if type({y}) is not ndarray or {y}.shape != ({dim},):", f"    {y} = {fix}"]
+
+    saved, fwd = "".join(f"a{k}, " for k in range(n)), [f"v = empty({dims[2]})"]
+    for k, (ins, a, b) in enumerate(steps):
+        fwd += [f"a{k} = ({''.join(view(ports, *w) + ', ' for w in ins)})", f"y = F{k}(*a{k})"]
+        fwd += [*checked("y", b - a, f"_node_output(nodes, v, {k}, y)"), f"v[{a}:{b}] = y"]
+    fwd += ["if not isfinite(v).all():", f"    raise _first_non_finite(nodes, v, {n})"]
+    bwd = [f"dp, dx, dv = zeros({dims[0]}), zeros({dims[1]}), zeros({dims[2]})", f"t = {view(cots, *out)}", "t += dy"]
+    bwd.append(f"({saved}) = saved")
+    for k, (ins, a, b) in reversed(list(enumerate(steps))):
+        gs = "".join(f"g{m}, " for m in range(len(ins)))
+        bwd += [f"g = V{k}(a{k}, dv[{a}:{b}])", f"({gs}) = g if len(g) == {len(ins)} else _arity(nodes[{k}], g)"]
+        for m, (s, i, j) in enumerate(ins):
+            bwd += checked(f"g{m}", j - i, f"_cotangent(nodes[{k}], g{m}, {j - i})")
+            bwd += [f"t = {view(cots, s, i, j)}", f"t += g{m}"]
+    legs = (("forward(p, x)", fwd, f"{view(ports, *out)}.copy(), ({saved})"), ("backward(saved, dy)", bwd, "dp, dx"))
+    source = [f"def make(nodes, {''.join(f'F{k}, V{k}, ' for k in range(n))}):", '    @errstate(over="ignore", invalid="ignore")']
+    for head, body, tail in legs:
+        source += [f"    def {head}:", *(f"        {line}" for line in body), f"        return {tail}"]
+    source.append("    return forward, backward")
+    return compile_make(source, dict(_LEG_GLOBALS), "<smooth graph>")
 
 
 def forward_eval(f: SmoothMap, p, x) -> tuple[Vector, Tape]:
@@ -428,58 +498,23 @@ def forward_eval(f: SmoothMap, p, x) -> tuple[Vector, Tape]:
     """
     p = as_vector(p, f.param_dim, "parameter vector")
     x = as_vector(x, f.in_dim, "input vector")
-    steps, (slot, lo, hi), width = f.plan
-    values = np.empty(width)
-    bufs = (p, x, values)
-    saved = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for fwd, _, ins, a, b in steps:
-            args = [bufs[s][i:j] for s, i, j in ins]
-            out = fwd(*args)
-            if type(out) is not np.ndarray or out.shape != (b - a,):
-                out = np.asarray(out, dtype=np.float64)
-                if out.shape != (b - a,):
-                    node = f.nodes[len(saved)]
-                    raise _first_non_finite(f, values, len(saved)) or NumericError(
-                        f"node {node.name!r} produced shape {out.shape}, expected ({b - a},)"
-                    )
-            values[a:b] = out
-            saved.append(args)
-    if not np.isfinite(values).all():
-        raise _first_non_finite(f, values, len(steps))
-    return bufs[slot][lo:hi].copy(), Tape(f, saved)
+    y, saved = f.legs[0](p, x)
+    return y, Tape(f, saved)
 
 
 def backward_eval(f: SmoothMap, tape: Tape, dy) -> tuple[Vector, Vector]:
     """Reverse sweep: cotangent of the output to cotangents of both ports.
 
-    Each cotangent a ``vjp`` returns must have the width of its wire.
+    Each cotangent a ``vjp`` returns must have the width of its wire.  A
+    rejected ``dy`` leaves the tape unspent.
     """
     if tape.graph is not f:
         raise CompositionError("tape was recorded on a different graph")
     if tape.spent:
         raise CompositionError("tape already consumed by a backward pass")
-    tape.spent = True
     dy = as_vector(dy, f.out_dim, "output cotangent")
-    steps, (slot, lo, hi), width = f.plan
-    cot = np.zeros(width)
-    cots = (np.zeros(f.param_dim), np.zeros(f.in_dim), cot)
-    cots[slot][lo:hi] += dy
-    for node, (_, vjp, ins, a, b), args in zip(reversed(f.nodes), reversed(steps), reversed(tape.node_inputs)):
-        out_cots = vjp(args, cot[a:b])
-        if len(out_cots) != len(ins):
-            raise NumericError(f"vjp of {node.prim.name} returned {len(out_cots)} cotangents for {len(ins)} inputs")
-        for (s, i, j), val in zip(ins, out_cots):
-            if type(val) is not np.ndarray or val.shape != (j - i,):
-                val = np.asarray(val, dtype=np.float64)
-                if val.shape != (j - i,):
-                    raise NumericError(
-                        f"vjp at node {node.name!r} returned a cotangent of shape "
-                        f"{val.shape} for an input of dimension {j - i}"
-                    )
-            acc = cots[s][i:j]
-            acc += val  # in place, without writing the view back
-    return cots[0], cots[1]
+    tape.spent = True
+    return f.legs[1](tape.node_inputs, dy)
 
 
 def compose_maps(f: SmoothMap, g: SmoothMap) -> SmoothMap:

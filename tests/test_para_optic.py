@@ -3,7 +3,7 @@ import gc
 import pytest
 
 from paralens.checks import pd_game
-from paralens.demos import run_gan
+from paralens.demos import run_gan, run_linreg, run_mlp
 from paralens.errors import CompositionError
 from paralens.finite_base import (
     FINITE,
@@ -242,6 +242,8 @@ def test_dropped_lenses_leave_no_cyclic_garbage():
         solution_set(compositional_game(g, "argmax_each"))
         for route in hicks_games(g):
             solution_set(route)
+        run_linreg(steps=3)
+        run_mlp(steps=3)
         run_gan(steps=3)
         assert gc.collect() == 0
     finally:

@@ -10,12 +10,14 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from paralens import smooth_autodiff
 from paralens.checks import check_weight_tying, fd_gradient, rel_close
 from paralens.errors import CompositionError, NumericError
-from paralens.demos import run_gan
-from paralens.lens_core import Lens, LensObj
+from paralens.demos import run_gan, run_linreg, run_mlp
+from paralens.lens_core import Lens, LensObj, compile_make
 from paralens.para_optic import flatten_params, para_compose, reparametrise
 from paralens.smooth_autodiff import (
     PRIMITIVES,
@@ -122,6 +124,15 @@ def test_non_finite_value_is_named_at_its_first_node(extra_neg):
         forward_eval(_linear_tanh_graph(extra_neg), big, big)
 
 
+def test_a_node_without_inputs_is_a_constant():
+    const = smooth_autodiff.Primitive("const", (), (), 2, lambda: np.array([1.0, 2.0]), lambda ins, c: ())
+    b = GraphBuilder(in_dim=2)
+    f = b.build(b.node(PRIMITIVES["mul"](2), b.node(const), b.input()))
+    y, tape = forward_eval(f, np.zeros(0), np.array([3.0, 4.0]))
+    assert np.array_equal(y, [3.0, 8.0])
+    assert np.array_equal(backward_eval(f, tape, np.ones(2))[1], [1.0, 2.0])
+
+
 @pytest.mark.parametrize("width", [1, 2])
 def test_vjp_cotangent_of_the_wrong_width_names_its_node(width):
     # unchecked, a 1-wide cotangent would broadcast over the 3-wide wire and a
@@ -224,6 +235,124 @@ def test_tape_bound_to_its_graph():
     _, tape = forward_eval(f, np.ones(2), np.ones(2))
     with pytest.raises(CompositionError, match="different graph"):
         backward_eval(g, tape, np.ones(2))
+
+
+@pytest.mark.parametrize("bad", [np.ones(3), np.array([1.0, np.nan])])
+def test_a_rejected_cotangent_leaves_the_tape_unspent(bad):
+    f = _mul_graph()
+    _, tape = forward_eval(f, np.array([2.0, 3.0]), np.array([5.0, 7.0]))
+    with pytest.raises(NumericError, match="output cotangent"):
+        backward_eval(f, tape, bad)
+    dp, dx = backward_eval(f, tape, np.ones(2))
+    assert np.array_equal(dp, [5.0, 7.0]) and np.array_equal(dx, [2.0, 3.0])
+
+
+# -- generated legs against a per-node interpreter ------------------------
+
+
+def _interpret(f: SmoothMap, p, x, dy):
+    """``f``'s node outputs, output, per-node inputs and port cotangents, one node at a time.
+
+    Contributions are added into views of zeroed cotangent buffers, wires
+    in order, nodes in reverse, the summation order the generated legs keep.
+    """
+    at = {"param": (0, 0), "input": (1, 0)}
+    width = 0
+    for node in f.nodes:
+        at[node.name] = (2, width)
+        width += node.prim.out_dim
+    bufs = [p, x, np.empty(width)]
+    slices = []
+    for node in f.nodes:
+        ins = [(at[w.src][0], at[w.src][1] + w.lo, at[w.src][1] + w.hi) for w in node.inputs]
+        args = [bufs[s][i:j] for s, i, j in ins]
+        _, off = at[node.name]
+        bufs[2][off : off + node.prim.out_dim] = node.prim.forward(*args)
+        slices.append((ins, args, off))
+    s, off = at[f.output.src]
+    y = bufs[s][off + f.output.lo : off + f.output.hi].copy()
+    cots = [np.zeros(f.param_dim), np.zeros(f.in_dim), np.zeros(width)]
+    cots[s][off + f.output.lo : off + f.output.hi] += dy
+    for node, (ins, args, off) in zip(reversed(f.nodes), reversed(slices)):
+        for (s, i, j), val in zip(ins, node.prim.vjp(args, cots[2][off : off + node.prim.out_dim])):
+            acc = cots[s][i:j]
+            acc += val
+    return bufs[2], y, [args for _, args, _ in slices], cots[0], cots[1]
+
+
+@st.composite
+def _graphs(draw):
+    """A graph over every primitive, wires fanning out as slices of ports and of node outputs."""
+    param_dim, in_dim = draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    dims = {"param": param_dim, "input": in_dim}
+    nodes = []
+
+    def node(prim, *wires):
+        nodes.append(Node(f"n{len(nodes)}", prim, wires))
+        dims[nodes[-1].name] = prim.out_dim
+        return Wire(nodes[-1].name, 0, prim.out_dim)
+
+    for _ in range(draw(st.integers(1, 8))):
+        name = draw(st.sampled_from(sorted(PRIMITIVES)))
+        n = draw(st.integers(1, 3))
+        prim = PRIMITIVES[name](n, draw(st.integers(1, 3))) if name == "linear" else PRIMITIVES[name](n)
+        wires, src = [], None
+        for want in prim.in_dims:
+            fits = sorted(src for src, dim in dims.items() if dim >= want)
+            if not fits:
+                dims["param"] = param_dim = param_dim + want
+                fits = ["param"]
+            # a node often reads two slices of one source, where their cotangents meet
+            if not (src in fits and draw(st.booleans())):
+                src = draw(st.sampled_from(fits))
+            lo = draw(st.integers(0, dims[src] - want))
+            wires.append(Wire(src, lo, lo + want))
+        out = node(prim, *wires)
+    # every node feeds the output: the sums of the unread ones are added onto the last one's
+    read = {w.src for n in nodes for w in n.inputs}
+    sinks = [Wire(n.name, 0, n.prim.out_dim) for n in nodes[:-1] if n.name not in read]
+    if sinks:
+        out = node(PRIMITIVES["sum"](out.dim), out)
+    for w in sinks:
+        out = node(PRIMITIVES["add"](1), out, node(PRIMITIVES["sum"](w.dim), w))
+    lo = draw(st.integers(0, out.dim - 1))
+    hi = draw(st.integers(lo + 1, out.dim))
+    return SmoothMap(param_dim, in_dim, hi - lo, tuple(nodes), Wire(out.src, lo, hi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=_graphs(), seed=st.integers(0, 2**32 - 1))
+def test_generated_legs_match_a_per_node_interpreter(f, seed):
+    rng = np.random.default_rng(seed)
+    p, x, dy = rng.uniform(-1, 1, f.param_dim), rng.uniform(-1, 1, f.in_dim), rng.uniform(-1, 1, f.out_dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, want_y, want_inputs, want_dp, want_dx = _interpret(f, p, x, dy)
+    assume(all(np.isfinite(v).all() for v in (values, want_dp, want_dx)))
+    y, tape = forward_eval(f, p, x)
+    dp, dx = backward_eval(f, tape, dy)
+    assert np.array_equal(y, want_y)
+    assert len(tape.node_inputs) == len(want_inputs)
+    for got, want in zip(tape.node_inputs, want_inputs):
+        assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert np.array_equal(dp, want_dp) and np.array_equal(dx, want_dx)
+
+
+def test_legs_are_generated_once_per_plan_shape(monkeypatch):
+    generated = []
+
+    def counted(source, namespace, filename):
+        generated.append(filename)
+        return compile_make(source, namespace, filename)
+
+    monkeypatch.setattr(smooth_autodiff, "compile_make", counted)
+    assert smooth_autodiff._make_legs.cache_info().maxsize is not None
+    smooth_autodiff._make_legs.cache_clear()
+    counts = []
+    for _ in range(3):
+        run_linreg(steps=3), run_mlp(steps=3), run_gan(steps=3)
+        counts.append(len(generated))
+    # linreg, the MLP with its loss, the generator and the discriminator
+    assert counts == [4, 4, 4]
 
 
 def test_compose_maps_layout_and_values():
