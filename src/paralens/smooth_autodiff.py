@@ -5,30 +5,33 @@ designated source ports (a parameter vector and an input vector) and one
 output wire.  Its constructor checks it and lays it out as a plan, every
 wire a literal slice of a port or of one buffer of node outputs.  A graph's
 two legs are straight-line code generated once per plan and bound to it
-when first evaluated: ``forward_eval``'s calls each primitive in
-topological order, scans the value buffer for non-finite entries once
-(naming the first node that produced one) and saves per-node inputs on a
-tape; ``backward_eval``'s runs the vector-Jacobian products in reverse,
-summing cotangents in place where wires fan out.
+when first evaluated: the forward leg calls each primitive in topological
+order, scans the value buffer for non-finite entries once (naming the
+first node that produced one) and saves per-node inputs on a tape; the
+backward leg runs the vector-Jacobian products in reverse, summing
+cotangents in place where wires fan out.
 
-:func:`apply_R` turns a graph into a parametrised lens over the smooth base:
-its forward leg is evaluation and leaves the tape as its residual, its
-backward leg is the gradient computation that consumes that tape.  Gradient
-descent, ascent and weight tying are then ordinary lenses attached to the
-parameter port by reparametrisation, and a GAN update step is nothing but
-a composite lens run forward and backward once.
+:func:`apply_R` turns a graph into a parametrised lens over the smooth base
+whose legs are the graph's: its forward leg is evaluation and leaves the
+tape as its residual, its backward leg is the gradient computation that
+consumes that tape.  Gradient descent, ascent and weight tying are then
+ordinary lenses attached to the parameter port by reparametrisation, and a
+GAN update step is nothing but a composite lens run forward and backward
+once.
 
 A carrier is a dimension or a pair of carriers.  An element of a pair is a
 :class:`Pair` of its factors' elements, so pairing and splitting copy no array.
-Shapes are checked at the edges only: a :class:`SmoothFn` (a lens's ``get``
-or ``put``, say) rejects an input outside its domain and checks its output,
-and ``train_step``, ``gan_step`` and ``forward_eval`` convert their inputs.
+Inputs are converted and scanned for non-finite entries once, at the edge:
+by ``train_step``, ``gan_step``, ``forward_eval`` and ``backward_eval``, and
+by a :class:`SmoothFn` (a lens's ``get`` or ``put``, say), which also checks
+its output.  Interior edges are not rescanned, and each entry, not each leg,
+turns numpy's overflow and invalid-value warnings off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,8 +46,8 @@ from .lens_core import (
     lens_compose,
     lens_id,
     lens_tensor,
-    make_costate,
     rewire,
+    unit_obj,
 )
 from .para_optic import (
     ParaLens,
@@ -64,19 +67,19 @@ class Pair(tuple):
     nbytes = 0
 
 
-def as_vector(x, dim: Carrier, what: str = "vector", finite: bool = True):
-    """Validate and convert to an element of ``dim``: pairs of 1-D float64 arrays, finite by default."""
+def as_vector(x, dim: Carrier, what: str = "vector"):
+    """Validate and convert to an element of ``dim``: pairs of finite 1-D float64 arrays."""
     if type(dim) is tuple:
         if not (isinstance(x, tuple) and len(x) == 2):
             raise NumericError(f"{what} is not a pair of {SMOOTH.describe(dim)}")
-        return Pair((as_vector(x[0], dim[0], what, finite), as_vector(x[1], dim[1], what, finite)))
+        return Pair((as_vector(x[0], dim[0], what), as_vector(x[1], dim[1], what)))
     try:
         arr = np.asarray(x, dtype=np.float64)
     except (TypeError, ValueError):
         raise NumericError(f"{what} is not a vector of R^{dim}") from None
     if arr.shape != (dim,):
         raise NumericError(f"{what} has shape {arr.shape}, expected ({dim},)")
-    if finite and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise NumericError(f"{what} contains non-finite entries")
     return arr
 
@@ -90,7 +93,7 @@ def _shaped(x, c: Carrier) -> bool:
 
 @dataclass(frozen=True)
 class SmoothFn:
-    """A smooth map between carriers, stored as a procedure; inputs and outputs are shape-checked."""
+    """A smooth map between carriers, stored as a procedure; inputs and outputs are checked, shapes and values."""
 
     dom: Carrier
     cod: Carrier
@@ -99,8 +102,9 @@ class SmoothFn:
     def __call__(self, x):
         if not _shaped(x, self.dom):
             raise CompositionError(f"input is not an element of {SMOOTH.describe(self.dom)} of float64 arrays")
-        out = self.fn(x)
-        return out if _shaped(out, self.cod) else as_vector(out, self.cod, "smooth map output", False)
+        as_vector(x, self.dom, "input")  # rejects non-finite entries, as the output's conversion does
+        with np.errstate(over="ignore", invalid="ignore"):
+            return as_vector(self.fn(x), self.cod, "smooth map output")
 
 
 class SmoothBase(Base):
@@ -212,7 +216,7 @@ def linear(n: int, m: int) -> Primitive:
     def vjp(ins, c):
         w, x = ins
         # d(Wx)/dW is the outer product c xᵀ, d(Wx)/dx is Wᵀc
-        return np.outer(c, x).ravel(), w.reshape(m, n).T @ c
+        return (c[:, None] * x).ravel(), w.reshape(m, n).T @ c
 
     return Primitive("linear", (n, m), (m * n, n), m, fwd, vjp)
 
@@ -447,7 +451,7 @@ def _cotangent(node: Node, val, dim: int) -> Vector:
     return val
 
 
-_LEG_GLOBALS = dict(ndarray=np.ndarray, empty=np.empty, zeros=np.zeros, isfinite=np.isfinite, errstate=np.errstate)
+_LEG_GLOBALS = dict(Pair=Pair, ndarray=np.ndarray, empty=np.empty, zeros=np.zeros, isfinite=np.isfinite)
 _LEG_GLOBALS.update(_first_non_finite=_first_non_finite, _node_output=_node_output, _arity=_arity, _cotangent=_cotangent)
 
 
@@ -456,9 +460,10 @@ def _make_legs(plan) -> Callable[..., tuple[Callable, Callable]]:
     """``make(nodes, F0, V0, F1, V1, …)``: given the nodes and each one's ``forward`` and ``vjp``, the
     ``forward(p, x)`` and ``backward(saved, dy)`` of every graph whose ``plan`` this is.
 
-    Slices are literals.  ``forward`` saves node ``k``'s inputs as ``a{k}`` and scans the value buffer
-    ``v`` once; ``backward`` runs the nodes in reverse and adds each cotangent in place into a view of
-    ``dp``, ``dx`` or ``dv``, without writing the view back.
+    Slices are literals; the legs check neither their arguments nor numpy's error state.  ``forward``
+    saves node ``k``'s inputs as ``a{k}`` and scans the value buffer ``v`` once; ``backward`` runs the
+    nodes in reverse and adds each cotangent in place into a view of ``dp``, ``dx`` or ``dv``, without
+    writing the view back.
     """
     steps, out, dims = plan
     n, ports, cots = len(steps), ("p", "x", "v"), ("dp", "dx", "dv")
@@ -482,39 +487,54 @@ def _make_legs(plan) -> Callable[..., tuple[Callable, Callable]]:
         for m, (s, i, j) in enumerate(ins):
             bwd += checked(f"g{m}", j - i, f"_cotangent(nodes[{k}], g{m}, {j - i})")
             bwd += [f"t = {view(cots, s, i, j)}", f"t += g{m}"]
-    legs = (("forward(p, x)", fwd, f"{view(ports, *out)}.copy(), ({saved})"), ("backward(saved, dy)", bwd, "dp, dx"))
-    source = [f"def make(nodes, {''.join(f'F{k}, V{k}, ' for k in range(n))}):", '    @errstate(over="ignore", invalid="ignore")']
+    legs = (("forward(p, x)", fwd, f"{view(ports, *out)}.copy(), ({saved})"), ("backward(saved, dy)", bwd, "Pair((dp, dx))"))
+    source = [f"def make(nodes, {''.join(f'F{k}, V{k}, ' for k in range(n))}):"]
     for head, body, tail in legs:
         source += [f"    def {head}:", *(f"        {line}" for line in body), f"        return {tail}"]
     source.append("    return forward, backward")
     return compile_make(source, dict(_LEG_GLOBALS), "<smooth graph>")
 
 
-def forward_eval(f: SmoothMap, p, x) -> tuple[Vector, Tape]:
-    """Evaluate the graph; returns the output and the tape for one backward.
-
-    A non-finite value is reported at the first node, in topological order,
-    that produced it, even if a later ``tanh`` hides it from the output.
-    """
-    p = as_vector(p, f.param_dim, "parameter vector")
-    x = as_vector(x, f.in_dim, "input vector")
+def _run_forward(f: SmoothMap, p: Vector, x: Vector) -> tuple[Vector, Tape]:
+    """``f``'s forward leg at ``p`` and ``x``, taken as checked: the output and the tape for one backward."""
     y, saved = f.legs[0](p, x)
     return y, Tape(f, saved)
 
 
-def backward_eval(f: SmoothMap, tape: Tape, dy) -> tuple[Vector, Vector]:
+def _run_backward(f: SmoothMap, tape: Tape, dy) -> Pair:
+    """``f``'s backward leg, once ``tape`` is found ``f``'s and unspent and ``dy`` a finite cotangent
+    of its output; a rejected ``dy`` spends nothing."""
+    if tape.graph is not f:
+        raise CompositionError("tape was recorded on a different graph")
+    if tape.spent:
+        raise CompositionError("tape already consumed by a backward pass")
+    if not (type(dy) is np.ndarray and dy.dtype is _F64 and dy.shape == (f.out_dim,) and np.isfinite(dy).all()):
+        dy = as_vector(dy, f.out_dim, "output cotangent")  # raises, or converts a list handed to backward_eval
+    tape.spent = True
+    return f.legs[1](tape.node_inputs, dy)
+
+
+def forward_eval(f: SmoothMap, p, x) -> tuple[Vector, Tape]:
+    """Evaluate the graph; returns the output and the tape for one backward.
+
+    ``p`` and ``x`` are converted and scanned here, the node values by the
+    leg.  A non-finite value is reported at the first node, in topological
+    order, that produced it, even if a later ``tanh`` hides it from the output.
+    """
+    p = as_vector(p, f.param_dim, "parameter vector")
+    x = as_vector(x, f.in_dim, "input vector")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _run_forward(f, p, x)
+
+
+def backward_eval(f: SmoothMap, tape: Tape, dy) -> Pair:
     """Reverse sweep: cotangent of the output to cotangents of both ports.
 
     Each cotangent a ``vjp`` returns must have the width of its wire.  A
     rejected ``dy`` leaves the tape unspent.
     """
-    if tape.graph is not f:
-        raise CompositionError("tape was recorded on a different graph")
-    if tape.spent:
-        raise CompositionError("tape already consumed by a backward pass")
-    dy = as_vector(dy, f.out_dim, "output cotangent")
-    tape.spent = True
-    return f.legs[1](tape.node_inputs, dy)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _run_backward(f, tape, dy)
 
 
 def compose_maps(f: SmoothMap, g: SmoothMap) -> SmoothMap:
@@ -635,19 +655,14 @@ def apply_R(f: SmoothMap) -> ParaLens:
     """The parametrised lens of a graph: evaluate forward, differentiate backward.
 
     Its carrier runs from ``⟨(pd, n), (pd, n)⟩``: ``get`` maps ``(p, x)`` to
-    ``y`` and ``put`` maps ``((p, x), dy)`` to ``(dp, dx)``.  The forward leg
-    leaves its :class:`Tape` as the residual, which one backward leg consumes.
+    ``y`` and ``put`` maps ``((p, x), dy)`` to ``(dp, dx)``.  Its legs are the
+    graph's, and neither converts nor scans ``(p, x)``: the edge that hands it
+    in does.  The forward leg leaves its :class:`Tape` as the residual, which
+    one backward leg consumes once it has checked the tape and ``dy``.
     """
     pd, n, m = f.param_dim, f.in_dim, f.out_dim
     px = SMOOTH.pair(pd, n)
-
-    def forward(v):
-        return forward_eval(f, *SMOOTH.split_elem(v))
-
-    def backward(tape, dy):
-        return Pair(backward_eval(f, tape, dy))
-
-    carrier = Lens(SMOOTH, LensObj(px, px), LensObj(m, m), forward, backward)
+    carrier = Lens(SMOOTH, LensObj(px, px), LensObj(m, m), lambda v: _run_forward(f, *v), partial(_run_backward, f))
     return ParaLens(SMOOTH, (LensObj(pd, pd),), LensObj(n, n), LensObj(m, m), carrier, 0)
 
 
@@ -677,34 +692,19 @@ def copy_lens(dim: int) -> Lens:
 
 
 def unit_loss_costate() -> Lens:
-    """The costate that closes a scalar loss: backward constantly one."""
-    return make_costate(
-        SMOOTH, LensObj(1, 1), SMOOTH.morphism(1, 1, lambda _: np.ones(1))
-    )
-
-
-def _forward(model: ParaLens, px: Pair, named: dict):
-    """``model``'s forward leg at ``px``, whose graphs reject non-finite inputs.
-
-    Such a rejection is re-raised naming the first non-finite value of ``named``.
-    """
-    try:
-        return model.carrier.forward(px)
-    except NumericError as exc:
-        for what, v in named.items():
-            if not np.isfinite(join_flat(v)).all():
-                raise NumericError(f"{what} contains non-finite entries") from exc
-        raise
+    """The costate that closes a scalar loss: backward constantly one, with no :class:`SmoothFn` to check."""
+    unit = SMOOTH.unit_elem()
+    return Lens(SMOOTH, LensObj(1, 1), unit_obj(SMOOTH), lambda _: (unit, None), lambda *_: np.ones(1))
 
 
 def train_step(model: ParaLens, p, x, loss_costate: Lens) -> tuple[Vector, float]:
     """One optimisation step of a lens already reparametrised by an optimiser.
 
     Runs the forward leg once, reads the loss off it, seeds the backward
-    leg through ``loss_costate`` (constantly one for the usual loss) and
-    reads the updated parameters off the parameter port.  Returns
-    ``(p_next, loss)``.  The graphs that read ``p`` and ``x`` scan them
-    for non-finite entries, once.
+    leg through ``loss_costate``'s legs (constantly one for the usual loss)
+    and reads the updated parameters off the parameter port.  Returns
+    ``(p_next, loss)``.  ``p`` and ``x`` are converted and scanned here,
+    once; the graphs inside scan only their node values.
     """
     if model.base is not SMOOTH:
         raise CompositionError("train_step expects a smooth-base lens")
@@ -714,14 +714,14 @@ def train_step(model: ParaLens, p, x, loss_costate: Lens) -> tuple[Vector, float
         )
     if loss_costate.src != model.dst:
         raise CompositionError("loss costate does not match the model output")
-    p = as_vector(p, model.params.fwd, "parameter vector", False)
-    x = as_vector(x, model.src.fwd, "input vector", False)
-    loss_vec, residual = _forward(model, Pair((p, x)), {"parameter vector": p, "input vector": x})
-    loss = float(loss_vec[0])
-    if not np.isfinite(loss):
-        raise NumericError("loss is non-finite")
-    dy = loss_costate.put(Pair((loss_vec, SMOOTH.unit_elem())))
+    p = as_vector(p, model.params.fwd, "parameter vector")
+    x = as_vector(x, model.src.fwd, "input vector")
     with np.errstate(over="ignore", invalid="ignore"):  # the next step rejects non-finite parameters
+        loss_vec, residual = model.carrier.forward(Pair((p, x)))
+        loss = float(loss_vec[0])
+        if not np.isfinite(loss):
+            raise NumericError("loss is non-finite")
+        dy = loss_costate.backward(loss_costate.forward(loss_vec)[1], SMOOTH.unit_elem())
         return model.carrier.backward(residual, dy)[0], loss
 
 
@@ -764,12 +764,11 @@ def gan_step(
     if model.base is not SMOOTH or model.dst != LensObj((1, 1), (1, 1)) or type(model.params.fwd) is not tuple:
         raise CompositionError("gan_step expects a lens built by gan_model")
     (pd, pg), (zd, xd) = model.params.fwd, model.src.fwd
-    names = ("generator parameters", "discriminator parameters", "latent vector", "real sample")
-    named = {w: as_vector(v, c, w, False) for w, v, c in zip(names, (p_gen, p_disc, z, real), (pg, pd, zd, xd))}
-    p_gen, p_disc, z, real = named.values()
-    px = Pair((Pair((p_disc, p_gen)), Pair((z, real))))
-    (d_fake, d_real), residual = _forward(model, px, named)
+    p_gen = as_vector(p_gen, pg, "generator parameters")
+    p_disc = as_vector(p_disc, pd, "discriminator parameters")
+    z = as_vector(z, zd, "latent vector")
+    real = as_vector(real, xd, "real sample")
     with np.errstate(over="ignore", invalid="ignore"):  # as in train_step
-        fed = model.carrier.backward(residual, Pair((np.ones(1), np.ones(1))))
-    p_disc_next, p_gen_next = fed[0]
+        (d_fake, d_real), residual = model.carrier.forward(Pair((Pair((p_disc, p_gen)), Pair((z, real)))))
+        (p_disc_next, p_gen_next), _ = model.carrier.backward(residual, Pair((np.ones(1), np.ones(1))))
     return p_gen_next, p_disc_next, (float(d_fake[0]), float(d_real[0]))

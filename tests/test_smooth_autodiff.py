@@ -157,6 +157,15 @@ def test_linear_vjp_by_hand():
     assert np.allclose(dx, [4.0, 6.0])
 
 
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 6), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_linear_weight_cotangent_is_the_outer_product_bit_for_bit(n, m, seed):
+    rng = np.random.default_rng(seed)
+    w, x, c = rng.normal(size=m * n), rng.normal(size=n), rng.normal(size=m)
+    dw, _ = PRIMITIVES["linear"](n, m).vjp((w, x), c)
+    assert np.array_equal(dw, np.outer(c, x).ravel())
+
+
 def test_tanh_vjp_at_zero():
     prim = PRIMITIVES["tanh"](1)
     (dx,) = prim.vjp((np.array([0.0]),), np.array([1.0]))
@@ -419,6 +428,77 @@ def test_apply_r_matches_direct_evaluation():
     assert np.array_equal(back_p, dp) and np.array_equal(back_x, dx)
 
 
+def _tanh_first_graph():
+    # tanh(inf) = 1, so the node scan alone cannot see an infinite input
+    b = GraphBuilder(in_dim=1)
+    h = b.node(PRIMITIVES["tanh"](1), b.input(), name="squash")
+    return b.build(b.node(PRIMITIVES["mul"](1), h, b.param(1), name="scale"))
+
+
+@pytest.mark.parametrize("graph", [_mul_graph, _tanh_first_graph])
+@pytest.mark.parametrize("bad", ["nan parameter", "inf input"])
+def test_get_and_put_reject_non_finite_inputs(graph, bad):
+    f = graph()
+    p, x, dy = np.full(f.param_dim, 0.5), np.full(f.in_dim, 0.5), np.ones(f.out_dim)
+    if bad == "nan parameter":
+        p[-1] = np.nan
+    else:
+        x[-1] = np.inf
+    lens = apply_R(f).carrier
+    chain = para_compose(apply_R(f), apply_R(f))
+    assert chain.params.fwd == (f.param_dim, f.param_dim)
+    entries = [
+        lambda: lens.get(Pair((p, x))),
+        lambda: lens.put(Pair((Pair((p, x)), dy))),
+        lambda: chain.carrier.put(Pair((Pair((Pair((p, p)), x)), dy))),
+    ]
+    for entry in entries:
+        with pytest.raises(NumericError, match="non-finite"):
+            entry()
+
+
+def test_apply_r_legs_neither_convert_nor_scan_their_inputs(monkeypatch):
+    def refused(*args):
+        raise AssertionError("as_vector called")
+
+    f = _mul_graph()
+    lens = apply_R(f).carrier
+    monkeypatch.setattr(smooth_autodiff, "as_vector", refused)
+    y, tape = lens.forward(Pair((np.array([2.0, 3.0]), np.array([5.0, 7.0]))))
+    dp, dx = lens.backward(tape, np.ones(2))
+    assert np.array_equal(y, [10.0, 21.0])
+    assert np.array_equal(dp, [5.0, 7.0]) and np.array_equal(dx, [2.0, 3.0])
+
+
+@pytest.mark.parametrize("bad", [np.ones(3), np.array([1.0, np.nan]), [1.0, 1.0, 1.0]])
+def test_the_leaf_backward_checks_its_tape_and_cotangent(bad):
+    f = _mul_graph()
+    lens = apply_R(f).carrier
+    _, tape = lens.forward(Pair((np.array([2.0, 3.0]), np.array([5.0, 7.0]))))
+    _, other = apply_R(_mul_graph()).carrier.forward(Pair((np.ones(2), np.ones(2))))
+    with pytest.raises(CompositionError, match="different graph"):
+        lens.backward(other, np.ones(2))
+    with pytest.raises(NumericError, match="output cotangent"):
+        lens.backward(tape, bad)
+    # the rejected cotangent spent nothing
+    dp, dx = lens.backward(tape, np.ones(2))
+    assert np.array_equal(dp, [5.0, 7.0]) and np.array_equal(dx, [2.0, 3.0])
+    with pytest.raises(CompositionError, match="already consumed"):
+        lens.backward(tape, np.ones(2))
+
+
+@pytest.mark.parametrize("where", ["forward", "backward"])
+def test_a_put_that_overflows_raises_numeric_error_and_no_warning(where):
+    # pytest turns a RuntimeWarning into an error, which pytest.raises would not catch
+    f = _mul_graph()
+    if where == "forward":
+        put, p, match = apply_R(f).carrier.put, np.array([1e308, 1.0]), "node 'n0'"
+    else:
+        put, p, match = reparametrise(apply_R(f), gd_lens(1e300, 2)).carrier.put, np.ones(2), "smooth map output"
+    with pytest.raises(NumericError, match=match):
+        put(Pair((Pair((p, np.array([10.0, 1.0]))), np.array([1e10, 1.0]))))
+
+
 def test_optimiser_lens_formulas():
     p = np.array([1.0, 2.0])
     g = np.array([10.0, -4.0])
@@ -543,15 +623,15 @@ def test_train_step_rejects_non_finite_values_by_name(what):
 def test_train_step_scans_the_parameters_once(monkeypatch):
     scans = []
 
-    def recorded(x, dim, what="vector", finite=True):
-        scans.append((what, finite))
-        return as_vector(x, dim, what, finite)
+    def recorded(x, dim, what="vector"):
+        scans.append(what)
+        return as_vector(x, dim, what)
 
     monkeypatch.setattr(smooth_autodiff, "as_vector", recorded)
     f = sqerr_head(mlp_map((1, 2, 1)))
     model = reparametrise(apply_R(f), gd_lens(0.05, f.param_dim))
     train_step(model, np.full(f.param_dim, 0.1), np.array([0.4, 0.9]), unit_loss_costate())
-    assert scans.count(("parameter vector", True)) == 1
+    assert scans.count("parameter vector") == 1
 
 
 @pytest.mark.parametrize(
@@ -578,18 +658,23 @@ def test_gan_step_rejects_mismatched_generator():
 
 @pytest.fixture
 def eval_counts(monkeypatch):
-    """Counts of graph evaluations made through ``smooth_autodiff``'s globals."""
+    """Calls of every graph's generated forward and backward legs, whichever entry runs them."""
     counts = {"forward": 0, "backward": 0}
+    generate = SmoothMap.legs.func
 
-    def counted(key, fn):
+    def counted(key, leg):
         def wrapper(*args):
             counts[key] += 1
-            return fn(*args)
+            return leg(*args)
 
         return wrapper
 
-    monkeypatch.setattr(smooth_autodiff, "forward_eval", counted("forward", forward_eval))
-    monkeypatch.setattr(smooth_autodiff, "backward_eval", counted("backward", backward_eval))
+    def legs(f):
+        forward, backward = generate(f)
+        return counted("forward", forward), counted("backward", backward)
+
+    # a property outranks a graph's cached legs, so graphs built earlier are counted too
+    monkeypatch.setattr(SmoothMap, "legs", property(legs))
     return counts
 
 
