@@ -30,8 +30,8 @@ from .selection_games import (
     brute_force_hicks,
     brute_force_nash,
     compositional_game,
+    game_of_rows,
     hicks_games,
-    normal_form_game,
     solution_set,
 )
 
@@ -40,6 +40,7 @@ _TAGS = ("argmax", "total")
 _deviation_oracle = brute_force_nash  # the name bench/tracing.py times
 
 _MAX_PAYOFF_DIGITS = 4300  # Python's int-string limit, which a spec value must stay within
+_PAYOFF_BOUND = 10**_MAX_PAYOFF_DIGITS  # the least positive int past the digit limit
 
 
 def parse_game_spec(data: object) -> tuple[NormalFormGame, str | list[str] | None]:
@@ -99,25 +100,29 @@ def parse_game_spec(data: object) -> tuple[NormalFormGame, str | list[str] | Non
             typed = (type(v), v)
             row.append(read[typed] if typed in read else read.setdefault(typed, _read_rational(v, f"$.payoffs[{key!r}][{i}]")))
         table[prof] = tuple(row)
-    for prof in iter_product(*[p.labels for p in players]):  # stops at the first missing profile
-        if prof not in table:
-            raise SpecFormatError(f"missing profile {','.join(prof)}", "$.payoffs")
+    try:  # in product order, which the oracles' output follows; stops at the first missing profile
+        values = {prof: table[prof] for prof in iter_product(*[p.labels for p in players])}
+    except KeyError as exc:
+        raise SpecFormatError(f"missing profile {','.join(exc.args[0])}", "$.payoffs") from None
 
     selection = data.get("selection")
     if selection is not None:
         _validate_selection(selection, n, "$.selection")
-    return normal_form_game(players, table), selection
+    return game_of_rows(tuple(players), values), selection
 
 
 def _read_rational(v: int | float | str, path: str) -> Fraction:
     """A payoff or flag value whose numerator and denominator stay within the digit limit.
 
-    The exponent is bounded before ``Fraction`` expands it into an integer.
+    The exponent is bounded before ``Fraction`` expands it into an integer,
+    and an ``int`` before ``str`` renders it.
     """
+    if isinstance(v, int) and not -_PAYOFF_BOUND < v < _PAYOFF_BOUND:
+        raise SpecFormatError(f"payoff has more than {_MAX_PAYOFF_DIGITS} digits", path)
     text = str(v)
     mantissa, _, exponent = text.lower().partition("e")
     try:
-        digits = sum(c.isdigit() for c in mantissa) + abs(int(exponent or 0))
+        digits = sum(map(str.isdigit, mantissa)) + abs(int(exponent or 0))
         if digits <= _MAX_PAYOFF_DIGITS:
             return Fraction(text)
     except (ValueError, ZeroDivisionError):

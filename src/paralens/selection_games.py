@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product as iter_product
-from typing import Callable, Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Mapping, Sequence
 
 from .errors import CompositionError, SizeCapError
 from .finite_base import (
@@ -275,12 +276,12 @@ def solution_set(game: OpenGame) -> tuple:
 class NormalFormGame:
     """Strategy sets plus an exact payoff table over the profile product.
 
-    ``values`` is the exact table, keyed by tuples of moves.  ``levels[i]``
-    lists player i's distinct values in ascending order, and ``grids[i]``
-    is their ranks ``"0" … str(len(levels[i]) - 1)``, player i's reward
-    carrier.  ``payoff`` maps each profile, a left-nested tuple of moves,
-    to the left-nested tuple of its ranks; ``grids`` records the
-    factorisation of its codomain.
+    ``values`` is the exact table, keyed by tuples of moves in product
+    order.  ``levels[i]`` lists player i's distinct values in ascending
+    order, and ``grids[i]`` is their ranks ``"0" … str(len(levels[i]) - 1)``,
+    player i's reward carrier.  ``payoff`` maps each profile, a left-nested
+    tuple of moves, to the left-nested tuple of its ranks; ``grids`` records
+    the factorisation of its codomain.
     """
 
     players: tuple[FinSet, ...]
@@ -290,51 +291,53 @@ class NormalFormGame:
     levels: tuple[tuple[Fraction, ...], ...]
 
 
-def _ranks(values: Iterable[Fraction]) -> dict[Fraction, str]:
-    """Each distinct value, ascending, to its rank label ``"0"``, ``"1"``, …;
-    equal values share a rank however they were written."""
-    return {v: str(r) for r, v in enumerate(sorted(set(values)))}
-
-
 def normal_form_game(
     players: Sequence[FinSet],
     table: Mapping[tuple[str, ...], Sequence[Fraction | int | str]],
 ) -> NormalFormGame:
+    """The game of a payoff table keyed by tuples of moves, each payoff read
+    as a ``Fraction`` and the table checked against the profile product."""
     players = tuple(players)
     if not players:
         raise CompositionError("a game needs at least one player")
-    n = len(players)
-    values: dict[tuple[str, ...], tuple[Fraction, ...]] = {}
+    rows: dict[tuple[str, ...], tuple[Fraction, ...]] = {}
     for prof, vals in table.items():
-        prof = tuple(prof)
-        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in vals)
-        if len(vals) != n:
-            raise CompositionError(
-                f"profile {prof} has {len(vals)} payoffs for {n} players"
-            )
-        values[prof] = vals
+        prof, row = tuple(prof), []
+        for i, v in enumerate(vals):
+            try:
+                row.append(v if type(v) is Fraction else Fraction(v))
+            except (TypeError, ValueError, ArithmeticError):  # e.g. "abc", nan, None, "1/0"
+                raise CompositionError(f"profile {prof}: cannot read payoff {v!r} of player {i} as a rational") from None
+        if len(row) != len(players):
+            raise CompositionError(f"profile {prof} has {len(row)} payoffs for {len(players)} players")
+        rows[prof] = tuple(row)
     profiles = list(iter_product(*[p.labels for p in players]))
-    missing = [p for p in profiles if p not in values]
-    if missing or len(values) != len(profiles):
-        extra = sorted(set(values) - set(profiles))
-        raise CompositionError(
-            f"payoff table does not match the profile product: "
-            f"missing {missing[:4]}, unknown {extra[:4]}"
-        )
-    # each payoff object (a parsed spec shares one per distinct text) is hashed once
-    levels, grids, ranks = [], [], []
-    for i in range(n):
-        objs = {id(vals[i]): vals[i] for vals in values.values()}
-        rank = _ranks(objs.values())
-        levels.append(tuple(rank))
-        grids.append(FinSet(tuple(rank.values())))
-        ranks.append({k: rank[v] for k, v in objs.items()})
-    payoff = FinFn(
-        finset_tuple_product(players),
-        finset_tuple_product(grids),
-        {tuple_label(p): tuple_label([r[id(v)] for r, v in zip(ranks, values[p])]) for p in profiles},
-    )
-    return NormalFormGame(players, tuple(grids), payoff, {p: values[p] for p in profiles}, tuple(levels))
+    values = {p: rows[p] for p in profiles if p in rows}
+    if len(values) != len(rows) or len(values) != len(profiles):
+        missing = [p for p in profiles if p not in rows]
+        raise CompositionError(f"payoff table does not match the profile product: missing {missing[:4]}, unknown {sorted(set(rows) - set(values))[:4]}")
+    return game_of_rows(players, values)
+
+
+def game_of_rows(players: tuple[FinSet, ...], values: dict[tuple[str, ...], tuple[Fraction, ...]]) -> NormalFormGame:
+    """The game of a checked table, ``values`` mapping every profile in product
+    order to its n ``Fraction``s.  Each player's distinct payoff objects are
+    sorted once, equal values sharing a rank however they were written, and
+    the payoff table is built in one pass over the profile carrier."""
+    rows = values.values()
+    levels, grids, columns = [], [], []
+    for i in range(len(players)):
+        ranks, level = {}, []  # payoff object id -> rank label; the distinct values
+        for key, v in sorted({id(row[i]): row[i] for row in rows}.items(), key=itemgetter(1)):
+            if not level or v != level[-1]:
+                level.append(v)
+            ranks[key] = str(len(level) - 1)
+        levels.append(tuple(level))
+        grids.append(FinSet(tuple(map(str, range(len(level))))))
+        columns.append([ranks[id(row[i])] for row in rows])
+    dom = finset_tuple_product(players)  # iterates in product order, as nested pairs
+    payoff = FinFn(dom, finset_tuple_product(grids), dict(zip(dom, reduce(zip, columns))))
+    return NormalFormGame(players, tuple(grids), payoff, values, tuple(levels))
 
 
 def brute_force_nash(
@@ -364,10 +367,14 @@ def brute_force_nash(
 
 
 def brute_force_hicks(g: NormalFormGame) -> tuple:
-    """Profiles maximising the summed payoff, by direct enumeration."""
-    totals = {p: sum(vals) for p, vals in g.values.items()}
+    """Profiles maximising the summed payoff, by direct enumeration.  Each
+    distinct combination of payoff objects is summed once; a parsed spec
+    shares one ``Fraction`` per distinct payoff text."""
+    keys = [tuple(map(id, vals)) for vals in g.values.values()]
+    totals = {key: sum(vals) for key, vals in dict(zip(keys, g.values.values())).items()}
     best = max(totals.values())
-    return tuple(tuple_label(p) for p in totals if totals[p] == best)
+    tops = {key for key, total in totals.items() if total == best}
+    return tuple(tuple_label(p) for p, key in zip(g.values, keys) if key in tops)
 
 
 @lru_cache(maxsize=64)
@@ -425,19 +432,25 @@ def sum_of_payoffs_lens(g: NormalFormGame) -> Lens:
 
     Identity forward; backward maps each tuple of ranks to the rank of its
     total among the distinct totals of every combination of per-player
-    values.  Totals are read from a table built in the one pass over the
-    grid product that ranks them.
+    values, read from a table built once.  Totals are ranked as integers:
+    each value is floored once to a multiple of 2**-s, so the sum of a
+    combination's floors lies less than n units below its total.  Two
+    distinct totals of n values with denominators below 2**b differ by at
+    least 2**(-2nb), which ``s`` makes more than 2n units; so estimates less
+    than n apart are exactly those of equal totals.
     """
+    n = len(g.grids)
+    shift = 2 * n * max(v.denominator for level in g.levels for v in level).bit_length() + (2 * n).bit_length()
+    parts = [[(label, (v.numerator << shift) // v.denominator) for label, v in zip(grid.labels, level)] for grid, level in zip(g.grids, g.levels)]
+    table: dict = {}
+    count, last = -1, None
+    for estimate, combo in sorted(((sum(e for _, e in c), c) for c in iter_product(*parts)), key=itemgetter(0)):
+        if last is None or estimate - last >= n:  # the next distinct total
+            count += 1
+        table[tuple_label([label for label, _ in combo])], last = str(count), estimate
+    sums = FinSet(tuple(map(str, range(count + 1))))
     omega = finset_tuple_product(g.players)
-    prod = finset_tuple_product(g.grids)
-    totals = {
-        tuple_label([l for l, _ in c]): sum(v for _, v in c)
-        for c in iter_product(*[zip(grid.labels, level) for grid, level in zip(g.grids, g.levels)])
-    }
-    rank = _ranks(totals.values())
-    table = {c: rank[t] for c, t in totals.items()}
-    sums = FinSet(tuple(rank.values()))
-    return Lens(FINITE, LensObj(omega, sums), LensObj(omega, prod), lambda w: (w, None), lambda _, r: table[r])
+    return Lens(FINITE, LensObj(omega, sums), LensObj(omega, finset_tuple_product(g.grids)), lambda w: (w, None), lambda _, r: table[r])
 
 
 def hicks_games(

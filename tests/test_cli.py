@@ -2,6 +2,7 @@
 
 import copy
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -258,6 +259,38 @@ def test_solve_hicks_total_past_the_digit_limit(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["solutions"] == [["x", "y"]]
     assert main(["solve", str(path), "--selection", "hicks_sum"]) == 0
     assert json.loads(capsys.readouterr().out)["solutions"] == [["x", "y"]]
+
+
+def test_parse_bounds_an_int_payoff_before_rendering_it():
+    # json.loads refuses such an int, but a library caller can pass one;
+    # 10**4300 has 4,301 digits and the bit length of 10**4300 - 1, which has 4,300
+    spec = _pd_spec()
+    for big in (10**4300, -(10**4300), 10**5000):
+        spec["payoffs"]["D,C"] = [3, big]
+        with pytest.raises(SpecFormatError) as exc:
+            parse_game_spec(spec)
+        assert str(exc.value) == "$.payoffs['D,C'][1]: payoff has more than 4300 digits"
+    spec["payoffs"]["D,C"] = [3, 10**4300 - 1]
+    assert parse_game_spec(spec)[0].values[("D", "C")] == (3, 10**4300 - 1)
+
+
+@pytest.mark.parametrize("selection", ["argmax_each", "hicks_sum"])
+def test_solve_thousand_digit_denominators_in_time(selection, tmp_path, capsys):
+    # 288 distinct payoffs over distinct odd denominators of 1,000 digits, each
+    # player's values a few units of 10**-1000 apart: ranks and totals must not
+    # go through a common denominator, nor compare every pair of exact totals
+    base = 10**999
+    strategies = [f"s{j}" for j in range(12)]
+    profiles = [f"{a},{b}" for a in strategies for b in strategies]
+    payoffs = {key: [f"{base // 3 + j}/{base + 4 * j + 1}", f"{base // 7 + j}/{base + 4 * j + 3}"] for j, key in enumerate(profiles)}
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({"players": [{"name": "a", "strategies": strategies}, {"name": "b", "strategies": strategies}], "payoffs": payoffs}), encoding="utf-8")
+    start = time.perf_counter()
+    assert main(["solve", str(path), "--selection", selection]) == 0
+    elapsed = time.perf_counter() - start
+    report = json.loads(capsys.readouterr().out)
+    assert report["agrees"] is True and report["solutions"]
+    assert elapsed < 2, f"{selection} took {elapsed:.2f} s"
 
 
 def test_solve_rejects_duplicate_keys(tmp_path, capsys):

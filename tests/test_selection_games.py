@@ -9,10 +9,11 @@ import gc
 import inspect
 import random
 import weakref
+from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paralens.checks import random_finset, random_lens, random_obj, random_relation
@@ -470,6 +471,15 @@ def test_normal_form_validation():
         normal_form_game([], {})
 
 
+def test_normal_form_game_names_an_unreadable_payoff():
+    cd = FinSet(("C", "D"))
+    for bad in ("abc", float("nan"), None):
+        table = {("C", "C"): (1, 1), ("C", "D"): (0, 2), ("D", "C"): (2, bad), ("D", "D"): (1, 1)}
+        with pytest.raises(CompositionError) as exc:
+            normal_form_game([cd, cd], table)
+        assert str(exc.value) == f"profile ('D', 'C'): cannot read payoff {bad!r} of player 1 as a rational"
+
+
 def test_profile_values_decode():
     g = _pd()
     assert g.values[("C", "D")] == (0, 3)
@@ -515,6 +525,59 @@ def test_each_player_ranks_their_distinct_values_once(spec):
     assert solution_set(compositional_game(g)) == brute_force_nash(g)
     route_reparam, route_pushed = hicks_games(g)
     assert solution_set(route_reparam) == solution_set(route_pushed) == brute_force_hicks(g)
+
+
+# one value per group, each written four ways
+_SPELLINGS = ((1, "2/2", 1.0, "1e0"), ("3/2", 1.5, "15e-1", "6/4"), (0, "0/7", -0.0, "0e3"), (-2, "-4/2", -2.0, "-0.2e1"))
+
+
+@st.composite
+def _spelled_specs(draw):
+    """A spec whose payoff keys come in a shuffled order and whose equal
+    values are written in different ways."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    players = [{"name": f"p{i}", "strategies": [f"s{j}" for j in range(m)]} for i, m in enumerate(sizes)]
+    spelled = st.sampled_from(_SPELLINGS).flatmap(st.sampled_from)
+    profiles = draw(st.permutations([",".join(p) for p in iter_product(*[p["strategies"] for p in players])]))
+    payoffs = {key: draw(st.lists(spelled, min_size=len(sizes), max_size=len(sizes))) for key in profiles}
+    return {"players": players, "payoffs": payoffs}
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_spelled_specs())
+def test_parsing_builds_the_game_the_validating_constructor_builds(spec):
+    parsed, _ = parse_game_spec(spec)
+    players = [FinSet(tuple(p["strategies"])) for p in spec["players"]]
+    built = normal_form_game(players, {tuple(key.split(",")): vals for key, vals in spec["payoffs"].items()})
+    product_order = list(iter_product(*[p.labels for p in players]))
+    assert parsed.players == built.players == tuple(players)
+    assert parsed.grids == built.grids
+    assert parsed.levels == built.levels
+    assert list(parsed.values) == list(built.values) == product_order
+    assert list(parsed.values.values()) == list(built.values.values())
+    assert parsed.payoff.table == built.payoff.table
+    assert list(parsed.payoff.table) == [tuple_label(p) for p in product_order]
+
+
+def _hicks_by_hand(g):
+    """The profiles whose payoffs, summed profile by profile, reach the best total."""
+    totals = {p: sum(vals, Fraction(0)) for p, vals in g.values.items()}
+    best = max(totals.values())
+    return tuple(tuple_label(p) for p in g.values if totals[p] == best)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_spelled_specs())
+@example(spec={  # the best total 3/2 comes from three different combinations
+    "players": [{"name": "a", "strategies": ["x", "y", "z"]}, {"name": "b", "strategies": ["u", "v"]}],
+    "payoffs": {"x,u": ["3/2", 0], "x,v": [1, "1/2"], "y,u": [0, 1.5], "y,v": [-2, 1], "z,u": [1.0, "2/4"], "z,v": [0, 0]},
+})
+def test_brute_force_hicks_sums_as_a_per_profile_sum_does(spec):
+    parsed, _ = parse_game_spec(spec)
+    players = [FinSet(tuple(p["strategies"])) for p in spec["players"]]
+    built = normal_form_game(players, {tuple(key.split(",")): vals for key, vals in spec["payoffs"].items()})
+    for g in (parsed, built):
+        assert brute_force_hicks(g) == _hicks_by_hand(g)
 
 
 def test_brute_force_oracles_frozen():
@@ -682,6 +745,28 @@ def test_sum_lens_tables():
     assert FINITE.apply(collapse.get, ("C", "C")) == ("C", "C")
     assert FINITE.apply(collapse.put, (("C", "C"), ("2", "2"))) == "4"
     assert FINITE.apply(collapse.put, (("D", "C"), ("3", "0"))) == "3"
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 3), digits=st.sampled_from([1, 30, 300]))
+def test_sum_lens_ranks_every_total_exactly(data, n, digits):
+    # values a few units of 10**-digits apart, so totals of different
+    # combinations tie or differ far below any fixed precision
+    base = 10**digits
+    near = st.builds(lambda a, b: Fraction(base // 3 + a, base + b), st.integers(-3, 3), st.sampled_from([0, 1, 2, base]))
+    levels = [sorted(set(data.draw(st.lists(near, min_size=1, max_size=4)))) for _ in range(n)]
+    players = [FinSet(tuple(f"s{j}" for j in range(len(level)))) for level in levels]
+    g = normal_form_game(players, {p: [level[int(m[1:])] for level, m in zip(levels, p)] for p in iter_product(*[p.labels for p in players])})
+    collapse = sum_of_payoffs_lens(g)
+    w = next(iter(collapse.src.fwd))
+    rank, total = {}, {}
+    for r in iter_product(*[grid.labels for grid in g.grids]):
+        rank[r] = int(collapse.put((w, tuple_label(list(r)))))
+        total[r] = sum((level[int(i)] for level, i in zip(g.levels, r)), Fraction(0))
+    assert len(collapse.src.bwd) == len(set(total.values()))
+    for r, s in iter_product(rank, repeat=2):
+        assert (rank[r] < rank[s]) == (total[r] < total[s])
+        assert (rank[r] == rank[s]) == (total[r] == total[s])
 
 
 def test_hicks_routes_agree_on_fixtures():
