@@ -29,7 +29,7 @@ from .finite_base import (
     FinFn,
     FinProd,
     FinSet,
-    enumerate_functions,
+    iter_functions,
 )
 from .lens_core import (
     Lens,
@@ -557,7 +557,7 @@ def check_weight_tying(seed: int = 5, trials: int = 20) -> Instances:
 def random_relation(rng: random.Random, obj: LensObj) -> SelectionRelation:
     """An arbitrary relation, tabulated over every (state, reward fn) pair."""
     table = {}
-    for k in enumerate_functions(obj.fwd, obj.bwd):
+    for k in iter_functions(obj.fwd, obj.bwd):
         key = tuple(k(x) for x in obj.fwd.labels)
         for x in obj.fwd.labels:
             table[(x, key)] = rng.random() < 0.5

@@ -21,8 +21,6 @@ from importlib import resources
 from itertools import product as iter_product
 from typing import Sequence
 
-from .checks import ALL_CHECKS, run_checks
-from .demos import DEMOS, write_csv
 from .errors import ParalensError, SpecFormatError
 from .finite_base import DEFAULT_ENUM_CAP, FinSet, split_tuple
 from .selection_games import (
@@ -36,6 +34,8 @@ from .selection_games import (
 )
 
 _TAGS = ("argmax", "total")
+
+DEMO_NAMES = ("gan", "linreg", "mlp")  # sorted(demos.DEMOS), so that solve never imports numpy
 
 _deviation_oracle = brute_force_nash  # the name bench/tracing.py times
 
@@ -214,6 +214,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from .demos import DEMOS, write_csv
+
     run = DEMOS[args.demo]
     kwargs = {}
     if args.seed is not None:
@@ -235,6 +237,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .checks import ALL_CHECKS, run_checks
+
     names = None
     if args.filter is not None:
         if args.filter not in ALL_CHECKS:
@@ -281,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(fn=cmd_solve)
 
     p_train = sub.add_parser("train", help="run a training demo and write per-step CSV")
-    p_train.add_argument("demo", choices=sorted(DEMOS))
+    p_train.add_argument("demo", choices=DEMO_NAMES)
     p_train.add_argument("--seed", type=_nonneg_int)
     p_train.add_argument("--steps", type=_nonneg_int)
     p_train.add_argument("--alpha", type=_fraction_arg)

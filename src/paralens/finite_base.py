@@ -193,23 +193,16 @@ class _DerivedFn(FinFn):
     checked = False
 
 
-def enumerate_functions(
-    dom: Carrier, cod: Carrier, max_size: int = DEFAULT_ENUM_CAP
-) -> list[FinFn]:
-    """All total functions ``dom → cod`` in lexicographic order.
-
-    Order is by the image tuple with the earliest domain element most
-    significant, matching the element order of the left-associated product
-    ``cod^|dom|``.
-    """
-    return list(iter_functions(dom, cod, max_size))
-
-
 def iter_functions(
     dom: Carrier, cod: Carrier, max_size: int = DEFAULT_ENUM_CAP
 ) -> Iterator[FinFn]:
-    """:func:`enumerate_functions` one at a time, so each can die before the
-    next is built; the cap is checked at the call."""
+    """All total functions ``dom → cod``, one at a time, in lexicographic order.
+
+    Order is by the image tuple with the earliest domain element most
+    significant, matching the element order of the left-associated product
+    ``cod^|dom|``.  The cap is checked at the call, and each function can
+    die before the next is built.
+    """
     count = len(cod) ** len(dom)
     if count > max_size:
         raise SizeCapError(

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product as iter_product
 from operator import itemgetter
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import CompositionError, SizeCapError
 from .finite_base import (
@@ -302,7 +302,11 @@ def normal_form_game(
         raise CompositionError("a game needs at least one player")
     rows: dict[tuple[str, ...], tuple[Fraction, ...]] = {}
     for prof, vals in table.items():
+        if not isinstance(prof, Iterable):
+            raise CompositionError(f"profile {prof!r} is not a sequence of moves")
         prof, row = tuple(prof), []
+        if not isinstance(vals, Iterable):
+            raise CompositionError(f"profile {prof}: payoffs {vals!r} are not a sequence")
         for i, v in enumerate(vals):
             try:
                 row.append(v if type(v) is Fraction else Fraction(v))

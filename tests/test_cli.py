@@ -2,6 +2,9 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -9,8 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paralens.cli import main, parse_game_spec
-from paralens.demos import run_gan
+from paralens.cli import DEMO_NAMES, main, parse_game_spec
+from paralens.demos import DEMOS, run_gan
 from paralens.errors import SpecFormatError
 
 
@@ -173,6 +176,29 @@ def test_solve_output_is_reproducible(capsys):
     first = capsys.readouterr().out
     main(["solve", "pd.json"])
     assert capsys.readouterr().out == first
+
+
+_SOLVE_IN_A_FRESH_PROCESS = """
+import sys
+import paralens
+from paralens.cli import main
+main(["solve", "pd.json"])
+main(["solve", "pd.json", "--selection", "hicks_sum"])
+print(sorted({"numpy", "paralens.smooth_autodiff", "paralens.demos", "paralens.checks"} & set(sys.modules)))
+"""
+
+
+def test_a_solve_loads_neither_numpy_nor_the_smooth_side(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", _SOLVE_IN_A_FRESH_PROCESS], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [_GOLDEN[0][3], _GOLDEN[1][3], "[]"]
+
+
+def test_the_train_choices_are_the_demos():
+    assert DEMO_NAMES == tuple(sorted(DEMOS))
 
 
 def test_solve_hicks_selection(capsys):

@@ -14,8 +14,8 @@ from paralens.finite_base import (
     FinFn,
     FinProd,
     FinSet,
-    enumerate_functions,
     finset_tuple_product,
+    iter_functions,
     split_tuple,
     tuple_label,
 )
@@ -303,7 +303,7 @@ def test_arena_cache_is_bounded_and_a_payoff_dies_with_its_game():
 
 def test_enumerate_functions_order_and_count():
     dom, cod = FinSet(("p", "q")), FinSet(("0", "1"))
-    fns = enumerate_functions(dom, cod)
+    fns = list(iter_functions(dom, cod))
     assert len(fns) == 4
     tables = [f.table for f in fns]
     # earliest domain label varies slowest
@@ -319,6 +319,6 @@ def test_enumerate_functions_cap():
     dom = FinSet(tuple(f"d{i}" for i in range(5)))
     cod = FinSet(tuple(f"c{i}" for i in range(4)))
     with pytest.raises(SizeCapError) as exc:
-        enumerate_functions(dom, cod, max_size=100)
+        iter_functions(dom, cod, max_size=100)
     assert exc.value.count == 4**5
 

@@ -26,7 +26,7 @@ from paralens.finite_base import (
     FinProd,
     FinSet,
     UNIT_SET,
-    enumerate_functions,
+    iter_functions,
     split_tuple,
     tuple_label,
 )
@@ -372,7 +372,7 @@ def _enumerated_sel_morphism(f, eps, delta) -> bool:
     """The definition, checked state by state: for every reward function k on
     the target, each h that ``eps`` accepts against k threaded back through
     ``f`` must have get(h) accepted by ``delta`` against k."""
-    for k in enumerate_functions(f.dst.fwd, f.dst.bwd):
+    for k in iter_functions(f.dst.fwd, f.dst.bwd):
 
         def threaded(x, k=k):
             y, r = f.forward(x)
@@ -478,6 +478,15 @@ def test_normal_form_game_names_an_unreadable_payoff():
         with pytest.raises(CompositionError) as exc:
             normal_form_game([cd, cd], table)
         assert str(exc.value) == f"profile ('D', 'C'): cannot read payoff {bad!r} of player 1 as a rational"
+    # a row or a profile that is not a sequence at all
+    for table, message in (
+        ({("C",): None, ("D",): (1,)}, "profile ('C',): payoffs None are not a sequence"),
+        ({("C",): 5, ("D",): (1,)}, "profile ('C',): payoffs 5 are not a sequence"),
+        ({5: (1,)}, "profile 5 is not a sequence of moves"),
+    ):
+        with pytest.raises(CompositionError) as exc:
+            normal_form_game([cd], table)
+        assert str(exc.value) == message
 
 
 def test_profile_values_decode():
