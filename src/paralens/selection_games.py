@@ -302,10 +302,10 @@ def normal_form_game(
         raise CompositionError("a game needs at least one player")
     rows: dict[tuple[str, ...], tuple[Fraction, ...]] = {}
     for prof, vals in table.items():
-        if not isinstance(prof, Iterable):
+        if not isinstance(prof, Iterable) or isinstance(prof, (str, bytes)):  # a string is read as its characters
             raise CompositionError(f"profile {prof!r} is not a sequence of moves")
         prof, row = tuple(prof), []
-        if not isinstance(vals, Iterable):
+        if not isinstance(vals, Iterable) or isinstance(vals, (str, bytes)):
             raise CompositionError(f"profile {prof}: payoffs {vals!r} are not a sequence")
         for i, v in enumerate(vals):
             try:

@@ -8,8 +8,12 @@ two legs are straight-line code generated once per plan and bound to it
 when first evaluated: the forward leg calls each primitive in topological
 order, scans the value buffer for non-finite entries once (naming the
 first node that produced one) and saves per-node inputs on a tape; the
-backward leg runs the vector-Jacobian products in reverse, summing
-cotangents in place where wires fan out.
+backward leg runs the vector-Jacobian products in reverse.  Each cotangent
+is written once, where it lives: a wire that no other write meets is
+assigned, and each ``vjp`` is offered its sole wires' slices as
+destinations, uninitialised and write-only, which it may fill and return
+(``linear`` writes its weight cotangent so).  Where wires fan out, their
+cotangents are summed in place into a zeroed buffer.
 
 :func:`apply_R` turns a graph into a parametrised lens over the smooth base
 whose legs are the graph's: its forward leg is evaluation and leaves the
@@ -195,8 +199,12 @@ class Primitive:
     """One differentiable vector operation.
 
     ``forward`` maps input arrays to the output array; ``vjp`` maps the
-    saved inputs and an output cotangent to one cotangent per input, and is
-    linear in the cotangent.
+    saved inputs, an output cotangent and one destination per input to one
+    cotangent per input, and is linear in the cotangent.  A destination is
+    ``None`` or an uninitialised, write-only view of the input's width that
+    the cotangent may be written into; returning the view itself says it
+    was written.  A ``vjp`` may ignore its destinations, which default to
+    ``None``.
     """
 
     name: str
@@ -204,7 +212,7 @@ class Primitive:
     in_dims: tuple[int, ...]
     out_dim: int
     forward: Callable[..., Vector]
-    vjp: Callable[[tuple[Vector, ...], Vector], tuple[Vector, ...]]
+    vjp: Callable[[tuple[Vector, ...], Vector, tuple[Vector | None, ...]], tuple[Vector, ...]]
 
 
 def linear(n: int, m: int) -> Primitive:
@@ -213,22 +221,25 @@ def linear(n: int, m: int) -> Primitive:
     def fwd(w, x):
         return w.reshape(m, n) @ x
 
-    def vjp(ins, c):
+    def vjp(ins, c, dst=(None, None)):
         w, x = ins
-        # d(Wx)/dW is the outer product c xᵀ, d(Wx)/dx is Wᵀc
-        return (c[:, None] * x).ravel(), w.reshape(m, n).T @ c
+        # d(Wx)/dW is the outer product c xᵀ, written into its destination where one is offered;
+        # d(Wx)/dx is Wᵀc
+        dw = np.empty(m * n) if dst[0] is None else dst[0]
+        np.multiply(c[:, None], x, out=dw.reshape(m, n))
+        return dw, w.reshape(m, n).T @ c
 
     return Primitive("linear", (n, m), (m * n, n), m, fwd, vjp)
 
 
 def add(n: int) -> Primitive:
     return Primitive(
-        "add", (n,), (n, n), n, lambda a, b: a + b, lambda ins, c: (c, c)
+        "add", (n,), (n, n), n, lambda a, b: a + b, lambda ins, c, dst=None: (c, c)
     )
 
 
 def mul(n: int) -> Primitive:
-    def vjp(ins, c):
+    def vjp(ins, c, dst=None):
         a, b = ins
         return c * b, c * a
 
@@ -236,11 +247,11 @@ def mul(n: int) -> Primitive:
 
 
 def neg(n: int) -> Primitive:
-    return Primitive("neg", (n,), (n,), n, lambda a: -a, lambda ins, c: (-c,))
+    return Primitive("neg", (n,), (n,), n, lambda a: -a, lambda ins, c, dst=None: (-c,))
 
 
 def tanh(n: int) -> Primitive:
-    def vjp(ins, c):
+    def vjp(ins, c, dst=None):
         t = np.tanh(ins[0])
         return (c * (1.0 - t * t),)
 
@@ -249,7 +260,7 @@ def tanh(n: int) -> Primitive:
 
 def relu(n: int) -> Primitive:
     # subgradient 0 at the kink: x > 0 strictly passes the cotangent
-    def vjp(ins, c):
+    def vjp(ins, c, dst=None):
         return (np.where(ins[0] > 0.0, c, 0.0),)
 
     return Primitive("relu", (n,), (n,), n, lambda a: np.maximum(a, 0.0), vjp)
@@ -259,7 +270,7 @@ def sigmoid(n: int) -> Primitive:
     def fwd(a):
         return 1.0 / (1.0 + np.exp(-a))
 
-    def vjp(ins, c):
+    def vjp(ins, c, dst=None):
         s = fwd(ins[0])
         return (c * s * (1.0 - s),)
 
@@ -273,14 +284,14 @@ def sum_reduce(n: int) -> Primitive:
         (n,),
         1,
         lambda a: np.array([a.sum()]),
-        lambda ins, c: (np.full(n, c[0]),),
+        lambda ins, c, dst=None: (np.full(n, c[0]),),
     )
 
 
 def sqerr(n: int) -> Primitive:
     """Summed squared error between its two inputs."""
 
-    def vjp(ins, c):
+    def vjp(ins, c, dst=None):
         d = 2.0 * (ins[0] - ins[1]) * c[0]
         return d, -d
 
@@ -461,12 +472,18 @@ def _make_legs(plan) -> Callable[..., tuple[Callable, Callable]]:
     ``forward(p, x)`` and ``backward(saved, dy)`` of every graph whose ``plan`` this is.
 
     Slices are literals; the legs check neither their arguments nor numpy's error state.  ``forward``
-    saves node ``k``'s inputs as ``a{k}`` and scans the value buffer ``v`` once; ``backward`` runs the
-    nodes in reverse and adds each cotangent in place into a view of ``dp``, ``dx`` or ``dv``, without
-    writing the view back.
+    saves node ``k``'s inputs as ``a{k}`` and scans the value buffer ``v`` once.  ``backward`` runs the
+    nodes in reverse and writes each cotangent into its slice of ``dp``, ``dx`` or ``dv``.  A write is
+    sole when no other write (a wire's, or the seed ``dy``'s) meets its slice: it assigns, and its
+    wire's slice is offered to the ``vjp`` as destination ``d{m}``, which the leg neither checks nor
+    copies when the ``vjp`` returns it.  Other writes add in place, nodes in reverse and wires in
+    order, into a zeroed buffer; a buffer that sole writes tile exactly starts uninitialised.
     """
     steps, out, dims = plan
     n, ports, cots = len(steps), ("p", "x", "v"), ("dp", "dx", "dv")
+    writes = [out, *(w for ins, _, _ in steps for w in ins)]
+    sole = {w for q, w in enumerate(writes) if not any(u[0] == w[0] and max(u[1], w[1]) < min(u[2], w[2]) for u in writes[:q] + writes[q + 1 :])}
+    alloc = (("zeros", "empty")[sum(w[2] - w[1] for w in sole if w[0] == s) == d] + f"({d})" for s, d in enumerate(dims))
 
     def view(bufs, s, i, j):
         return bufs[s] if (i, j) == (0, dims[s]) else f"{bufs[s]}[{i}:{j}]"
@@ -479,14 +496,18 @@ def _make_legs(plan) -> Callable[..., tuple[Callable, Callable]]:
         fwd += [f"a{k} = ({''.join(view(ports, *w) + ', ' for w in ins)})", f"y = F{k}(*a{k})"]
         fwd += [*checked("y", b - a, f"_node_output(nodes, v, {k}, y)"), f"v[{a}:{b}] = y"]
     fwd += ["if not isfinite(v).all():", f"    raise _first_non_finite(nodes, v, {n})"]
-    bwd = [f"dp, dx, dv = zeros({dims[0]}), zeros({dims[1]}), zeros({dims[2]})", f"t = {view(cots, *out)}", "t += dy"]
-    bwd.append(f"({saved}) = saved")
+    seed = [f"{cots[out[0]]}[{out[1]}:{out[2]}] = dy"] if out in sole else [f"t = {view(cots, *out)}", "t += dy"]
+    bwd = [f"dp, dx, dv = {', '.join(alloc)}", *seed, f"({saved}) = saved"]
     for k, (ins, a, b) in reversed(list(enumerate(steps))):
-        gs = "".join(f"g{m}, " for m in range(len(ins)))
-        bwd += [f"g = V{k}(a{k}, dv[{a}:{b}])", f"({gs}) = g if len(g) == {len(ins)} else _arity(nodes[{k}], g)"]
-        for m, (s, i, j) in enumerate(ins):
-            bwd += checked(f"g{m}", j - i, f"_cotangent(nodes[{k}], g{m}, {j - i})")
-            bwd += [f"t = {view(cots, s, i, j)}", f"t += g{m}"]
+        gs, ds = "".join(f"g{m}, " for m in range(len(ins))), "".join(f"d{m}, " if w in sole else "None, " for m, w in enumerate(ins))
+        bwd += [f"d{m} = {view(cots, *w)}" for m, w in enumerate(ins) if w in sole]
+        bwd += [f"g = V{k}(a{k}, dv[{a}:{b}], ({ds}))", f"({gs}) = g if len(g) == {len(ins)} else _arity(nodes[{k}], g)"]
+        for m, w in enumerate(ins):
+            check = checked(f"g{m}", w[2] - w[1], f"_cotangent(nodes[{k}], g{m}, {w[2] - w[1]})")
+            if w in sole:
+                bwd += [f"if g{m} is not d{m}:", *(f"    {line}" for line in (*check, f"d{m}[...] = g{m}"))]
+            else:
+                bwd += [*check, f"t = {view(cots, *w)}", f"t += g{m}"]
     legs = (("forward(p, x)", fwd, f"{view(ports, *out)}.copy(), ({saved})"), ("backward(saved, dy)", bwd, "Pair((dp, dx))"))
     source = [f"def make(nodes, {''.join(f'F{k}, V{k}, ' for k in range(n))}):"]
     for head, body, tail in legs:

@@ -478,14 +478,18 @@ def test_normal_form_game_names_an_unreadable_payoff():
         with pytest.raises(CompositionError) as exc:
             normal_form_game([cd, cd], table)
         assert str(exc.value) == f"profile ('D', 'C'): cannot read payoff {bad!r} of player 1 as a rational"
-    # a row or a profile that is not a sequence at all
-    for table, message in (
-        ({("C",): None, ("D",): (1,)}, "profile ('C',): payoffs None are not a sequence"),
-        ({("C",): 5, ("D",): (1,)}, "profile ('C',): payoffs 5 are not a sequence"),
-        ({5: (1,)}, "profile 5 is not a sequence of moves"),
+    # a row or a profile that is not a sequence at all, or a string that would be read as its characters
+    for players, table, message in (
+        ([cd], {("C",): None, ("D",): (1,)}, "profile ('C',): payoffs None are not a sequence"),
+        ([cd], {("C",): 5, ("D",): (1,)}, "profile ('C',): payoffs 5 are not a sequence"),
+        ([cd], {5: (1,)}, "profile 5 is not a sequence of moves"),
+        ([cd, cd], {"CC": (1, 2), "CD": (0, 3), "DC": (3, 0), "DD": (1, 1)}, "profile 'CC' is not a sequence of moves"),
+        ([cd, cd], {b"CC": (1, 2)}, "profile b'CC' is not a sequence of moves"),
+        ([cd, cd], {("C", "C"): "12", ("C", "D"): (0, 3)}, "profile ('C', 'C'): payoffs '12' are not a sequence"),
+        ([cd, cd], {("C", "C"): b"12", ("C", "D"): (0, 3)}, "profile ('C', 'C'): payoffs b'12' are not a sequence"),
     ):
         with pytest.raises(CompositionError) as exc:
-            normal_form_game([cd], table)
+            normal_form_game(players, table)
         assert str(exc.value) == message
 
 

@@ -6,6 +6,7 @@ re-implemented with straight numpy as an independent oracle.
 """
 
 import tracemalloc
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -125,7 +126,7 @@ def test_non_finite_value_is_named_at_its_first_node(extra_neg):
 
 
 def test_a_node_without_inputs_is_a_constant():
-    const = smooth_autodiff.Primitive("const", (), (), 2, lambda: np.array([1.0, 2.0]), lambda ins, c: ())
+    const = smooth_autodiff.Primitive("const", (), (), 2, lambda: np.array([1.0, 2.0]), lambda ins, c, dst: ())
     b = GraphBuilder(in_dim=2)
     f = b.build(b.node(PRIMITIVES["mul"](2), b.node(const), b.input()))
     y, tape = forward_eval(f, np.zeros(0), np.array([3.0, 4.0]))
@@ -136,12 +137,14 @@ def test_a_node_without_inputs_is_a_constant():
 @pytest.mark.parametrize("width", [1, 2])
 def test_vjp_cotangent_of_the_wrong_width_names_its_node(width):
     # unchecked, a 1-wide cotangent would broadcast over the 3-wide wire and a
-    # 2-wide one would fail inside numpy
-    short = smooth_autodiff.Primitive("neg", (3,), (3,), 3, lambda a: -a, lambda ins, c: (-c[:width],))
+    # 2-wide one would fail inside numpy; the wire is sole, so it offers a destination
+    offered = []
+    short = smooth_autodiff.Primitive("neg", (3,), (3,), 3, lambda a: -a, lambda ins, c, dst: offered.append(dst) or (-c[:width],))
     f = SmoothMap(0, 3, 3, (Node("short", short, (Wire("input", 0, 3),)),), Wire("short", 0, 3))
     _, tape = forward_eval(f, np.zeros(0), np.ones(3))
     with pytest.raises(NumericError, match=rf"node 'short'.*shape \({width},\).*dimension 3"):
         backward_eval(f, tape, np.ones(3))
+    assert [d.shape for d in offered[0]] == [(3,)]
 
 
 # -- primitive derivatives against closed forms -------------------------
@@ -291,9 +294,10 @@ def _interpret(f: SmoothMap, p, x, dy):
 
 @st.composite
 def _graphs(draw):
-    """A graph over every primitive, wires fanning out as slices of ports and of node outputs."""
-    param_dim, in_dim = draw(st.integers(1, 9)), draw(st.integers(1, 4))
-    dims = {"param": param_dim, "input": in_dim}
+    """A graph over every primitive, wires fanning out as slices of ports and of node outputs; in
+    about half of them, each port wire is a fresh slice, so that sole wires tile the ports."""
+    tiled = draw(st.booleans())
+    dims = {"param": 0, "input": 0} if tiled else {"param": draw(st.integers(1, 9)), "input": draw(st.integers(1, 4))}
     nodes = []
 
     def node(prim, *wires):
@@ -307,14 +311,18 @@ def _graphs(draw):
         prim = PRIMITIVES[name](n, draw(st.integers(1, 3))) if name == "linear" else PRIMITIVES[name](n)
         wires, src = [], None
         for want in prim.in_dims:
-            fits = sorted(src for src, dim in dims.items() if dim >= want)
+            fits = sorted(src for src, dim in dims.items() if dim >= want or tiled and src in ("param", "input"))
             if not fits:
-                dims["param"] = param_dim = param_dim + want
+                dims["param"] += want
                 fits = ["param"]
             # a node often reads two slices of one source, where their cotangents meet
             if not (src in fits and draw(st.booleans())):
                 src = draw(st.sampled_from(fits))
-            lo = draw(st.integers(0, dims[src] - want))
+            if tiled and src in ("param", "input"):
+                lo = dims[src]
+                dims[src] += want
+            else:
+                lo = draw(st.integers(0, dims[src] - want))
             wires.append(Wire(src, lo, lo + want))
         out = node(prim, *wires)
     # every node feeds the output: the sums of the unread ones are added onto the last one's
@@ -326,7 +334,14 @@ def _graphs(draw):
         out = node(PRIMITIVES["add"](1), out, node(PRIMITIVES["sum"](w.dim), w))
     lo = draw(st.integers(0, out.dim - 1))
     hi = draw(st.integers(lo + 1, out.dim))
-    return SmoothMap(param_dim, in_dim, hi - lo, tuple(nodes), Wire(out.src, lo, hi))
+    return SmoothMap(dims["param"], dims["input"], hi - lo, tuple(nodes), Wire(out.src, lo, hi))
+
+
+def _poison(f: SmoothMap):
+    """Free nan-filled arrays of the sizes of ``f``'s cotangent buffers: numpy's cache of small
+    blocks hands them to the next arrays of those sizes, where a coordinate nothing writes shows."""
+    junk = [np.full(d, np.nan) for d in f.plan[2] * 2]
+    del junk
 
 
 @settings(max_examples=300, deadline=None)
@@ -338,12 +353,92 @@ def test_generated_legs_match_a_per_node_interpreter(f, seed):
         values, want_y, want_inputs, want_dp, want_dx = _interpret(f, p, x, dy)
     assume(all(np.isfinite(v).all() for v in (values, want_dp, want_dx)))
     y, tape = forward_eval(f, p, x)
+    _poison(f)
     dp, dx = backward_eval(f, tape, dy)
     assert np.array_equal(y, want_y)
     assert len(tape.node_inputs) == len(want_inputs)
     for got, want in zip(tape.node_inputs, want_inputs):
         assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
     assert np.array_equal(dp, want_dp) and np.array_equal(dx, want_dx)
+
+
+def test_unread_coordinates_keep_a_zero_cotangent():
+    # parameters 0 and 4, input 3 and the third output of n0 are read by no wire
+    n0 = Node("n0", PRIMITIVES["mul"](3), (Wire("param", 1, 4), Wire("input", 0, 3)))
+    n1 = Node("n1", PRIMITIVES["neg"](2), (Wire("n0", 0, 2),))
+    f = SmoothMap(5, 4, 2, (n0, n1), Wire("n1", 0, 2))
+    p, x, dy = np.arange(1.0, 6.0), np.arange(1.0, 5.0), np.array([1.0, 2.0])
+    for _ in range(3):
+        _, tape = forward_eval(f, p, x)
+        _poison(f)
+        dp, dx = backward_eval(f, tape, dy)
+        assert np.array_equal(dp, [0.0, -1.0, -4.0, 0.0, 0.0]) and np.array_equal(dx, [-2.0, -6.0, 0.0, 0.0])
+
+
+def test_overlapping_reads_of_one_parameter_slice_sum_their_cotangents():
+    # n0 and n1 meet at parameter 1; n1 is the only reader of parameter 2
+    n0 = Node("n0", PRIMITIVES["mul"](2), (Wire("param", 0, 2), Wire("input", 0, 2)))
+    n1 = Node("n1", PRIMITIVES["mul"](2), (Wire("param", 1, 3), Wire("n0", 0, 2)))
+    f = SmoothMap(3, 2, 2, (n0, n1), Wire("n1", 0, 2))
+    p, x, dy = np.array([2.0, 3.0, 5.0]), np.array([7.0, 11.0]), np.array([1.0, -1.0])
+    want = _interpret(f, p, x, dy)
+    for _ in range(3):
+        _, tape = forward_eval(f, p, x)
+        _poison(f)
+        dp, dx = backward_eval(f, tape, dy)
+        assert np.array_equal(dp, want[3]) and np.array_equal(dx, want[4])
+        assert np.array_equal(dp, [21.0, -55.0 + 14.0, -33.0])
+
+
+def _with_linear_vjp(f: SmoothMap, wrap) -> SmoothMap:
+    """``f`` with each ``linear`` node's ``vjp`` replaced by ``wrap(vjp)``."""
+    nodes = tuple(Node(n.name, replace(n.prim, vjp=wrap(n.prim.vjp)), n.inputs) if n.prim.name == "linear" else n for n in f.nodes)
+    return SmoothMap(f.param_dim, f.in_dim, f.out_dim, nodes, f.output)
+
+
+def test_a_vjp_that_ignores_its_destinations_gives_the_same_cotangents():
+    f = sqerr_head(mlp_map((3, 4, 2)))
+    ignoring = _with_linear_vjp(f, lambda vjp: lambda ins, c, dst: vjp(ins, c))
+    rng = np.random.default_rng(4)
+    p, x = rng.uniform(-1, 1, f.param_dim), rng.uniform(-1, 1, f.in_dim)
+    for _ in range(3):
+        got = []
+        for g in (f, ignoring):
+            _, tape = forward_eval(g, p, x)
+            _poison(g)
+            got.append(backward_eval(g, tape, np.ones(1)))
+        assert all(np.array_equal(a, b) for a, b in zip(*got))
+
+
+def test_linear_writes_its_weight_cotangent_in_place_on_a_step():
+    f = sqerr_head(mlp_map((8, 64, 64, 1)))
+    seen = []
+
+    def spied(vjp):
+        def spy(ins, c, dst):
+            dw, dx = vjp(ins, c, dst)
+            seen.append(dw is dst[0] and np.array_equal(dw, np.outer(c, ins[1]).ravel()))
+            return dw, dx
+
+        return spy
+
+    rng = np.random.default_rng(5)
+    p, x = rng.uniform(-0.2, 0.2, f.param_dim), rng.uniform(-1, 1, f.in_dim)
+    steps = []
+    for g in (f, _with_linear_vjp(f, spied)):
+        model = reparametrise(apply_R(g), gd_lens(0.01, g.param_dim))
+        steps.append(train_step(model, p, x, unit_loss_costate()))
+    assert seen == [True] * 3
+    assert np.array_equal(steps[0][0], steps[1][0]) and steps[0][1] == steps[1][1]
+    # and it is a plain numpy step, to rounding: the outer products laid out as the parameters are
+    (w0, b0, w1, b1, w2, b2), (xs, t) = np.split(p, np.cumsum([512, 64, 4096, 64, 64])), np.split(x, [8])
+    h0 = np.tanh(w0.reshape(64, 8) @ xs + b0)
+    h1 = np.tanh(w1.reshape(64, 64) @ h0 + b1)
+    e2 = 2.0 * (w2.reshape(1, 64) @ h1 + b2 - t)
+    e1 = (w2.reshape(1, 64).T @ e2) * (1.0 - h1 * h1)
+    e0 = (w1.reshape(64, 64).T @ e1) * (1.0 - h0 * h0)
+    grad = np.concatenate([np.outer(e0, xs).ravel(), e0, np.outer(e1, h0).ravel(), e1, np.outer(e2, h1).ravel(), e2])
+    assert rel_close(steps[0][0], p - 0.01 * grad, rtol=1e-12)
 
 
 def test_legs_are_generated_once_per_plan_shape(monkeypatch):
