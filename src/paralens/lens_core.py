@@ -19,7 +19,12 @@ forward pass is replayed; for leaves ``l1`` and ``l2``,
 
 Tensor pairing, identities and rewires are renaming: an element is split
 only where it leaves a leaf or enters the composite, and paired only where
-a leaf or the output reads it.
+a leaf or the output reads it.  So what a :data:`FRESH` leaf's backward
+leg returns, and each part a split makes of it, reaches one place, which
+owns it.  An :data:`OWNS` leaf writes into its cotangent: it is handed an
+owned one as is, and anything else (``z``, a pair the leg joins, what a
+caller hands the leaf alone) as a ``base.copy_elem`` copy, so no caller's
+element is ever written.
 
 A lens's ``get : A → B`` and ``put : A × B' → A'``, ``get(x) = y`` and
 ``put(x, z) = backward(r, z)`` for ``(y, r) = forward(x)``, are checked base
@@ -35,7 +40,6 @@ ordinary map out of the forward carrier).
 
 from __future__ import annotations
 
-import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -97,6 +101,10 @@ class Base(ABC):
     def split_elem(self, xy: Elem) -> tuple[Elem, Elem]:
         """The two components of a pair; raises :class:`CompositionError` on anything else."""
 
+    def copy_elem(self, x: Elem) -> Elem:
+        """A copy of ``x`` that an :data:`OWNS` leaf may overwrite; an immutable element is its own."""
+        return x
+
     # -- only meaningful on enumerable bases ----------------------------
 
     def mor_equal(self, f: Mor, g: Mor) -> bool:
@@ -114,15 +122,17 @@ class LensObj:
 
 
 LEAF = "leaf"  # the term of a lens given by its two legs
+FRESH = "fresh"  # a leaf's whose backward leg returns new buffers, held nowhere else
+OWNS = "owns"  # a FRESH leaf's whose backward leg writes its result into its cotangent
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class Lens:
     """A morphism of boundary objects: a forward leg ``x ↦ (y, r)`` and a backward leg ``(r, z) ↦ x'``.
 
-    ``Lens(base, src, dst, forward, backward)`` is a leaf, whose ``term`` is
-    :data:`LEAF`; a combinator passes a composite's ``term`` and ``legs``,
-    each leaf's forward and backward leg, leaves left to right.
+    ``Lens(base, src, dst, forward, backward)`` is a leaf, whose ``term`` is :data:`LEAF`,
+    or :data:`FRESH` or :data:`OWNS` as it declares; a combinator passes a composite's
+    ``term`` and ``legs``, each leaf's forward and backward leg, leaves left to right.
     ``get : src.fwd → dst.fwd`` and ``put : src.fwd × dst.bwd → src.bwd``
     are checked base morphisms, built on first access; the legs check nothing.
     """
@@ -134,8 +144,8 @@ class Lens:
     legs: tuple
 
     def __init__(self, base, src, dst, forward=None, backward=None, *, term=LEAF, legs=None):
-        if term == LEAF:
-            legs = (forward, backward)
+        legs = (forward, backward) if type(term) is str else legs  # a leaf's term is LEAF, FRESH or OWNS
+        if term in (LEAF, FRESH):  # an OWNS leaf's own legs are generated, so what a caller hands it is copied
             self.__dict__.update(forward=forward, backward=backward)
         self.__dict__.update(base=base, src=src, dst=dst, term=term, legs=legs)
         self.__post_init__()
@@ -295,6 +305,7 @@ class _Source(list):
             return v
         k = len(self)
         self.append(f"s{k}l, s{k}r = base.split_elem({self.join(v)})")
+        self.owned |= {f"s{k}l", f"s{k}r"} if v in self.owned else set()
         return f"s{k}l", f"s{k}r"
 
     def bind(self, tree, v, bound: dict) -> dict:
@@ -312,7 +323,10 @@ class _Source(list):
     def walk(self, t, v, forward: bool):
         """The value ``t``'s forward (or backward) leg makes of ``v``."""
         if type(t) is int:
-            self.append(f"y{t}, r{t} = f{t}({self.join(v)})" if forward else f"x{t} = b{t}(r{t}, {self.join(v)})")
+            z = self.join(v) if forward or self.kinds[t] != OWNS or v in self.owned else f"base.copy_elem({self.join(v)})"
+            self.append(f"y{t}, r{t} = f{t}({z})" if forward else f"x{t} = b{t}(r{t}, {z})")
+            if self.kinds[t] != LEAF:
+                self.owned.add(f"x{t}")  # a name only the backward leg binds
             return f"y{t}" if forward else f"x{t}"
         tag, a, b = t
         if tag == "rewire":
@@ -323,11 +337,12 @@ class _Source(list):
         return self.walk(a, left, forward), self.walk(b, right, forward)
 
 
-def _numbered(t, count: itertools.count):
-    """``t`` with its leaves numbered left to right."""
-    if t == LEAF:
-        return next(count)
-    return t if t[0] == "rewire" else (t[0], _numbered(t[1], count), _numbered(t[2], count))
+def _numbered(t, kinds: list):
+    """``t`` with its leaves numbered left to right; their terms are appended to ``kinds``."""
+    if type(t) is str:
+        kinds.append(t)
+        return len(kinds) - 1
+    return t if t[0] == "rewire" else (t[0], _numbered(t[1], kinds), _numbered(t[2], kinds))
 
 
 def compile_make(source: list[str], namespace: dict, filename: str) -> Callable:
@@ -342,13 +357,14 @@ def _compile(base: Base, term) -> Callable[..., tuple[Callable, Callable]]:
 
     Leaves run in the combinators' order; ``base``'s element operations are looked up at every call.
     """
-    count = itertools.count()
-    term = _numbered(term, count)
-    n = next(count)
+    kinds: list = []
+    term = _numbered(term, kinds)
+    n = len(kinds)
     residuals = "".join(f"r{i}, " for i in range(n))
     source = [f"def make({', '.join(f'f{i}, b{i}' for i in range(n))}):"]
     for head, forward, tail in (("forward(x)", True, f", ({residuals})"), ("backward(r, z)", False, "")):
         leg = _Source([f"{residuals}= r"] if n and not forward else [])
+        leg.kinds, leg.owned = kinds, set()
         out = leg.join(leg.walk(term, "x" if forward else "z", forward))
         source += [f"    def {head}:", *(f"        {line}" for line in leg), f"        return {out}{tail}"]
     source.append("    return forward, backward")

@@ -42,6 +42,8 @@ import numpy as np
 
 from .errors import CompositionError, NumericError
 from .lens_core import (
+    FRESH,
+    OWNS,
     Base,
     Carrier,
     Lens,
@@ -166,6 +168,9 @@ class SmoothBase(Base):
         if not (isinstance(xy, tuple) and len(xy) == 2):
             raise CompositionError("element is not a pair")
         return xy
+
+    def copy_elem(self, x):
+        return Pair(map(self.copy_elem, x)) if isinstance(x, tuple) else np.array(x, dtype=np.float64)
 
 
 SMOOTH = SmoothBase()
@@ -683,22 +688,18 @@ def apply_R(f: SmoothMap) -> ParaLens:
     """
     pd, n, m = f.param_dim, f.in_dim, f.out_dim
     px = SMOOTH.pair(pd, n)
-    carrier = Lens(SMOOTH, LensObj(px, px), LensObj(m, m), lambda v: _run_forward(f, *v), partial(_run_backward, f))
+    carrier = Lens(SMOOTH, LensObj(px, px), LensObj(m, m), lambda v: _run_forward(f, *v), partial(_run_backward, f), term=FRESH)
     return ParaLens(SMOOTH, (LensObj(pd, pd),), LensObj(n, n), LensObj(m, m), carrier, 0)
 
 
 def gd_lens(alpha: float, dim: int) -> Lens:
-    """Gradient descent as a lens: identity forward, ``(p, g) ↦ p − α·g`` backward."""
+    """Gradient descent as a lens: identity forward, ``(p, g) ↦ p − α·g`` backward, written into ``g``
+    (``α·g``, then ``p`` minus it): an ``OWNS`` leaf, handed its own gradient or a copy (see ``lens_core``)."""
     alpha = float(alpha)
     if not np.isfinite(alpha):
         raise NumericError("learning rate must be finite")
     obj = LensObj(dim, dim)
-
-    def step(p, g):
-        out = alpha * g
-        return np.subtract(p, out, out=out)  # p − α·g, written over the fresh α·g
-
-    return Lens(SMOOTH, obj, obj, lambda p: (p, p), step)
+    return Lens(SMOOTH, obj, obj, lambda p: (p, p), lambda p, g: np.subtract(p, np.multiply(g, alpha, out=g), out=g), term=OWNS)
 
 
 def ga_lens(alpha: float, dim: int) -> Lens:
@@ -709,7 +710,7 @@ def ga_lens(alpha: float, dim: int) -> Lens:
 def copy_lens(dim: int) -> Lens:
     """Weight tying: ``p ↦ (p, p)`` forward, ``(p, (ga, gb)) ↦ ga + gb`` backward."""
     dbl = LensObj((dim, dim), (dim, dim))
-    return Lens(SMOOTH, LensObj(dim, dim), dbl, lambda p: (Pair((p, p)), None), lambda _, g: g[0] + g[1])
+    return Lens(SMOOTH, LensObj(dim, dim), dbl, lambda p: (Pair((p, p)), None), lambda _, g: g[0] + g[1], term=FRESH)
 
 
 def unit_loss_costate() -> Lens:

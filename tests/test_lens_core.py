@@ -14,7 +14,11 @@ from hypothesis import strategies as st
 from paralens.checks import random_lens, random_obj
 from paralens.errors import CompositionError, UnsupportedOperationError
 from paralens.finite_base import FINITE, FinFn, FinProd, FinSet
+from paralens import lens_core
 from paralens.lens_core import (
+    FRESH,
+    LEAF,
+    OWNS,
     Lens,
     _compile,
     LensObj,
@@ -147,6 +151,33 @@ def test_only_a_composite_whose_legs_are_read_is_generated():
     assert _compile.cache_info().currsize == 0
     assert outer.get(("a1", ("a0", "b1"))) == ("c0", ("b1", "a0"))
     assert _compile.cache_info().currsize == 1
+
+
+def test_only_a_leaf_that_overwrites_an_unowned_cotangent_changes_the_generated_legs(monkeypatch):
+    sources, compile_make = [], lens_core.compile_make
+
+    def recorded(source, namespace, filename):
+        sources.append("\n".join(source))
+        return compile_make(source, namespace, filename)
+
+    monkeypatch.setattr(lens_core, "compile_make", recorded)
+    _compile.cache_clear()
+
+    def legs(first, second):
+        """The source of a composite whose first leaf's cotangent is what its second leaf's backward leg returns."""
+        leaf = [Lens(FINITE, A, A, lambda x: (x, None), lambda _, z: z, term=term) for term in (first, second)]
+        ids = [lens_id(FINITE, B), lens_id(FINITE, B)]
+        lens = lens_compose(lens_tensor(leaf[0], ids[0]), lens_tensor(leaf[1], ids[1]))
+        assert lens.backward(lens.forward(("a0", "b1"))[1], ("q", "r")) == ("q", "r")
+        return sources[-1]
+
+    plain = legs(LEAF, LEAF)
+    # declaring fresh results changes nothing, nor does an overwriting leaf handed one
+    assert legs(FRESH, LEAF) == legs(LEAF, FRESH) == legs(FRESH, FRESH) == legs(OWNS, FRESH) == plain
+    assert "copy_elem" not in plain
+    # the composite's own cotangent, or a result not declared fresh, is copied for an overwriting leaf
+    for first, second in ((OWNS, LEAF), (LEAF, OWNS), (OWNS, OWNS)):
+        assert legs(first, second).count("base.copy_elem(") == 1
 
 
 def test_lens_equal_discriminates():

@@ -14,11 +14,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from paralens import smooth_autodiff
-from paralens.checks import check_weight_tying, fd_gradient, rel_close
+from paralens import checks, smooth_autodiff
+from paralens.checks import check_gradient_descent_lens, check_weight_tying, fd_gradient, rel_close
 from paralens.errors import CompositionError, NumericError
 from paralens.demos import run_gan, run_linreg, run_mlp
-from paralens.lens_core import Lens, LensObj, compile_make
+from paralens.lens_core import Lens, LensObj, compile_make, lens_id, lens_tensor
 from paralens.para_optic import flatten_params, para_compose, reparametrise
 from paralens.smooth_autodiff import (
     PRIMITIVES,
@@ -625,6 +625,54 @@ def test_optimiser_lenses_reject_a_mis_shaped_input_at_their_edge():
             put(bad)
 
 
+# -- who may write a gradient ---------------------------------------------
+#
+# an optimiser leaf writes its step into the cotangent it is handed; the
+# generated leg hands it a gradient that a fresh leaf made and no one else
+# holds, and a copy of anything else, so a caller's arrays keep their bytes
+
+
+def _untouched(*arrays):
+    """A check that each of ``arrays`` still holds the bytes it holds now."""
+    before = [a.copy() for a in arrays]
+    return lambda: all(np.array_equal(a, b) for a, b in zip(arrays, before))
+
+
+@pytest.mark.parametrize("optimiser, sign", [(gd_lens, -1.0), (ga_lens, 1.0)])
+def test_an_optimiser_leaf_alone_writes_no_argument(optimiser, sign):
+    p, g = np.array([1.0, 2.0]), np.array([10.0, -4.0])
+    lens, kept = optimiser(0.1, 2), _untouched(p, g)
+    want = p + sign * 0.1 * g
+    assert np.array_equal(lens.put((p, g)), want) and kept()
+    assert np.array_equal(lens.backward(lens.forward(p)[1], g), want) and kept()
+    assert not np.shares_memory(lens.put((p, g)), g)
+
+
+def test_a_composite_copies_its_own_cotangent_for_an_optimiser_leaf():
+    lens = lens_tensor(gd_lens(0.5, 2), lens_id(SMOOTH, LensObj(3, 3)))
+    p, x, g, dx = np.array([1.0, 2.0]), np.zeros(3), np.array([4.0, -2.0]), np.array([1.0, 2.0, 3.0])
+    kept = _untouched(p, x, g, dx)
+    p_next, dx_out = lens.put(Pair((Pair((p, x)), Pair((g, dx)))))
+    assert np.array_equal(p_next, p - 0.5 * g) and np.array_equal(dx_out, dx) and kept()
+    p_next, _ = lens.backward(lens.forward(Pair((p, x)))[1], Pair((g, dx)))
+    assert np.array_equal(p_next, p - 0.5 * g) and kept()
+
+
+def test_the_gradient_descent_suite_writes_no_parameters(monkeypatch):
+    calls = []
+
+    def spied(model, p, x, costate):
+        kept = _untouched(p, x)
+        out = train_step(model, p, x, costate)
+        calls.append(kept())
+        return out
+
+    monkeypatch.setattr(checks, "train_step", spied)
+    result = check_gradient_descent_lens()
+    assert result.ok, result.detail
+    assert calls == [True] * 20
+
+
 def test_weight_tying_suite():
     # the suite that drives flatten_params and copy_lens over the smooth base
     result = check_weight_tying()
@@ -780,6 +828,20 @@ def test_gan_step_rejects_a_model_not_built_by_gan_model():
         gan_step(model, np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2))
 
 
+def test_gan_step_writes_none_of_its_arguments(monkeypatch):
+    copies = []
+    monkeypatch.setattr(SMOOTH, "copy_elem", lambda x: copies.append(x) or x.copy())
+    gen, disc = apply_R(mlp_map((2, 3, 2))), apply_R(mlp_map((2, 3, 1)))
+    rng = np.random.default_rng(13)
+    pg, pd = rng.uniform(-0.5, 0.5, gen.params.fwd), rng.uniform(-0.5, 0.5, disc.params.fwd)
+    z, real = rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 2)
+    kept, model = _untouched(pg, pd, z, real), gan_model(gen, disc, 0.1)
+    pg_next, pd_next, _ = gan_step(model, pg, pd, z, real)
+    # both optimisers write into gradients the tie and the generator made: nothing is copied
+    assert kept() and copies == []
+    assert not any(np.shares_memory(a, b) for a in (pg_next, pd_next) for b in (pg, pd, z, real))
+
+
 def test_gan_step_reads_scores_off_one_forward_leg(eval_counts):
     gen, disc = apply_R(mlp_map((2, 3, 2))), apply_R(mlp_map((2, 3, 1)))
     pg, pd = np.full(gen.params.fwd, 0.1), np.full(disc.params.fwd, -0.2)
@@ -859,8 +921,9 @@ def test_r_functoriality_on_one_pair():
 
 
 def test_train_step_peak_memory_is_a_few_parameter_vectors():
-    # pairing keeps references, so at its peak a step holds the gradient
-    # and one more parameter-sized array, never a copy of p
+    # pairing keeps references and the descent writes its step into the
+    # gradient the backward leg made, so at its peak a step holds that one
+    # parameter-sized array and a few layer-sized ones, never a copy of p
     f = sqerr_head(mlp_map((8, 256, 256, 1)))
     model = reparametrise(apply_R(f), gd_lens(1e-3, f.param_dim))
     costate = unit_loss_costate()
@@ -874,8 +937,24 @@ def test_train_step_peak_memory_is_a_few_parameter_vectors():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * p.nbytes, f"peak {peak / p.nbytes:.1f} parameter vectors"
+    assert peak <= 1.5 * p.nbytes, f"peak {peak / p.nbytes:.2f} parameter vectors"
     assert not np.shares_memory(p_next, p)
+
+
+@pytest.mark.parametrize("dims, steps", [((8, 64, 64, 1), 300), ((8, 1024, 1024, 1), 3)])
+def test_descent_steps_have_the_bytes_of_p_minus_alpha_g(dims, steps):
+    f, alpha = sqerr_head(mlp_map(dims)), 1e-3
+    model, costate = reparametrise(apply_R(f), gd_lens(alpha, f.param_dim)), unit_loss_costate()
+    rng = np.random.default_rng(12)
+    p = rng.uniform(-0.05, 0.05, f.param_dim)
+    for _ in range(steps):
+        data = rng.uniform(-1.0, 1.0, f.in_dim)
+        _, tape = forward_eval(f, p, data)
+        want = p - alpha * backward_eval(f, tape, np.ones(1))[0]
+        kept = _untouched(p, data)
+        p_next, _ = train_step(model, p, data, costate)
+        assert np.array_equal(p_next, want) and kept()
+        p = p_next
 
 
 def test_smooth_product_and_split_reject_non_pairs():
