@@ -1,11 +1,12 @@
 """Named invariant suites with their random-instance generators.
 
 Every suite is a generator of ``(holds, detail)`` instances, which
-``_suite`` turns into a function returning a CheckResult.  The registry at
-the bottom drives the command-line `check` subcommand, and the tests reuse
-both the suites and the random-instance generators.  Finite-side
-properties are decided exactly; numeric properties compare against central
-finite differences or use a tight relative tolerance.
+``_suite`` turns into a function returning a CheckResult and registers in
+``ALL_CHECKS``, in definition order.  The registry drives the command-line
+`check` subcommand, and the tests reuse both the suites and the
+random-instance generators.  Finite-side properties are decided exactly;
+numeric properties compare against central finite differences or use a
+tight relative tolerance.
 
 The descent/ascent suite resolves the optimiser constructors through the
 smooth_autodiff module object on purpose, so a deliberately broken
@@ -99,26 +100,28 @@ class CheckResult:
 Instances = Iterator[tuple[bool, str]]
 
 
-def _suite(name: str):
+ALL_CHECKS: dict[str, Callable[[], CheckResult]] = {}
+
+
+def _suite(gen: Callable[..., Instances]) -> Callable[..., CheckResult]:
     """Turn a generator of ``(holds, detail)`` instances into a named check.
 
-    Instances are counted in order; the first that does not hold ends the
-    check with its detail.
+    ``check_weight_tying`` is named ``weight-tying``.  Instances are counted
+    in order; the first that does not hold ends the check with its detail.
     """
+    name = gen.__name__.removeprefix("check_").replace("_", "-")
 
-    def wrap(gen: Callable[..., Instances]) -> Callable[..., CheckResult]:
-        @functools.wraps(gen)
-        def run(*args, **kwargs) -> CheckResult:
-            instances = 0
-            for holds, detail in gen(*args, **kwargs):
-                instances += 1
-                if not holds:
-                    return CheckResult(name, False, instances, detail)
-            return CheckResult(name, True, instances)
+    @functools.wraps(gen)
+    def run(*args, **kwargs) -> CheckResult:
+        instances = 0
+        for holds, detail in gen(*args, **kwargs):
+            instances += 1
+            if not holds:
+                return CheckResult(name, False, instances, detail)
+        return CheckResult(name, True, instances)
 
-        return run
-
-    return wrap
+    ALL_CHECKS[name] = run
+    return run
 
 
 def rel_close(a, b, rtol: float, atol: float = 1e-12) -> bool:
@@ -174,7 +177,7 @@ def random_para(rng: random.Random, src: LensObj, dst: LensObj, max_size: int = 
 # -- lens laws ----------------------------------------------------------
 
 
-@_suite("lens-category-laws")
+@_suite
 def check_lens_category_laws(seed: int = 0, rounds: int = 60) -> Instances:
     rng = random.Random(seed)
     for r in range(rounds):
@@ -195,7 +198,7 @@ def check_lens_category_laws(seed: int = 0, rounds: int = 60) -> Instances:
             yield lens_equal(lhs, rhs), f"{name} failed at round {r}"
 
 
-@_suite("lens-monoidal-laws")
+@_suite
 def check_lens_monoidal_laws(seed: int = 1, rounds: int = 60) -> Instances:
     rng = random.Random(seed)
     for r in range(rounds):
@@ -314,7 +317,7 @@ def _para_equal(lhs: ParaLens, rhs: ParaLens) -> bool:
     return lhs.params == rhs.params and lens_equal(lhs.carrier, rhs.carrier)
 
 
-@_suite("para-laws")
+@_suite
 def check_para_laws(seed: int = 2, rounds: int = 40) -> Instances:
     rng = random.Random(seed)
     for r in range(rounds):
@@ -368,7 +371,7 @@ def _single_node_map(prim) -> SmoothMap:
     return b.build(b.node(prim, *wires, name="only"))
 
 
-@_suite("gradient-primitives")
+@_suite
 def check_gradient_primitives(seed: int = 11) -> Instances:
     rng = np.random.default_rng(seed)
     cases = [
@@ -438,7 +441,7 @@ def _clean_sample(f: SmoothMap, nrng: np.random.Generator, tries: int = 200):
     return None
 
 
-@_suite("gradient-graphs")
+@_suite
 def check_gradient_graphs(seed: int = 3, graphs: int = 50) -> Instances:
     rng = random.Random(seed)
     nrng = np.random.default_rng(seed)
@@ -462,35 +465,7 @@ def check_gradient_graphs(seed: int = 3, graphs: int = 50) -> Instances:
         yield holds, f"graph {built} disagrees with differences"
 
 
-@_suite("r-functoriality")
-def check_r_functoriality(seed: int = 6, evals: int = 100) -> Instances:
-    rng = random.Random(seed)
-    nrng = np.random.default_rng(seed)
-    done = 0
-    while done < evals:
-        f = random_chain_graph(rng)
-        g = random_chain_graph(rng, in_dim=f.out_dim)
-        comp = compose_maps(f, g)
-        flat = flatten_params(para_compose(apply_R(f), apply_R(g)))
-        for _ in range(10):
-            if done >= evals:
-                break
-            pc = nrng.uniform(-0.5, 0.5, comp.param_dim)
-            x = nrng.uniform(-0.5, 0.5, comp.in_dim)
-            dy = nrng.uniform(-1.0, 1.0, comp.out_dim)
-            y_direct, tape = forward_eval(comp, pc, x)
-            dp, dx = backward_eval(comp, tape, dy)
-            params = split_flat(flat.params.fwd, pc)  # unit leaves were dropped by flattening
-            y_lens = flat.carrier.get((params, x))
-            back_lens = flat.carrier.put(((params, x), dy))
-            done += 1
-            holds = rel_close(y_lens, y_direct, rtol=1e-10) and rel_close(
-                join_flat(back_lens), np.concatenate([dp, dx]), rtol=1e-10
-            )
-            yield holds, "composite and composed lenses differ"
-
-
-@_suite("gradient-descent-lens")
+@_suite
 def check_gradient_descent_lens(seed: int = 4, trials: int = 10) -> Instances:
     nrng = np.random.default_rng(seed)
     b = GraphBuilder(in_dim=0)
@@ -514,7 +489,7 @@ def check_gradient_descent_lens(seed: int = 4, trials: int = 10) -> Instances:
         yield holds, "ascent step is not p + alpha*grad"
 
 
-@_suite("weight-tying")
+@_suite
 def check_weight_tying(seed: int = 5, trials: int = 20) -> Instances:
     rng = random.Random(seed)
     nrng = np.random.default_rng(seed)
@@ -551,6 +526,34 @@ def check_weight_tying(seed: int = 5, trials: int = 20) -> Instances:
         yield holds, "tied gradient is not the sum of both uses"
 
 
+@_suite
+def check_r_functoriality(seed: int = 6, evals: int = 100) -> Instances:
+    rng = random.Random(seed)
+    nrng = np.random.default_rng(seed)
+    done = 0
+    while done < evals:
+        f = random_chain_graph(rng)
+        g = random_chain_graph(rng, in_dim=f.out_dim)
+        comp = compose_maps(f, g)
+        flat = flatten_params(para_compose(apply_R(f), apply_R(g)))
+        for _ in range(10):
+            if done >= evals:
+                break
+            pc = nrng.uniform(-0.5, 0.5, comp.param_dim)
+            x = nrng.uniform(-0.5, 0.5, comp.in_dim)
+            dy = nrng.uniform(-1.0, 1.0, comp.out_dim)
+            y_direct, tape = forward_eval(comp, pc, x)
+            dp, dx = backward_eval(comp, tape, dy)
+            params = split_flat(flat.params.fwd, pc)  # unit leaves were dropped by flattening
+            y_lens = flat.carrier.get((params, x))
+            back_lens = flat.carrier.put(((params, x), dy))
+            done += 1
+            holds = rel_close(y_lens, y_direct, rtol=1e-10) and rel_close(
+                join_flat(back_lens), np.concatenate([dp, dx]), rtol=1e-10
+            )
+            yield holds, "composite and composed lenses differ"
+
+
 # -- game suites --------------------------------------------------------
 
 
@@ -568,7 +571,7 @@ def random_relation(rng: random.Random, obj: LensObj) -> SelectionRelation:
     return SelectionRelation(obj, accepts)
 
 
-@_suite("nash-naturality")
+@_suite
 def check_nash_naturality(seed: int = 7, instances_target: int = 100) -> Instances:
     rng = random.Random(seed)
     for _ in range(instances_target):
@@ -603,7 +606,7 @@ def random_game(rng: random.Random):
     return normal_form_game(players, table)
 
 
-@_suite("oracle-equivalence")
+@_suite
 def check_oracle_equivalence(seed: int = 8, games: int = 200) -> Instances:
     rng = random.Random(seed)
     for i in range(games):
@@ -626,7 +629,7 @@ def pd_game():
     return normal_form_game([cd, cd], _PD_TABLE)
 
 
-@_suite("pd-solutions")
+@_suite
 def check_pd_solutions() -> Instances:
     g = pd_game()
     nash = solution_set(compositional_game(g))
@@ -638,27 +641,10 @@ def check_pd_solutions() -> Instances:
     yield not set(sa_) & set(nash), "joint and individual play overlap"
 
 
-ALL_CHECKS: dict[str, Callable[[], CheckResult]] = {
-    "lens-category-laws": check_lens_category_laws,
-    "lens-monoidal-laws": check_lens_monoidal_laws,
-    "para-laws": check_para_laws,
-    "gradient-primitives": check_gradient_primitives,
-    "gradient-graphs": check_gradient_graphs,
-    "gradient-descent-lens": check_gradient_descent_lens,
-    "weight-tying": check_weight_tying,
-    "r-functoriality": check_r_functoriality,
-    "nash-naturality": check_nash_naturality,
-    "oracle-equivalence": check_oracle_equivalence,
-    "pd-solutions": check_pd_solutions,
-}
-
-
 def run_checks(names: Sequence[str] | None = None) -> list[CheckResult]:
     chosen = list(ALL_CHECKS) if names is None else list(names)
     results = []
     for name in chosen:
-        if name not in ALL_CHECKS:
-            raise KeyError(name)
         try:
             results.append(ALL_CHECKS[name]())
         except ParalensError as exc:

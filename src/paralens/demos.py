@@ -2,13 +2,17 @@
 
 Each run is a pure function of (seed, steps, alpha).  Parameters are
 initialised from a seeded generator, the data is fixed at module level,
-and every step appends one CSV row, so reruns are bit-identical.
+and every step appends one CSV row, so reruns are bit-identical.  One
+loop steps all three demos.  Their fixed graphs are built once per
+process, on first use; the lenses around them, once per run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from typing import Callable
 
 import numpy as np
 
@@ -34,15 +38,13 @@ Alpha = Fraction | float | int
 
 @dataclass
 class TrainResult:
-    """One demo run: per-step rows plus parameter history."""
+    """One demo run: per-step rows, final parameters and final metrics."""
 
     demo: str
     header: tuple[str, ...]
-    rows: list[tuple] = field(default_factory=list)
-    initial_params: dict[str, np.ndarray] = field(default_factory=dict)
-    final_params: dict[str, np.ndarray] = field(default_factory=dict)
-    snapshots: list[dict[str, np.ndarray]] = field(default_factory=list)
-    final_metrics: dict[str, float] = field(default_factory=dict)
+    rows: list[tuple]
+    final_params: dict[str, np.ndarray]
+    final_metrics: dict[str, float]
 
 
 def write_csv(result: TrainResult, path: str) -> None:
@@ -53,8 +55,31 @@ def write_csv(result: TrainResult, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _snapshot(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: v.copy() for k, v in params.items()}
+def _train(steps: int, params, step: Callable) -> tuple[list[tuple], object]:
+    """Run ``step(t, params) -> (params, scores)`` for ``t`` below ``steps``.
+
+    Returns the rows ``(t, *scores)`` and the last parameters.
+    """
+    rows = []
+    for t in range(steps):
+        try:
+            params, scores = step(t, params)
+        except NumericError as exc:
+            raise NumericError(f"training diverged at step {t}: {exc}") from exc
+        rows.append((t, *scores))
+    return rows, params
+
+
+def _descend(graph: SmoothMap, alpha: Alpha, samples: np.ndarray) -> Callable:
+    """The gradient-descent step of a scalar-loss graph, fed the samples in turn, one per step."""
+    stepped = reparametrise(apply_R(graph), gd_lens(float(alpha), graph.param_dim))
+    costate = unit_loss_costate()
+
+    def step(t, theta):
+        theta, loss = train_step(stepped, theta, samples[t % len(samples)], costate)
+        return theta, (float(loss),)
+
+    return step
 
 
 # least squares: eight points on an exact line, so the optimum is loss zero
@@ -62,6 +87,7 @@ _LINREG_XS = np.linspace(-1.0, 1.0, 8)
 _LINREG_YS = 0.7 * _LINREG_XS - 0.3
 
 
+@cache
 def _linreg_graph() -> tuple[SmoothMap, np.ndarray]:
     """Model y ≈ X·θ with X the fixed 8×2 design matrix riding as input."""
     n = len(_LINREG_XS)
@@ -77,57 +103,30 @@ def run_linreg(
     seed: int = 7, steps: int = 500, alpha: Alpha = Fraction(1, 20)
 ) -> TrainResult:
     graph, data = _linreg_graph()
-    stepped = reparametrise(apply_R(graph), gd_lens(float(alpha), graph.param_dim))
-    costate = unit_loss_costate()
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(-0.5, 0.5, graph.param_dim)
-
-    result = TrainResult("linreg", ("step", "loss"))
-    result.initial_params = {"theta": theta.copy()}
-    result.snapshots.append(_snapshot(result.initial_params))
-    for t in range(steps):
-        try:
-            theta, loss = train_step(stepped, theta, data, costate)
-        except NumericError as exc:
-            raise NumericError(f"training diverged at step {t}: {exc}") from exc
-        result.rows.append((t, float(loss)))
-        result.snapshots.append(_snapshot({"theta": theta}))
-    result.final_params = {"theta": theta.copy()}
+    theta = np.random.default_rng(seed).uniform(-0.5, 0.5, graph.param_dim)
+    rows, theta = _train(steps, theta, _descend(graph, alpha, data[np.newaxis]))
     final_loss = float(forward_eval(graph, theta, data)[0][0])
-    result.final_metrics = {"loss": final_loss}
-    return result
+    return TrainResult("linreg", ("step", "loss"), rows, {"theta": theta}, {"loss": final_loss})
 
 
-# curve fitting: a tanh network learns a parabola, one sample per step
+# curve fitting: a tanh network learns a parabola, one (x, x²) sample per step
 _MLP_XS = np.linspace(-1.0, 1.0, 8)
-_MLP_YS = _MLP_XS**2
+_MLP_SAMPLES = np.stack([_MLP_XS, _MLP_XS**2], axis=1)
+
+
+@cache
+def _mlp_graph() -> SmoothMap:
+    return sqerr_head(mlp_map((1, 4, 1)))
 
 
 def run_mlp(seed: int = 0, steps: int = 500, alpha: Alpha = Fraction(1, 20)) -> TrainResult:
-    graph = sqerr_head(mlp_map((1, 4, 1)))
-    stepped = reparametrise(apply_R(graph), gd_lens(float(alpha), graph.param_dim))
-    costate = unit_loss_costate()
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(-0.5, 0.5, graph.param_dim)
-
-    result = TrainResult("mlp", ("step", "loss"))
-    result.initial_params = {"theta": theta.copy()}
-    result.snapshots.append(_snapshot(result.initial_params))
-    for t in range(steps):
-        i = t % len(_MLP_XS)
-        data = np.array([_MLP_XS[i], _MLP_YS[i]])
-        try:
-            theta, loss = train_step(stepped, theta, data, costate)
-        except NumericError as exc:
-            raise NumericError(f"training diverged at step {t}: {exc}") from exc
-        result.rows.append((t, float(loss)))
-        result.snapshots.append(_snapshot({"theta": theta}))
-    result.final_params = {"theta": theta.copy()}
+    graph = _mlp_graph()
+    theta = np.random.default_rng(seed).uniform(-0.5, 0.5, graph.param_dim)
+    rows, theta = _train(steps, theta, _descend(graph, alpha, _MLP_SAMPLES))
     total = 0.0
-    for x, y in zip(_MLP_XS, _MLP_YS):
-        total += float(forward_eval(graph, theta, np.array([x, y]))[0][0])
-    result.final_metrics = {"mean_loss": total / len(_MLP_XS)}
-    return result
+    for sample in _MLP_SAMPLES:
+        total += float(forward_eval(graph, theta, sample)[0][0])
+    return TrainResult("mlp", ("step", "loss"), rows, {"theta": theta}, {"mean_loss": total / len(_MLP_SAMPLES)})
 
 
 # adversarial pair: generator maps 2-d noise to the plane, discriminator
@@ -136,37 +135,32 @@ _GAN_ANGLES = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
 _GAN_REALS = 0.7 * np.stack([np.cos(_GAN_ANGLES), np.sin(_GAN_ANGLES)], axis=1)
 
 
+@cache
+def _gan_graphs() -> tuple[SmoothMap, SmoothMap]:
+    """The generator's and the discriminator's graphs."""
+    return mlp_map((2, 4, 2)), mlp_map((2, 4, 1))
+
+
 def run_gan(seed: int = 0, steps: int = 200, alpha: Alpha = Fraction(1, 100)) -> TrainResult:
-    gen_graph = mlp_map((2, 4, 2))
-    disc_graph = mlp_map((2, 4, 1))
-    gen = apply_R(gen_graph)
-    disc = apply_R(disc_graph)
+    gen_graph, disc_graph = _gan_graphs()
     rng = np.random.default_rng(seed)
     p_gen = rng.uniform(-0.5, 0.5, gen_graph.param_dim)
     p_disc = rng.uniform(-0.5, 0.5, disc_graph.param_dim)
     latents = rng.uniform(-1.0, 1.0, (8, 2))
+    model = gan_model(apply_R(gen_graph), apply_R(disc_graph), float(alpha))
 
-    result = TrainResult("gan", ("step", "d_fake", "d_real"))
-    result.initial_params = {"gen": p_gen.copy(), "disc": p_disc.copy()}
-    result.snapshots.append(_snapshot(result.initial_params))
-    model = gan_model(gen, disc, float(alpha))
-    for t in range(steps):
+    def step(t, params):
         i = t % len(_GAN_REALS)
-        try:
-            p_gen, p_disc, (d_fake, d_real) = gan_step(
-                model, p_gen, p_disc, latents[i], _GAN_REALS[i]
-            )
-        except NumericError as exc:
-            raise NumericError(f"training diverged at step {t}: {exc}") from exc
-        result.rows.append((t, d_fake, d_real))
-        result.snapshots.append(_snapshot({"gen": p_gen, "disc": p_disc}))
-    result.final_params = {"gen": p_gen.copy(), "disc": p_disc.copy()}
+        p_gen, p_disc, scores = gan_step(model, *params, latents[i], _GAN_REALS[i])
+        return (p_gen, p_disc), scores
+
+    rows, (p_gen, p_disc) = _train(steps, (p_gen, p_disc), step)
     fake = forward_eval(gen_graph, p_gen, latents[0])[0]
-    result.final_metrics = {
+    final_metrics = {
         "d_fake": float(forward_eval(disc_graph, p_disc, fake)[0][0]),
         "d_real": float(forward_eval(disc_graph, p_disc, _GAN_REALS[0])[0][0]),
     }
-    return result
+    return TrainResult("gan", ("step", "d_fake", "d_real"), rows, {"gen": p_gen, "disc": p_disc}, final_metrics)
 
 
 DEMOS = {"linreg": run_linreg, "mlp": run_mlp, "gan": run_gan}

@@ -386,12 +386,21 @@ def test_train_golden_output(argv, name, tmp_path, monkeypatch, capsys):
     assert written == (_TRAIN_GOLDEN / f"{name}.csv").read_bytes()
 
 
-# a step size far past stability: the loss overflows and the run stops at
-# the first non-finite value with one line on stderr and exit 1
-@pytest.mark.parametrize("demo, step", [("linreg", 70), ("mlp", 79)])
-def test_train_divergence_fails_loudly(demo, step, tmp_path, capsys):
-    assert main(["train", demo, "--alpha", "10", "--out", str(tmp_path / "run.csv")]) == 1
-    err = f"error: training diverged at step {step}: non-finite value at node 'loss'\n"
+# a step size far past stability: the loss, or the GAN's first layer after one
+# step, overflows and the run stops at the first non-finite value with one line
+# on stderr and exit 1
+@pytest.mark.parametrize(
+    "demo, step, flags, node",
+    [
+        ("linreg", 70, ["--alpha", "10"], "loss"),
+        ("mlp", 79, ["--alpha", "10"], "loss"),
+        ("gan", 1, ["--alpha", "1e300", "--steps", "5"], "lin0"),
+    ],
+    ids=["linreg-70", "mlp-79", "gan-1"],
+)
+def test_train_divergence_fails_loudly(demo, step, flags, node, tmp_path, capsys):
+    assert main(["train", demo, *flags, "--out", str(tmp_path / "run.csv")]) == 1
+    err = f"error: training diverged at step {step}: non-finite value at node {node!r}\n"
     assert capsys.readouterr() == ("", err)
 
 
@@ -429,10 +438,11 @@ def test_train_flag_validation(capsys):
 
 
 def test_gan_with_zero_rate_keeps_parameters():
-    result = run_gan(seed=1, steps=3, alpha=0)
-    for snap in result.snapshots:
+    start = run_gan(seed=1, steps=0, alpha=0).final_params
+    for steps in (1, 2, 3):
+        params = run_gan(seed=1, steps=steps, alpha=0).final_params
         for key in ("gen", "disc"):
-            assert np.array_equal(snap[key], result.initial_params[key])
+            assert np.array_equal(params[key], start[key])
 
 
 def test_check_single_name(capsys):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from paralens import checks, smooth_autodiff
+from paralens import checks, demos, smooth_autodiff
 from paralens.checks import check_gradient_descent_lens, check_weight_tying, fd_gradient, rel_close
 from paralens.errors import CompositionError, NumericError
 from paralens.demos import run_gan, run_linreg, run_mlp
@@ -451,12 +451,28 @@ def test_legs_are_generated_once_per_plan_shape(monkeypatch):
     monkeypatch.setattr(smooth_autodiff, "compile_make", counted)
     assert smooth_autodiff._make_legs.cache_info().maxsize is not None
     smooth_autodiff._make_legs.cache_clear()
+    for cached in (demos._linreg_graph, demos._mlp_graph, demos._gan_graphs):
+        cached.cache_clear()
     counts = []
     for _ in range(3):
         run_linreg(steps=3), run_mlp(steps=3), run_gan(steps=3)
         counts.append(len(generated))
     # linreg, the MLP with its loss, the generator and the discriminator
     assert counts == [4, 4, 4]
+
+
+def test_demos_build_their_graphs_once_per_process(monkeypatch):
+    built = []
+    post_init = SmoothMap.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    run_linreg(steps=1), run_mlp(steps=1), run_gan(steps=1)
+    monkeypatch.setattr(SmoothMap, "__post_init__", counted)
+    run_linreg(steps=1), run_mlp(steps=1), run_gan(steps=1)
+    assert built == []
 
 
 def test_compose_maps_layout_and_values():
