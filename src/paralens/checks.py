@@ -86,8 +86,6 @@ from .smooth_autodiff import (
     unit_loss_costate,
 )
 
-FD_STEP = 1e-5
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -128,7 +126,7 @@ def rel_close(a, b, rtol: float, atol: float = 1e-12) -> bool:
     return bool(np.allclose(np.asarray(a), np.asarray(b), rtol=rtol, atol=atol))
 
 
-def fd_gradient(fn: Callable[[np.ndarray], float], v: np.ndarray, step: float = FD_STEP) -> np.ndarray:
+def fd_gradient(fn: Callable[[np.ndarray], float], v: np.ndarray, step: float = 1e-5) -> np.ndarray:
     """Central finite differences of a scalar function of a vector."""
     out = np.zeros_like(v)
     for i in range(len(v)):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,9 +38,8 @@ Alpha = Fraction | float | int
 
 @dataclass
 class TrainResult:
-    """One demo run: per-step rows, final parameters and final metrics."""
+    """One demo run: its CSV header, per-step rows, final parameters and final metrics."""
 
-    demo: str
     header: tuple[str, ...]
     rows: list[tuple]
     final_params: dict[str, np.ndarray]
@@ -70,7 +69,7 @@ def _train(steps: int, params, step: Callable) -> tuple[list[tuple], object]:
     return rows, params
 
 
-def _descend(graph: SmoothMap, alpha: Alpha, samples: np.ndarray) -> Callable:
+def _descend(graph: SmoothMap, alpha: Alpha, samples: Sequence[np.ndarray]) -> Callable:
     """The gradient-descent step of a scalar-loss graph, fed the samples in turn, one per step."""
     stepped = reparametrise(apply_R(graph), gd_lens(float(alpha), graph.param_dim))
     costate = unit_loss_costate()
@@ -83,35 +82,37 @@ def _descend(graph: SmoothMap, alpha: Alpha, samples: np.ndarray) -> Callable:
 
 
 # least squares: eight points on an exact line, so the optimum is loss zero
-_LINREG_XS = np.linspace(-1.0, 1.0, 8)
-_LINREG_YS = 0.7 * _LINREG_XS - 0.3
+_XS = np.linspace(-1.0, 1.0, 8)  # the MLP's sample points too
+_LINREG_YS = 0.7 * _XS - 0.3
 
 
 @cache
 def _linreg_graph() -> tuple[SmoothMap, np.ndarray]:
     """Model y ≈ X·θ with X the fixed 8×2 design matrix riding as input."""
-    n = len(_LINREG_XS)
-    design = np.stack([_LINREG_XS, np.ones(n)], axis=1).ravel()
+    n = len(_XS)
+    design = np.stack([_XS, np.ones(n)], axis=1).ravel()
     b = GraphBuilder(in_dim=3 * n)
     theta = b.param(2)
     pred = b.node(PRIMITIVES["linear"](2, n), b.input(0, 2 * n), theta, name="pred")
     loss = b.node(PRIMITIVES["sqerr"](n), pred, b.input(2 * n, 3 * n), name="loss")
-    return b.build(loss), np.concatenate([design, _LINREG_YS])
+    data = np.concatenate([design, _LINREG_YS])
+    data.flags.writeable = False  # every run in the process shares it
+    return b.build(loss), data
 
 
 def run_linreg(
     seed: int = 7, steps: int = 500, alpha: Alpha = Fraction(1, 20)
 ) -> TrainResult:
     graph, data = _linreg_graph()
-    theta = np.random.default_rng(seed).uniform(-0.5, 0.5, graph.param_dim)
-    rows, theta = _train(steps, theta, _descend(graph, alpha, data[np.newaxis]))
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-0.5, 0.5, graph.param_dim)
+    rows, theta = _train(steps, theta, _descend(graph, alpha, (data,)))
     final_loss = float(forward_eval(graph, theta, data)[0][0])
-    return TrainResult("linreg", ("step", "loss"), rows, {"theta": theta}, {"loss": final_loss})
+    return TrainResult(("step", "loss"), rows, {"theta": theta}, {"loss": final_loss})
 
 
 # curve fitting: a tanh network learns a parabola, one (x, x²) sample per step
-_MLP_XS = np.linspace(-1.0, 1.0, 8)
-_MLP_SAMPLES = np.stack([_MLP_XS, _MLP_XS**2], axis=1)
+_MLP_SAMPLES = np.stack([_XS, _XS**2], axis=1)
 
 
 @cache
@@ -121,12 +122,13 @@ def _mlp_graph() -> SmoothMap:
 
 def run_mlp(seed: int = 0, steps: int = 500, alpha: Alpha = Fraction(1, 20)) -> TrainResult:
     graph = _mlp_graph()
-    theta = np.random.default_rng(seed).uniform(-0.5, 0.5, graph.param_dim)
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-0.5, 0.5, graph.param_dim)
     rows, theta = _train(steps, theta, _descend(graph, alpha, _MLP_SAMPLES))
     total = 0.0
     for sample in _MLP_SAMPLES:
         total += float(forward_eval(graph, theta, sample)[0][0])
-    return TrainResult("mlp", ("step", "loss"), rows, {"theta": theta}, {"mean_loss": total / len(_MLP_SAMPLES)})
+    return TrainResult(("step", "loss"), rows, {"theta": theta}, {"mean_loss": total / len(_MLP_SAMPLES)})
 
 
 # adversarial pair: generator maps 2-d noise to the plane, discriminator
@@ -160,7 +162,7 @@ def run_gan(seed: int = 0, steps: int = 200, alpha: Alpha = Fraction(1, 100)) ->
         "d_fake": float(forward_eval(disc_graph, p_disc, fake)[0][0]),
         "d_real": float(forward_eval(disc_graph, p_disc, _GAN_REALS[0])[0][0]),
     }
-    return TrainResult("gan", ("step", "d_fake", "d_real"), rows, {"gen": p_gen, "disc": p_disc}, final_metrics)
+    return TrainResult(("step", "d_fake", "d_real"), rows, {"gen": p_gen, "disc": p_disc}, final_metrics)
 
 
 DEMOS = {"linreg": run_linreg, "mlp": run_mlp, "gan": run_gan}

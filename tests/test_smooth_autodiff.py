@@ -451,10 +451,10 @@ def test_legs_are_generated_once_per_plan_shape(monkeypatch):
     monkeypatch.setattr(smooth_autodiff, "compile_make", counted)
     assert smooth_autodiff._make_legs.cache_info().maxsize is not None
     smooth_autodiff._make_legs.cache_clear()
-    for cached in (demos._linreg_graph, demos._mlp_graph, demos._gan_graphs):
-        cached.cache_clear()
     counts = []
-    for _ in range(3):
+    for _ in range(3):  # each round rebuilds the demos' graphs, which reuse the legs of equal plans
+        for cached in (demos._linreg_graph, demos._mlp_graph, demos._gan_graphs):
+            cached.cache_clear()
         run_linreg(steps=3), run_mlp(steps=3), run_gan(steps=3)
         counts.append(len(generated))
     # linreg, the MLP with its loss, the generator and the discriminator
