@@ -266,7 +266,10 @@ def _fraction_arg(text: str) -> Fraction:
 
 
 def _nonneg_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer") from None
     if value < 0:
         raise argparse.ArgumentTypeError("must be non-negative")
     return value

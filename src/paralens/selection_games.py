@@ -166,35 +166,13 @@ def sel_pushforward(
     return SelectionRelation(f.dst, accepts)
 
 
-def is_sel_morphism(
-    f: Lens,
-    eps: SelectionRelation,
-    delta: SelectionRelation,
-    max_size: int = DEFAULT_ENUM_CAP,
-) -> bool:
-    """Whether ``f`` carries ``eps`` into ``delta``: whether the pushforward
-    of ``eps`` along ``f`` lies inside ``delta``."""
-    if f.src != eps.obj or f.dst != delta.obj:
-        raise CompositionError("lens boundaries do not match the two relations")
-    return relation_subset(sel_pushforward(f, eps, max_size), delta, max_size)
-
-
-def relations_equal(
-    r1: SelectionRelation, r2: SelectionRelation, max_size: int = DEFAULT_ENUM_CAP
-) -> bool:
+def relations_equal(r1: SelectionRelation, r2: SelectionRelation) -> bool:
     """Extensional equality over all states and all reward functions."""
-    return relation_subset(r1, r2, max_size) and relation_subset(r2, r1, max_size)
-
-
-def relation_subset(
-    r1: SelectionRelation, r2: SelectionRelation, max_size: int = DEFAULT_ENUM_CAP
-) -> bool:
-    """Whether everything ``r1`` accepts is accepted by ``r2``."""
     if r1.obj != r2.obj:
         raise CompositionError("relations live on different parameter ports")
-    for k in iter_functions(r1.obj.fwd, r1.obj.bwd, max_size):  # one k alive at a time
+    for k in iter_functions(r1.obj.fwd, r1.obj.bwd):  # one k alive at a time
         for x in r1.obj.fwd.labels:
-            if r1.accepts(x, k) and not r2.accepts(x, k):
+            if r1.accepts(x, k) != r2.accepts(x, k):
                 return False
     return True
 
@@ -351,7 +329,7 @@ def brute_force_nash(
 
     Given per-player ``tags``, only ``"argmax"`` players are held to deviations.
     """
-    tags = _checked_tags(g, ["argmax"] * len(g.players) if tags is None else tags)
+    tags = _checked_tags(g, tags)
     count = len(g.values)
     if count > max_size:
         raise SizeCapError(
@@ -403,8 +381,11 @@ def game_scalar(g: NormalFormGame, max_size: int = DEFAULT_ENUM_CAP) -> ParaLens
     return in_context(arena(g.players, g.grids, max_size), units, g.payoff)
 
 
-def _checked_tags(g: NormalFormGame, tags: Sequence[str]) -> list[str]:
-    """Per-player selection tags, each ``"argmax"`` or ``"total"``."""
+def _checked_tags(g: NormalFormGame, tags: Sequence[str] | None) -> list[str]:
+    """Per-player selection tags, each ``"argmax"`` or ``"total"``; ``None``
+    makes every player ``"argmax"``."""
+    if tags is None:
+        return ["argmax"] * len(g.players)
     tags = list(tags)
     if len(tags) != len(g.players):
         raise CompositionError("one selection tag per player required")
@@ -416,17 +397,13 @@ def _checked_tags(g: NormalFormGame, tags: Sequence[str]) -> list[str]:
 
 def compositional_game(
     g: NormalFormGame,
-    selection: str | Sequence[str] = "argmax_each",
+    tags: Sequence[str] | None = None,
     max_size: int = DEFAULT_ENUM_CAP,
 ) -> OpenGame:
-    """Assemble the open game for a normal-form game and a selection policy."""
-    if selection == "argmax_each":
-        selection = ["argmax"] * len(g.players)
-    elif isinstance(selection, str):
-        raise CompositionError(f"unknown selection {selection!r}")
+    """Assemble the open game for a normal-form game and per-player selection tags."""
     rels = [
         argmax_rel(player, grid) if tag == "argmax" else total_rel(LensObj(player, grid))
-        for player, grid, tag in zip(g.players, g.grids, _checked_tags(g, selection))
+        for player, grid, tag in zip(g.players, g.grids, _checked_tags(g, tags))
     ]
     return open_game(game_scalar(g, max_size), reduce(nash_product, rels))
 

@@ -213,7 +213,6 @@ class Primitive:
     """
 
     name: str
-    args: tuple[int, ...]
     in_dims: tuple[int, ...]
     out_dim: int
     forward: Callable[..., Vector]
@@ -234,12 +233,12 @@ def linear(n: int, m: int) -> Primitive:
         np.multiply(c[:, None], x, out=dw.reshape(m, n))
         return dw, w.reshape(m, n).T @ c
 
-    return Primitive("linear", (n, m), (m * n, n), m, fwd, vjp)
+    return Primitive("linear", (m * n, n), m, fwd, vjp)
 
 
 def add(n: int) -> Primitive:
     return Primitive(
-        "add", (n,), (n, n), n, lambda a, b: a + b, lambda ins, c, dst=None: (c, c)
+        "add", (n, n), n, lambda a, b: a + b, lambda ins, c, dst=None: (c, c)
     )
 
 
@@ -248,11 +247,11 @@ def mul(n: int) -> Primitive:
         a, b = ins
         return c * b, c * a
 
-    return Primitive("mul", (n,), (n, n), n, lambda a, b: a * b, vjp)
+    return Primitive("mul", (n, n), n, lambda a, b: a * b, vjp)
 
 
 def neg(n: int) -> Primitive:
-    return Primitive("neg", (n,), (n,), n, lambda a: -a, lambda ins, c, dst=None: (-c,))
+    return Primitive("neg", (n,), n, lambda a: -a, lambda ins, c, dst=None: (-c,))
 
 
 def tanh(n: int) -> Primitive:
@@ -260,7 +259,7 @@ def tanh(n: int) -> Primitive:
         t = np.tanh(ins[0])
         return (c * (1.0 - t * t),)
 
-    return Primitive("tanh", (n,), (n,), n, lambda a: np.tanh(a), vjp)
+    return Primitive("tanh", (n,), n, lambda a: np.tanh(a), vjp)
 
 
 def relu(n: int) -> Primitive:
@@ -268,7 +267,7 @@ def relu(n: int) -> Primitive:
     def vjp(ins, c, dst=None):
         return (np.where(ins[0] > 0.0, c, 0.0),)
 
-    return Primitive("relu", (n,), (n,), n, lambda a: np.maximum(a, 0.0), vjp)
+    return Primitive("relu", (n,), n, lambda a: np.maximum(a, 0.0), vjp)
 
 
 def sigmoid(n: int) -> Primitive:
@@ -279,13 +278,12 @@ def sigmoid(n: int) -> Primitive:
         s = fwd(ins[0])
         return (c * s * (1.0 - s),)
 
-    return Primitive("sigmoid", (n,), (n,), n, fwd, vjp)
+    return Primitive("sigmoid", (n,), n, fwd, vjp)
 
 
 def sum_reduce(n: int) -> Primitive:
     return Primitive(
         "sum",
-        (n,),
         (n,),
         1,
         lambda a: np.array([a.sum()]),
@@ -301,7 +299,7 @@ def sqerr(n: int) -> Primitive:
         return d, -d
 
     return Primitive(
-        "sqerr", (n,), (n, n), 1, lambda a, b: np.array([((a - b) ** 2).sum()]), vjp
+        "sqerr", (n, n), 1, lambda a, b: np.array([((a - b) ** 2).sum()]), vjp
     )
 
 

@@ -437,6 +437,21 @@ def test_train_flag_validation(capsys):
         assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "linreg", "--steps"],
+    ["train", "linreg", "--seed"],
+    ["solve", "pd.json", "--max-strategies"],
+    ["solve", "pd.json", "--max-costates"],
+])
+def test_a_non_integer_count_names_its_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "abc"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {argv[-1]}: 'abc' is not a non-negative integer" in err
+    assert "_nonneg_int" not in err
+
+
 def test_gan_with_zero_rate_keeps_parameters():
     start = run_gan(seed=1, steps=0, alpha=0).final_params
     for steps in (1, 2, 3):

@@ -239,7 +239,7 @@ def test_dropped_lenses_leave_no_cyclic_garbage():
     gc.disable()
     try:
         g = pd_game()
-        solution_set(compositional_game(g, "argmax_each"))
+        solution_set(compositional_game(g))
         for route in hicks_games(g):
             solution_set(route)
         run_linreg(steps=3)

@@ -49,11 +49,9 @@ from paralens.selection_games import (
     decision,
     equilibria,
     hicks_games,
-    is_sel_morphism,
     nash_product,
     normal_form_game,
     open_game,
-    relation_subset,
     relations_equal,
     sel_pushforward,
     solution_set,
@@ -254,7 +252,7 @@ def test_relations_remember_each_reward_function_while_it_lives():
     assert dead() is None and len(memo) == 1 and len(_memo(eps, "best")) == 2
 
 
-def test_relation_subset_keeps_one_reward_function_alive_at_a_time():
+def test_relations_equal_keeps_one_reward_function_alive_at_a_time():
     # a memo entry lives as long as its k, so holding every k would hold every entry
     cd, grid = FinSet(("C", "D")), FinSet(("0", "1"))
     seen = []
@@ -266,8 +264,26 @@ def test_relation_subset_keeps_one_reward_function_alive_at_a_time():
         return True
 
     rel = SelectionRelation(LensObj(FinProd(cd, cd), FinProd(grid, grid)), accepts)
-    assert relation_subset(rel, total_rel(rel.obj))
+    assert relations_equal(rel, total_rel(rel.obj))
     assert len(seen) == 4**4
+
+
+def test_relations_equal_asks_each_relation_once_per_state_and_reward_function():
+    obj = LensObj(FinSet(("a", "b", "c")), FinSet(("0", "1")))
+    calls = ([], [])
+
+    def counted(seen):
+        def accepts(x, k):
+            seen.append((x, k))  # holding every k, so no two share an id
+            return k(x) == "1"
+
+        return SelectionRelation(obj, accepts)
+
+    assert relations_equal(counted(calls[0]), counted(calls[1]))
+    asked = [[(x, id(k)) for x, k in seen] for seen in calls]
+    # both relations are asked about the same 8 reward functions, each built once
+    assert asked[0] == asked[1] and len(set(asked[0])) == len(asked[0]) == 3 * 2**3
+    assert len({k for _, k in asked[0]}) == 2**3
 
 
 def test_argmax_rejects_empty_moves():
@@ -278,8 +294,8 @@ def test_argmax_rejects_empty_moves():
 def test_total_accepts_everything():
     obj = LensObj(FinSet(("a", "b")), FinSet(("0", "1")))
     rel = total_rel(obj)
-    assert relation_subset(argmax_rel(obj.fwd, obj.bwd), rel)
-    assert not relation_subset(rel, argmax_rel(obj.fwd, obj.bwd))
+    assert all(rel.accepts(x, k) for k in iter_functions(obj.fwd, obj.bwd) for x in obj.fwd.labels)
+    assert not relations_equal(argmax_rel(obj.fwd, obj.bwd), rel)
 
 
 def test_nash_product_on_dilemma_costate():
@@ -354,38 +370,23 @@ def test_pushforward_checks_its_cap_before_enumerating(monkeypatch):
     assert exc.value.count == 2_250_000
 
 
-def test_sel_morphism_examples():
-    moves = FinSet(("a", "b"))
-    grid = FinSet(("0", "1"))
-    arg = argmax_rel(moves, grid)
-    every = total_rel(LensObj(moves, grid))
-    ident = lens_id(FINITE, LensObj(moves, grid))
-    assert is_sel_morphism(ident, arg, arg)
-    assert is_sel_morphism(ident, arg, every)
-    # an indifferent agent is not an optimiser
-    assert not is_sel_morphism(ident, every, arg)
-    with pytest.raises(CompositionError):
-        is_sel_morphism(ident, arg, total_rel(LensObj(grid, grid)))
+def _enumerated_pushforward(f, eps) -> SelectionRelation:
+    """The definition, checked state by state: (y, k) is accepted iff some x
+    with get(x) = y is accepted by ``eps`` against k threaded back through
+    ``f``'s legs."""
 
-
-def _enumerated_sel_morphism(f, eps, delta) -> bool:
-    """The definition, checked state by state: for every reward function k on
-    the target, each h that ``eps`` accepts against k threaded back through
-    ``f`` must have get(h) accepted by ``delta`` against k."""
-    for k in iter_functions(f.dst.fwd, f.dst.bwd):
-
-        def threaded(x, k=k):
-            y, r = f.forward(x)
-            return f.backward(r, k(y))
+    def accepts(y, k):
+        def threaded(x):
+            z, r = f.forward(x)
+            return f.backward(r, k(z))
 
         fk = FinFn(f.src.fwd, f.src.bwd, threaded)
-        for h in f.src.fwd.labels:
-            if eps.accepts(h, fk) and not delta.accepts(f.get(h), k):
-                return False
-    return True
+        return any(eps.accepts(x, fk) for x in f.src.fwd.labels if f.get(x) == y)
+
+    return SelectionRelation(f.dst, accepts)
 
 
-def test_sel_morphism_matches_its_enumerated_definition():
+def test_sel_pushforward_matches_its_enumerated_definition():
     rng = random.Random(15)
     verdicts = []
     for _ in range(150):
@@ -393,10 +394,10 @@ def test_sel_morphism_matches_its_enumerated_definition():
         b = LensObj(random_finset(rng, 2), random_finset(rng, 2))
         f = random_lens(rng, a, b)
         eps, delta = random_relation(rng, a), random_relation(rng, b)
-        verdicts.append(is_sel_morphism(f, eps, delta))
-        assert verdicts[-1] == _enumerated_sel_morphism(f, eps, delta)
-        assert is_sel_morphism(f, eps, sel_pushforward(f, eps))
-        assert is_sel_morphism(f, eps, total_rel(b))
+        pushed, definition = sel_pushforward(f, eps), _enumerated_pushforward(f, eps)
+        assert relations_equal(pushed, definition)
+        verdicts.append(relations_equal(pushed, delta))
+        assert verdicts[-1] == relations_equal(definition, delta)
     assert True in verdicts and False in verdicts
 
 
@@ -689,7 +690,7 @@ def test_a_warm_arena_solves_as_a_cold_one(specs, data):
     games = [parse_game_spec(spec)[0] for spec in specs]
     n, k = len(games[0].players), len(games[0].players[0])
     tags = data.draw(st.lists(st.sampled_from(["argmax", "total"]), min_size=n, max_size=n))
-    selections = ("argmax_each", tags, "hicks_sum")
+    selections = (None, tags, "hicks_sum")  # None: every player argmax
     arena.cache_clear()
     warm = []
     for g in games:
@@ -698,7 +699,7 @@ def test_a_warm_arena_solves_as_a_cold_one(specs, data):
             if selection == "hicks_sum":
                 assert warm[-1] == brute_force_hicks(g)
             else:
-                assert warm[-1] == brute_force_nash(g, tags=None if selection == "argmax_each" else selection)
+                assert warm[-1] == brute_force_nash(g, tags=selection)
             with pytest.raises(SizeCapError):
                 _solve(g, selection, k - 1)
     # every solve after the first ran on the arena the first one built
@@ -745,8 +746,11 @@ def test_mixed_selection_tags_on_dilemma():
         compositional_game(g, ["argmax"])
     with pytest.raises(CompositionError):
         compositional_game(g, ["argmax", "softmax"])
-    with pytest.raises(CompositionError):
-        compositional_game(g, "argmin_each")
+    # the "argmax_each" spelling belongs to the CLI; a string is read as one tag per character
+    with pytest.raises(CompositionError, match="one selection tag per player"):
+        compositional_game(g, "argmax_each")
+    with pytest.raises(CompositionError, match="unknown selection tag 'a'"):
+        compositional_game(g, "at")
 
 
 # -- joint-total maximisation -------------------------------------------

@@ -126,7 +126,7 @@ def test_non_finite_value_is_named_at_its_first_node(extra_neg):
 
 
 def test_a_node_without_inputs_is_a_constant():
-    const = smooth_autodiff.Primitive("const", (), (), 2, lambda: np.array([1.0, 2.0]), lambda ins, c, dst: ())
+    const = smooth_autodiff.Primitive("const", (), 2, lambda: np.array([1.0, 2.0]), lambda ins, c, dst: ())
     b = GraphBuilder(in_dim=2)
     f = b.build(b.node(PRIMITIVES["mul"](2), b.node(const), b.input()))
     y, tape = forward_eval(f, np.zeros(0), np.array([3.0, 4.0]))
@@ -139,7 +139,7 @@ def test_vjp_cotangent_of_the_wrong_width_names_its_node(width):
     # unchecked, a 1-wide cotangent would broadcast over the 3-wide wire and a
     # 2-wide one would fail inside numpy; the wire is sole, so it offers a destination
     offered = []
-    short = smooth_autodiff.Primitive("neg", (3,), (3,), 3, lambda a: -a, lambda ins, c, dst: offered.append(dst) or (-c[:width],))
+    short = smooth_autodiff.Primitive("neg", (3,), 3, lambda a: -a, lambda ins, c, dst: offered.append(dst) or (-c[:width],))
     f = SmoothMap(0, 3, 3, (Node("short", short, (Wire("input", 0, 3),)),), Wire("short", 0, 3))
     _, tape = forward_eval(f, np.zeros(0), np.ones(3))
     with pytest.raises(NumericError, match=rf"node 'short'.*shape \({width},\).*dimension 3"):
