@@ -19,6 +19,7 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product as iter_product
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -62,11 +63,12 @@ from .para_optic import (
 )
 from .selection_games import (
     SelectionRelation,
+    best_response,
     brute_force_nash,
     compositional_game,
+    game_of_rows,
     hicks_games,
     nash_product,
-    normal_form_game,
     relations_equal,
     sel_pushforward,
     solution_set,
@@ -556,17 +558,12 @@ def check_r_functoriality(seed: int = 6, evals: int = 100) -> Instances:
 
 
 def random_relation(rng: random.Random, obj: LensObj) -> SelectionRelation:
-    """An arbitrary relation, tabulated over every (state, reward fn) pair."""
+    """An arbitrary relation: each reward function's best responses are drawn
+    at random, tabulated by the function's images."""
     table = {}
     for k in iter_functions(obj.fwd, obj.bwd):
-        key = tuple(k(x) for x in obj.fwd.labels)
-        for x in obj.fwd.labels:
-            table[(x, key)] = rng.random() < 0.5
-
-    def accepts(x: str, k: FinFn) -> bool:
-        return table[(x, tuple(k(l) for l in obj.fwd.labels))]
-
-    return SelectionRelation(obj, accepts)
+        table[tuple(map(k, obj.fwd.labels))] = [x for x in obj.fwd.labels if rng.random() < 0.5]
+    return best_response(obj, lambda k: table[tuple(map(k, obj.fwd.labels))])
 
 
 @_suite
@@ -591,17 +588,12 @@ _PAYOFF_POOL = (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(2))
 
 def random_game(rng: random.Random):
     n = rng.randint(1, 3)
-    players = []
-    for i in range(n):
-        size = rng.randint(1, 4)
-        players.append(FinSet(tuple(f"m{i}{j}" for j in range(size))))
-    from itertools import product as iter_product
-
-    table = {
+    players = tuple(FinSet(tuple(f"m{i}{j}" for j in range(rng.randint(1, 4)))) for i in range(n))
+    values = {
         prof: tuple(rng.choice(_PAYOFF_POOL) for _ in range(n))
         for prof in iter_product(*[p.labels for p in players])
     }
-    return normal_form_game(players, table)
+    return game_of_rows(players, values)
 
 
 @_suite
@@ -614,17 +606,10 @@ def check_oracle_equivalence(seed: int = 8, games: int = 200) -> Instances:
         yield found == expected, f"game {i}: engine {found} vs oracle {expected}"
 
 
-_PD_TABLE = {
-    ("C", "C"): (2, 2),
-    ("C", "D"): (0, 3),
-    ("D", "C"): (3, 0),
-    ("D", "D"): (1, 1),
-}
-
-
 def pd_game():
     cd = FinSet(("C", "D"))
-    return normal_form_game([cd, cd], _PD_TABLE)
+    rows = (("C", "C", 2, 2), ("C", "D", 0, 3), ("D", "C", 3, 0), ("D", "D", 1, 1))
+    return game_of_rows((cd, cd), {(a, b): (Fraction(u), Fraction(v)) for a, b, u, v in rows})
 
 
 @_suite

@@ -54,15 +54,24 @@ def write_csv(result: TrainResult, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# a score past this magnitude means the run has diverged, whether or not a value overflows
+_SCORE_BOUND = 1e100
+
+
 def _train(steps: int, params, step: Callable) -> tuple[list[tuple], object]:
     """Run ``step(t, params) -> (params, scores)`` for ``t`` below ``steps``.
 
-    Returns the rows ``(t, *scores)`` and the last parameters.
+    Returns the rows ``(t, *scores)`` and the last parameters.  A step that
+    meets a non-finite value, or returns a score past ``_SCORE_BOUND`` in
+    magnitude, ends the run with a ``NumericError`` naming the step.
     """
     rows = []
     for t in range(steps):
         try:
             params, scores = step(t, params)
+            for s in scores:
+                if not abs(s) <= _SCORE_BOUND:
+                    raise NumericError(f"score {s!r} is past the bound {_SCORE_BOUND:g}")
         except NumericError as exc:
             raise NumericError(f"training diverged at step {t}: {exc}") from exc
         rows.append((t, *scores))

@@ -1,10 +1,11 @@
 """Selection relations and compositional games on finite carriers.
 
 A selection relation over a parameter port ⟨moves, rewards⟩ says which
-(move, reward-function) pairs an agent is willing to settle on; argmax is
-the canonical example.  Relations push forward along lenses, and two
-relations combine into a product where each factor optimises against the
-other's choice held fixed, which is exactly the Nash condition.
+(move, reward-function) pairs an agent is willing to settle on: its best
+responses to each reward function, argmax being the canonical example.
+Relations push forward along lenses, and two relations combine into a
+product where each factor optimises against the other's choice held
+fixed, which is exactly the Nash condition.
 
 A game is a parametrised scalar (both boundaries trivial) together with a
 selection relation on its parameter port.  The scalar induces a reward
@@ -24,13 +25,13 @@ order; the exact values stay on the game.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product as iter_product
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from weakref import WeakKeyDictionary
 
 from .errors import CompositionError, SizeCapError
 from .finite_base import (
@@ -70,29 +71,41 @@ class SelectionRelation:
     accepts: Callable[[object, FinFn], bool]
 
 
+def best_response(obj: LensObj, best: Callable[[FinFn], Iterable]) -> SelectionRelation:
+    """The relation that accepts a state iff it is among ``best(k)``, the
+    best responses to the reward function k.  They are found once per reward
+    function and kept, as a set of states, while that function lives."""
+    memo = WeakKeyDictionary()  # reward function -> its best responses
+
+    def accepts(x, k: FinFn) -> bool:
+        found = memo.get(k)
+        if found is None:
+            found = memo[k] = frozenset(best(k))
+        return x in found
+
+    return SelectionRelation(obj, accepts)
+
+
 def argmax_rel(moves: FinSet | FinProd, rewards: FinSet) -> SelectionRelation:
     """Accepts a move iff no other move earns a strictly larger reward.
 
     ``rewards`` lists the rewards in ascending order, so a reward's
-    position in it is its rank.  The largest reward is found once per
-    reward function and kept while that function lives.
+    position in it is its rank.  Each move is ranked once per reward function.
     """
     if len(moves) == 0:
         raise CompositionError("argmax over the empty move set is undefined")
     rank = {r: i for i, r in enumerate(rewards.labels)}
-    best = weakref.WeakKeyDictionary()  # reward function -> its largest rank
 
-    def accepts(x, k: FinFn) -> bool:
-        top = best.get(k)
-        if top is None:
-            if k.cod != rewards:
-                raise CompositionError(
-                    f"reward function lands in {k.cod}, expected the rewards {rewards}"
-                )
-            top = best[k] = max(rank[k(y)] for y in moves)
-        return rank[k(x)] >= top
+    def best(k: FinFn) -> list:
+        if k.cod != rewards:
+            raise CompositionError(
+                f"reward function lands in {k.cod}, expected the rewards {rewards}"
+            )
+        ranked = [(rank[k(y)], y) for y in moves]
+        top = max(r for r, _ in ranked)
+        return [y for r, y in ranked if r == top]
 
-    return SelectionRelation(LensObj(moves, rewards), accepts)
+    return best_response(LensObj(moves, rewards), best)
 
 
 def total_rel(obj: LensObj) -> SelectionRelation:
@@ -105,29 +118,34 @@ def nash_product(eps: SelectionRelation, delta: SelectionRelation) -> SelectionR
 
     The joint reward function is restricted for each factor by freezing the
     other factor's move and projecting onto the factor's own reward carrier.
-    Each restriction is built once per reward function and frozen move, and
-    kept while that function lives, so best responses are found once.
+    A restriction is built once per reward function and frozen move, only
+    while the product's best responses are found, and only where it can
+    matter: delta's, against a move that eps accepts.
     """
     em, er = eps.obj.fwd, eps.obj.bwd
     dm, dr = delta.obj.fwd, delta.obj.bwd
     obj = LensObj(FinProd(em, dm), FinProd(er, dr))
-    memo = weakref.WeakKeyDictionary()  # k -> a weak k, its restrictions k_y by y and k_x by x
 
-    def accepts(xy: tuple, k: FinFn) -> bool:
-        restricted = memo.get(k)
-        if restricted is None:
-            if k.dom != obj.fwd or k.cod != obj.bwd:
-                raise CompositionError(f"reward function is not {obj.fwd} → {obj.bwd}")
-            restricted = memo[k] = (weakref.ref(k), {}, {})  # a strong k would keep its entry alive
-        weak_k, by_y, by_x = restricted
-        x, y = FINITE.split_elem(xy)
-        if y not in by_y:
-            by_y[y] = FINITE.derived(em, er, lambda a: weak_k()((a, y))[0])
-        if x not in by_x:
-            by_x[x] = FINITE.derived(dm, dr, lambda b: weak_k()((x, b))[1])
-        return eps.accepts(x, by_y[y]) and delta.accepts(y, by_x[x])
+    def eps_best(k: FinFn, y) -> list:  # eps's best responses with delta's move y held fixed
+        k_y = FINITE.derived(em, er, lambda a: k((a, y))[0])
+        return [x for x in em if eps.accepts(x, k_y)]
 
-    return SelectionRelation(obj, accepts)
+    def delta_best(k: FinFn, x) -> set:  # delta's best responses with eps's move x held fixed
+        k_x = FINITE.derived(dm, dr, lambda b: k((x, b))[1])
+        return {y for y in dm if delta.accepts(y, k_x)}
+
+    def best(k: FinFn) -> Iterator[tuple]:
+        if k.dom != obj.fwd or k.cod != obj.bwd:
+            raise CompositionError(f"reward function is not {obj.fwd} → {obj.bwd}")
+        by_x: dict = {}  # delta's best responses, found only against a move eps accepts
+        for y in dm:
+            for x in eps_best(k, y):
+                if x not in by_x:
+                    by_x[x] = delta_best(k, x)
+                if y in by_x[x]:
+                    yield x, y
+
+    return best_response(obj, best)
 
 
 def sel_pushforward(
@@ -137,9 +155,8 @@ def sel_pushforward(
 
     The image relation accepts (y, k) iff some state x with get(x) = y is
     accepted by ``eps`` against the reward function threaded back through
-    ``f``.  Source states are grouped into the fibres of ``get`` once, and
-    the threaded reward function is kept for the last ``k`` seen, so an
-    acceptance call checks only the fibre of ``y``.
+    ``f``.  The reward function is threaded once, and its best responses
+    are the images of the source states ``eps`` accepts against it.
     """
     if f.base is not FINITE:
         raise CompositionError("relations only push forward over the finite base")
@@ -153,17 +170,11 @@ def sel_pushforward(
             f"{count} source states exceed the cap of {max_size}", count=count
         )
 
-    fibres: dict[object, list] = {}
-    for x in f.src.fwd:
-        fibres.setdefault(f.get(x), []).append(x)
-    threaded: list = [None, None]  # the last k and its threaded costate
+    def best(k: FinFn) -> list:
+        threaded = costate_fn(lens_compose(f, make_costate(FINITE, f.dst, k)))
+        return [f.get(x) for x in f.src.fwd if eps.accepts(x, threaded)]
 
-    def accepts(y, k: FinFn) -> bool:
-        if threaded[0] is not k:
-            threaded[:] = [k, costate_fn(lens_compose(f, make_costate(FINITE, f.dst, k)))]
-        return any(eps.accepts(x, threaded[1]) for x in fibres.get(y, ()))
-
-    return SelectionRelation(f.dst, accepts)
+    return best_response(f.dst, best)
 
 
 def relations_equal(r1: SelectionRelation, r2: SelectionRelation) -> bool:
@@ -267,38 +278,6 @@ class NormalFormGame:
     payoff: FinFn
     values: Mapping[tuple[str, ...], tuple[Fraction, ...]]
     levels: tuple[tuple[Fraction, ...], ...]
-
-
-def normal_form_game(
-    players: Sequence[FinSet],
-    table: Mapping[tuple[str, ...], Sequence[Fraction | int | str]],
-) -> NormalFormGame:
-    """The game of a payoff table keyed by tuples of moves, each payoff read
-    as a ``Fraction`` and the table checked against the profile product."""
-    players = tuple(players)
-    if not players:
-        raise CompositionError("a game needs at least one player")
-    rows: dict[tuple[str, ...], tuple[Fraction, ...]] = {}
-    for prof, vals in table.items():
-        if not isinstance(prof, Iterable) or isinstance(prof, (str, bytes)):  # a string is read as its characters
-            raise CompositionError(f"profile {prof!r} is not a sequence of moves")
-        prof, row = tuple(prof), []
-        if not isinstance(vals, Iterable) or isinstance(vals, (str, bytes)):
-            raise CompositionError(f"profile {prof}: payoffs {vals!r} are not a sequence")
-        for i, v in enumerate(vals):
-            try:
-                row.append(v if type(v) is Fraction else Fraction(v))
-            except (TypeError, ValueError, ArithmeticError):  # e.g. "abc", nan, None, "1/0"
-                raise CompositionError(f"profile {prof}: cannot read payoff {v!r} of player {i} as a rational") from None
-        if len(row) != len(players):
-            raise CompositionError(f"profile {prof} has {len(row)} payoffs for {len(players)} players")
-        rows[prof] = tuple(row)
-    profiles = list(iter_product(*[p.labels for p in players]))
-    values = {p: rows[p] for p in profiles if p in rows}
-    if len(values) != len(rows) or len(values) != len(profiles):
-        missing = [p for p in profiles if p not in rows]
-        raise CompositionError(f"payoff table does not match the profile product: missing {missing[:4]}, unknown {sorted(set(rows) - set(values))[:4]}")
-    return game_of_rows(players, values)
 
 
 def game_of_rows(players: tuple[FinSet, ...], values: dict[tuple[str, ...], tuple[Fraction, ...]]) -> NormalFormGame:

@@ -20,7 +20,9 @@ from paralens.finite_base import (
     tuple_label,
 )
 from paralens.para_optic import para_costate_solution_input
-from paralens.selection_games import arena, compositional_game, normal_form_game, solution_set
+from paralens.checks import pd_game
+from paralens.cli import parse_game_spec
+from paralens.selection_games import arena, compositional_game, solution_set
 from itertools import product as iter_product
 
 
@@ -253,10 +255,10 @@ def test_solution_input_checks_membership_a_fixed_number_of_times_per_profile(mo
 
     per_profile = []
     for n in (2, 3):
-        players = [FinSet(("L", "M", "R"))] * n
-        profiles = list(iter_product(*[p.labels for p in players]))
-        table = {p: [i % 3 for i in range(j, j + n)] for j, p in enumerate(profiles)}
-        lens = compositional_game(normal_form_game(players, table)).lens
+        players = [{"name": f"p{i}", "strategies": ["L", "M", "R"]} for i in range(n)]
+        profiles = list(iter_product(["L", "M", "R"], repeat=n))
+        payoffs = {",".join(p): [i % 3 for i in range(j, j + n)] for j, p in enumerate(profiles)}
+        lens = compositional_game(parse_game_spec({"players": players, "payoffs": payoffs})[0]).lens
         reward = para_costate_solution_input(lens)
         monkeypatch.setattr(FinProd, "__contains__", counted)
         calls[0] = 0
@@ -272,7 +274,7 @@ def test_solution_input_checks_membership_a_fixed_number_of_times_per_profile(mo
 def test_arena_cache_is_bounded_and_a_payoff_dies_with_its_game():
     # one shape per strategy label, so every game below misses the cache
     def game(label):
-        return normal_form_game([FinSet((label,))], {(label,): (0,)})
+        return parse_game_spec({"players": [{"name": "p", "strategies": [label]}], "payoffs": {label: [0]}})[0]
 
     arena.cache_clear()
     g = game("s0")
@@ -289,9 +291,7 @@ def test_arena_cache_is_bounded_and_a_payoff_dies_with_its_game():
     assert first() is None
 
     # the cached arena and the relations' memos keep no part of a game's payoff
-    players = [FinSet(("C", "D")), FinSet(("C", "D"))]
-    table = {("C", "C"): (2, 2), ("C", "D"): (0, 3), ("D", "C"): (3, 0), ("D", "D"): (1, 1)}
-    g = normal_form_game(players, table)
+    g = pd_game()
     open_g = compositional_game(g)
     assert solution_set(open_g) == (("D", "D"),)
     payoff = weakref.ref(g.payoff)

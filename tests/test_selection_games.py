@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paralens.checks import random_finset, random_lens, random_obj, random_relation
+from paralens import selection_games
+from paralens.checks import random_finfn, random_finset, random_lens, random_obj, random_relation
 from paralens.cli import parse_game_spec
 from paralens.errors import CompositionError, SizeCapError
 from paralens.finite_base import (
@@ -48,9 +49,9 @@ from paralens.selection_games import (
     compositional_game,
     decision,
     equilibria,
+    game_of_rows,
     hicks_games,
     nash_product,
-    normal_form_game,
     open_game,
     relations_equal,
     sel_pushforward,
@@ -61,56 +62,33 @@ from paralens.selection_games import (
 from paralens.smooth_autodiff import gd_lens
 
 
+def _game(players, table):
+    """The game of a payoff table keyed by tuples of moves, entered through its spec."""
+    spec = {
+        "players": [{"name": f"p{i}", "strategies": list(p.labels)} for i, p in enumerate(players)],
+        "payoffs": {",".join(prof): [str(v) for v in vals] for prof, vals in table.items()},
+    }
+    return parse_game_spec(spec)[0]
+
+
 def _pd():
     cd = FinSet(("C", "D"))
-    return normal_form_game(
-        [cd, cd],
-        {
-            ("C", "C"): (2, 2),
-            ("C", "D"): (0, 3),
-            ("D", "C"): (3, 0),
-            ("D", "D"): (1, 1),
-        },
-    )
+    return _game([cd, cd], {("C", "C"): (2, 2), ("C", "D"): (0, 3), ("D", "C"): (3, 0), ("D", "D"): (1, 1)})
 
 
 def _coordination():
     ab = FinSet(("A", "B"))
-    return normal_form_game(
-        [ab, ab],
-        {
-            ("A", "A"): (2, 2),
-            ("A", "B"): (0, 0),
-            ("B", "A"): (0, 0),
-            ("B", "B"): (1, 1),
-        },
-    )
+    return _game([ab, ab], {("A", "A"): (2, 2), ("A", "B"): (0, 0), ("B", "A"): (0, 0), ("B", "B"): (1, 1)})
 
 
 def _pennies():
     ht = FinSet(("H", "T"))
-    return normal_form_game(
-        [ht, ht],
-        {
-            ("H", "H"): (1, -1),
-            ("H", "T"): (-1, 1),
-            ("T", "H"): (-1, 1),
-            ("T", "T"): (1, -1),
-        },
-    )
+    return _game([ht, ht], {("H", "H"): (1, -1), ("H", "T"): (-1, 1), ("T", "H"): (-1, 1), ("T", "T"): (1, -1)})
 
 
 def _battle():
     bs = FinSet(("B", "S"))
-    return normal_form_game(
-        [bs, bs],
-        {
-            ("B", "B"): (2, 1),
-            ("B", "S"): (0, 0),
-            ("S", "B"): (0, 0),
-            ("S", "S"): (1, 2),
-        },
-    )
+    return _game([bs, bs], {("B", "B"): (2, 1), ("B", "S"): (0, 0), ("S", "B"): (0, 0), ("S", "S"): (1, 2)})
 
 
 # -- relations ----------------------------------------------------------
@@ -148,7 +126,7 @@ def test_argmax_finds_the_largest_reward_once_per_reward_function(monkeypatch):
     monkeypatch.setattr(FinFn, "__call__", counted)
     accepted = [m for m in moves.labels if rel.accepts(m, k)]
     assert accepted == [m for i, m in enumerate(moves.labels) if i % 7 == 6]
-    assert calls[0] <= 2 * n
+    assert calls[0] == n  # each move ranked once
     # a different reward function gets its own maximum
     accepted = [m for m in moves.labels if rel.accepts(m, k2)]
     assert accepted == [m for i, m in enumerate(moves.labels) if i % 5 == 4]
@@ -201,9 +179,9 @@ def test_nash_product_restricts_once_per_frozen_move(monkeypatch):
     assert calls[0] <= 2 * n * n
 
 
-def _memo(rel, name: str):
-    """The per-reward-function memo that ``rel.accepts`` closes over."""
-    return inspect.getclosurevars(rel.accepts).nonlocals[name]
+def _memo(rel):
+    """The per-reward-function memo of best responses that ``rel.accepts`` closes over."""
+    return inspect.getclosurevars(rel.accepts).nonlocals["memo"]
 
 
 def _alternate(rel, fresh, states, ks) -> list:
@@ -225,11 +203,11 @@ def test_relations_remember_each_reward_function_while_it_lives():
     ks = [FinFn(moves, grid, dict(zip(moves, images))) for images in (("2", "1", "2"), ("0", "1", "0"))]
     rel = argmax_rel(moves, grid)
     assert _alternate(rel, lambda: argmax_rel(moves, grid), moves, ks) == [["x", "z"] * 2, ["y"] * 2]
-    best = _memo(rel, "best")
-    assert len(best) == 2
+    memo = _memo(rel)
+    assert [memo[k] for k in ks] == [{"x", "z"}, {"y"}]
     dead = weakref.ref(ks.pop())
     gc.collect()
-    assert dead() is None and len(best) == 1
+    assert dead() is None and len(memo) == 1
 
     cd, grid = FinSet(("C", "D")), FinSet(("0", "1", "2", "3"))
     profiles = FinProd(cd, cd)
@@ -244,12 +222,63 @@ def test_relations_remember_each_reward_function_while_it_lives():
 
     want = [[("D", "D")] * 2, [("C", "C"), ("D", "D")] * 2]
     assert _alternate(rel, fresh, profiles, ks) == want
-    memo = _memo(rel, "memo")
-    # the first factor sees one restriction per reward function and frozen move
-    assert len(memo) == 2 and len(_memo(eps, "best")) == 4
+    memo = _memo(rel)
+    assert [memo[k] for k in ks] == [{("D", "D")}, {("C", "C"), ("D", "D")}]
+    # the restrictions the product handed its factors died with the call, and their entries with them
+    assert len(_memo(eps)) == 0
     dead = weakref.ref(ks.pop())
     gc.collect()
-    assert dead() is None and len(memo) == 1 and len(_memo(eps, "best")) == 2
+    assert dead() is None and len(memo) == 1
+
+
+def _pushed_pair(seed: int):
+    """Two argmax relations, each pushed forward along a random lens."""
+    rng = random.Random(seed)
+    a, b = LensObj(FinSet(("a0", "a1", "a2")), FinSet(("0", "1"))), LensObj(FinSet(("b0", "b1")), FinSet(("0", "1", "2")))
+    c, d = LensObj(FinSet(("c0", "c1")), FinSet(("0", "1", "2"))), LensObj(FinSet(("d0", "d1", "d2")), FinSet(("0", "1")))
+    eps, delta = argmax_rel(a.fwd, a.bwd), argmax_rel(c.fwd, c.bwd)
+    pushed = sel_pushforward(random_lens(rng, a, b), eps), sel_pushforward(random_lens(rng, c, d), delta)
+    ks = [random_finfn(rng, FinProd(b.fwd, d.fwd), FinProd(b.bwd, d.bwd)) for _ in range(6)]
+    return (eps, delta), pushed, ks
+
+
+def test_a_pushforward_threads_each_reward_function_once(monkeypatch):
+    built = [0]
+    real = selection_games.costate_fn
+
+    def counted(lens):
+        built[0] += 1
+        return real(lens)
+
+    _, pushed, ks = _pushed_pair(36)
+    restrictions = []  # every reward function the two pushforwards are asked about, kept alive
+
+    def recorded(rel):
+        def accepts(x, k):
+            if not any(k is seen for seen in restrictions):
+                restrictions.append(k)
+            return rel.accepts(x, k)
+
+        return SelectionRelation(rel.obj, accepts)
+
+    rel = nash_product(*map(recorded, pushed))
+    monkeypatch.setattr(selection_games, "costate_fn", counted)
+    for k in ks:
+        for xy in rel.obj.fwd:
+            rel.accepts(xy, k)
+    # under the product, every frozen move hands a pushforward a new restriction
+    assert len(restrictions) > len(ks)
+    assert built[0] == len(restrictions)
+
+
+def test_inner_memos_keep_no_entry_for_a_dead_restriction():
+    inner, pushed, ks = _pushed_pair(37)
+    rel = nash_product(*pushed)
+    for k in ks:
+        for xy in rel.obj.fwd:
+            rel.accepts(xy, k)
+            assert [len(_memo(r)) for r in (*pushed, *inner)] == [0, 0, 0, 0]
+    assert len(_memo(rel)) == len(ks)
 
 
 def test_relations_equal_keeps_one_reward_function_alive_at_a_time():
@@ -462,38 +491,6 @@ def test_open_game_checks_the_port():
 # -- normal-form games --------------------------------------------------
 
 
-def test_normal_form_validation():
-    cd = FinSet(("C", "D"))
-    with pytest.raises(CompositionError, match="payoffs for"):
-        normal_form_game([cd], {("C",): (1, 2), ("D",): (0,)})
-    with pytest.raises(CompositionError, match="profile product"):
-        normal_form_game([cd], {("C",): (1,)})
-    with pytest.raises(CompositionError):
-        normal_form_game([], {})
-
-
-def test_normal_form_game_names_an_unreadable_payoff():
-    cd = FinSet(("C", "D"))
-    for bad in ("abc", float("nan"), None):
-        table = {("C", "C"): (1, 1), ("C", "D"): (0, 2), ("D", "C"): (2, bad), ("D", "D"): (1, 1)}
-        with pytest.raises(CompositionError) as exc:
-            normal_form_game([cd, cd], table)
-        assert str(exc.value) == f"profile ('D', 'C'): cannot read payoff {bad!r} of player 1 as a rational"
-    # a row or a profile that is not a sequence at all, or a string that would be read as its characters
-    for players, table, message in (
-        ([cd], {("C",): None, ("D",): (1,)}, "profile ('C',): payoffs None are not a sequence"),
-        ([cd], {("C",): 5, ("D",): (1,)}, "profile ('C',): payoffs 5 are not a sequence"),
-        ([cd], {5: (1,)}, "profile 5 is not a sequence of moves"),
-        ([cd, cd], {"CC": (1, 2), "CD": (0, 3), "DC": (3, 0), "DD": (1, 1)}, "profile 'CC' is not a sequence of moves"),
-        ([cd, cd], {b"CC": (1, 2)}, "profile b'CC' is not a sequence of moves"),
-        ([cd, cd], {("C", "C"): "12", ("C", "D"): (0, 3)}, "profile ('C', 'C'): payoffs '12' are not a sequence"),
-        ([cd, cd], {("C", "C"): b"12", ("C", "D"): (0, 3)}, "profile ('C', 'C'): payoffs b'12' are not a sequence"),
-    ):
-        with pytest.raises(CompositionError) as exc:
-            normal_form_game(players, table)
-        assert str(exc.value) == message
-
-
 def test_profile_values_decode():
     g = _pd()
     assert g.values[("C", "D")] == (0, 3)
@@ -557,18 +554,27 @@ def _spelled_specs(draw):
     return {"players": players, "payoffs": payoffs}
 
 
+def _exact_rows(spec) -> tuple:
+    """The players and the product-ordered table of a spec's exact values, one
+    ``Fraction`` object per payoff, however the spec writes it."""
+    players = tuple(FinSet(tuple(p["strategies"])) for p in spec["players"])
+    rows = {tuple(key.split(",")): tuple(map(Fraction, vals)) for key, vals in spec["payoffs"].items()}
+    return players, {p: rows[p] for p in iter_product(*[p.labels for p in players])}
+
+
 @settings(max_examples=150, deadline=None)
 @given(spec=_spelled_specs())
-def test_parsing_builds_the_game_the_validating_constructor_builds(spec):
+def test_parsing_builds_the_game_of_its_exact_values(spec):
     parsed, _ = parse_game_spec(spec)
-    players = [FinSet(tuple(p["strategies"])) for p in spec["players"]]
-    built = normal_form_game(players, {tuple(key.split(",")): vals for key, vals in spec["payoffs"].items()})
-    product_order = list(iter_product(*[p.labels for p in players]))
-    assert parsed.players == built.players == tuple(players)
+    players, values = _exact_rows(spec)
+    built = game_of_rows(players, values)
+    product_order = list(values)
+    assert parsed.players == built.players == players
+    # equal values spelled differently share a rank, in the parsed game as in the built one
     assert parsed.grids == built.grids
     assert parsed.levels == built.levels
-    assert list(parsed.values) == list(built.values) == product_order
-    assert list(parsed.values.values()) == list(built.values.values())
+    assert list(parsed.values) == product_order
+    assert list(parsed.values.values()) == list(values.values())
     assert parsed.payoff.table == built.payoff.table
     assert list(parsed.payoff.table) == [tuple_label(p) for p in product_order]
 
@@ -588,8 +594,7 @@ def _hicks_by_hand(g):
 })
 def test_brute_force_hicks_sums_as_a_per_profile_sum_does(spec):
     parsed, _ = parse_game_spec(spec)
-    players = [FinSet(tuple(p["strategies"])) for p in spec["players"]]
-    built = normal_form_game(players, {tuple(key.split(",")): vals for key, vals in spec["payoffs"].items()})
+    built = game_of_rows(*_exact_rows(spec))  # no two payoffs share an object
     for g in (parsed, built):
         assert brute_force_hicks(g) == _hicks_by_hand(g)
 
@@ -642,8 +647,8 @@ def test_a_game_builds_its_arena_once_per_shape(monkeypatch, n, cold):
 
     def game(shift):
         # each player's values are a permutation of 0 … len(profiles) - 1, so every game has one shape
-        return normal_form_game(moves, {p: [(j + shift * (i + 1)) % len(profiles) for i in range(n)]
-                                        for j, p in enumerate(profiles)})
+        return _game(moves, {p: [(j + shift * (i + 1)) % len(profiles) for i in range(n)]
+                             for j, p in enumerate(profiles)})
 
     arena.cache_clear()
     monkeypatch.setattr(Lens, "__post_init__", counted)
@@ -773,7 +778,7 @@ def test_sum_lens_ranks_every_total_exactly(data, n, digits):
     near = st.builds(lambda a, b: Fraction(base // 3 + a, base + b), st.integers(-3, 3), st.sampled_from([0, 1, 2, base]))
     levels = [sorted(set(data.draw(st.lists(near, min_size=1, max_size=4)))) for _ in range(n)]
     players = [FinSet(tuple(f"s{j}" for j in range(len(level)))) for level in levels]
-    g = normal_form_game(players, {p: [level[int(m[1:])] for level, m in zip(levels, p)] for p in iter_product(*[p.labels for p in players])})
+    g = game_of_rows(tuple(players), {p: tuple(level[int(m[1:])] for level, m in zip(levels, p)) for p in iter_product(*[p.labels for p in players])})
     collapse = sum_of_payoffs_lens(g)
     w = next(iter(collapse.src.fwd))
     rank, total = {}, {}
