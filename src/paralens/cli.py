@@ -24,6 +24,7 @@ from typing import Sequence
 from .errors import ParalensError, SpecFormatError
 from .finite_base import DEFAULT_ENUM_CAP, FinSet, split_tuple
 from .selection_games import (
+    SELECTION_TAGS,
     NormalFormGame,
     brute_force_hicks,
     brute_force_nash,
@@ -32,8 +33,6 @@ from .selection_games import (
     hicks_games,
     solution_set,
 )
-
-_TAGS = ("argmax", "total")
 
 DEMO_NAMES = ("gan", "linreg", "mlp")  # sorted(demos.DEMOS), so that solve never imports numpy
 
@@ -139,7 +138,7 @@ def _validate_selection(selection: object, n: int, path: str) -> None:
         if len(selection) != n:
             raise SpecFormatError(f"expected {n} per-player tags", path)
         for i, tag in enumerate(selection):
-            if tag not in _TAGS:
+            if tag not in SELECTION_TAGS:
                 raise SpecFormatError(f"unknown tag {tag!r}", f"{path}[{i}]")
         return
     raise SpecFormatError("expected a string or a list of tags", path)

@@ -25,10 +25,10 @@ order; the exact values stay on the game.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import product as iter_product
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from weakref import WeakKeyDictionary
@@ -44,6 +44,7 @@ from .finite_base import (
     UNIT_SET,
     finset_tuple_product,
     iter_functions,
+    split_tuple,
     tuple_label,
 )
 from .lens_core import (
@@ -360,16 +361,18 @@ def game_scalar(g: NormalFormGame, max_size: int = DEFAULT_ENUM_CAP) -> ParaLens
     return in_context(arena(g.players, g.grids, max_size), units, g.payoff)
 
 
+SELECTION_TAGS = ("argmax", "total")  # the per-player tags a spec or the API may name
+
+
 def _checked_tags(g: NormalFormGame, tags: Sequence[str] | None) -> list[str]:
-    """Per-player selection tags, each ``"argmax"`` or ``"total"``; ``None``
-    makes every player ``"argmax"``."""
+    """Per-player selection tags, each one of ``SELECTION_TAGS``; ``None`` makes every player ``"argmax"``."""
     if tags is None:
         return ["argmax"] * len(g.players)
     tags = list(tags)
     if len(tags) != len(g.players):
         raise CompositionError("one selection tag per player required")
     for tag in tags:
-        if tag not in ("argmax", "total"):
+        if tag not in SELECTION_TAGS:
             raise CompositionError(f"unknown selection tag {tag!r}")
     return tags
 
@@ -388,29 +391,27 @@ def compositional_game(
 
 
 def sum_of_payoffs_lens(g: NormalFormGame) -> Lens:
-    """Collapse the grid product to the ranks of the possible payoff sums.
+    """Collapse the grid product to the ranks of the totals the game plays.
 
-    Identity forward; backward maps each tuple of ranks to the rank of its
-    total among the distinct totals of every combination of per-player
-    values, read from a table built once.  Totals are ranked as integers:
-    each value is floored once to a multiple of 2**-s, so the sum of a
-    combination's floors lies less than n units below its total.  Two
-    distinct totals of n values with denominators below 2**b differ by at
-    least 2**(-2nb), which ``s`` makes more than 2n units; so estimates less
-    than n apart are exactly those of equal totals.
+    Identity forward.  Each distinct rank tuple in the payoff table is summed
+    once, exactly, from ``levels``; ``sums`` ranks those totals, so it and the
+    table hold at most one entry per profile.  Relation equality reaches
+    every tuple, so one that no profile plays gets the rank of the greatest
+    played total at or below its own, or ``"0"``: ranks stay weakly monotone.
     """
-    n = len(g.grids)
-    shift = 2 * n * max(v.denominator for level in g.levels for v in level).bit_length() + (2 * n).bit_length()
-    parts = [[(label, (v.numerator << shift) // v.denominator) for label, v in zip(grid.labels, level)] for grid, level in zip(g.grids, g.levels)]
-    table: dict = {}
-    count, last = -1, None
-    for estimate, combo in sorted(((sum(e for _, e in c), c) for c in iter_product(*parts)), key=itemgetter(0)):
-        if last is None or estimate - last >= n:  # the next distinct total
-            count += 1
-        table[tuple_label([label for label, _ in combo])], last = str(count), estimate
-    sums = FinSet(tuple(map(str, range(count + 1))))
-    omega = finset_tuple_product(g.players)
-    return Lens(FINITE, LensObj(omega, sums), LensObj(omega, finset_tuple_product(g.grids)), lambda w: (w, None), lambda _, r: table[r])
+    totals = {r: _total(g, r) for r in dict.fromkeys(g.payoff.table.values())}
+    ordered = sorted(set(totals.values()))
+    table = {r: str(bisect_left(ordered, t)) for r, t in totals.items()}
+    omega, sums = finset_tuple_product(g.players), FinSet(tuple(map(str, range(len(ordered)))))
+
+    def backward(_, r) -> str:
+        return table.get(r) or str(max(bisect_right(ordered, _total(g, r)) - 1, 0))
+    return Lens(FINITE, LensObj(omega, sums), LensObj(omega, finset_tuple_product(g.grids)), lambda w: (w, None), backward)
+
+
+def _total(g: NormalFormGame, ranks: tuple) -> Fraction:
+    """The exact payoff total of a left-nested tuple of rank labels."""
+    return sum(level[int(i)] for level, i in zip(g.levels, split_tuple(g.grids, ranks)))
 
 
 def hicks_games(

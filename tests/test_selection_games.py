@@ -762,11 +762,65 @@ def test_mixed_selection_tags_on_dilemma():
 
 
 def test_sum_lens_tables():
+    # the dilemma plays the totals 2, 3 and 4; ("0","0") totals 0, below all
+    # of them, ("1","2") totals 3 and ("3","3") totals 6, which no profile plays
     collapse = sum_of_payoffs_lens(_pd())
-    assert collapse.src.bwd.labels == ("0", "1", "2", "3", "4", "5", "6")
+    assert collapse.src.bwd.labels == ("0", "1", "2")
     assert FINITE.apply(collapse.get, ("C", "C")) == ("C", "C")
-    assert FINITE.apply(collapse.put, (("C", "C"), ("2", "2"))) == "4"
-    assert FINITE.apply(collapse.put, (("D", "C"), ("3", "0"))) == "3"
+    assert FINITE.apply(collapse.put, (("C", "C"), ("2", "2"))) == "2"
+    assert FINITE.apply(collapse.put, (("D", "C"), ("3", "0"))) == "1"
+    assert FINITE.apply(collapse.put, (("C", "C"), ("0", "0"))) == "0"
+    assert FINITE.apply(collapse.put, (("C", "C"), ("1", "2"))) == "1"
+    assert FINITE.apply(collapse.put, (("C", "C"), ("3", "3"))) == "2"
+
+
+def test_sum_lens_ranks_only_played_totals():
+    # 3 players x 4 moves, all 192 payoffs distinct: the grid product has
+    # 64**3 tuples and about 244,000 distinct totals, the game 64 profiles
+    rng = random.Random(31)
+    moves = FinSet(("a", "b", "c", "d"))
+    draws = iter(rng.sample(range(10**6), 192))
+    g = _game([moves] * 3, {p: tuple(next(draws) for _ in range(3)) for p in iter_product(moves.labels, repeat=3)})
+    collapse = sum_of_payoffs_lens(g)
+    played = {sum(vals) for vals in g.values.values()}
+    assert len(collapse.src.bwd) == len(played) <= 64
+    want = brute_force_hicks(g)
+    assert [solution_set(route) for route in hicks_games(g)] == [want, want]
+
+
+@st.composite
+def _pooled_games(draw):
+    # each profile plays one of a few payoff vectors, so most games leave
+    # some tuples of the grid product unplayed
+    n = draw(st.integers(1, 3))
+    value = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    pool = draw(st.lists(st.tuples(*[value] * n), min_size=1, max_size=4))
+    players = tuple(FinSet(tuple(f"m{j}" for j in range(draw(st.integers(1, 3))))) for _ in range(n))
+    profiles = list(iter_product(*[p.labels for p in players]))
+    return game_of_rows(players, {p: draw(st.sampled_from(pool)) for p in profiles})
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_pooled_games())
+def test_sum_lens_ranks_unplayed_tuples_weakly(g):
+    collapse = sum_of_payoffs_lens(g)
+    w = next(iter(collapse.src.fwd))
+    played = {g.payoff(tuple_label(list(p))) for p in g.values}
+    rank, total = {}, {}
+    for r in iter_product(*[grid.labels for grid in g.grids]):
+        r = tuple_label(list(r))
+        label = collapse.put((w, r))
+        assert label in collapse.src.bwd
+        rank[r] = int(label)
+        total[r] = sum((level[int(i)] for level, i in zip(g.levels, split_tuple(g.grids, r))), Fraction(0))
+    for r in rank:  # the rank of the greatest played total at or below its own, or 0
+        assert rank[r] == max((rank[p] for p in played if total[p] <= total[r]), default=0)
+    for r, s in iter_product(rank, repeat=2):
+        if total[r] <= total[s]:
+            assert rank[r] <= rank[s]
+        if r in played and s in played:
+            assert (rank[r] < rank[s]) == (total[r] < total[s])
+            assert (rank[r] == rank[s]) == (total[r] == total[s])
 
 
 @settings(max_examples=100, deadline=None)
