@@ -22,7 +22,7 @@ from itertools import product as iter_product
 from typing import Sequence
 
 from .errors import ParalensError, SpecFormatError
-from .finite_base import DEFAULT_ENUM_CAP, FinSet, split_tuple
+from .finite_base import FinSet, split_tuple
 from .selection_games import (
     SELECTION_TAGS,
     NormalFormGame,
@@ -190,14 +190,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
         selection = "argmax_each"
 
     if selection == "hicks_sum":
-        route_a, route_b = hicks_games(game, args.max_strategies, args.max_costates)
+        route_a, route_b = hicks_games(game)
         sols_a, sols_b = solution_set(route_a), solution_set(route_b)
         oracle = brute_force_hicks(game)
         agrees = sols_a == sols_b == oracle
         sols = sols_a
     else:
         tags = ["argmax"] * n if selection == "argmax_each" else list(selection)
-        open_g = compositional_game(game, tags, args.max_strategies)
+        open_g = compositional_game(game, tags)
         sols = solution_set(open_g)
         oracle = brute_force_nash(game, tags=tags)
         agrees = sols == oracle
@@ -282,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a game spec and compare with the oracle")
     p_solve.add_argument("spec", help="path to a spec JSON (bundled: pd.json, matching_pennies.json, coordination.json)")
     p_solve.add_argument("--selection", help="argmax_each, hicks_sum, or comma-joined per-player tags")
-    p_solve.add_argument("--max-strategies", type=_nonneg_int, default=DEFAULT_ENUM_CAP, help="cap on enumerated strategies per decision")
-    p_solve.add_argument("--max-costates", type=_nonneg_int, default=DEFAULT_ENUM_CAP, help="cap on enumerated states when transporting relations")
     p_solve.set_defaults(fn=cmd_solve)
 
     p_train = sub.add_parser("train", help="run a training demo and write per-step CSV")

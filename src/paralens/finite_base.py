@@ -28,7 +28,7 @@ from .lens_core import Base
 
 UNIT_LABEL = "•"
 
-DEFAULT_ENUM_CAP = 10**6
+ENUM_CAP = 10**6  # the most functions or source states one call may enumerate
 
 
 @dataclass(frozen=True)
@@ -193,20 +193,18 @@ class _DerivedFn(FinFn):
     checked = False
 
 
-def iter_functions(
-    dom: Carrier, cod: Carrier, max_size: int = DEFAULT_ENUM_CAP
-) -> Iterator[FinFn]:
+def iter_functions(dom: Carrier, cod: Carrier) -> Iterator[FinFn]:
     """All total functions ``dom → cod``, one at a time, in lexicographic order.
 
     Order is by the image tuple with the earliest domain element most
     significant, matching the element order of the left-associated product
-    ``cod^|dom|``.  The cap is checked at the call, and each function can
+    ``cod^|dom|``.  ``ENUM_CAP`` is checked at the call, and each function can
     die before the next is built.
     """
     count = len(cod) ** len(dom)
-    if count > max_size:
+    if count > ENUM_CAP:
         raise SizeCapError(
-            f"{count} functions {dom} → {cod} exceeds the cap of {max_size}",
+            f"{count} functions {dom} → {cod} exceeds the cap of {ENUM_CAP}",
             count=count,
         )
     xs = dom.labels

@@ -35,7 +35,7 @@ from weakref import WeakKeyDictionary
 
 from .errors import CompositionError, SizeCapError
 from .finite_base import (
-    DEFAULT_ENUM_CAP,
+    ENUM_CAP,
     FINITE,
     FinFn,
     FinProd,
@@ -149,9 +149,7 @@ def nash_product(eps: SelectionRelation, delta: SelectionRelation) -> SelectionR
     return best_response(obj, best)
 
 
-def sel_pushforward(
-    f: Lens, eps: SelectionRelation, max_size: int = DEFAULT_ENUM_CAP
-) -> SelectionRelation:
+def sel_pushforward(f: Lens, eps: SelectionRelation) -> SelectionRelation:
     """Transport a relation along a lens.
 
     The image relation accepts (y, k) iff some state x with get(x) = y is
@@ -166,9 +164,9 @@ def sel_pushforward(
             "lens source does not match the relation's parameter port"
         )
     count = len(f.src.fwd)
-    if count > max_size:
+    if count > ENUM_CAP:
         raise SizeCapError(
-            f"{count} source states exceed the cap of {max_size}", count=count
+            f"{count} source states exceed the cap of {ENUM_CAP}", count=count
         )
 
     def best(k: FinFn) -> list:
@@ -192,12 +190,7 @@ def relations_equal(r1: SelectionRelation, r2: SelectionRelation) -> bool:
 # -- decisions and games ------------------------------------------------
 
 
-def decision(
-    observations: FinSet,
-    moves: FinSet,
-    rewards: FinSet,
-    max_size: int = DEFAULT_ENUM_CAP,
-) -> ParaLens:
+def decision(observations: FinSet, moves: FinSet, rewards: FinSet) -> ParaLens:
     """A single agent: strategies are functions from observations to moves.
 
     Forward play applies the strategy to the observation; backward, the
@@ -205,7 +198,7 @@ def decision(
     nothing flows further upstream.
     """
     omega = finset_tuple_product([moves] * len(observations))
-    strategies = dict(zip(omega, iter_functions(observations, moves, max_size)))
+    strategies = dict(zip(omega, iter_functions(observations, moves)))
 
     def play(wx: tuple):
         w, x = wx
@@ -302,19 +295,12 @@ def game_of_rows(players: tuple[FinSet, ...], values: dict[tuple[str, ...], tupl
     return NormalFormGame(players, tuple(grids), payoff, values, tuple(levels))
 
 
-def brute_force_nash(
-    g: NormalFormGame, max_size: int = DEFAULT_ENUM_CAP, tags: Sequence[str] | None = None
-) -> tuple:
+def brute_force_nash(g: NormalFormGame, tags: Sequence[str] | None = None) -> tuple:
     """Independent oracle: profiles with no strictly improving unilateral deviation.
 
     Given per-player ``tags``, only ``"argmax"`` players are held to deviations.
     """
     tags = _checked_tags(g, tags)
-    count = len(g.values)
-    if count > max_size:
-        raise SizeCapError(
-            f"{count} profiles exceed the cap of {max_size}", count=count
-        )
     out = []
     for prof, vals in g.values.items():
         if not any(
@@ -340,25 +326,22 @@ def brute_force_hicks(g: NormalFormGame) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def arena(
-    players: tuple[FinSet, ...], grids: tuple[FinSet, ...], max_size: int = DEFAULT_ENUM_CAP
-) -> ParaLens:
+def arena(players: tuple[FinSet, ...], grids: tuple[FinSet, ...]) -> ParaLens:
     """The decisions tensored, one per player with unit observations.
 
     It depends only on the strategy sets and the rank grids, so it is built
-    once per shape and kept in a bounded cache.  The cap is part of the key:
-    a shape cached under a large cap still raises under a smaller one.
+    once per shape and kept in a bounded cache.
     """
-    parts = [decision(UNIT_SET, player, grid, max_size) for player, grid in zip(players, grids)]
+    parts = [decision(UNIT_SET, player, grid) for player, grid in zip(players, grids)]
     return flatten_params(reduce(para_tensor, parts))
 
 
-def game_scalar(g: NormalFormGame, max_size: int = DEFAULT_ENUM_CAP) -> ParaLens:
+def game_scalar(g: NormalFormGame) -> ParaLens:
     """The closed compositional form: the game's :func:`arena` played in
     the context (unit observations, payoff costate), so the payoff enters
     only as the costate.  The parameter port is the profile product."""
     units = tuple_label([UNIT_LABEL] * len(g.players))
-    return in_context(arena(g.players, g.grids, max_size), units, g.payoff)
+    return in_context(arena(g.players, g.grids), units, g.payoff)
 
 
 SELECTION_TAGS = ("argmax", "total")  # the per-player tags a spec or the API may name
@@ -377,17 +360,13 @@ def _checked_tags(g: NormalFormGame, tags: Sequence[str] | None) -> list[str]:
     return tags
 
 
-def compositional_game(
-    g: NormalFormGame,
-    tags: Sequence[str] | None = None,
-    max_size: int = DEFAULT_ENUM_CAP,
-) -> OpenGame:
+def compositional_game(g: NormalFormGame, tags: Sequence[str] | None = None) -> OpenGame:
     """Assemble the open game for a normal-form game and per-player selection tags."""
     rels = [
         argmax_rel(player, grid) if tag == "argmax" else total_rel(LensObj(player, grid))
         for player, grid, tag in zip(g.players, g.grids, _checked_tags(g, tags))
     ]
-    return open_game(game_scalar(g, max_size), reduce(nash_product, rels))
+    return open_game(game_scalar(g), reduce(nash_product, rels))
 
 
 def sum_of_payoffs_lens(g: NormalFormGame) -> Lens:
@@ -414,20 +393,16 @@ def _total(g: NormalFormGame, ranks: tuple) -> Fraction:
     return sum(level[int(i)] for level, i in zip(g.levels, split_tuple(g.grids, ranks)))
 
 
-def hicks_games(
-    g: NormalFormGame,
-    max_size: int = DEFAULT_ENUM_CAP,
-    max_states: int = DEFAULT_ENUM_CAP,
-) -> tuple[OpenGame, OpenGame]:
+def hicks_games(g: NormalFormGame) -> tuple[OpenGame, OpenGame]:
     """The two equivalent forms of joint-total maximisation.
 
     Route one reparametrises the scalar by the sum-of-payoffs lens and runs
     argmax over profiles; route two leaves the scalar alone and pushes that
     argmax forward along the same lens.  Their solution sets coincide.
     """
-    scalar = game_scalar(g, max_size)
+    scalar = game_scalar(g)
     collapse = sum_of_payoffs_lens(g)
     joint = argmax_rel(finset_tuple_product(g.players), collapse.src.bwd)
     route_reparam = open_game(reparametrise(scalar, collapse), joint)
-    route_pushed = open_game(scalar, sel_pushforward(collapse, joint, max_states))
+    route_pushed = open_game(scalar, sel_pushforward(collapse, joint))
     return route_reparam, route_pushed

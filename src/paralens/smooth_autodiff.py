@@ -328,7 +328,7 @@ class Wire:
     hi: int
 
     def __post_init__(self):
-        if not (0 <= self.lo <= self.hi):
+        if not (isinstance(self.lo, int) and isinstance(self.hi, int) and 0 <= self.lo <= self.hi):
             raise CompositionError(f"bad wire slice [{self.lo}:{self.hi}]")
 
     @property
@@ -571,38 +571,9 @@ def compose_maps(f: SmoothMap, g: SmoothMap) -> SmoothMap:
         raise CompositionError(
             f"cannot compose graphs: output R^{f.out_dim} feeds input R^{g.in_dim}"
         )
-
-    def remap(w: Wire, param_off: int, input_to: Wire | None, prefix: str) -> Wire:
-        if w.src == "param":
-            return Wire("param", w.lo + param_off, w.hi + param_off)
-        if w.src == "input":
-            if input_to is None:
-                return w
-            return Wire(input_to.src, input_to.lo + w.lo, input_to.lo + w.hi)
-        return Wire(prefix + w.src, w.lo, w.hi)
-
-    nodes = []
-    for node in f.nodes:
-        nodes.append(
-            Node(
-                "a:" + node.name,
-                node.prim,
-                tuple(remap(w, g.param_dim, None, "a:") for w in node.inputs),
-            )
-        )
-    f_out = remap(f.output, g.param_dim, None, "a:")
-    for node in g.nodes:
-        nodes.append(
-            Node(
-                "b:" + node.name,
-                node.prim,
-                tuple(remap(w, 0, f_out, "b:") for w in node.inputs),
-            )
-        )
-    out = remap(g.output, 0, f_out, "b:")
-    return SmoothMap(
-        g.param_dim + f.param_dim, f.in_dim, g.out_dim, tuple(nodes), out
-    )
+    b = GraphBuilder(f.in_dim)
+    pg, pf = b.param(g.param_dim), b.param(f.param_dim)
+    return b.build(b.inline(g, pg, b.inline(f, pf, b.input(), "a:"), "b:"))
 
 
 class GraphBuilder:
@@ -629,18 +600,35 @@ class GraphBuilder:
         self._nodes.append(Node(name, prim, tuple(inputs)))
         return Wire(name, 0, prim.out_dim)
 
+    def inline(self, f: SmoothMap, params: Wire, x: Wire, prefix: str = "") -> Wire:
+        """Append ``f``'s nodes, named ``prefix + name``, reading ``params`` for
+        its parameter port and ``x`` for its input; returns its output's wire."""
+        ports = {"param": params, "input": x}
+
+        def wire(w: Wire) -> Wire:
+            if w.src in ports:
+                port = ports[w.src]
+                return Wire(port.src, port.lo + w.lo, port.lo + w.hi)
+            return Wire(prefix + w.src, w.lo, w.hi)
+
+        self._nodes += (Node(prefix + n.name, n.prim, tuple(map(wire, n.inputs))) for n in f.nodes)
+        return wire(f.output)
+
     def build(self, output: Wire) -> SmoothMap:
         return SmoothMap(
             self._param_dim, self.in_dim, output.dim, tuple(self._nodes), output
         )
 
 
+_ACTIVATIONS = ("neg", "relu", "sigmoid", "tanh")  # the one-input, width-preserving primitives
+
+
 def mlp_map(dims: Sequence[int], activation: str = "tanh") -> SmoothMap:
     """Fully-connected layers with biases; no activation after the last layer."""
     if len(dims) < 2:
         raise CompositionError("an MLP needs at least an input and an output layer")
-    if activation not in PRIMITIVES:
-        raise CompositionError(f"unknown activation {activation!r}")
+    if activation not in _ACTIVATIONS:
+        raise CompositionError(f"activation {activation!r} is not one of {', '.join(_ACTIVATIONS)}")
     act = PRIMITIVES[activation]
     b = GraphBuilder(dims[0])
     h = b.input()
@@ -661,15 +649,9 @@ def sqerr_head(f: SmoothMap) -> SmoothMap:
     taken = {n.name for n in f.nodes}
     while name in taken:
         name += "_"
-    target = Wire("input", f.in_dim, f.in_dim + f.out_dim)
-    loss = Node(name, sqerr(f.out_dim), (f.output, target))
-    return SmoothMap(
-        f.param_dim,
-        f.in_dim + f.out_dim,
-        1,
-        f.nodes + (loss,),
-        Wire(name, 0, 1),
-    )
+    b = GraphBuilder(f.in_dim + f.out_dim)
+    y = b.inline(f, b.param(f.param_dim), b.input(0, f.in_dim))
+    return b.build(b.node(sqerr(f.out_dim), y, b.input(f.in_dim), name=name))
 
 
 # -- lenses from graphs -------------------------------------------------
@@ -734,6 +716,8 @@ def train_step(model: ParaLens, p, x, loss_costate: Lens) -> tuple[Vector, float
         )
     if loss_costate.src != model.dst:
         raise CompositionError("loss costate does not match the model output")
+    if loss_costate.dst != unit_obj(SMOOTH):
+        raise CompositionError(f"loss costate ends at {SMOOTH.describe(loss_costate.dst.fwd)}, not the unit boundary")
     p = as_vector(p, model.params.fwd, "parameter vector")
     x = as_vector(x, model.src.fwd, "input vector")
     with np.errstate(over="ignore", invalid="ignore"):  # the next step rejects non-finite parameters

@@ -7,7 +7,6 @@ import pytest
 
 from paralens.errors import CompositionError, SizeCapError
 from paralens.finite_base import (
-    DEFAULT_ENUM_CAP,
     FINITE,
     UNIT_LABEL,
     UNIT_SET,
@@ -279,7 +278,7 @@ def test_arena_cache_is_bounded_and_a_payoff_dies_with_its_game():
     arena.cache_clear()
     g = game("s0")
     assert solution_set(compositional_game(g)) == ("s0",)
-    first = weakref.ref(arena(g.players, g.grids, DEFAULT_ENUM_CAP))
+    first = weakref.ref(arena(g.players, g.grids))
     del g
     gc.collect()
     assert first() is not None  # kept by the cache alone
@@ -316,9 +315,9 @@ def test_enumerate_functions_order_and_count():
 
 
 def test_enumerate_functions_cap():
-    dom = FinSet(tuple(f"d{i}" for i in range(5)))
+    dom = FinSet(tuple(f"d{i}" for i in range(10)))
     cod = FinSet(tuple(f"c{i}" for i in range(4)))
     with pytest.raises(SizeCapError) as exc:
-        iter_functions(dom, cod, max_size=100)
-    assert exc.value.count == 4**5
+        iter_functions(dom, cod)
+    assert exc.value.count == 4**10
 

@@ -21,7 +21,6 @@ from paralens.checks import random_finfn, random_finset, random_lens, random_obj
 from paralens.cli import parse_game_spec
 from paralens.errors import CompositionError, SizeCapError
 from paralens.finite_base import (
-    DEFAULT_ENUM_CAP,
     FINITE,
     FinFn,
     FinProd,
@@ -376,9 +375,6 @@ def test_pushforward_functoriality():
 def test_pushforward_guards():
     obj = LensObj(FinSet(("a", "b", "c", "d", "e")), FinSet(("0",)))
     eps = total_rel(obj)
-    with pytest.raises(SizeCapError) as exc:
-        sel_pushforward(lens_id(FINITE, obj), eps, max_size=4)
-    assert exc.value.count == 5
     other = LensObj(FinSet(("q",)), FinSet(("0",)))
     with pytest.raises(CompositionError):
         sel_pushforward(lens_id(FINITE, other), eps)
@@ -395,7 +391,7 @@ def test_pushforward_checks_its_cap_before_enumerating(monkeypatch):
 
     monkeypatch.setattr(FinProd, "__iter__", no_iteration)
     with pytest.raises(SizeCapError) as exc:
-        sel_pushforward(lens_id(FINITE, obj), total_rel(obj), max_size=10)
+        sel_pushforward(lens_id(FINITE, obj), total_rel(obj))
     assert exc.value.count == 2_250_000
 
 
@@ -447,11 +443,11 @@ def test_decision_strategy_order_and_play():
 
 
 def test_decision_respects_strategy_cap():
-    obs = FinSet(("a", "b", "c"))
+    obs = FinSet(tuple(f"h{i}" for i in range(10)))
     moves = FinSet(("m0", "m1", "m2", "m3"))
     with pytest.raises(SizeCapError) as exc:
-        decision(obs, moves, FinSet(("0",)), max_size=10)
-    assert exc.value.count == 64
+        decision(obs, moves, FinSet(("0",)))
+    assert exc.value.count == 4**10
 
 
 def test_context_agrees_with_pointwise_play():
@@ -606,8 +602,6 @@ def test_brute_force_oracles_frozen():
     assert brute_force_nash(_battle()) == (("B", "B"), ("S", "S"))
     assert brute_force_hicks(_pd()) == (("C", "C"),)
     assert brute_force_hicks(_battle()) == (("B", "B"), ("S", "S"))
-    with pytest.raises(SizeCapError):
-        brute_force_nash(_pd(), max_size=3)
     # only argmax players are held to deviations
     assert brute_force_nash(_pd(), tags=["argmax", "total"]) == (("D", "C"), ("D", "D"))
     assert brute_force_nash(_pennies(), tags=["total", "total"]) == (
@@ -681,19 +675,19 @@ def _same_shape_specs(draw):
     return specs
 
 
-def _solve(g, selection, max_size: int = DEFAULT_ENUM_CAP) -> tuple:
+def _solve(g, selection) -> tuple:
     if selection == "hicks_sum":
-        route_reparam, route_pushed = hicks_games(g, max_size)
+        route_reparam, route_pushed = hicks_games(g)
         assert solution_set(route_reparam) == solution_set(route_pushed)
         return solution_set(route_reparam)
-    return solution_set(compositional_game(g, selection, max_size))
+    return solution_set(compositional_game(g, selection))
 
 
 @settings(max_examples=60, deadline=None)
 @given(specs=_same_shape_specs(), data=st.data())
 def test_a_warm_arena_solves_as_a_cold_one(specs, data):
     games = [parse_game_spec(spec)[0] for spec in specs]
-    n, k = len(games[0].players), len(games[0].players[0])
+    n = len(games[0].players)
     tags = data.draw(st.lists(st.sampled_from(["argmax", "total"]), min_size=n, max_size=n))
     selections = (None, tags, "hicks_sum")  # None: every player argmax
     arena.cache_clear()
@@ -705,8 +699,6 @@ def test_a_warm_arena_solves_as_a_cold_one(specs, data):
                 assert warm[-1] == brute_force_hicks(g)
             else:
                 assert warm[-1] == brute_force_nash(g, tags=selection)
-            with pytest.raises(SizeCapError):
-                _solve(g, selection, k - 1)
     # every solve after the first ran on the arena the first one built
     assert arena.cache_info().hits == len(warm) - 1 and arena.cache_info().currsize == 1
     cold = []

@@ -61,6 +61,9 @@ def _mul_graph():
 def test_wire_rejects_bad_slice():
     with pytest.raises(CompositionError):
         Wire("input", 3, 1)
+    # a float bound would reach the generated legs as a slice index
+    with pytest.raises(CompositionError):
+        Wire("input", 0.5, 1.5)
 
 
 def test_graph_rejects_duplicate_node_names():
@@ -506,8 +509,27 @@ def test_mlp_against_plain_numpy():
 def test_mlp_relu_variant():
     f = mlp_map((1, 2, 1), activation="relu")
     assert any(n.prim.name == "relu" for n in f.nodes)
-    with pytest.raises(CompositionError):
-        mlp_map((1, 2, 1), activation="softplus")
+    # an activation takes one input and keeps its width
+    for activation in ("softplus", "linear", "mul", "add", "bias", "sqerr", "sum"):
+        with pytest.raises(CompositionError, match="activation"):
+            mlp_map((1, 2, 1), activation=activation)
+
+
+def test_compose_maps_and_sqerr_head_pin_their_names_and_plan():
+    comp = compose_maps(mlp_map((1, 1)), mlp_map((1, 1)))
+    assert [n.name for n in comp.nodes] == ["a:lin0", "a:bias0", "b:lin0", "b:bias0"]
+    # parameters [g, f]: g's weight and bias at [0:2], f's at [2:4]
+    steps = (
+        (((0, 2, 3), (1, 0, 1)), 0, 1),
+        (((2, 0, 1), (0, 3, 4)), 1, 2),
+        (((0, 0, 1), (2, 1, 2)), 2, 3),
+        (((2, 2, 3), (0, 1, 2)), 3, 4),
+    )
+    assert comp.plan == (steps, (2, 3, 4), (4, 1, 4))
+    twice = sqerr_head(sqerr_head(mlp_map((1, 1))))
+    assert [n.name for n in twice.nodes] == ["lin0", "bias0", "loss", "loss_"]
+    assert twice.nodes[-1].inputs == (Wire("loss", 0, 1), Wire("input", 2, 3))
+    assert twice.output == Wire("loss_", 0, 1) and twice.in_dim == 3
 
 
 def test_sqerr_head_value():
@@ -713,6 +735,13 @@ def test_train_step_requires_scalar_loss():
     model = reparametrise(apply_R(f), gd_lens(0.05, f.param_dim))
     with pytest.raises(CompositionError):
         train_step(model, np.zeros(f.param_dim), np.zeros(1), unit_loss_costate())
+
+
+def test_train_step_rejects_a_loss_costate_that_does_not_end_at_the_unit():
+    f = sqerr_head(mlp_map((1, 2, 1)))
+    model = reparametrise(apply_R(f), gd_lens(0.05, f.param_dim))
+    with pytest.raises(CompositionError, match="loss costate"):
+        train_step(model, np.zeros(f.param_dim), np.zeros(2), gd_lens(0.1, 1))
 
 
 def test_gan_step_against_finite_differences():
