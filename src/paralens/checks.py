@@ -171,7 +171,7 @@ def random_lens(rng: random.Random, src: LensObj, dst: LensObj) -> Lens:
 def random_para(rng: random.Random, src: LensObj, dst: LensObj, max_size: int = 2) -> ParaLens:
     params = random_obj(rng, max_size)
     carrier = random_lens(rng, obj_pair(FINITE, params, src), dst)
-    return ParaLens(FINITE, (params,), src, dst, carrier, 0)
+    return ParaLens(FINITE, (params,), src, dst, carrier)
 
 
 # -- lens laws ----------------------------------------------------------
@@ -302,17 +302,6 @@ def _pentagon_rhs(a: LensObj, b: LensObj, c: LensObj, d: LensObj) -> Lens:
 # -- parametrised laws --------------------------------------------------
 
 
-def _flat_perm(raw: ParaLens, order: Sequence[int]) -> Lens:
-    """Relabelling of the flattening of ``raw`` that permutes its leaves.
-
-    Leaf structure comes from the composite before flattening; flattening
-    itself collapses the shape.  ``order[i]`` says which source leaf
-    supplies destination slot i.
-    """
-    leaves = [o for o in raw.leaves if o != unit_obj(FINITE)]
-    return rewire(FINITE, leaves, left_bracketing(range(len(leaves))), left_bracketing(order))
-
-
 def _para_equal(lhs: ParaLens, rhs: ParaLens) -> bool:
     return lhs.params == rhs.params and lens_equal(lhs.carrier, rhs.carrier)
 
@@ -326,13 +315,13 @@ def check_para_laws(seed: int = 2, rounds: int = 40) -> Instances:
         p2 = random_para(rng, b, c)
         p3 = random_para(rng, c, d)
 
-        lhs = flatten_params(para_compose(para_compose(p1, p2), p3))
-        rhs = flatten_params(para_compose(p1, para_compose(p2, p3)))
+        lhs = para_compose(para_compose(p1, p2), p3)
+        rhs = para_compose(p1, para_compose(p2, p3))
         yield _para_equal(lhs, rhs), f"composition associativity failed at round {r}"
 
         ident = embed_trivial(lens_id(FINITE, a))
         lhs = flatten_params(para_compose(ident, p1))
-        rhs = flatten_params(p1)
+        rhs = p1
         yield _para_equal(lhs, rhs), f"left unit failed at round {r}"
 
         ident = embed_trivial(lens_id(FINITE, b))
@@ -347,12 +336,10 @@ def check_para_laws(seed: int = 2, rounds: int = 40) -> Instances:
 
         p4 = random_para(rng, d, a)
         q1, q2 = random_para(rng, a, b), random_para(rng, b, c)
-        both_raw = para_compose(para_tensor(p3, q1), para_tensor(p4, q2))
-        split_raw = para_tensor(para_compose(p3, p4), para_compose(q1, q2))
-        both = flatten_params(both_raw)
-        split = flatten_params(split_raw)
+        both = para_compose(para_tensor(p3, q1), para_tensor(p4, q2))
+        split = para_tensor(para_compose(p3, p4), para_compose(q1, q2))
         # leaves: composite-of-tensors [p4,q2,p3,q1]; tensor-of-composites [p4,p3,q2,q1]
-        perm = _flat_perm(both_raw, [0, 2, 1, 3])
+        perm = rewire(FINITE, both.leaves, left_bracketing(range(4)), left_bracketing([0, 2, 1, 3]))
         holds = lens_equal(both.carrier, reparametrise(split, perm).carrier)
         yield holds, f"interchange failed at round {r}"
 

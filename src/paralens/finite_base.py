@@ -38,6 +38,8 @@ class FinSet:
     labels: tuple[str, ...]
 
     def __post_init__(self):
+        if isinstance(self.labels, str):
+            raise CompositionError("labels must be a sequence of strings, not a string")
         labels = tuple(self.labels)
         object.__setattr__(self, "labels", labels)
         pos: dict[str, int] = {}

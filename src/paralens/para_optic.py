@@ -6,14 +6,14 @@ is carried by an ordinary lens
     ⟨P × src.fwd, P' × src.bwd⟩  →  dst
 
 with the parameter always the left factor.  A parameter port is a boundary
-object like any other, a :class:`LensObj`.  Sequential composition
-accumulates parameter ports with the *second* factor's parameters leftmost,
-and the tensor interleaves them, so a composite's port is a product of the
-ports it was built from.  ``leaves`` lists those ports left to right and
-``param_shape`` brackets their indices in :func:`rewire`'s notation;
-:func:`flatten_params` rewrites a composite to a single left-associated
-parameter leaf (dropping unit leaves) by reparametrising along that
-``rewire``, which is what solvers and optimisers want to talk to.
+object like any other, a :class:`LensObj`.  ``leaves`` lists the ports a
+composite was built from, left to right, and its port is always their
+left-nested product: composition is associative only up to a
+reparametrisation, and by coherence one canonical bracketing is enough.
+Sequential composition puts the *second* factor's leaves leftmost, the
+tensor keeps them in order, and each regroups its operands' ports with one
+:func:`rewire`.  :func:`flatten_params` only drops unit leaves, which is
+what solvers and optimisers want to talk to.
 :func:`in_context` closes a para-lens into a scalar by a state on its
 source and a costate on its target.
 
@@ -25,7 +25,7 @@ base's own pair/split operations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from typing import Sequence
 
 from .errors import CompositionError
@@ -35,10 +35,8 @@ from .lens_core import (
     LensObj,
     Mor,
     costate_fn,
-    lens_assoc,
     lens_compose,
     lens_id,
-    lens_interchange,
     lens_lunit,
     lens_runit_inv,
     lens_tensor,
@@ -46,7 +44,6 @@ from .lens_core import (
     make_state,
     obj_pair,
     describe_obj,
-    fold_bracketing,
     rewire,
     unit_obj,
 )
@@ -58,10 +55,9 @@ class ParaLens:
 
     ``carrier`` is the underlying lens
     ``⟨params.fwd × src.fwd, params.bwd × src.bwd⟩ → dst``.  ``leaves`` are
-    the parameter ports it was assembled from, left to right, and
-    ``param_shape`` brackets their indices as :func:`rewire` does; a
-    single-leaf lens has ``leaves == (port,)`` and ``param_shape == 0``.
-    ``params`` is the port that bracketing folds to.
+    the parameter ports it was assembled from, left to right, and ``params``
+    is always their left-nested product; a single-leaf lens has ``leaves ==
+    (params,)``.  A unit-parametrised lens has one unit leaf, never none.
     """
 
     base: Base
@@ -69,17 +65,13 @@ class ParaLens:
     src: LensObj
     dst: LensObj
     carrier: Lens
-    param_shape: object
     params: LensObj = field(init=False)
 
     def __post_init__(self):
         base = self.base
-        seen: list = []
-        object.__setattr__(self, "params", fold_bracketing(base, self.leaves, self.param_shape, seen))
-        if seen != list(range(len(self.leaves))):
-            raise CompositionError(
-                f"param_shape must number the {len(self.leaves)} leaves left to right, got {self.param_shape!r}"
-            )
+        if not self.leaves:
+            raise CompositionError("a parameter port needs at least one leaf; the unit port is one unit leaf")
+        object.__setattr__(self, "params", reduce(partial(obj_pair, base), self.leaves))
         expected_src = obj_pair(base, self.params, self.src)
         if self.carrier.src != expected_src or self.carrier.dst != self.dst:
             raise CompositionError(
@@ -89,22 +81,19 @@ class ParaLens:
             )
 
 
-def _shifted(shape, by: int):
-    """``shape`` with every leaf index raised by ``by``."""
-    if isinstance(shape, tuple):
-        return tuple(_shifted(s, by) for s in shape)
-    return shape + by
-
-
 def embed_trivial(l: Lens) -> ParaLens:
     """View a plain lens as parametrised by the unit port."""
     base = l.base
     carrier = lens_compose(lens_lunit(base, l.src), l)
-    return ParaLens(base, (unit_obj(base),), l.src, l.dst, carrier, 0)
+    return ParaLens(base, (unit_obj(base),), l.src, l.dst, carrier)
 
 
 def para_compose(p1: ParaLens, p2: ParaLens) -> ParaLens:
-    """Sequential composition; the second factor's parameters end up leftmost."""
+    """Sequential composition; the second factor's parameters end up leftmost.
+
+    One :func:`rewire` takes ``((p2.params, *p1.leaves), src)`` to ``(p2.params,
+    (p1.params, src))``; for a one-leaf ``p1`` it is ``lens_assoc``.
+    """
     base = p1.base
     if base is not p2.base:
         raise CompositionError("cannot compose parametrised lenses over different bases")
@@ -113,25 +102,31 @@ def para_compose(p1: ParaLens, p2: ParaLens) -> ParaLens:
             f"cannot compose: first ends at {describe_obj(base, p1.dst)}, "
             f"second starts at {describe_obj(base, p2.src)}"
         )
-    q2, q1 = p2.params, p1.params
-    reassoc = lens_assoc(base, q2, q1, p1.src)
-    step = lens_tensor(lens_id(base, q2), p1.carrier)
+    k = len(p1.leaves)
+    flat, ours = left_bracketing(range(k + 1)), left_bracketing(range(1, k + 1))
+    reassoc = rewire(base, [p2.params, *p1.leaves, p1.src], (flat, k + 1), (0, (ours, k + 1)))
+    step = lens_tensor(lens_id(base, p2.params), p1.carrier)
     carrier = lens_compose(lens_compose(reassoc, step), p2.carrier)
-    shape = (p2.param_shape, _shifted(p1.param_shape, len(p2.leaves)))
-    return ParaLens(base, p2.leaves + p1.leaves, p1.src, p2.dst, carrier, shape)
+    return ParaLens(base, p2.leaves + p1.leaves, p1.src, p2.dst, carrier)
 
 
 def para_tensor(p1: ParaLens, p2: ParaLens) -> ParaLens:
-    """Parallel composition; parameter ports pair up in order."""
+    """Parallel composition; parameter ports pair up in order.
+
+    One :func:`rewire` takes ``((p1.params, *p2.leaves), (src1, src2))`` to ``((p1.params,
+    src1), (p2.params, src2))``; for a one-leaf ``p2`` it is ``lens_interchange``.
+    """
     base = p1.base
     if base is not p2.base:
         raise CompositionError("cannot tensor parametrised lenses over different bases")
-    interleave = lens_interchange(base, p1.params, p2.params, p1.src, p2.src)
+    k = len(p2.leaves)
+    flat, theirs = left_bracketing(range(k + 1)), left_bracketing(range(1, k + 1))
+    leaves = [p1.params, *p2.leaves, p1.src, p2.src]
+    interleave = rewire(base, leaves, (flat, (k + 1, k + 2)), ((0, k + 1), (theirs, k + 2)))
     carrier = lens_compose(interleave, lens_tensor(p1.carrier, p2.carrier))
-    shape = (p1.param_shape, _shifted(p2.param_shape, len(p1.leaves)))
     src = obj_pair(base, p1.src, p2.src)
     dst = obj_pair(base, p1.dst, p2.dst)
-    return ParaLens(base, p1.leaves + p2.leaves, src, dst, carrier, shape)
+    return ParaLens(base, p1.leaves + p2.leaves, src, dst, carrier)
 
 
 def reparametrise(p: ParaLens, r: Lens) -> ParaLens:
@@ -150,7 +145,7 @@ def reparametrise(p: ParaLens, r: Lens) -> ParaLens:
             f"expected the parameter port {describe_obj(base, p.params)}"
         )
     carrier = lens_compose(lens_tensor(r, lens_id(base, p.src)), p.carrier)
-    return ParaLens(base, (r.src,), p.src, p.dst, carrier, 0)
+    return ParaLens(base, (r.src,), p.src, p.dst, carrier)
 
 
 def in_context(p: ParaLens, h, k: Mor) -> ParaLens:
@@ -164,7 +159,7 @@ def in_context(p: ParaLens, h, k: Mor) -> ParaLens:
     base = p.base
     feed = lens_tensor(lens_id(base, p.params), make_state(base, p.src, h))
     carrier = lens_compose(lens_compose(feed, p.carrier), make_costate(base, p.dst, k))
-    return ParaLens(base, p.leaves, unit_obj(base), unit_obj(base), carrier, p.param_shape)
+    return ParaLens(base, p.leaves, unit_obj(base), unit_obj(base), carrier)
 
 
 # -- flattening -----------------------------------------------------------
@@ -176,17 +171,16 @@ def left_bracketing(indices: Sequence[int]):
 
 
 def flatten_params(p: ParaLens) -> ParaLens:
-    """Collapse the parameter bracketing to one left-associated leaf.
+    """Drop the unit leaves (from ``embed_trivial``, or a graph with no parameters).
 
-    Unit leaves (from ``embed_trivial``) are dropped; the remaining leaves
-    keep their left-to-right order.  Behaviour is unchanged: the carrier is
-    reparametrised by the :func:`rewire` from the flat layout to the
-    bracketing.  Lenses with a single leaf or a flat port are returned as-is.
+    The rest keep their order, and the carrier is reparametrised by the
+    :func:`rewire` that puts the unit leaves back.  A lens with one leaf or
+    no unit leaf is returned as-is.
     """
-    flat = left_bracketing([i for i, q in enumerate(p.leaves) if q != unit_obj(p.base)])
-    if isinstance(p.param_shape, int) or p.param_shape == flat:
+    kept = [i for i, q in enumerate(p.leaves) if q != unit_obj(p.base)]
+    if len(kept) == len(p.leaves) or len(p.leaves) == 1:
         return p
-    return reparametrise(p, rewire(p.base, p.leaves, flat, p.param_shape))
+    return reparametrise(p, rewire(p.base, p.leaves, left_bracketing(kept), left_bracketing(range(len(p.leaves)))))
 
 
 def para_costate_solution_input(p: ParaLens) -> Mor:

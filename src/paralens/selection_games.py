@@ -217,7 +217,6 @@ def decision(observations: FinSet, moves: FinSet, rewards: FinSet) -> ParaLens:
         LensObj(observations, UNIT_SET),
         LensObj(moves, rewards),
         carrier,
-        0,
     )
 
 
@@ -333,7 +332,7 @@ def arena(players: tuple[FinSet, ...], grids: tuple[FinSet, ...]) -> ParaLens:
     once per shape and kept in a bounded cache.
     """
     parts = [decision(UNIT_SET, player, grid) for player, grid in zip(players, grids)]
-    return flatten_params(reduce(para_tensor, parts))
+    return reduce(para_tensor, parts)
 
 
 def game_scalar(g: NormalFormGame) -> ParaLens:

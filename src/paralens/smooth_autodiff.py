@@ -669,7 +669,7 @@ def apply_R(f: SmoothMap) -> ParaLens:
     pd, n, m = f.param_dim, f.in_dim, f.out_dim
     px = SMOOTH.pair(pd, n)
     carrier = Lens(SMOOTH, LensObj(px, px), LensObj(m, m), lambda v: _run_forward(f, *v), partial(_run_backward, f), term=FRESH)
-    return ParaLens(SMOOTH, (LensObj(pd, pd),), LensObj(n, n), LensObj(m, m), carrier, 0)
+    return ParaLens(SMOOTH, (LensObj(pd, pd),), LensObj(n, n), LensObj(m, m), carrier)
 
 
 def gd_lens(alpha: float, dim: int) -> Lens:

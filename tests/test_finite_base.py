@@ -37,6 +37,11 @@ def test_finset_rejects_duplicates_and_nonstrings():
         FinSet(("a", "a"))
     with pytest.raises(CompositionError):
         FinSet(("a", 3))
+    # "CD" is not the set {C, D}: a string is not a sequence of labels
+    with pytest.raises(CompositionError, match="not a string"):
+        FinSet("CD")
+    with pytest.raises(CompositionError):
+        FinSet("")
 
 
 def test_unit_set():

@@ -14,10 +14,14 @@ from paralens.finite_base import (
     UNIT_SET,
 )
 from paralens.lens_core import (
+    LEAF,
     LensObj,
     get_put_lens,
+    lens_assoc,
+    lens_compose,
     lens_equal,
     lens_id,
+    lens_tensor,
     obj_pair,
     unit_obj,
 )
@@ -30,7 +34,8 @@ from paralens.para_optic import (
     para_tensor,
     reparametrise,
 )
-from paralens.selection_games import compositional_game, hicks_games, solution_set
+from paralens.selection_games import arena, compositional_game, hicks_games, solution_set
+from paralens.smooth_autodiff import apply_R, gan_model, mlp_map
 
 
 def _switch_para() -> ParaLens:
@@ -50,7 +55,7 @@ def _switch_para() -> ParaLens:
         },
     )
     carrier = get_put_lens(FINITE, LensObj(dom, FinProd(params.bwd, src.bwd)), dst, get, put)
-    return ParaLens(FINITE, (params,), src, dst, carrier, 0)
+    return ParaLens(FINITE, (params,), src, dst, carrier)
 
 
 def _echo_para(tag: str) -> ParaLens:
@@ -65,7 +70,7 @@ def _echo_para(tag: str) -> ParaLens:
         FinFn(src.fwd, UNIT_SET, lambda wx: UNIT_LABEL),
         FinFn(FinProd(src.fwd, UNIT_SET), src.bwd, lambda wxr: (f"{tag}r{wxr[0][0][-1]}", UNIT_LABEL)),
     )
-    return ParaLens(FINITE, (port,), u, u, carrier, 0)
+    return ParaLens(FINITE, (port,), u, u, carrier)
 
 
 def test_shape_fold_and_leaves():
@@ -73,17 +78,16 @@ def test_shape_fold_and_leaves():
     both = para_tensor(_echo_para("a"), _echo_para("b"))
     assert both.params.fwd == FinProd(q1.fwd, q2.fwd)
     assert both.params.bwd == FinProd(q1.bwd, q2.bwd)
-    assert both.leaves == (q1, q2) and both.param_shape == (0, 1)
-    # the bracketing must number the leaves once each, left to right
-    for bad in ((1, 0), 0, (0, (1, 2)), (0, 0), (0, 1, 2), None):
-        with pytest.raises(CompositionError):
-            ParaLens(FINITE, both.leaves, both.src, both.dst, both.carrier, bad)
+    assert both.leaves == (q1, q2)
 
 
 def test_unit_param():
     p = embed_trivial(lens_id(FINITE, LensObj(FinSet(("m",)), FinSet(("u",)))))
-    assert p.leaves == (unit_obj(FINITE),) and p.param_shape == 0
+    assert p.leaves == (unit_obj(FINITE),)
     assert p.params.fwd is UNIT_SET and p.params.bwd is UNIT_SET
+    # the unit port is one unit leaf, never an empty list of leaves
+    with pytest.raises(CompositionError, match="at least one leaf"):
+        ParaLens(FINITE, (), p.src, p.dst, p.carrier)
 
 
 def test_embed_trivial_wraps_plain_lens():
@@ -128,13 +132,11 @@ def test_para_compose_parameter_order():
                 },
             ),
         ),
-        0,
     )
     comp = para_compose(p, q2)
     # later stage's parameters ride leftmost
     assert comp.params.fwd == FinProd(q2.params.fwd, p.params.fwd)
     assert comp.leaves == (q2.params, p.params)
-    assert comp.param_shape == (0, 1)
     out = FINITE.apply(
         comp.carrier.get, (("w1", "w0"), "x0")
     )
@@ -175,7 +177,7 @@ def test_flatten_drops_unit_factor():
     assert comp.params.fwd == FinProd(p.params.fwd, UNIT_SET)
     flat = flatten_params(comp)
     assert flat.params == p.params
-    assert flat.leaves == (p.params,) and flat.param_shape == 0
+    assert flat.leaves == (p.params,)
     assert lens_equal(flat.carrier, p.carrier)
 
 
@@ -184,20 +186,110 @@ def test_para_tensor_of_multi_leaf_operands():
     unit = unit_obj(FINITE)
     left = para_compose(a, b)
     right = para_tensor(c, para_compose(embed_trivial(lens_id(FINITE, unit)), d))
-    assert left.leaves == (b.params, a.params) and left.param_shape == (0, 1)
-    assert right.leaves == (c.params, d.params, unit) and right.param_shape == (0, (1, 2))
+    assert left.leaves == (b.params, a.params)
+    assert right.leaves == (c.params, d.params, unit)
     t = para_tensor(left, right)
     assert t.leaves == (b.params, a.params, c.params, d.params, unit)
-    assert t.param_shape == ((0, 1), (2, (3, 4)))
     flat = flatten_params(t)
     want = obj_pair(
         FINITE, obj_pair(FINITE, obj_pair(FINITE, b.params, a.params), c.params), d.params
     )
-    assert flat.leaves == (want,) and flat.param_shape == 0
+    assert t.params == obj_pair(FINITE, want, unit)
+    assert flat.leaves == (want,)
     x, z = t.src.fwd.labels[0], t.dst.bwd.labels[0]
     w = ((("b1", "a0"), "c1"), "d0")
     feedback, _ = FINITE.apply(flat.carrier.put, ((w, x), z))
     assert feedback == ((("br1", "ar0"), "cr1"), "dr0")
+
+
+def _multi_leaf_scalars() -> tuple[ParaLens, ParaLens, ParaLens]:
+    """Scalars of two, two and three leaves, one of them an ``embed_trivial`` unit leaf."""
+    e = {t: _echo_para(t) for t in "abcdef"}
+    unit = embed_trivial(lens_id(FINITE, unit_obj(FINITE)))
+    x = para_compose(e["a"], e["b"])
+    y = para_compose(unit, e["c"])
+    z = para_compose(e["d"], para_compose(e["e"], e["f"]))
+    return x, y, z
+
+
+def _left_fold(leaves) -> LensObj:
+    out = leaves[0]
+    for q in leaves[1:]:
+        out = obj_pair(FINITE, out, q)
+    return out
+
+
+def test_composites_of_multi_leaf_operands_are_strictly_associative():
+    x, y, z = _multi_leaf_scalars()
+    assert (len(x.leaves), len(y.leaves), len(z.leaves)) == (2, 2, 3)
+    assert y.leaves[1] == unit_obj(FINITE)
+    lhs, rhs = para_compose(para_compose(x, y), z), para_compose(x, para_compose(y, z))
+    assert lhs.leaves == rhs.leaves == z.leaves + y.leaves + x.leaves
+    assert lhs.params == rhs.params == _left_fold(lhs.leaves)
+    assert lens_equal(lhs.carrier, rhs.carrier)
+    lhs, rhs = para_tensor(para_tensor(x, y), z), para_tensor(x, para_tensor(y, z))
+    assert lhs.leaves == rhs.leaves == x.leaves + y.leaves + z.leaves
+    assert lhs.params == rhs.params == _left_fold(lhs.leaves)
+    # the tensor is strict on the port; its boundaries differ by the associator
+    u = x.src
+    assoc = lens_assoc(FINITE, u, u, u)
+    assert lens_equal(
+        lens_compose(lhs.carrier, assoc),
+        lens_compose(lens_tensor(lens_id(FINITE, lhs.params), assoc), rhs.carrier),
+    )
+
+
+def test_flatten_drops_exactly_the_unit_leaves():
+    x, y, z = _multi_leaf_scalars()
+    unit = unit_obj(FINITE)
+    for p in (para_compose(para_compose(x, y), z), para_tensor(y, para_tensor(x, z))):
+        kept = tuple(q for q in p.leaves if q != unit)
+        assert len(kept) == len(p.leaves) - 1
+        flat = flatten_params(p)
+        assert flat.leaves == (_left_fold(kept),)
+        assert flat.src == p.src and flat.dst == p.dst
+    p = para_compose(x, z)
+    assert flatten_params(p) is p
+
+
+def test_composites_with_a_two_leaf_first_operand_by_value():
+    a, b, c = (_echo_para(t) for t in "abc")
+    comp = para_compose(para_compose(a, b), c)
+    assert comp.params == _left_fold((c.params, b.params, a.params))
+    x, z = comp.src.fwd.labels[0], comp.dst.bwd.labels[0]
+    feedback, _ = FINITE.apply(comp.carrier.put, (((("c1", "b0"), "a1"), x), z))
+    assert feedback == (("cr1", "br0"), "ar1")
+    # para_tensor(a, para_compose(b, c)) has port ((Pa, Pc), Pb)
+    t = para_tensor(a, para_compose(b, c))
+    assert t.params == _left_fold((a.params, c.params, b.params))
+    x, z = t.src.fwd.labels[0], t.dst.bwd.labels[0]
+    feedback, _ = FINITE.apply(t.carrier.put, (((("a0", "c1"), "b1"), x), z))
+    assert feedback == (("ar0", "cr1"), "br1")
+    t = para_tensor(para_compose(b, c), a)
+    x, z = t.src.fwd.labels[0], t.dst.bwd.labels[0]
+    feedback, _ = FINITE.apply(t.carrier.put, (((("c0", "b1"), "a1"), x), z))
+    assert feedback == (("cr0", "br1"), "ar1")
+
+
+def _subterms(term):
+    yield term
+    if isinstance(term, tuple) and term[0] in ("compose", "tensor"):
+        for t in term[1:]:
+            yield from _subterms(t)
+
+
+def test_benchmarked_composites_keep_their_terms():
+    # one-leaf operands regroup by exactly lens_interchange and lens_assoc
+    interchange = ("rewire", ((0, 1), (2, 3)), ((0, 2), (1, 3)))
+    moves, grid = FinSet(("C", "D")), FinSet(("0", "1"))
+    three = arena((moves,) * 3, (grid,) * 3)
+    assert three.carrier.term == (
+        "compose", interchange, ("tensor", ("compose", interchange, ("tensor", LEAF, LEAF)), LEAF)
+    )
+    gan = gan_model(apply_R(mlp_map((2, 4, 2))), apply_R(mlp_map((2, 4, 1))), 0.01)
+    terms = list(_subterms(gan.carrier.term))
+    assert ("rewire", ((0, 1), 2), (0, (1, 2))) in terms
+    assert interchange in terms
 
 
 def test_solution_input_costate():
@@ -221,7 +313,7 @@ def test_solution_input_costate():
             },
         ),
     )
-    p = ParaLens(FINITE, (params,), u, u, carrier, 0)
+    p = ParaLens(FINITE, (params,), u, u, carrier)
     fn = para_costate_solution_input(p)
     assert (fn.dom, fn.cod) == (params.fwd, params.bwd)
     assert {w: FINITE.apply(fn, w) for w in params.fwd.labels} == reward
