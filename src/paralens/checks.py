@@ -75,7 +75,6 @@ from .selection_games import (
 )
 from .smooth_autodiff import (
     GraphBuilder,
-    PRIMITIVES,
     SmoothMap,
     apply_R,
     backward_eval,
@@ -128,8 +127,9 @@ def rel_close(a, b, rtol: float, atol: float = 1e-12) -> bool:
     return bool(np.allclose(np.asarray(a), np.asarray(b), rtol=rtol, atol=atol))
 
 
-def fd_gradient(fn: Callable[[np.ndarray], float], v: np.ndarray, step: float = 1e-5) -> np.ndarray:
+def fd_gradient(fn: Callable[[np.ndarray], float], v: np.ndarray) -> np.ndarray:
     """Central finite differences of a scalar function of a vector."""
+    step = 1e-5
     out = np.zeros_like(v)
     for i in range(len(v)):
         e = np.zeros_like(v)
@@ -168,8 +168,8 @@ def random_lens(rng: random.Random, src: LensObj, dst: LensObj) -> Lens:
     return get_put_lens(FINITE, src, dst, get, put)
 
 
-def random_para(rng: random.Random, src: LensObj, dst: LensObj, max_size: int = 2) -> ParaLens:
-    params = random_obj(rng, max_size)
+def random_para(rng: random.Random, src: LensObj, dst: LensObj) -> ParaLens:
+    params = random_obj(rng, 2)
     carrier = random_lens(rng, obj_pair(FINITE, params, src), dst)
     return ParaLens(FINITE, (params,), src, dst, carrier)
 
@@ -362,15 +362,15 @@ def _single_node_map(prim) -> SmoothMap:
 def check_gradient_primitives(seed: int = 11) -> Instances:
     rng = np.random.default_rng(seed)
     cases = [
-        PRIMITIVES["linear"](2, 3),
-        PRIMITIVES["add"](3),
-        PRIMITIVES["mul"](3),
-        PRIMITIVES["neg"](3),
-        PRIMITIVES["tanh"](3),
-        PRIMITIVES["relu"](3),
-        PRIMITIVES["sigmoid"](3),
-        PRIMITIVES["sum"](3),
-        PRIMITIVES["sqerr"](3),
+        sa.linear(2, 3),
+        sa.add(3),
+        sa.mul(3),
+        sa.neg(3),
+        sa.tanh(3),
+        sa.relu(3),
+        sa.sigmoid(3),
+        sa.sum_reduce(3),
+        sa.sqerr(3),
     ]
     for prim in cases:
         f = _single_node_map(prim)
@@ -394,30 +394,28 @@ def check_gradient_primitives(seed: int = 11) -> Instances:
         yield linear, f"{prim.name} pullback is not linear"
 
 
-def random_chain_graph(
-    rng: random.Random, in_dim: int | None = None, min_ops: int = 1, max_ops: int = 4
-) -> SmoothMap:
-    """A random pipeline of primitives with parameters for every weight."""
+def random_chain_graph(rng: random.Random, in_dim: int | None = None) -> SmoothMap:
+    """A random pipeline of 1 to 4 primitives with parameters for every weight."""
     d = in_dim if in_dim is not None else rng.randint(1, 3)
     b = GraphBuilder(in_dim=d)
     cur = b.input()
-    for _ in range(rng.randint(min_ops, max_ops)):
-        op = rng.choice(["linear", "bias", "mul", "tanh", "relu", "sigmoid", "neg"])
-        if op == "linear":
+    for _ in range(rng.randint(1, 4)):
+        op = rng.choice((sa.linear, sa.add, sa.mul, sa.tanh, sa.relu, sa.sigmoid, sa.neg))
+        if op is sa.linear:
             m = rng.randint(1, 3)
-            cur = b.node(PRIMITIVES["linear"](d, m), b.param(m * d), cur)
+            cur = b.node(op(d, m), b.param(m * d), cur)
             d = m
-        elif op in ("bias", "mul"):
-            cur = b.node(PRIMITIVES[op](d), cur, b.param(d))
+        elif op in (sa.add, sa.mul):
+            cur = b.node(op(d), cur, b.param(d))
         else:
-            cur = b.node(PRIMITIVES[op](d), cur)
+            cur = b.node(op(d), cur)
     return b.build(cur)
 
 
-def _clean_sample(f: SmoothMap, nrng: np.random.Generator, tries: int = 200):
-    """Draw (p, x) with every relu input away from its kink."""
+def _clean_sample(f: SmoothMap, nrng: np.random.Generator):
+    """Draw (p, x) with every relu input away from its kink, in at most 200 tries."""
     relu_nodes = [k for k, n in enumerate(f.nodes) if n.prim.name == "relu"]
-    for _ in range(tries):
+    for _ in range(200):
         p = nrng.uniform(-0.5, 0.5, f.param_dim)
         x = nrng.uniform(-0.5, 0.5, f.in_dim)
         _, tape = forward_eval(f, p, x)
@@ -457,8 +455,8 @@ def check_gradient_descent_lens(seed: int = 4, trials: int = 10) -> Instances:
     nrng = np.random.default_rng(seed)
     b = GraphBuilder(in_dim=0)
     w = b.param(3)
-    sq = b.node(PRIMITIVES["mul"](3), w, w)
-    loss = b.node(PRIMITIVES["sum"](3), sq)
+    sq = b.node(sa.mul(3), w, w)
+    loss = b.node(sa.sum_reduce(3), sq)
     f = b.build(loss)
     model = apply_R(f)
     costate = unit_loss_costate()

@@ -40,6 +40,7 @@ _deviation_oracle = brute_force_nash  # the name bench/tracing.py times
 
 _MAX_PAYOFF_DIGITS = 4300  # Python's int-string limit, which a spec value must stay within
 _PAYOFF_BOUND = 10**_MAX_PAYOFF_DIGITS  # the least positive int past the digit limit
+_MAX_PLAYERS = 32  # the nested Nash product recurses per player; 32 players of two moves have 2**32 profiles
 
 
 def parse_game_spec(data: object) -> tuple[NormalFormGame, str | list[str] | None]:
@@ -53,6 +54,8 @@ def parse_game_spec(data: object) -> tuple[NormalFormGame, str | list[str] | Non
     raw_players = data.get("players")
     if not isinstance(raw_players, list) or not raw_players:
         raise SpecFormatError("expected a nonempty list", "$.players")
+    if len(raw_players) > _MAX_PLAYERS:
+        raise SpecFormatError(f"more than {_MAX_PLAYERS} players", "$.players")
     seen_names = set()
     for i, entry in enumerate(raw_players):
         path = f"$.players[{i}]"

@@ -19,14 +19,15 @@ import numpy as np
 from .errors import NumericError
 from .smooth_autodiff import (
     GraphBuilder,
-    PRIMITIVES,
     SmoothMap,
     apply_R,
     forward_eval,
     gan_model,
     gan_step,
     gd_lens,
+    linear,
     mlp_map,
+    sqerr,
     sqerr_head,
     train_step,
     unit_loss_costate,
@@ -102,8 +103,8 @@ def _linreg_graph() -> tuple[SmoothMap, np.ndarray]:
     design = np.stack([_XS, np.ones(n)], axis=1).ravel()
     b = GraphBuilder(in_dim=3 * n)
     theta = b.param(2)
-    pred = b.node(PRIMITIVES["linear"](2, n), b.input(0, 2 * n), theta, name="pred")
-    loss = b.node(PRIMITIVES["sqerr"](n), pred, b.input(2 * n, 3 * n), name="loss")
+    pred = b.node(linear(2, n), b.input(0, 2 * n), theta, name="pred")
+    loss = b.node(sqerr(n), pred, b.input(2 * n, 3 * n), name="loss")
     data = np.concatenate([design, _LINREG_YS])
     data.flags.writeable = False  # every run in the process shares it
     return b.build(loss), data

@@ -69,6 +69,7 @@ class ParaLens:
 
     def __post_init__(self):
         base = self.base
+        object.__setattr__(self, "leaves", tuple(self.leaves))
         if not self.leaves:
             raise CompositionError("a parameter port needs at least one leaf; the unit port is one unit leaf")
         object.__setattr__(self, "params", reduce(partial(obj_pair, base), self.leaves))

@@ -303,20 +303,6 @@ def sqerr(n: int) -> Primitive:
     )
 
 
-PRIMITIVES: dict[str, Callable[..., Primitive]] = {
-    "linear": linear,
-    "add": add,
-    "bias": add,
-    "mul": mul,
-    "neg": neg,
-    "tanh": tanh,
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "sum": sum_reduce,
-    "sqerr": sqerr,
-}
-
-
 # -- graphs -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -620,23 +606,20 @@ class GraphBuilder:
         )
 
 
-_ACTIVATIONS = ("neg", "relu", "sigmoid", "tanh")  # the one-input, width-preserving primitives
+def mlp_map(dims: Sequence[int]) -> SmoothMap:
+    """Fully-connected layers with biases, ``tanh`` between layers and no activation after the last.
 
-
-def mlp_map(dims: Sequence[int], activation: str = "tanh") -> SmoothMap:
-    """Fully-connected layers with biases; no activation after the last layer."""
+    Layer ``i``'s nodes are ``lin{i}``, ``bias{i}`` and, but for the last layer, ``act{i}``.
+    """
     if len(dims) < 2:
         raise CompositionError("an MLP needs at least an input and an output layer")
-    if activation not in _ACTIVATIONS:
-        raise CompositionError(f"activation {activation!r} is not one of {', '.join(_ACTIVATIONS)}")
-    act = PRIMITIVES[activation]
     b = GraphBuilder(dims[0])
     h = b.input()
     for i, (n, m) in enumerate(zip(dims[:-1], dims[1:])):
         h = b.node(linear(n, m), b.param(m * n), h, name=f"lin{i}")
         h = b.node(add(m), h, b.param(m), name=f"bias{i}")
         if i < len(dims) - 2:
-            h = b.node(act(m), h, name=f"act{i}")
+            h = b.node(tanh(m), h, name=f"act{i}")
     return b.build(h)
 
 

@@ -270,6 +270,27 @@ def test_a_short_table_fails_at_the_spec_cost(tmp_path, capsys):
         assert out == "" and message in err
 
 
+def _one_move_spec(n):
+    return {
+        "players": [{"name": f"p{i}", "strategies": ["a"]} for i in range(n)],
+        "payoffs": {",".join(["a"] * n): [0] * n},
+    }
+
+
+def test_a_spec_past_the_player_bound_exits_2(tmp_path, capsys):
+    # the nested Nash product recurses per player; 200 players would exhaust the stack
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(_one_move_spec(200)), encoding="utf-8")
+    assert main(["solve", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1] == "error: $.players: more than 32 players"
+    path.write_text(json.dumps(_one_move_spec(32)), encoding="utf-8")
+    for selection in ("argmax_each", "hicks_sum", ",".join(["argmax", "total"] * 16)):
+        assert main(["solve", str(path), "--selection", selection]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["solutions"] == [["a"] * 32] and report["agrees"] is True
+
+
 def test_solve_hicks_total_past_the_digit_limit(tmp_path, capsys):
     # each payoff has 4,300 digits, within the limit; their sum has 4,301,
     # which is ranked, never rendered

@@ -90,6 +90,19 @@ def test_unit_param():
         ParaLens(FINITE, (), p.src, p.dst, p.carrier)
 
 
+def test_list_leaves_build_the_tuple_leaved_lens():
+    # a list of leaves is taken as the tuple of them: the lens hashes and composes as its twin
+    a, b = _echo_para("a"), _echo_para("b")
+    listed = ParaLens(FINITE, list(a.leaves), a.src, a.dst, a.carrier)
+    assert listed.leaves == a.leaves and listed == a and hash(listed) == hash(a)
+    for lhs, rhs in (
+        (para_tensor(listed, b), para_tensor(a, b)),
+        (para_tensor(b, listed), para_tensor(b, a)),
+        (para_compose(listed, b), para_compose(a, b)),
+    ):
+        assert lhs.leaves == rhs.leaves and lens_equal(lhs.carrier, rhs.carrier)
+
+
 def test_embed_trivial_wraps_plain_lens():
     p = embed_trivial(lens_id(FINITE, LensObj(FinSet(("m", "n")), FinSet(("u",)))))
     assert p.params == unit_obj(FINITE)
