@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from functools import cache
@@ -41,6 +42,8 @@ _deviation_oracle = brute_force_nash  # the name bench/tracing.py times
 _MAX_PAYOFF_DIGITS = 4300  # Python's int-string limit, which a spec value must stay within
 _PAYOFF_BOUND = 10**_MAX_PAYOFF_DIGITS  # the least positive int past the digit limit
 _MAX_PLAYERS = 32  # the nested Nash product recurses per player; 32 players of two moves have 2**32 profiles
+# Python 3.10's Fraction grammar; later versions also read "1_000" and "3 / 2"
+_RATIONAL = re.compile(r"\s*[-+]?(?=\d|\.\d)\d*(?:/\d+|(?:\.\d*)?(?:[eE][-+]?\d+)?)\s*")
 
 
 def parse_game_spec(data: object) -> tuple[NormalFormGame, str | list[str] | None]:
@@ -116,12 +119,15 @@ def parse_game_spec(data: object) -> tuple[NormalFormGame, str | list[str] | Non
 def _read_rational(v: int | float | str, path: str) -> Fraction:
     """A payoff or flag value whose numerator and denominator stay within the digit limit.
 
-    The exponent is bounded before ``Fraction`` expands it into an integer,
-    and an ``int`` before ``str`` renders it.
+    The text must match ``_RATIONAL``, so it reads the same on every
+    supported Python.  The exponent is bounded before ``Fraction`` expands
+    it into an integer, and an ``int`` before ``str`` renders it.
     """
     if isinstance(v, int) and not -_PAYOFF_BOUND < v < _PAYOFF_BOUND:
         raise SpecFormatError(f"payoff has more than {_MAX_PAYOFF_DIGITS} digits", path)
     text = str(v)
+    if not _RATIONAL.fullmatch(text):
+        raise SpecFormatError(f"cannot read {v!r} as a rational", path)
     mantissa, _, exponent = text.lower().partition("e")
     try:
         digits = sum(map(str.isdigit, mantissa)) + abs(int(exponent or 0))
@@ -162,7 +168,7 @@ def load_spec_file(path: str) -> object:
         raise SpecFormatError(f"cannot read spec file {path}: {exc}")
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # also an integer too long to convert, or a duplicate key
+    except (ValueError, RecursionError) as exc:  # also an integer too long to convert, a duplicate key or deep nesting
         raise SpecFormatError(f"invalid JSON in {path}: {exc}")
 
 

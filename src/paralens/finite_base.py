@@ -6,13 +6,11 @@ Python pairs ``(x, y)``, and n-ary products associate to the left, so any
 composite carrier has a single deterministic presentation and no two
 elements can share an encoding.  A product is enumerated only when iterated.
 Morphisms are memoised procedures; only ``FiniteBase.mor_equal`` tabulates,
-to decide equality.  Those built from caller data and a lens's ``get`` and
-``put``, which a lens builds only when asked for them, check each element
-and its image on first evaluation (a table, when built), so a composite
-lens is checked once, at its edge; the lenses inside it run on their legs,
-which neither check nor memoise.  Only ``compose``, ``product`` and the
-Nash restrictions are ``derived``: they only memoise, as every part of
-their input reaches a checked morphism.
+to decide equality.  Every morphism checks each element and its image on
+first evaluation (a table given as data, when built).  A lens's ``get`` and
+``put`` are morphisms that a lens builds only when asked for them, so a
+composite lens is checked once, at its edge; the lenses inside it run on
+their legs, which neither check nor memoise.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product as iter_product
-from typing import Callable, ClassVar, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import CompositionError, SizeCapError
 from .lens_core import Base
@@ -139,11 +137,8 @@ class FinFn:
     an element checks that the element is in ``dom`` and its image in
     ``cod``, then keeps the image in ``table``, which never outgrows the
     domain.  A table given as data is checked eagerly, each distinct image
-    once, and becomes the memo.  A morphism from :meth:`FiniteBase.derived`
-    (``compose``, ``product``, a Nash restriction) skips both checks.
+    once, and becomes the memo.
     """
-
-    checked: ClassVar[bool] = True
 
     dom: Carrier
     cod: Carrier
@@ -178,21 +173,15 @@ class FinFn:
                 return table[x]
         except TypeError:  # unhashable, so in no carrier
             raise CompositionError(f"element {x!r} is not in domain {self.dom}") from None
-        if self.checked and x not in self.dom:
+        if x not in self.dom:
             raise CompositionError(f"element {x!r} is not in domain {self.dom}")
         image = self.fn(x)
-        if self.checked and image not in self.cod:
+        if image not in self.cod:
             raise CompositionError(
                 f"image {image!r} of {x!r} is not in codomain {self.cod}"
             )
         table[x] = image
         return image
-
-
-class _DerivedFn(FinFn):
-    """A morphism that passes each part of its input to a checked one; it only memoises."""
-
-    checked = False
 
 
 def iter_functions(dom: Carrier, cod: Carrier) -> Iterator[FinFn]:
@@ -239,9 +228,6 @@ class FiniteBase(Base):
     def morphism(self, dom: Carrier, cod: Carrier, fn) -> FinFn:
         return FinFn(dom, cod, fn)
 
-    def derived(self, dom: Carrier, cod: Carrier, fn) -> FinFn:
-        return _DerivedFn(dom, cod, fn)
-
     def compose(self, f: FinFn, g: FinFn) -> FinFn:
         """The procedure ``x ↦ g(f(x))``."""
         if f.cod != g.dom:
@@ -249,7 +235,7 @@ class FiniteBase(Base):
                 f"cannot compose: codomain {f.cod} of the first function "
                 f"differs from domain {g.dom} of the second"
             )
-        return self.derived(f.dom, g.cod, lambda x: g(f(x)))
+        return FinFn(f.dom, g.cod, lambda x: g(f(x)))
 
     def product(self, f: FinFn, g: FinFn) -> FinFn:
         """Componentwise action on pairs."""
@@ -257,7 +243,7 @@ class FiniteBase(Base):
             x, y = self.split_elem(xy)
             return f(x), g(y)
 
-        return self.derived(FinProd(f.dom, g.dom), FinProd(f.cod, g.cod), fn)
+        return FinFn(FinProd(f.dom, g.dom), FinProd(f.cod, g.cod), fn)
 
     def apply(self, f: FinFn, x):
         return f(x)

@@ -56,7 +56,6 @@ from .lens_core import (
 )
 from .para_optic import (
     ParaLens,
-    flatten_params,
     in_context,
     para_costate_solution_input,
     para_tensor,
@@ -128,11 +127,11 @@ def nash_product(eps: SelectionRelation, delta: SelectionRelation) -> SelectionR
     obj = LensObj(FinProd(em, dm), FinProd(er, dr))
 
     def eps_best(k: FinFn, y) -> list:  # eps's best responses with delta's move y held fixed
-        k_y = FINITE.derived(em, er, lambda a: k((a, y))[0])
+        k_y = FinFn(em, er, lambda a: k((a, y))[0])
         return [x for x in em if eps.accepts(x, k_y)]
 
     def delta_best(k: FinFn, x) -> set:  # delta's best responses with eps's move x held fixed
-        k_x = FINITE.derived(dm, dr, lambda b: k((x, b))[1])
+        k_x = FinFn(dm, dr, lambda b: k((x, b))[1])
         return {y for y in dm if delta.accepts(y, k_x)}
 
     def best(k: FinFn) -> Iterator[tuple]:
@@ -181,7 +180,7 @@ def relations_equal(r1: SelectionRelation, r2: SelectionRelation) -> bool:
     if r1.obj != r2.obj:
         raise CompositionError("relations live on different parameter ports")
     for k in iter_functions(r1.obj.fwd, r1.obj.bwd):  # one k alive at a time
-        for x in r1.obj.fwd.labels:
+        for x in r1.obj.fwd:
             if r1.accepts(x, k) != r2.accepts(x, k):
                 return False
     return True
@@ -222,20 +221,15 @@ def decision(observations: FinSet, moves: FinSet, rewards: FinSet) -> ParaLens:
 
 @dataclass(frozen=True)
 class OpenGame:
-    """A parametrised scalar (or open lens) paired with a selection relation."""
+    """A parametrised scalar (or open lens) paired with a selection relation
+    on its parameter port, which is checked when the game is built."""
 
     lens: ParaLens
     sel: SelectionRelation
 
-
-def open_game(lens: ParaLens, sel: SelectionRelation) -> OpenGame:
-    """Normalise the parameter port and check it matches the relation."""
-    flat = flatten_params(lens)
-    if flat.params != sel.obj:
-        raise CompositionError(
-            "selection relation does not live on the game's parameter port"
-        )
-    return OpenGame(flat, sel)
+    def __post_init__(self):
+        if self.lens.params != self.sel.obj:
+            raise CompositionError("selection relation does not live on the game's parameter port")
 
 
 def equilibria(game: OpenGame, h, k: FinFn) -> tuple:
@@ -246,9 +240,7 @@ def equilibria(game: OpenGame, h, k: FinFn) -> tuple:
 def solution_set(game: OpenGame) -> tuple:
     """Equilibria of a closed game (both boundaries trivial)."""
     reward = para_costate_solution_input(game.lens)
-    return tuple(
-        w for w in game.lens.params.fwd.labels if game.sel.accepts(w, reward)
-    )
+    return tuple(w for w in game.lens.params.fwd if game.sel.accepts(w, reward))
 
 
 # -- normal-form games --------------------------------------------------
@@ -365,7 +357,7 @@ def compositional_game(g: NormalFormGame, tags: Sequence[str] | None = None) -> 
         argmax_rel(player, grid) if tag == "argmax" else total_rel(LensObj(player, grid))
         for player, grid, tag in zip(g.players, g.grids, _checked_tags(g, tags))
     ]
-    return open_game(game_scalar(g), reduce(nash_product, rels))
+    return OpenGame(game_scalar(g), reduce(nash_product, rels))
 
 
 def sum_of_payoffs_lens(g: NormalFormGame) -> Lens:
@@ -402,6 +394,6 @@ def hicks_games(g: NormalFormGame) -> tuple[OpenGame, OpenGame]:
     scalar = game_scalar(g)
     collapse = sum_of_payoffs_lens(g)
     joint = argmax_rel(finset_tuple_product(g.players), collapse.src.bwd)
-    route_reparam = open_game(reparametrise(scalar, collapse), joint)
-    route_pushed = open_game(scalar, sel_pushforward(collapse, joint))
+    route_reparam = OpenGame(reparametrise(scalar, collapse), joint)
+    route_pushed = OpenGame(scalar, sel_pushforward(collapse, joint))
     return route_reparam, route_pushed

@@ -106,6 +106,10 @@ def test_spec_parses_rationals_and_tags():
     assert game.payoff(("C", "C")) == ("2", "2")
     # a payoff written the same way twice is read once
     assert game.values[("C", "D")][1] is game.values[("D", "C")][0]
+    # the rest of the grammar every supported Python reads alike
+    for text, value in {" 3/2 ": Fraction(3, 2), "-1.5e3": -1500, ".5": Fraction(1, 2), "5.": 5}.items():
+        spec["payoffs"]["D,C"] = [3, text]
+        assert parse_game_spec(spec)[0].values[("D", "C")] == (3, value)
 
 
 def test_solve_bundled_dilemma(capsys):
@@ -353,6 +357,33 @@ def test_solve_rejects_duplicate_keys(tmp_path, capsys):
     path.write_text(json.dumps(spec).replace('"__dup__"', '"x", "strategies": ["C"]'), encoding="utf-8")
     assert main(["solve", str(path)]) == 2
     assert "duplicate key 'strategies'" in capsys.readouterr().err
+
+
+def test_solve_a_spec_nested_too_deep_to_decode_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 3000 + "]" * 3000, encoding="utf-8")
+    assert main(["solve", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1].startswith(f"error: $: invalid JSON in {path}: ")
+
+
+# Fraction reads these on 3.11 or 3.12 but not on 3.10
+_NEWER_GRAMMAR = ["1_000", "1_0/3", "3/1_0", "3 / 2"]
+
+
+@pytest.mark.parametrize("text", _NEWER_GRAMMAR)
+def test_a_rational_outside_the_oldest_grammar_exits_2(text, tmp_path, capsys):
+    spec = _pd_spec()
+    spec["payoffs"]["D,C"] = [3, text]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["solve", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1] == f"error: $.payoffs['D,C'][1]: cannot read {text!r} as a rational"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "linreg", "--alpha", text])
+    assert exc.value.code == 2
+    assert f"argument --alpha: cannot read {text!r} as a rational" in capsys.readouterr().err
 
 
 def test_solve_user_spec_from_disk(tmp_path, capsys):

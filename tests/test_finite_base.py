@@ -2,6 +2,7 @@ import gc
 import random
 import tracemalloc
 import weakref
+from functools import reduce
 
 import pytest
 
@@ -18,6 +19,7 @@ from paralens.finite_base import (
     split_tuple,
     tuple_label,
 )
+from paralens.lens_core import LensObj, lens_compose, lens_id
 from paralens.para_optic import para_costate_solution_input
 from paralens.checks import pd_game
 from paralens.cli import parse_game_spec
@@ -221,10 +223,7 @@ def test_product_and_split_reject_non_pairs():
 def test_composite_checks_membership_at_its_edges(monkeypatch):
     s = FinSet(("a", "b"))
     c = FinProd(FinProd(FinProd(s, s), s), s)
-    idents = [FINITE.identity(c) for _ in range(8)]
-    composite = idents[0]
-    for f in idents[1:]:
-        composite = FINITE.compose(composite, f)
+    composite = reduce(lens_compose, [lens_id(FINITE, LensObj(c, c))] * 8)
     calls, depth = [0], [0]
     real = FinProd.__contains__
 
@@ -237,12 +236,12 @@ def test_composite_checks_membership_at_its_edges(monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(FinProd, "__contains__", counted)
-    assert [composite(x) for x in c] == list(c)
-    # each identity checks an element and its image once; the seven
-    # composites check nothing
-    assert calls[0] == 2 * len(idents) * len(c)
+    assert [composite.get(x) for x in c] == list(c)
+    # the composite's get checks an element and its image once; the eight
+    # identities inside it run on their legs and check nothing
+    assert calls[0] == 2 * len(c)
     with pytest.raises(CompositionError):
-        composite(((("a", "b"), "zz"), "a"))
+        composite.get(((("a", "b"), "zz"), "a"))
 
 
 def test_solution_input_checks_membership_a_fixed_number_of_times_per_profile(monkeypatch):

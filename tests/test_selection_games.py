@@ -38,8 +38,9 @@ from paralens.lens_core import (
     lens_id,
     lens_swap,
 )
-from paralens.para_optic import in_context, para_costate_solution_input
+from paralens.para_optic import in_context, para_costate_solution_input, reparametrise
 from paralens.selection_games import (
+    OpenGame,
     SelectionRelation,
     arena,
     argmax_rel,
@@ -51,7 +52,6 @@ from paralens.selection_games import (
     game_of_rows,
     hicks_games,
     nash_product,
-    open_game,
     relations_equal,
     sel_pushforward,
     solution_set,
@@ -455,7 +455,7 @@ def test_context_agrees_with_pointwise_play():
     moves = FinSet(("L", "R"))
     grid = FinSet(("0", "1"))
     d = decision(obs, moves, grid)
-    game = open_game(d, argmax_rel(d.params.fwd, grid))
+    game = OpenGame(d, argmax_rel(d.params.fwd, grid))
     k = FinFn(moves, grid, {"L": "1", "R": "0"})
     for h in obs.labels:
         reward = para_costate_solution_input(in_context(game.lens, h, k))
@@ -469,7 +469,7 @@ def test_context_agrees_with_pointwise_play():
 def test_solution_set_needs_closed_boundaries():
     obs = FinSet(("h0", "h1"))
     d = decision(obs, FinSet(("L", "R")), FinSet(("0", "1")))
-    game = open_game(d, total_rel(d.params))
+    game = OpenGame(d, total_rel(d.params))
     with pytest.raises(CompositionError):
         solution_set(game)
 
@@ -481,7 +481,18 @@ def test_open_game_checks_the_port():
     scalar = game_scalar(g)
     wrong = argmax_rel(FinSet(("C", "D")), FinSet(("0", "1", "2", "3")))
     with pytest.raises(CompositionError):
-        open_game(scalar, wrong)
+        OpenGame(scalar, wrong)
+
+
+def test_open_game_rejects_a_relation_on_another_reward_carrier():
+    # the Hicks joint argmax ranks payoff totals, so it lives on the
+    # reparametrised scalar's port: same profiles, other rewards
+    g = _pd()
+    scalar, collapse = compositional_game(g).lens, sum_of_payoffs_lens(g)
+    joint = argmax_rel(scalar.params.fwd, collapse.src.bwd)
+    with pytest.raises(CompositionError, match="does not live on the game's parameter port"):
+        OpenGame(scalar, joint)
+    assert solution_set(OpenGame(reparametrise(scalar, collapse), joint)) == (("C", "C"),)
 
 
 # -- normal-form games --------------------------------------------------
