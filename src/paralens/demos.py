@@ -83,12 +83,7 @@ def _descend(graph: SmoothMap, alpha: Alpha, samples: Sequence[np.ndarray]) -> C
     """The gradient-descent step of a scalar-loss graph, fed the samples in turn, one per step."""
     stepped = reparametrise(apply_R(graph), gd_lens(float(alpha), graph.param_dim))
     costate = unit_loss_costate()
-
-    def step(t, theta):
-        theta, loss = train_step(stepped, theta, samples[t % len(samples)], costate)
-        return theta, (float(loss),)
-
-    return step
+    return lambda t, theta: train_step(stepped, theta, samples[t % len(samples)], costate)
 
 
 # least squares: eight points on an exact line, so the optimum is loss zero

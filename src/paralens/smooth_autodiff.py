@@ -19,21 +19,23 @@ cotangents are summed in place into a zeroed buffer.
 whose legs are the graph's: its forward leg is evaluation and leaves the
 tape as its residual, its backward leg is the gradient computation that
 consumes that tape.  Gradient descent, ascent and weight tying are then
-ordinary lenses attached to the parameter port by reparametrisation, and a
-GAN update step is nothing but a composite lens run forward and backward
-once.
+ordinary lenses attached to the parameter port by reparametrisation, and
+every update, a least-squares step or a GAN's, is one :func:`train_step`:
+the lens closed by a costate into the unit and run forward and backward once.
 
 A carrier is a dimension or a pair of carriers.  An element of a pair is a
 :class:`Pair` of its factors' elements, so pairing and splitting copy no array.
 Inputs are converted and scanned for non-finite entries once, at the edge:
-by ``train_step``, ``gan_step``, ``forward_eval`` and ``backward_eval``, and
-by a :class:`SmoothFn` (a lens's ``get`` or ``put``, say), which also checks
-its output.  Interior edges are not rescanned, and each entry, not each leg,
-turns numpy's overflow and invalid-value warnings off.
+by ``train_step``, ``forward_eval`` and ``backward_eval``, and by a
+:class:`SmoothFn` (a lens's ``get`` or ``put``, say), which also checks its
+output; an error names a pair's factors by position.  Interior edges are not
+rescanned, and each entry, not each leg, turns numpy's overflow and
+invalid-value warnings off.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Sequence
@@ -74,14 +76,17 @@ class Pair(tuple):
 
 
 def as_vector(x, dim: Carrier, what: str = "vector"):
-    """Validate and convert to an element of ``dim``: pairs of finite 1-D float64 arrays."""
+    """Validate and convert to an element of ``dim``: pairs of finite 1-D float64 arrays.
+
+    An error names a pair's factors by position: ``{what}[0]``, ``{what}[1]``.
+    """
     if type(dim) is tuple:
         if not (isinstance(x, tuple) and len(x) == 2):
             raise NumericError(f"{what} is not a pair of {SMOOTH.describe(dim)}")
-        return Pair((as_vector(x[0], dim[0], what), as_vector(x[1], dim[1], what)))
+        return Pair((as_vector(x[0], dim[0], f"{what}[0]"), as_vector(x[1], dim[1], f"{what}[1]")))
     try:
         arr = np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise NumericError(f"{what} is not a vector of R^{dim}") from None
     if arr.shape != (dim,):
         raise NumericError(f"{what} has shape {arr.shape}, expected ({dim},)")
@@ -676,40 +681,35 @@ def copy_lens(dim: int) -> Lens:
     return Lens(SMOOTH, LensObj(dim, dim), dbl, lambda p: (Pair((p, p)), None), lambda _, g: g[0] + g[1], term=FRESH)
 
 
-def unit_loss_costate() -> Lens:
-    """The costate that closes a scalar loss: backward constantly one, with no :class:`SmoothFn` to check."""
-    unit = SMOOTH.unit_elem()
-    return Lens(SMOOTH, LensObj(1, 1), unit_obj(SMOOTH), lambda _: (unit, None), lambda *_: np.ones(1))
+def unit_loss_costate(boundary: Carrier = 1) -> Lens:
+    """The costate that closes ``boundary`` as a loss is closed, by cotangent one in every coordinate:
+    its backward leg returns one read-only element, built here, with no :class:`SmoothFn` to check."""
+    ones = np.ones(flat_dim(boundary))
+    ones.flags.writeable = False  # every step shares it
+    ones, unit = split_flat(boundary, ones), SMOOTH.unit_elem()
+    return Lens(SMOOTH, LensObj(boundary, boundary), unit_obj(SMOOTH), lambda _: (unit, None), lambda *_: ones)
 
 
-def train_step(model: ParaLens, p, x, loss_costate: Lens) -> tuple[Vector, float]:
-    """One optimisation step of a lens already reparametrised by an optimiser.
-
-    Runs the forward leg once, reads the loss off it, seeds the backward
-    leg through ``loss_costate``'s legs (constantly one for the usual loss)
-    and reads the updated parameters off the parameter port.  Returns
-    ``(p_next, loss)``.  ``p`` and ``x`` are converted and scanned here,
-    once; the graphs inside scan only their node values.
-    """
+def train_step(model: ParaLens, p, x, costate: Lens) -> tuple[object, tuple[float, ...]]:
+    """One step of a lens already reparametrised by an optimiser, its boundary closed by ``costate``:
+    the forward leg once, its output's coordinates, left to right, read off as the scores, then the
+    backward leg seeded through ``costate``'s legs.  Returns ``(p_next, scores)``.  ``p`` and ``x``,
+    pairs or not, are converted and scanned here, once."""
     if model.base is not SMOOTH:
         raise CompositionError("train_step expects a smooth-base lens")
-    if model.dst != LensObj(1, 1):
-        raise CompositionError(
-            f"train_step expects a scalar loss output, got {SMOOTH.describe(model.dst.fwd)}"
-        )
-    if loss_costate.src != model.dst:
-        raise CompositionError("loss costate does not match the model output")
-    if loss_costate.dst != unit_obj(SMOOTH):
-        raise CompositionError(f"loss costate ends at {SMOOTH.describe(loss_costate.dst.fwd)}, not the unit boundary")
+    if costate.src != model.dst:
+        raise CompositionError(f"costate starts at {SMOOTH.describe(costate.src.fwd)}, not the model output {SMOOTH.describe(model.dst.fwd)}")
+    if costate.dst != unit_obj(SMOOTH):
+        raise CompositionError(f"costate ends at {SMOOTH.describe(costate.dst.fwd)}, not the unit boundary")
     p = as_vector(p, model.params.fwd, "parameter vector")
     x = as_vector(x, model.src.fwd, "input vector")
     with np.errstate(over="ignore", invalid="ignore"):  # the next step rejects non-finite parameters
-        loss_vec, residual = model.carrier.forward(Pair((p, x)))
-        loss = float(loss_vec[0])
-        if not np.isfinite(loss):
-            raise NumericError("loss is non-finite")
-        dy = loss_costate.backward(loss_costate.forward(loss_vec)[1], SMOOTH.unit_elem())
-        return model.carrier.backward(residual, dy)[0], loss
+        y, residual = model.carrier.forward(Pair((p, x)))
+        scores = tuple(join_flat(y).tolist())
+        if not all(map(math.isfinite, scores)):
+            raise NumericError("a score is non-finite")
+        dy = costate.backward(costate.forward(y)[1], SMOOTH.unit_elem())
+        return model.carrier.backward(residual, dy)[0], scores
 
 
 def gan_model(gen: ParaLens, disc: ParaLens, alpha: float) -> ParaLens:
@@ -737,25 +737,13 @@ def gan_model(gen: ParaLens, disc: ParaLens, alpha: float) -> ParaLens:
     return reparametrise(both, lens_compose(optimisers, tie))
 
 
-def gan_step(
-    model: ParaLens, p_gen, p_disc, z, real
-) -> tuple[Vector, Vector, tuple[float, float]]:
-    """One adversarial update through a :func:`gan_model`.
+_GAN_COSTATE = unit_loss_costate((1, 1))
 
-    Both scores are read off one forward leg and fed backward with
-    cotangent one, so the discriminator pushes both scores up and the
-    generator pulls the fake score down.  A step makes 3 forward and 3
-    backward graph evaluations.  Returns
-    ``(p_gen_next, p_disc_next, (d_fake, d_real))``.
-    """
-    if model.base is not SMOOTH or model.dst != LensObj((1, 1), (1, 1)) or type(model.params.fwd) is not tuple:
-        raise CompositionError("gan_step expects a lens built by gan_model")
-    (pd, pg), (zd, xd) = model.params.fwd, model.src.fwd
-    p_gen = as_vector(p_gen, pg, "generator parameters")
-    p_disc = as_vector(p_disc, pd, "discriminator parameters")
-    z = as_vector(z, zd, "latent vector")
-    real = as_vector(real, xd, "real sample")
-    with np.errstate(over="ignore", invalid="ignore"):  # as in train_step
-        (d_fake, d_real), residual = model.carrier.forward(Pair((Pair((p_disc, p_gen)), Pair((z, real)))))
-        (p_disc_next, p_gen_next), _ = model.carrier.backward(residual, Pair((np.ones(1), np.ones(1))))
-    return p_gen_next, p_disc_next, (float(d_fake[0]), float(d_real[0]))
+
+def gan_step(model: ParaLens, p_gen, p_disc, z, real) -> tuple[Vector, Vector, tuple[float, float]]:
+    """:func:`train_step` on a :func:`gan_model`'s boundary ``R^1 × R^1``, closed by ones, in 3 forward
+    and 3 backward graph evaluations: the discriminator pushes both scores up, the generator pulls the
+    fake score down.  Errors name ``p_disc``, ``p_gen``, ``z`` and ``real`` as ``parameter vector[0]``,
+    ``[1]``, ``input vector[0]`` and ``[1]``.  Returns ``(p_gen_next, p_disc_next, (d_fake, d_real))``."""
+    (p_disc_next, p_gen_next), scores = train_step(model, (p_disc, p_gen), (z, real), _GAN_COSTATE)
+    return p_gen_next, p_disc_next, scores

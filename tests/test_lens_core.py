@@ -1,7 +1,9 @@
 """Lens algebra over the finite base: composition, tensor, structural maps.
 
 The composite backward map is checked against a hand-traced table; the
-law suites draw random lenses and decide equality by enumeration.
+law suites draw random lenses and decide equality by enumeration.  Over
+the smooth base, random composites of leaves that may write into their
+cotangent are compared with closure references byte for byte.
 """
 
 import random
@@ -437,6 +439,10 @@ def test_rewire_matches_a_recursive_split_and_join(base, case):
 
 
 # -- composites against the closure-based definitions ---------------------
+#
+# on the finite base every drawn leaf is a LEAF; on the smooth base a leaf is
+# LEAF, FRESH or OWNS, so the generated backward legs' ownership rule is drawn
+# too: an OWNS leaf writes into its cotangent, which must be owned or a copy
 
 
 def _ref_compose(l1: Lens, l2: Lens) -> Lens:
@@ -448,41 +454,41 @@ def _ref_compose(l1: Lens, l2: Lens) -> Lens:
         y2, r2 = f2(y1)
         return y2, (r1, r2)
 
-    return Lens(FINITE, l1.src, l2.dst, forward, lambda r, z: b1(r[0], b2(r[1], z)))
+    return Lens(l1.base, l1.src, l2.dst, forward, lambda r, z: b1(r[0], b2(r[1], z)))
 
 
 def _ref_tensor(l1: Lens, l2: Lens) -> Lens:
     """Parallel composition as closures that split and pair at every call."""
-    f1, b1, f2, b2 = l1.forward, l1.backward, l2.forward, l2.backward
+    base, f1, b1, f2, b2 = l1.base, l1.forward, l1.backward, l2.forward, l2.backward
 
     def forward(xs):
-        x1, x2 = FINITE.split_elem(xs)
+        x1, x2 = base.split_elem(xs)
         (y1, r1), (y2, r2) = f1(x1), f2(x2)
-        return FINITE.pair_elem(y1, y2), (r1, r2)
+        return base.pair_elem(y1, y2), (r1, r2)
 
     def backward(r, zs):
-        z1, z2 = FINITE.split_elem(zs)
-        return FINITE.pair_elem(b1(r[0], z1), b2(r[1], z2))
+        z1, z2 = base.split_elem(zs)
+        return base.pair_elem(b1(r[0], z1), b2(r[1], z2))
 
-    return Lens(FINITE, obj_pair(FINITE, l1.src, l2.src), obj_pair(FINITE, l1.dst, l2.dst), forward, backward)
+    return Lens(base, obj_pair(base, l1.src, l2.src), obj_pair(base, l1.dst, l2.dst), forward, backward)
 
 
-def _ref_rewire(leaves, src, dst) -> Lens:
+def _ref_rewire(base, leaves, src, dst) -> Lens:
     """A rewire whose legs are the recursive split and join above."""
-    unit = FINITE.unit_elem
-    boundary = rewire(FINITE, leaves, src, dst)
+    unit = base.unit_elem
+    boundary = rewire(base, leaves, src, dst)
     return Lens(
-        FINITE,
+        base,
         boundary.src,
         boundary.dst,
-        lambda x: (_ref_join(FINITE, dst, _ref_split(FINITE, src, x, {}), unit), None),
-        lambda _, z: _ref_join(FINITE, src, _ref_split(FINITE, dst, z, {}), unit),
+        lambda x: (_ref_join(base, dst, _ref_split(base, src, x, {}), unit), None),
+        lambda _, z: _ref_join(base, src, _ref_split(base, dst, z, {}), unit),
     )
 
 
-def _obj(shape) -> LensObj:
+def _obj(base, shape) -> LensObj:
     """The boundary a shape (a ``LensObj`` or a pair of shapes) brackets."""
-    return obj_pair(FINITE, _obj(shape[0]), _obj(shape[1])) if isinstance(shape, tuple) else shape
+    return obj_pair(base, _obj(base, shape[0]), _obj(base, shape[1])) if isinstance(shape, tuple) else shape
 
 
 def _atoms(shape) -> list:
@@ -509,10 +515,69 @@ _STRUCTURAL = {
 }
 
 
-def _grow(draw, rng: random.Random, shape, depth: int):
+def _finite_atom(rng: random.Random) -> LensObj:
+    return random_obj(rng, 2)
+
+
+def _smooth_atom(rng: random.Random) -> LensObj:
+    width = rng.randint(1, 3)
+    return LensObj(width, width)
+
+
+def _leaf_target(draw, rng: random.Random, atom, shape):
+    """One atom, or a pair of them while ``shape`` is small."""
+    return atom(rng) if len(_atoms(shape)) > 3 else draw(st.sampled_from([atom(rng), (atom(rng), atom(rng))]))
+
+
+def _finite_leaf(draw, rng: random.Random, shape):
+    out = _leaf_target(draw, rng, _finite_atom, shape)
+    lens = random_lens(rng, _obj(FINITE, shape), _obj(FINITE, out))
+    return lens, lens, out
+
+
+def _arrays(x) -> list:
+    """The arrays in ``x``, a nest of tuples, left to right."""
+    if isinstance(x, tuple):
+        return [a for part in x for a in _arrays(part)]
+    return [x] if isinstance(x, np.ndarray) else []
+
+
+def _smooth_leaf(draw, rng: random.Random, shape, terms=(LEAF, FRESH, OWNS)):
+    """A leaf of a drawn term, and its reference: a LEAF with the same legs, all of which write nothing.
+
+    Forward, an ``OWNS`` leaf passes its input on, as ``gd_lens`` does; any other leaf maps it through
+    a random matrix ``w``.  Each keeps its input as its residual.  Backward, a ``FRESH`` leaf returns new arrays and an
+    ``OWNS`` one writes ``r − c·z`` into ``z``; a ``LEAF`` returns one of those new arrays, its residual,
+    or, on a square boundary, its cotangent, as it is.
+    """
+    term = draw(st.sampled_from(terms))
+    out = shape if term == OWNS else _leaf_target(draw, rng, _smooth_atom, shape)
+    src, dst = _obj(SMOOTH, shape), _obj(SMOOTH, out)
+    a, b = src.fwd, dst.fwd
+    w = np.array([rng.uniform(-1.0, 1.0) for _ in range(flat_dim(a) * flat_dim(b))]).reshape(flat_dim(b), flat_dim(a))
+    c = rng.uniform(-1.0, 1.0)
+    returned = draw(st.sampled_from(["fresh", "residual"] + ["cotangent"] * (a == b))) if term == LEAF else "fresh"
+
+    def forward(x):
+        return (x if term == OWNS else split_flat(b, w @ join_flat(x))), x
+
+    def pure(r, z):
+        if returned != "fresh":
+            return r if returned == "residual" else z
+        return split_flat(a, join_flat(r) - join_flat(z) * c if term == OWNS else join_flat(r) * c + w.T @ join_flat(z))
+
+    def owns(r, z):
+        for r_leaf, z_leaf in zip(_arrays(r), _arrays(z)):
+            np.subtract(r_leaf, np.multiply(z_leaf, c, out=z_leaf), out=z_leaf)
+        return z
+
+    return Lens(SMOOTH, src, dst, forward, owns if term == OWNS else pure, term=term), Lens(SMOOTH, src, dst, forward, pure), out
+
+
+def _grow(draw, rng: random.Random, base, shape, depth: int):
     """A random lens out of ``shape``, the same lens built from the reference definitions, and its target shape."""
-    unit = unit_obj(FINITE)
-    a = _obj(shape)
+    unit = unit_obj(base)
+    a = _obj(base, shape)
     ops = ["leaf"] * 4 + ["id", "lunit_inv", "runit_inv", "rewire"]
     if depth > 0:
         ops += ["compose"] * 4
@@ -523,42 +588,79 @@ def _grow(draw, rng: random.Random, shape, depth: int):
         ops += ["interchange"] * (isinstance(shape[0], tuple) and isinstance(shape[1], tuple))
     op = draw(st.sampled_from(ops))
     if op == "leaf":
-        out = random_obj(rng, 2) if len(_atoms(shape)) > 3 else draw(st.sampled_from([random_obj(rng, 2), (random_obj(rng, 2), random_obj(rng, 2))]))
-        lens = random_lens(rng, a, _obj(out))
-        return lens, lens, out
+        return (_smooth_leaf if base is SMOOTH else _finite_leaf)(draw, rng, shape)
     if op == "compose":
-        l1, r1, mid = _grow(draw, rng, shape, depth - 1)
-        l2, r2, out = _grow(draw, rng, mid, depth - 1)
+        l1, r1, mid = _grow(draw, rng, base, shape, depth - 1)
+        l2, r2, out = _grow(draw, rng, base, mid, depth - 1)
         return lens_compose(l1, l2), _ref_compose(r1, r2), out
     if op == "tensor":
-        l1, r1, out1 = _grow(draw, rng, shape[0], depth - 1)
-        l2, r2, out2 = _grow(draw, rng, shape[1], depth - 1)
+        l1, r1, out1 = _grow(draw, rng, base, shape[0], depth - 1)
+        l2, r2, out2 = _grow(draw, rng, base, shape[1], depth - 1)
         return lens_tensor(l1, l2), _ref_tensor(r1, r2), (out1, out2)
     if op == "id":
-        return lens_id(FINITE, a), Lens(FINITE, a, a, lambda x: (x, None), lambda _, z: z), shape
+        return lens_id(base, a), Lens(base, a, a, lambda x: (x, None), lambda _, z: z), shape
     if op == "rewire":
         atoms = _atoms(shape)
         src = _indexed(shape, iter(range(len(atoms))))
         dst = draw(_bracketing(draw(st.permutations(range(len(atoms))))))
-        out = _shape_of(dst, atoms)
-        return rewire(FINITE, atoms, src, dst), _ref_rewire(atoms, src, dst), out
+        out = _shape_of(base, dst, atoms)
+        return rewire(base, atoms, src, dst), _ref_rewire(base, atoms, src, dst), out
     parts_of, src, dst, make = _STRUCTURAL[op]
     parts = parts_of(shape)
-    leaves = [_obj(p) for p in parts]
-    return make(FINITE, *leaves), _ref_rewire(leaves, src, dst), _shape_of(dst, parts)
+    leaves = [_obj(base, p) for p in parts]
+    return make(base, *leaves), _ref_rewire(base, leaves, src, dst), _shape_of(base, dst, parts)
 
 
-def _shape_of(tree, parts):
+def _shape_of(base, tree, parts):
     """The shape a bracketing of ``parts`` builds; ``None`` is the unit."""
     if isinstance(tree, tuple):
-        return _shape_of(tree[0], parts), _shape_of(tree[1], parts)
-    return unit_obj(FINITE) if tree is None else parts[tree]
+        return _shape_of(base, tree[0], parts), _shape_of(base, tree[1], parts)
+    return unit_obj(base) if tree is None else parts[tree]
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), rng=st.randoms(use_true_random=False))
 def test_composites_match_their_closure_definitions(data, rng):
     shape = data.draw(st.sampled_from([random_obj(rng, 2), (random_obj(rng, 2), random_obj(rng, 2))]))
-    lens, ref, _ = _grow(data.draw, rng, shape, 4)
+    lens, ref, _ = _grow(data.draw, rng, FINITE, shape, 4)
     assert lens.src == ref.src and lens.dst == ref.dst
     assert lens_equal(lens, ref)
+
+
+def _point(rng: random.Random, c):
+    """An element of the smooth carrier ``c``, each leaf its own array."""
+    if isinstance(c, tuple):
+        return Pair((_point(rng, c[0]), _point(rng, c[1])))
+    return np.array([rng.uniform(-2.0, 2.0) for _ in range(c)])
+
+
+def _raw(x):
+    """An element's pair structure and the bytes of its leaves."""
+    return tuple(map(_raw, x)) if isinstance(x, tuple) else x.tobytes()
+
+
+def _held(*values) -> list:
+    """The bytes of every array in ``values``."""
+    return [a.tobytes() for a in _arrays(values)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rng=st.randoms(use_true_random=False))
+def test_smooth_composites_match_their_closure_definitions_and_write_no_argument(data, rng):
+    shape = data.draw(st.sampled_from([_smooth_atom(rng), (_smooth_atom(rng), _smooth_atom(rng))]))
+    grown, grown_ref, _ = _grow(data.draw, rng, SMOOTH, shape, 4)
+    # closed at its source by an OWNS leaf, as an optimiser closes a model's port: what the term returns is
+    # handed to it as is only if a FRESH leaf made it
+    owns, owns_ref, _ = _smooth_leaf(data.draw, rng, shape, (OWNS,))
+    lens, ref = lens_compose(owns, grown), _ref_compose(owns_ref, grown_ref)
+    assert lens.src == ref.src and lens.dst == ref.dst
+    x, z = _point(rng, lens.src.fwd), _point(rng, lens.dst.bwd)
+    copies = SMOOTH.copy_elem(x), SMOOTH.copy_elem(z)
+    kept = _held(x, z)
+    assert _raw(lens.get(x)) == _raw(ref.get(copies[0]))
+    assert _raw(lens.put(Pair((x, z)))) == _raw(ref.put(Pair(copies)))
+    assert _held(x, z) == kept
+    y, r = lens.forward(x)
+    kept = _held(x, z, y, r)
+    assert _raw(lens.backward(r, z)) == _raw(ref.put(Pair(copies)))
+    assert _held(x, z, y, r) == kept

@@ -18,7 +18,7 @@ from paralens import checks, demos, smooth_autodiff
 from paralens.checks import check_gradient_descent_lens, check_weight_tying, fd_gradient, rel_close
 from paralens.errors import CompositionError, NumericError
 from paralens.demos import run_gan, run_linreg, run_mlp
-from paralens.lens_core import Lens, LensObj, compile_make, lens_id, lens_tensor
+from paralens.lens_core import Lens, LensObj, compile_make, lens_id, lens_tensor, make_state
 from paralens.para_optic import flatten_params, para_compose, reparametrise
 from paralens.smooth_autodiff import (
     SMOOTH,
@@ -111,6 +111,22 @@ def test_non_finite_input_rejected():
     f = _mul_graph()
     with pytest.raises(NumericError):
         forward_eval(f, np.array([1.0, np.inf]), np.array([1.0, 1.0]))
+
+
+def test_an_integer_past_the_float_range_is_not_a_vector():
+    # float(10**400) raises OverflowError; every edge reports the argument as no vector, by name
+    huge = [10**400]
+    with pytest.raises(NumericError, match=r"^input vector is not a vector of R\^1$"):
+        forward_eval(mlp_map((1, 1)), [0.0, 0.0], huge)
+    model = reparametrise(apply_R(sqerr_head(mlp_map((1, 1)))), gd_lens(0.1, 2))
+    with pytest.raises(NumericError, match=r"^parameter vector is not a vector of R\^2$"):
+        train_step(model, huge * 2, [0.0, 0.0], unit_loss_costate())
+    gan = gan_model(apply_R(mlp_map((2, 2))), apply_R(mlp_map((2, 1))), 0.1)
+    with pytest.raises(NumericError, match=r"^input vector\[1\] is not a vector of R\^2$"):
+        gan_step(gan, np.zeros(6), np.zeros(3), np.zeros(2), huge * 2)
+    assert not SMOOTH.contains(1, huge)
+    with pytest.raises(CompositionError, match="state point"):
+        make_state(SMOOTH, LensObj(1, 1), huge)
 
 
 def test_overflow_inside_graph_names_node():
@@ -701,6 +717,17 @@ def test_a_composite_copies_its_own_cotangent_for_an_optimiser_leaf():
     assert np.array_equal(p_next, p - 0.5 * g) and kept()
 
 
+def test_the_gan_costate_still_returns_ones_after_steps():
+    # every gan_step seeds its backward leg with the one element of ones the costate built
+    gen, disc = apply_R(mlp_map((2, 3, 2))), apply_R(mlp_map((2, 3, 1)))
+    model, pg, pd = gan_model(gen, disc, 0.1), np.full(gen.params.fwd, 0.1), np.full(disc.params.fwd, -0.2)
+    for _ in range(3):
+        pg, pd, _ = gan_step(model, pg, pd, np.ones(2), np.zeros(2))
+    costate = smooth_autodiff._GAN_COSTATE
+    ones = costate.backward(costate.forward(Pair((np.zeros(1), np.zeros(1))))[1], SMOOTH.unit_elem())
+    assert type(ones) is Pair and join_flat(ones).tobytes() == np.ones(2).tobytes()
+
+
 def test_the_gradient_descent_suite_writes_no_parameters(monkeypatch):
     calls = []
 
@@ -729,23 +756,29 @@ def test_train_step_reports_pre_update_loss():
     rng = np.random.default_rng(6)
     p = rng.uniform(-0.5, 0.5, f.param_dim)
     data = np.array([0.4, 0.9])
-    p2, loss = train_step(model, p, data, unit_loss_costate())
+    p2, (loss,) = train_step(model, p, data, unit_loss_costate())
     assert loss == pytest.approx(float(forward_eval(f, p, data)[0][0]))
     g_fd = fd_gradient(lambda v: float(forward_eval(f, v, data)[0][0]), p)
     assert rel_close(p2, p - 0.05 * g_fd, rtol=1e-4, atol=1e-8)
 
 
-def test_train_step_requires_scalar_loss():
+def test_train_step_closes_an_output_only_by_a_costate_on_its_boundary():
     f = mlp_map((1, 2, 2))
     model = reparametrise(apply_R(f), gd_lens(0.05, f.param_dim))
-    with pytest.raises(CompositionError):
-        train_step(model, np.zeros(f.param_dim), np.zeros(1), unit_loss_costate())
+    p, x = np.full(f.param_dim, 0.1), np.array([0.5])
+    with pytest.raises(CompositionError, match=r"^costate starts at R\^1, not the model output R\^2$"):
+        train_step(model, p, x, unit_loss_costate())
+    # the R^2 output is closed by ones in both coordinates: the step descends their sum
+    p2, scores = train_step(model, p, x, unit_loss_costate(2))
+    y, tape = forward_eval(f, p, x)
+    assert scores == tuple(y.tolist()) and all(type(s) is float for s in scores)
+    assert np.array_equal(p2, p - 0.05 * backward_eval(f, tape, np.ones(2))[0])
 
 
 def test_train_step_rejects_a_loss_costate_that_does_not_end_at_the_unit():
     f = sqerr_head(mlp_map((1, 2, 1)))
     model = reparametrise(apply_R(f), gd_lens(0.05, f.param_dim))
-    with pytest.raises(CompositionError, match="loss costate"):
+    with pytest.raises(CompositionError, match=r"^costate ends at R\^1, not the unit boundary$"):
         train_step(model, np.zeros(f.param_dim), np.zeros(2), gd_lens(0.1, 1))
 
 
@@ -827,9 +860,16 @@ def test_train_step_scans_the_parameters_once(monkeypatch):
     assert scans.count("parameter vector") == 1
 
 
-@pytest.mark.parametrize(
-    "what", ["generator parameters", "discriminator parameters", "latent vector", "real sample"]
-)
+# each argument of gan_step, and the name train_step gives it: the factor of the pair it lands in
+_GAN_ARGUMENTS = {
+    "generator parameters": r"parameter vector\[1\]",
+    "discriminator parameters": r"parameter vector\[0\]",
+    "latent vector": r"input vector\[0\]",
+    "real sample": r"input vector\[1\]",
+}
+
+
+@pytest.mark.parametrize("what", list(_GAN_ARGUMENTS))
 def test_gan_step_rejects_non_finite_values_by_name(what):
     gen, disc = apply_R(mlp_map((2, 3, 2))), apply_R(mlp_map((2, 3, 1)))
     args = {
@@ -839,8 +879,23 @@ def test_gan_step_rejects_non_finite_values_by_name(what):
         "real sample": np.zeros(2),
     }
     args[what][-1] = np.inf
-    with pytest.raises(NumericError, match=f"^{what} contains non-finite entries$"):
+    with pytest.raises(NumericError, match=f"^{_GAN_ARGUMENTS[what]} contains non-finite entries$"):
         gan_step(gan_model(gen, disc, 0.1), *args.values())
+
+
+def test_gan_step_is_train_step_on_the_gan_boundary():
+    gen_graph, disc_graph = mlp_map((2, 3, 2)), mlp_map((2, 3, 1))
+    rng = np.random.default_rng(14)
+    pg, pd = rng.uniform(-0.5, 0.5, gen_graph.param_dim), rng.uniform(-0.5, 0.5, disc_graph.param_dim)
+    z, real = rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 2)
+    model = gan_model(apply_R(gen_graph), apply_R(disc_graph), 0.1)
+    (pd_next, pg_next), scores = train_step(model, (pd, pg), (z, real), unit_loss_costate((1, 1)))
+    pg_want, pd_want, want = gan_step(model, pg, pd, z, real)
+    assert pg_next.tobytes() == pg_want.tobytes() and pd_next.tobytes() == pd_want.tobytes()
+    # the scores are the output's coordinates, left to right: the fake branch's, then the real one's
+    fake = forward_eval(gen_graph, pg, z)[0]
+    d_fake, d_real = (float(forward_eval(disc_graph, pd, v)[0][0]) for v in (fake, real))
+    assert scores == want == (d_fake, d_real)
 
 
 def test_gan_step_rejects_mismatched_generator():
@@ -874,7 +929,7 @@ def eval_counts(monkeypatch):
 def test_gan_step_rejects_a_model_not_built_by_gan_model():
     f = sqerr_head(mlp_map((1, 2, 1)))
     model = reparametrise(apply_R(f), gd_lens(0.05, f.param_dim))
-    with pytest.raises(CompositionError, match="gan_model"):
+    with pytest.raises(CompositionError, match=r"^costate starts at R\^1 × R\^1, not the model output R\^1$"):
         gan_step(model, np.zeros(2), np.zeros(2), np.zeros(2), np.zeros(2))
 
 
