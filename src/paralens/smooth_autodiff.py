@@ -12,8 +12,8 @@ backward leg runs the vector-Jacobian products in reverse.  Each cotangent
 is written once, where it lives: a wire that no other write meets is
 assigned, and each ``vjp`` is offered its sole wires' slices as
 destinations, uninitialised and write-only, which it may fill and return
-(``linear`` writes its weight cotangent so).  Where wires fan out, their
-cotangents are summed in place into a zeroed buffer.
+(``linear`` and ``affine`` write their weight cotangents so).  Where wires
+fan out, their cotangents are summed in place into a zeroed buffer.
 
 :func:`apply_R` turns a graph into a parametrised lens over the smooth base
 whose legs are the graph's: its forward leg is evaluation and leaves the
@@ -66,6 +66,7 @@ from .para_optic import (
 
 Vector = np.ndarray
 _F64 = np.dtype(np.float64)
+_every = np.logical_and.reduce  # ``ndarray.all``'s kernel, without its Python-level wrapper
 
 
 class Pair(tuple):
@@ -84,15 +85,19 @@ def as_vector(x, dim: Carrier, what: str = "vector"):
         if not (isinstance(x, tuple) and len(x) == 2):
             raise NumericError(f"{what} is not a pair of {SMOOTH.describe(dim)}")
         return Pair((as_vector(x[0], dim[0], f"{what}[0]"), as_vector(x[1], dim[1], f"{what}[1]")))
-    try:
-        arr = np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        raise NumericError(f"{what} is not a vector of R^{dim}") from None
-    if arr.shape != (dim,):
-        raise NumericError(f"{what} has shape {arr.shape}, expected ({dim},)")
-    if not np.isfinite(arr).all():
+    if not (type(x) is np.ndarray and x.dtype is _F64):
+        try:
+            x = np.asarray(x)
+            if x.dtype.kind in "cSUmMV":  # complex, strings, bytes, datetimes and records are no reals
+                raise TypeError
+            x = x.astype(np.float64, copy=False)
+        except (TypeError, ValueError, OverflowError):
+            raise NumericError(f"{what} is not a vector of R^{dim}") from None
+    if x.shape != (dim,):
+        raise NumericError(f"{what} has shape {x.shape}, expected ({dim},)")
+    if not _every(np.isfinite(x)):
         raise NumericError(f"{what} contains non-finite entries")
-    return arr
+    return x
 
 
 def _shaped(x, c: Carrier) -> bool:
@@ -179,6 +184,8 @@ class SmoothBase(Base):
 
 
 SMOOTH = SmoothBase()
+_UNIT_OBJ, _UNIT = unit_obj(SMOOTH), SMOOTH.unit_elem()  # every step shares them
+_UNIT.flags.writeable = False
 
 
 def flat_dim(c: Carrier) -> int:
@@ -239,6 +246,24 @@ def linear(n: int, m: int) -> Primitive:
         return dw, w.reshape(m, n).T @ c
 
     return Primitive("linear", (m * n, n), m, fwd, vjp)
+
+
+def affine(n: int, m: int) -> Primitive:
+    """A dense layer ``Wx + b``: input 0 is ``[W row-major, b]``, the matrix then the bias."""
+    k = m * n
+
+    def fwd(wb, x):
+        return wb[:k].reshape(m, n) @ x + wb[k:]
+
+    def vjp(ins, c, dst=(None, None)):
+        wb, x = ins
+        # d/d[W, b] is [c xᵀ, c], written into its destination where one is offered; d/dx is Wᵀc
+        dwb = np.empty(k + m) if dst[0] is None else dst[0]
+        np.multiply(c[:, None], x, out=dwb[:k].reshape(m, n))
+        dwb[k:] = c
+        return dwb, wb[:k].reshape(m, n).T @ c
+
+    return Primitive("affine", (k + m, n), m, fwd, vjp)
 
 
 def add(n: int) -> Primitive:
@@ -304,7 +329,7 @@ def sqerr(n: int) -> Primitive:
         return d, -d
 
     return Primitive(
-        "sqerr", (n, n), 1, lambda a, b: np.array([((a - b) ** 2).sum()]), vjp
+        "sqerr", (n, n), 1, lambda a, b: np.add.reduce((a - b) ** 2, keepdims=True), vjp
     )
 
 
@@ -456,7 +481,7 @@ def _cotangent(node: Node, val, dim: int) -> Vector:
     return val
 
 
-_LEG_GLOBALS = dict(Pair=Pair, ndarray=np.ndarray, empty=np.empty, zeros=np.zeros, isfinite=np.isfinite)
+_LEG_GLOBALS = dict(Pair=Pair, ndarray=np.ndarray, empty=np.empty, zeros=np.zeros, isfinite=np.isfinite, every=_every)
 _LEG_GLOBALS.update(_first_non_finite=_first_non_finite, _node_output=_node_output, _arity=_arity, _cotangent=_cotangent)
 
 
@@ -489,7 +514,7 @@ def _make_legs(plan) -> Callable[..., tuple[Callable, Callable]]:
     for k, (ins, a, b) in enumerate(steps):
         fwd += [f"a{k} = ({''.join(view(ports, *w) + ', ' for w in ins)})", f"y = F{k}(*a{k})"]
         fwd += [*checked("y", b - a, f"_node_output(nodes, v, {k}, y)"), f"v[{a}:{b}] = y"]
-    fwd += ["if not isfinite(v).all():", f"    raise _first_non_finite(nodes, v, {n})"]
+    fwd += ["if not every(isfinite(v)):", f"    raise _first_non_finite(nodes, v, {n})"]
     seed = [f"{cots[out[0]]}[{out[1]}:{out[2]}] = dy"] if out in sole else [f"t = {view(cots, *out)}", "t += dy"]
     bwd = [f"dp, dx, dv = {', '.join(alloc)}", *seed, f"({saved}) = saved"]
     for k, (ins, a, b) in reversed(list(enumerate(steps))):
@@ -523,7 +548,7 @@ def _run_backward(f: SmoothMap, tape: Tape, dy) -> Pair:
         raise CompositionError("tape was recorded on a different graph")
     if tape.spent:
         raise CompositionError("tape already consumed by a backward pass")
-    if not (type(dy) is np.ndarray and dy.dtype is _F64 and dy.shape == (f.out_dim,) and np.isfinite(dy).all()):
+    if not (type(dy) is np.ndarray and dy.dtype is _F64 and dy.shape == (f.out_dim,) and _every(np.isfinite(dy))):
         dy = as_vector(dy, f.out_dim, "output cotangent")  # raises, or converts a list handed to backward_eval
     tape.spent = True
     return f.legs[1](tape.node_inputs, dy)
@@ -614,15 +639,15 @@ class GraphBuilder:
 def mlp_map(dims: Sequence[int]) -> SmoothMap:
     """Fully-connected layers with biases, ``tanh`` between layers and no activation after the last.
 
-    Layer ``i``'s nodes are ``lin{i}``, ``bias{i}`` and, but for the last layer, ``act{i}``.
+    Layer ``i`` is one :func:`affine` node ``lin{i}`` reading its parameters, the row-major weight matrix
+    and then the bias, layer after layer; but for the last layer, a ``tanh`` node ``act{i}`` follows.
     """
     if len(dims) < 2:
         raise CompositionError("an MLP needs at least an input and an output layer")
     b = GraphBuilder(dims[0])
     h = b.input()
     for i, (n, m) in enumerate(zip(dims[:-1], dims[1:])):
-        h = b.node(linear(n, m), b.param(m * n), h, name=f"lin{i}")
-        h = b.node(add(m), h, b.param(m), name=f"bias{i}")
+        h = b.node(affine(n, m), b.param(m * n + m), h, name=f"lin{i}")
         if i < len(dims) - 2:
             h = b.node(tanh(m), h, name=f"act{i}")
     return b.build(h)
@@ -686,8 +711,8 @@ def unit_loss_costate(boundary: Carrier = 1) -> Lens:
     its backward leg returns one read-only element, built here, with no :class:`SmoothFn` to check."""
     ones = np.ones(flat_dim(boundary))
     ones.flags.writeable = False  # every step shares it
-    ones, unit = split_flat(boundary, ones), SMOOTH.unit_elem()
-    return Lens(SMOOTH, LensObj(boundary, boundary), unit_obj(SMOOTH), lambda _: (unit, None), lambda *_: ones)
+    ones = split_flat(boundary, ones)
+    return Lens(SMOOTH, LensObj(boundary, boundary), _UNIT_OBJ, lambda _: (_UNIT, None), lambda *_: ones)
 
 
 def train_step(model: ParaLens, p, x, costate: Lens) -> tuple[object, tuple[float, ...]]:
@@ -699,7 +724,7 @@ def train_step(model: ParaLens, p, x, costate: Lens) -> tuple[object, tuple[floa
         raise CompositionError("train_step expects a smooth-base lens")
     if costate.src != model.dst:
         raise CompositionError(f"costate starts at {SMOOTH.describe(costate.src.fwd)}, not the model output {SMOOTH.describe(model.dst.fwd)}")
-    if costate.dst != unit_obj(SMOOTH):
+    if costate.dst != _UNIT_OBJ:
         raise CompositionError(f"costate ends at {SMOOTH.describe(costate.dst.fwd)}, not the unit boundary")
     p = as_vector(p, model.params.fwd, "parameter vector")
     x = as_vector(x, model.src.fwd, "input vector")
@@ -708,7 +733,7 @@ def train_step(model: ParaLens, p, x, costate: Lens) -> tuple[object, tuple[floa
         scores = tuple(join_flat(y).tolist())
         if not all(map(math.isfinite, scores)):
             raise NumericError("a score is non-finite")
-        dy = costate.backward(costate.forward(y)[1], SMOOTH.unit_elem())
+        dy = costate.backward(costate.forward(y)[1], _UNIT)
         return model.carrier.backward(residual, dy)[0], scores
 
 

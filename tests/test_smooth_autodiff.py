@@ -28,6 +28,7 @@ from paralens.smooth_autodiff import (
     SmoothMap,
     Wire,
     add,
+    affine,
     apply_R,
     as_vector,
     backward_eval,
@@ -127,6 +128,30 @@ def test_an_integer_past_the_float_range_is_not_a_vector():
     assert not SMOOTH.contains(1, huge)
     with pytest.raises(CompositionError, match="state point"):
         make_state(SMOOTH, LensObj(1, 1), huge)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [1 + 5j, 0.5],
+        np.array([1.0, 0.5], dtype=complex),
+        ["1", "2"],
+        [b"1", b"2"],
+        np.array(["2020-01-01", "2020-01-02"], dtype="datetime64[D]"),
+        np.array([1, 2], dtype="timedelta64[s]"),
+        np.zeros(2, dtype="f8,f8"),
+    ],
+    ids=["complex", "complex-array", "str", "bytes", "datetime", "timedelta", "record"],
+)
+def test_entries_that_are_no_reals_are_not_a_vector(bad):
+    # no imaginary part is dropped and no string is read as a number, with no numpy warning either
+    f = sqerr_head(mlp_map((1, 1)))
+    with pytest.raises(NumericError, match=r"^input vector is not a vector of R\^2$"):
+        forward_eval(f, np.zeros(2), bad)
+    with pytest.raises(NumericError, match=r"^vector is not a vector of R\^2$"):
+        as_vector(bad, 2)
+    assert not SMOOTH.contains(2, bad) and not SMOOTH.contains((1, 1), (bad[:1], bad[1:]))
+    assert np.array_equal(as_vector([True, 2], 2), [1.0, 2.0]) and as_vector(np.float32([0.5]), 1).dtype == np.float64
 
 
 def test_overflow_inside_graph_names_node():
@@ -232,11 +257,41 @@ def test_sum_vjp_broadcasts():
     assert np.allclose(dx, [2.0, 2.0, 2.0])
 
 
-def test_bias_is_add():
-    # an MLP's bias node is an ``add`` and its activation a ``tanh``
+def test_an_mlp_layer_is_one_affine_node_over_its_weights_then_bias():
+    # each layer reads its contiguous [W row-major, b] slice; its activation is a ``tanh``
     f = mlp_map((1, 2, 1))
     names = [(n.name, n.prim.name) for n in f.nodes]
-    assert names == [("lin0", "linear"), ("bias0", "add"), ("act0", "tanh"), ("lin1", "linear"), ("bias1", "add")]
+    assert names == [("lin0", "affine"), ("act0", "tanh"), ("lin1", "affine")]
+    assert [n.inputs for n in f.nodes] == [
+        (Wire("param", 0, 4), Wire("input", 0, 1)),
+        (Wire("lin0", 0, 2),),
+        (Wire("param", 4, 7), Wire("act0", 0, 2)),
+    ]
+    assert [n.prim.in_dims for n in f.nodes] == [(4, 1), (2,), (3, 2)] and f.param_dim == 7
+    p, x = np.arange(1.0, 8.0), np.array([0.5])
+    w0, b0, w1, b1 = np.split(p, [2, 4, 6])
+    assert np.array_equal(forward_eval(f, p, x)[0], w1.reshape(1, 2) @ np.tanh(w0.reshape(2, 1) @ x + b0) + b1)
+    wide = mlp_map((1, 4, 1))
+    assert [(n.name, n.prim.name) for n in wide.nodes] == [("lin0", "affine"), ("act0", "tanh"), ("lin1", "affine")]
+    assert [n.inputs[0] for n in wide.nodes[::2]] == [Wire("param", 0, 8), Wire("param", 8, 13)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 4), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), offered=st.booleans())
+def test_affine_is_linear_then_add_bit_for_bit(n, m, seed, offered):
+    rng = np.random.default_rng(seed)
+    wb, x, c = rng.uniform(-2, 2, m * n + m), rng.uniform(-2, 2, n), rng.uniform(-2, 2, m)
+    w, b = wb[: m * n], wb[m * n :]
+    prim, lin, plus = affine(n, m), linear(n, m), add(m)
+    assert prim.in_dims == (m * n + m, n) and prim.out_dim == m
+    y = prim.forward(wb, x)
+    assert np.array_equal(y, plus.forward(lin.forward(w, x), b))
+    dst = (np.full(m * n + m, np.nan), None) if offered else (None, None)
+    dwb, dx = prim.vjp((wb, x), c, dst) if offered else prim.vjp((wb, x), c)
+    dh, db = plus.vjp((lin.forward(w, x), b), c)
+    dw, want_dx = lin.vjp((w, x), dh)
+    assert (dwb is dst[0]) == offered
+    assert np.array_equal(dwb, np.concatenate([dw, db])) and np.array_equal(dx, want_dx)
 
 
 # -- evaluation ---------------------------------------------------------
@@ -322,7 +377,7 @@ def _interpret(f: SmoothMap, p, x, dy):
     return bufs[2], y, [args for _, args, _ in slices], cots[0], cots[1]
 
 
-_OPS = (add, linear, mul, neg, relu, sigmoid, sqerr, sum_reduce, tanh)  # every primitive
+_OPS = (add, affine, linear, mul, neg, relu, sigmoid, sqerr, sum_reduce, tanh)  # every primitive
 
 
 @st.composite
@@ -341,7 +396,7 @@ def _graphs(draw):
     for _ in range(draw(st.integers(1, 8))):
         op = draw(st.sampled_from(_OPS))
         n = draw(st.integers(1, 3))
-        prim = op(n, draw(st.integers(1, 3))) if op is linear else op(n)
+        prim = op(n, draw(st.integers(1, 3))) if op in (affine, linear) else op(n)
         wires, src = [], None
         for want in prim.in_dims:
             fits = sorted(src for src, dim in dims.items() if dim >= want or tiled and src in ("param", "input"))
@@ -423,15 +478,16 @@ def test_overlapping_reads_of_one_parameter_slice_sum_their_cotangents():
         assert np.array_equal(dp, [21.0, -55.0 + 14.0, -33.0])
 
 
-def _with_linear_vjp(f: SmoothMap, wrap) -> SmoothMap:
-    """``f`` with each ``linear`` node's ``vjp`` replaced by ``wrap(vjp)``."""
-    nodes = tuple(Node(n.name, replace(n.prim, vjp=wrap(n.prim.vjp)), n.inputs) if n.prim.name == "linear" else n for n in f.nodes)
+def _with_weight_vjp(f: SmoothMap, wrap) -> SmoothMap:
+    """``f`` with each ``affine`` node's ``vjp``, an MLP layer's, replaced by ``wrap(vjp)``; there is one at least."""
+    nodes = tuple(Node(n.name, replace(n.prim, vjp=wrap(n.prim.vjp)), n.inputs) if n.prim.name == "affine" else n for n in f.nodes)
+    assert nodes != f.nodes, "no weight node to wrap"
     return SmoothMap(f.param_dim, f.in_dim, f.out_dim, nodes, f.output)
 
 
 def test_a_vjp_that_ignores_its_destinations_gives_the_same_cotangents():
     f = sqerr_head(mlp_map((3, 4, 2)))
-    ignoring = _with_linear_vjp(f, lambda vjp: lambda ins, c, dst: vjp(ins, c))
+    ignoring = _with_weight_vjp(f, lambda vjp: lambda ins, c, dst: vjp(ins, c))
     rng = np.random.default_rng(4)
     p, x = rng.uniform(-1, 1, f.param_dim), rng.uniform(-1, 1, f.in_dim)
     for _ in range(3):
@@ -450,7 +506,7 @@ def test_linear_writes_its_weight_cotangent_in_place_on_a_step():
     def spied(vjp):
         def spy(ins, c, dst):
             dw, dx = vjp(ins, c, dst)
-            seen.append(dw is dst[0] and np.array_equal(dw, np.outer(c, ins[1]).ravel()))
+            seen.append(dw is dst[0] and np.array_equal(dw, np.concatenate([np.outer(c, ins[1]).ravel(), c])))
             return dw, dx
 
         return spy
@@ -458,7 +514,7 @@ def test_linear_writes_its_weight_cotangent_in_place_on_a_step():
     rng = np.random.default_rng(5)
     p, x = rng.uniform(-0.2, 0.2, f.param_dim), rng.uniform(-1, 1, f.in_dim)
     steps = []
-    for g in (f, _with_linear_vjp(f, spied)):
+    for g in (f, _with_weight_vjp(f, spied)):
         model = reparametrise(apply_R(g), gd_lens(0.01, g.param_dim))
         steps.append(train_step(model, p, x, unit_loss_costate()))
     assert seen == [True] * 3
@@ -538,17 +594,15 @@ def test_mlp_against_plain_numpy():
 
 def test_compose_maps_and_sqerr_head_pin_their_names_and_plan():
     comp = compose_maps(mlp_map((1, 1)), mlp_map((1, 1)))
-    assert [n.name for n in comp.nodes] == ["a:lin0", "a:bias0", "b:lin0", "b:bias0"]
+    assert [n.name for n in comp.nodes] == ["a:lin0", "b:lin0"]
     # parameters [g, f]: g's weight and bias at [0:2], f's at [2:4]
     steps = (
-        (((0, 2, 3), (1, 0, 1)), 0, 1),
-        (((2, 0, 1), (0, 3, 4)), 1, 2),
-        (((0, 0, 1), (2, 1, 2)), 2, 3),
-        (((2, 2, 3), (0, 1, 2)), 3, 4),
+        (((0, 2, 4), (1, 0, 1)), 0, 1),
+        (((0, 0, 2), (2, 0, 1)), 1, 2),
     )
-    assert comp.plan == (steps, (2, 3, 4), (4, 1, 4))
+    assert comp.plan == (steps, (2, 1, 2), (4, 1, 2))
     twice = sqerr_head(sqerr_head(mlp_map((1, 1))))
-    assert [n.name for n in twice.nodes] == ["lin0", "bias0", "loss", "loss_"]
+    assert [n.name for n in twice.nodes] == ["lin0", "loss", "loss_"]
     assert twice.nodes[-1].inputs == (Wire("loss", 0, 1), Wire("input", 2, 3))
     assert twice.output == Wire("loss_", 0, 1) and twice.in_dim == 3
 
