@@ -451,8 +451,3 @@ def lens_assoc(base: Base, a: LensObj, b: LensObj, c: LensObj) -> Lens:
 def lens_assoc_inv(base: Base, a: LensObj, b: LensObj, c: LensObj) -> Lens:
     """a ⊗ (b ⊗ c) → (a ⊗ b) ⊗ c."""
     return rewire(base, [a, b, c], (0, (1, 2)), ((0, 1), 2))
-
-
-def lens_interchange(base: Base, a: LensObj, b: LensObj, c: LensObj, d: LensObj) -> Lens:
-    """(a ⊗ b) ⊗ (c ⊗ d) → (a ⊗ c) ⊗ (b ⊗ d), swapping the middle factors."""
-    return rewire(base, [a, b, c, d], ((0, 1), (2, 3)), ((0, 2), (1, 3)))

@@ -115,7 +115,8 @@ def para_tensor(p1: ParaLens, p2: ParaLens) -> ParaLens:
     """Parallel composition; parameter ports pair up in order.
 
     One :func:`rewire` takes ``((p1.params, *p2.leaves), (src1, src2))`` to ``((p1.params,
-    src1), (p2.params, src2))``; for a one-leaf ``p2`` it is ``lens_interchange``.
+    src1), (p2.params, src2))``; for a one-leaf ``p2`` it takes ``((a, b), (c, d))``
+    to ``((a, c), (b, d))``, swapping the middle factors.
     """
     base = p1.base
     if base is not p2.base:

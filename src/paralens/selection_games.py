@@ -10,12 +10,12 @@ fixed, which is exactly the Nash condition.
 A game is a parametrised scalar (both boundaries trivial) together with a
 selection relation on its parameter port.  The scalar induces a reward
 function on the port; the solution set is the set of parameter states the
-relation accepts against it.  An open game is closed by playing it in a
-context (h, k), a state h and a continuation k.  Normal-form games are
-built compositionally: the decisions' arena, one decision per player
-tensored and built once per shape, played in the context (unit
-observations, payoff costate).  A brute-force deviation check provides an
-independent oracle.
+relation accepts against it.  Normal-form games are built
+compositionally.  A player observes nothing, so its strategies are its
+moves and its decision is the right unitor on its port ⟨moves, rewards⟩.
+The decisions tensored make the arena, built once per shape and purely
+structural; it is closed in the context (unit state, payoff costate).  A
+brute-force deviation check provides an independent oracle.
 
 Payoffs are exact ``Fraction``s, so ties and indifference are decided
 without tolerance.  A player's reward carrier holds only the ranks of
@@ -41,7 +41,6 @@ from .finite_base import (
     FinProd,
     FinSet,
     UNIT_LABEL,
-    UNIT_SET,
     finset_tuple_product,
     iter_functions,
     split_tuple,
@@ -52,7 +51,9 @@ from .lens_core import (
     LensObj,
     costate_fn,
     lens_compose,
+    lens_runit,
     make_costate,
+    unit_obj,
 )
 from .para_optic import (
     ParaLens,
@@ -189,34 +190,13 @@ def relations_equal(r1: SelectionRelation, r2: SelectionRelation) -> bool:
 # -- decisions and games ------------------------------------------------
 
 
-def decision(observations: FinSet, moves: FinSet, rewards: FinSet) -> ParaLens:
-    """A single agent: strategies are functions from observations to moves.
-
-    Forward play applies the strategy to the observation; backward, the
-    received reward is forwarded to the parameter port unchanged and
-    nothing flows further upstream.
-    """
-    omega = finset_tuple_product([moves] * len(observations))
-    strategies = dict(zip(omega, iter_functions(observations, moves)))
-
-    def play(wx: tuple):
-        w, x = wx
-        return strategies[w](x), None
-
-    carrier = Lens(
-        FINITE,
-        LensObj(FinProd(omega, observations), FinProd(rewards, UNIT_SET)),
-        LensObj(moves, rewards),
-        play,
-        lambda _, r: (r, UNIT_LABEL),
-    )
-    return ParaLens(
-        FINITE,
-        (LensObj(omega, rewards),),
-        LensObj(observations, UNIT_SET),
-        LensObj(moves, rewards),
-        carrier,
-    )
+def decision(moves: FinSet, rewards: FinSet) -> ParaLens:
+    """A single agent observing nothing: its strategies are its moves, so its
+    parameter port ⟨moves, rewards⟩ is also its target, and its carrier is
+    the right unitor on that port.  Forward the chosen move is played;
+    backward the received reward is handed to the port unchanged."""
+    port = LensObj(moves, rewards)
+    return ParaLens(FINITE, (port,), unit_obj(FINITE), port, lens_runit(FINITE, port))
 
 
 @dataclass(frozen=True)
@@ -230,11 +210,6 @@ class OpenGame:
     def __post_init__(self):
         if self.lens.params != self.sel.obj:
             raise CompositionError("selection relation does not live on the game's parameter port")
-
-
-def equilibria(game: OpenGame, h, k: FinFn) -> tuple:
-    """Parameter states the selection relation accepts in the context (h, k)."""
-    return solution_set(OpenGame(in_context(game.lens, h, k), game.sel))
 
 
 def solution_set(game: OpenGame) -> tuple:
@@ -318,19 +293,19 @@ def brute_force_hicks(g: NormalFormGame) -> tuple:
 
 @lru_cache(maxsize=64)
 def arena(players: tuple[FinSet, ...], grids: tuple[FinSet, ...]) -> ParaLens:
-    """The decisions tensored, one per player with unit observations.
+    """The decisions tensored, one per player: rewires and tensors only.
 
     It depends only on the strategy sets and the rank grids, so it is built
     once per shape and kept in a bounded cache.
     """
-    parts = [decision(UNIT_SET, player, grid) for player, grid in zip(players, grids)]
+    parts = [decision(player, grid) for player, grid in zip(players, grids)]
     return reduce(para_tensor, parts)
 
 
 def game_scalar(g: NormalFormGame) -> ParaLens:
     """The closed compositional form: the game's :func:`arena` played in
-    the context (unit observations, payoff costate), so the payoff enters
-    only as the costate.  The parameter port is the profile product."""
+    the context (unit state, payoff costate), so the payoff enters only as
+    the costate.  The parameter port is the profile product."""
     units = tuple_label([UNIT_LABEL] * len(g.players))
     return in_context(arena(g.players, g.grids), units, g.payoff)
 

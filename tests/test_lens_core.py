@@ -31,7 +31,6 @@ from paralens.lens_core import (
     lens_compose,
     lens_equal,
     lens_id,
-    lens_interchange,
     lens_lunit,
     lens_lunit_inv,
     lens_runit,
@@ -309,10 +308,10 @@ def test_structural_round_trips_random():
 
 
 def test_interchange_shuffles_middle_pair():
-    x = lens_interchange(FINITE, A, B, C, A)
+    x = rewire(FINITE, [A, B, C, A], ((0, 1), (2, 3)), ((0, 2), (1, 3)))
     lhs = (("a0", "b1"), ("c0", "a1"))
     assert FINITE.apply(x.get, lhs) == (("a0", "c0"), ("b1", "a1"))
-    inv = lens_interchange(FINITE, A, C, B, A)
+    inv = rewire(FINITE, [A, C, B, A], ((0, 1), (2, 3)), ((0, 2), (1, 3)))
     assert lens_equal(lens_compose(x, inv), lens_id(FINITE, x.src))
 
 
@@ -332,7 +331,7 @@ def test_structural_lenses_move_vector_slices():
         (lens_swap(SMOOTH, a, b), [a, b], [1, 0]),
         (lens_assoc(SMOOTH, a, b, c), [a, b, c], [0, 1, 2]),
         (lens_assoc_inv(SMOOTH, a, b, c), [a, b, c], [0, 1, 2]),
-        (lens_interchange(SMOOTH, a, b, c, d), [a, b, c, d], [0, 2, 1, 3]),
+        (rewire(SMOOTH, [a, b, c, d], ((0, 1), (2, 3)), ((0, 2), (1, 3))), [a, b, c, d], [0, 2, 1, 3]),
     ]
     for lens, leaves, order in cases:
         fwd = _blocks([o.fwd for o in leaves], order)
@@ -511,7 +510,6 @@ _STRUCTURAL = {
     "swap": (lambda s: list(s), (0, 1), (1, 0), lens_swap),
     "assoc": (lambda s: [*s[0], s[1]], ((0, 1), 2), (0, (1, 2)), lens_assoc),
     "assoc_inv": (lambda s: [s[0], *s[1]], (0, (1, 2)), ((0, 1), 2), lens_assoc_inv),
-    "interchange": (lambda s: [*s[0], *s[1]], ((0, 1), (2, 3)), ((0, 2), (1, 3)), lens_interchange),
 }
 
 
@@ -585,7 +583,6 @@ def _grow(draw, rng: random.Random, base, shape, depth: int):
         ops += ["swap"] + ["tensor"] * 3 * (depth > 0)
         ops += ["lunit"] * (shape[0] == unit) + ["runit"] * (shape[1] == unit)
         ops += ["assoc"] * isinstance(shape[0], tuple) + ["assoc_inv"] * isinstance(shape[1], tuple)
-        ops += ["interchange"] * (isinstance(shape[0], tuple) and isinstance(shape[1], tuple))
     op = draw(st.sampled_from(ops))
     if op == "leaf":
         return (_smooth_leaf if base is SMOOTH else _finite_leaf)(draw, rng, shape)

@@ -14,7 +14,6 @@ from paralens.finite_base import (
     UNIT_SET,
 )
 from paralens.lens_core import (
-    LEAF,
     LensObj,
     get_put_lens,
     lens_assoc,
@@ -292,12 +291,14 @@ def _subterms(term):
 
 
 def test_benchmarked_composites_keep_their_terms():
-    # one-leaf operands regroup by exactly lens_interchange and lens_assoc
+    # one-leaf operands regroup by exactly the middle-four interchange and lens_assoc;
+    # each decision is the right unitor on its port, so the arena has no leaf
     interchange = ("rewire", ((0, 1), (2, 3)), ((0, 2), (1, 3)))
+    runit = ("rewire", (0, None), 0)
     moves, grid = FinSet(("C", "D")), FinSet(("0", "1"))
     three = arena((moves,) * 3, (grid,) * 3)
     assert three.carrier.term == (
-        "compose", interchange, ("tensor", ("compose", interchange, ("tensor", LEAF, LEAF)), LEAF)
+        "compose", interchange, ("tensor", ("compose", interchange, ("tensor", runit, runit)), runit)
     )
     gan = gan_model(apply_R(mlp_map((2, 4, 2))), apply_R(mlp_map((2, 4, 1))), 0.01)
     terms = list(_subterms(gan.carrier.term))

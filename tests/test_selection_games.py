@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paralens import selection_games
-from paralens.checks import random_finfn, random_finset, random_lens, random_obj, random_relation
+from paralens.checks import random_finfn, random_finset, random_lens, random_obj, random_para, random_relation
 from paralens.cli import parse_game_spec
 from paralens.errors import CompositionError, SizeCapError
 from paralens.finite_base import (
@@ -35,8 +35,11 @@ from paralens.lens_core import (
     LensObj,
     lens_assoc,
     lens_compose,
+    lens_equal,
     lens_id,
+    lens_runit,
     lens_swap,
+    unit_obj,
 )
 from paralens.para_optic import in_context, para_costate_solution_input, reparametrise
 from paralens.selection_games import (
@@ -48,7 +51,6 @@ from paralens.selection_games import (
     brute_force_nash,
     compositional_game,
     decision,
-    equilibria,
     game_of_rows,
     hicks_games,
     nash_product,
@@ -429,46 +431,44 @@ def test_sel_pushforward_matches_its_enumerated_definition():
 # -- decisions ----------------------------------------------------------
 
 
-def test_decision_strategy_order_and_play():
-    obs = FinSet(("h0", "h1"))
-    moves = FinSet(("L", "R"))
-    grid = FinSet(("0", "1"))
-    d = decision(obs, moves, grid)
-    assert d.params.fwd.labels == (("L", "L"), ("L", "R"), ("R", "L"), ("R", "R"))
-    assert d.params.bwd is grid
-    assert FINITE.apply(d.carrier.get, (("L", "R"), "h0")) == "L"
-    assert FINITE.apply(d.carrier.get, (("L", "R"), "h1")) == "R"
-    # coplay hands the reward straight to the parameter port
-    assert FINITE.apply(d.carrier.put, ((("R", "L"), "h1"), "1")) == ("1", "•")
+def test_a_decision_is_the_right_unitor_on_its_port():
+    rng = random.Random(38)
+    for _ in range(10):
+        moves, grid = random_finset(rng), random_finset(rng)
+        port = LensObj(moves, grid)
+        d = decision(moves, grid)
+        assert d.leaves == (port,) and d.params == d.dst == port and d.src == unit_obj(FINITE)
+        assert lens_equal(d.carrier, lens_runit(FINITE, port))
+        for w in moves:
+            # the move is played as chosen; the reward goes to the port unchanged
+            assert d.carrier.get((w, "•")) == w
+            assert all(d.carrier.put(((w, "•"), r)) == (r, "•") for r in grid)
 
 
-def test_decision_respects_strategy_cap():
-    obs = FinSet(tuple(f"h{i}" for i in range(10)))
-    moves = FinSet(("m0", "m1", "m2", "m3"))
-    with pytest.raises(SizeCapError) as exc:
-        decision(obs, moves, FinSet(("0",)))
-    assert exc.value.count == 4**10
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_arena_is_purely_structural(n):
+    rng = random.Random(n)
+    players = tuple(random_finset(rng, 4) for _ in range(n))
+    grids = tuple(random_finset(rng, 4) for _ in range(n))
+    # a composite's legs are its leaves' legs, so a term with no leaf has none
+    assert arena(players, grids).carrier.legs == ()
 
 
 def test_context_agrees_with_pointwise_play():
-    obs = FinSet(("h0", "h1"))
-    moves = FinSet(("L", "R"))
-    grid = FinSet(("0", "1"))
-    d = decision(obs, moves, grid)
-    game = OpenGame(d, argmax_rel(d.params.fwd, grid))
-    k = FinFn(moves, grid, {"L": "1", "R": "0"})
-    for h in obs.labels:
-        reward = para_costate_solution_input(in_context(game.lens, h, k))
-        for w in d.params.fwd.labels:
-            played = FINITE.apply(d.carrier.get, (w, h))
-            assert reward(w) == k(played)
-    assert equilibria(game, "h0", k) == (("L", "L"), ("L", "R"))
-    assert equilibria(game, "h1", k) == (("L", "L"), ("R", "L"))
+    rng = random.Random(7)
+    for _ in range(20):
+        src, dst = random_obj(rng), random_obj(rng)
+        p = random_para(rng, src, dst)
+        k = random_finfn(rng, dst.fwd, dst.bwd)
+        for h in src.fwd:
+            reward = para_costate_solution_input(in_context(p, h, k))
+            for w in p.params.fwd:
+                # k answers the play, and the reward is the parameter half of what put hands back
+                assert reward(w) == p.carrier.put(((w, h), k(p.carrier.get((w, h)))))[0]
 
 
 def test_solution_set_needs_closed_boundaries():
-    obs = FinSet(("h0", "h1"))
-    d = decision(obs, FinSet(("L", "R")), FinSet(("0", "1")))
+    d = decision(FinSet(("L", "R")), FinSet(("0", "1")))
     game = OpenGame(d, total_rel(d.params))
     with pytest.raises(CompositionError):
         solution_set(game)
@@ -626,14 +626,16 @@ def test_brute_force_oracles_frozen():
 
 
 def test_game_scalar_recovers_the_payoff_table():
-    g = _pd()
+    from paralens.checks import random_game
     from paralens.selection_games import game_scalar
 
-    scalar = game_scalar(g)
-    reward = para_costate_solution_input(scalar)
-    assert scalar.params.fwd.labels == g.payoff.dom.labels
-    for prof in g.payoff.dom.labels:
-        assert reward(prof) == g.payoff(prof)
+    rng = random.Random(38)
+    for g in [_pd()] + [random_game(rng) for _ in range(30)]:
+        scalar = game_scalar(g)
+        reward = para_costate_solution_input(scalar)
+        assert scalar.params.fwd.labels == g.payoff.dom.labels
+        for prof in g.payoff.dom.labels:
+            assert reward(prof) == g.payoff(prof)
 
 
 @pytest.mark.parametrize("n, cold", [(2, 13), (3, 17)])
@@ -723,12 +725,6 @@ def test_a_warm_arena_solves_as_a_cold_one(specs, data):
 def test_solution_sets_match_oracle_on_fixtures():
     for g in (_pd(), _pennies(), _coordination(), _battle()):
         assert solution_set(compositional_game(g)) == brute_force_nash(g)
-
-
-def test_equilibria_of_closed_game_equal_solution_set():
-    game = compositional_game(_pd())
-    k = FinFn(UNIT_SET, UNIT_SET, {"•": "•"})
-    assert equilibria(game, "•", k) == solution_set(game)
 
 
 def test_solution_sets_match_oracle_on_random_games():
