@@ -119,12 +119,15 @@ def parse_game_spec(data: object) -> tuple[NormalFormGame, str | list[str] | Non
 def _read_rational(v: int | float | str, path: str) -> Fraction:
     """A payoff or flag value whose numerator and denominator stay within the digit limit.
 
-    The text must match ``_RATIONAL``, so it reads the same on every
-    supported Python.  The exponent is bounded before ``Fraction`` expands
-    it into an integer, and an ``int`` before ``str`` renders it.
+    An ``int`` is bounded and read as itself; its text would always match.
+    Any other value's text must match ``_RATIONAL``, so it reads the same on
+    every supported Python, and the exponent is bounded before ``Fraction``
+    expands it into an integer.
     """
-    if isinstance(v, int) and not -_PAYOFF_BOUND < v < _PAYOFF_BOUND:
-        raise SpecFormatError(f"payoff has more than {_MAX_PAYOFF_DIGITS} digits", path)
+    if isinstance(v, int):
+        if not -_PAYOFF_BOUND < v < _PAYOFF_BOUND:
+            raise SpecFormatError(f"payoff has more than {_MAX_PAYOFF_DIGITS} digits", path)
+        return Fraction(v)
     text = str(v)
     if not _RATIONAL.fullmatch(text):
         raise SpecFormatError(f"cannot read {v!r} as a rational", path)

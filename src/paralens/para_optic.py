@@ -34,11 +34,9 @@ from .lens_core import (
     Lens,
     LensObj,
     Mor,
-    costate_fn,
     lens_compose,
     lens_id,
     lens_lunit,
-    lens_runit_inv,
     lens_tensor,
     make_costate,
     make_state,
@@ -191,8 +189,9 @@ def para_costate_solution_input(p: ParaLens) -> Mor:
     A scalar (both boundaries trivial) is nothing but data on its parameter
     port: feeding it the unit state and unit costate leaves the map that
     sends each parameter value to its backward feedback, as a checked base
-    morphism.  On finite carriers this is the reward function a selection
-    relation consumes.
+    morphism read off the carrier's legs, as the costate of ``runit⁻¹ ;
+    carrier`` would compute it.  On finite carriers this is the reward
+    function a selection relation consumes.
     """
     base = p.base
     unit = unit_obj(base)
@@ -201,4 +200,6 @@ def para_costate_solution_input(p: ParaLens) -> Mor:
             f"not a scalar: boundary is {describe_obj(base, p.src)} → "
             f"{describe_obj(base, p.dst)}"
         )
-    return costate_fn(lens_compose(lens_runit_inv(base, p.params), p.carrier))
+    pair, split, point = base.pair_elem, base.split_elem, base.unit_elem()
+    forward, backward = p.carrier.forward, p.carrier.backward
+    return base.morphism(p.params.fwd, p.params.bwd, lambda w: split(backward(forward(pair(w, point))[1], point))[0])

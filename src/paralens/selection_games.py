@@ -13,9 +13,10 @@ function on the port; the solution set is the set of parameter states the
 relation accepts against it.  Normal-form games are built
 compositionally.  A player observes nothing, so its strategies are its
 moves and its decision is the right unitor on its port ⟨moves, rewards⟩.
-The decisions tensored make the arena, built once per shape and purely
-structural; it is closed in the context (unit state, payoff costate).  A
-brute-force deviation check provides an independent oracle.
+The decisions tensored make the arena, purely structural and, like the
+players' Nash relation, built once per shape; it is closed in the context
+(unit state, payoff costate).  A brute-force deviation check provides an
+independent oracle.
 
 Payoffs are exact ``Fraction``s, so ties and indifference are decided
 without tolerance.  A player's reward carrier holds only the ranks of
@@ -31,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
-from weakref import WeakKeyDictionary
+from weakref import ref
 
 from .errors import CompositionError, SizeCapError
 from .finite_base import (
@@ -74,14 +75,19 @@ class SelectionRelation:
 
 def best_response(obj: LensObj, best: Callable[[FinFn], Iterable]) -> SelectionRelation:
     """The relation that accepts a state iff it is among ``best(k)``, the
-    best responses to the reward function k.  They are found once per reward
-    function and kept, as a set of states, while that function lives."""
-    memo = WeakKeyDictionary()  # reward function -> its best responses
+    best responses to the reward function k.  They are found once per run of
+    questions about one k: one memo slot keeps a weak reference to the last k
+    asked about with its best responses, as a set of states, and never keeps
+    k alive.  The pair is replaced as one, so a relation that
+    :func:`nash_relation` shares between games answers from a consistent slot."""
+    memo = (lambda: None), frozenset()  # the last k, weakly, and its best responses
 
     def accepts(x, k: FinFn) -> bool:
-        found = memo.get(k)
-        if found is None:
-            found = memo[k] = frozenset(best(k))
+        nonlocal memo
+        seen, found = memo
+        if seen() is not k:
+            found = frozenset(best(k))
+            memo = ref(k), found
         return x in found
 
     return SelectionRelation(obj, accepts)
@@ -302,6 +308,15 @@ def arena(players: tuple[FinSet, ...], grids: tuple[FinSet, ...]) -> ParaLens:
     return reduce(para_tensor, parts)
 
 
+@lru_cache(maxsize=64)
+def nash_relation(players: tuple[FinSet, ...], grids: tuple[FinSet, ...], tags: tuple[str, ...]) -> SelectionRelation:
+    """The Nash product of the players' relations, ``argmax`` or ``total`` by
+    their checked ``tags``.  Like the :func:`arena` it depends only on the
+    ports, so it is built once per shape and tags, and kept in a bounded cache."""
+    rels = (argmax_rel(m, r) if tag == "argmax" else total_rel(LensObj(m, r)) for m, r, tag in zip(players, grids, tags))
+    return reduce(nash_product, rels)
+
+
 def game_scalar(g: NormalFormGame) -> ParaLens:
     """The closed compositional form: the game's :func:`arena` played in
     the context (unit state, payoff costate), so the payoff enters only as
@@ -328,11 +343,7 @@ def _checked_tags(g: NormalFormGame, tags: Sequence[str] | None) -> list[str]:
 
 def compositional_game(g: NormalFormGame, tags: Sequence[str] | None = None) -> OpenGame:
     """Assemble the open game for a normal-form game and per-player selection tags."""
-    rels = [
-        argmax_rel(player, grid) if tag == "argmax" else total_rel(LensObj(player, grid))
-        for player, grid, tag in zip(g.players, g.grids, _checked_tags(g, tags))
-    ]
-    return OpenGame(game_scalar(g), reduce(nash_product, rels))
+    return OpenGame(game_scalar(g), nash_relation(g.players, g.grids, tuple(_checked_tags(g, tags))))
 
 
 def sum_of_payoffs_lens(g: NormalFormGame) -> Lens:

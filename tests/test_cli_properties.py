@@ -91,6 +91,30 @@ def test_mutated_specs_exit_cleanly(data, tmp_path):
         assert code in (0, 1)
 
 
+@st.composite
+def integer_specs(draw):
+    """A spec of 1-3 players with 1-3 strategies each and integer payoffs,
+    some at the digit limit."""
+    n = draw(st.integers(1, 3))
+    players = [{"name": f"p{i}", "strategies": [f"s{j}" for j in range(draw(st.integers(1, 3)))]} for i in range(n)]
+    ints = st.integers(-50, 50) | st.integers(-(10**40), 10**40) | st.sampled_from([10**4300 - 1, 1 - 10**4300])
+    profiles = [[]]
+    for player in players:
+        profiles = [p + [m] for p in profiles for m in player["strategies"]]
+    return {"players": players, "payoffs": {",".join(p): draw(st.lists(ints, min_size=n, max_size=n)) for p in profiles}}
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=integer_specs())
+def test_integer_payoffs_parse_as_their_text(spec):
+    game = parse_game_spec(spec)[0]
+    texts = {key: [str(v) for v in vals] for key, vals in spec["payoffs"].items()}
+    same = parse_game_spec({"players": spec["players"], "payoffs": texts})[0]
+    assert game.values == same.values and game.levels == same.levels and game.grids == same.grids
+    assert game.payoff.dom == same.payoff.dom and game.payoff.cod == same.payoff.cod
+    assert game.payoff.table == same.payoff.table
+
+
 # -- train and check flags ------------------------------------------------
 
 _NO_DIGITS = st.text(alphabet="abcdefinxyz_-+/. ", max_size=6)

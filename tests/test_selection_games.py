@@ -54,6 +54,7 @@ from paralens.selection_games import (
     game_of_rows,
     hicks_games,
     nash_product,
+    nash_relation,
     relations_equal,
     sel_pushforward,
     solution_set,
@@ -180,9 +181,11 @@ def test_nash_product_restricts_once_per_frozen_move(monkeypatch):
     assert calls[0] <= 2 * n * n
 
 
-def _memo(rel):
-    """The per-reward-function memo of best responses that ``rel.accepts`` closes over."""
-    return inspect.getclosurevars(rel.accepts).nonlocals["memo"]
+def _slot(rel) -> tuple:
+    """The slot ``rel.accepts`` closes over: the reward function it was last
+    asked about (``None`` once that function died) and its best responses."""
+    seen, found = inspect.getclosurevars(rel.accepts).nonlocals["memo"]
+    return seen(), found
 
 
 def _alternate(rel, fresh, states, ks) -> list:
@@ -199,16 +202,30 @@ def _alternate(rel, fresh, states, ks) -> list:
     return accepted
 
 
-def test_relations_remember_each_reward_function_while_it_lives():
+def test_relations_remember_each_reward_function_while_it_lives(monkeypatch):
+    """A relation keeps the last reward function asked about, weakly, with
+    its best responses: a run of questions about one function finds them
+    once, and alternating functions recomputes them with the same answers."""
     moves, grid = FinSet(("x", "y", "z")), FinSet(("0", "1", "2"))
     ks = [FinFn(moves, grid, dict(zip(moves, images))) for images in (("2", "1", "2"), ("0", "1", "0"))]
     rel = argmax_rel(moves, grid)
     assert _alternate(rel, lambda: argmax_rel(moves, grid), moves, ks) == [["x", "z"] * 2, ["y"] * 2]
-    memo = _memo(rel)
-    assert [memo[k] for k in ks] == [{"x", "z"}, {"y"}]
-    dead = weakref.ref(ks.pop())
+    assert _slot(rel) == (ks[1], {"y"})
+    calls = [0]
+    real = FinFn.__call__
+
+    def counted(self, x):
+        calls[0] += self is ks[0]
+        return real(self, x)
+
+    monkeypatch.setattr(FinFn, "__call__", counted)
+    assert [rel.accepts(x, ks[0]) for x in list(moves) * 2] == [True, False, True] * 2
+    monkeypatch.undo()
+    assert calls[0] == len(moves)  # each move ranked once for the whole run
+    assert _slot(rel) == (ks[0], {"x", "z"})
+    dead = weakref.ref(ks.pop(0))
     gc.collect()
-    assert dead() is None and len(memo) == 1
+    assert dead() is None and _slot(rel)[0] is None
 
     cd, grid = FinSet(("C", "D")), FinSet(("0", "1", "2", "3"))
     profiles = FinProd(cd, cd)
@@ -223,13 +240,12 @@ def test_relations_remember_each_reward_function_while_it_lives():
 
     want = [[("D", "D")] * 2, [("C", "C"), ("D", "D")] * 2]
     assert _alternate(rel, fresh, profiles, ks) == want
-    memo = _memo(rel)
-    assert [memo[k] for k in ks] == [{("D", "D")}, {("C", "C"), ("D", "D")}]
-    # the restrictions the product handed its factors died with the call, and their entries with them
-    assert len(_memo(eps)) == 0
+    assert _slot(rel) == (ks[1], {("C", "C"), ("D", "D")})
+    # the restrictions the product handed its factors died with the call
+    assert _slot(eps)[0] is None
     dead = weakref.ref(ks.pop())
     gc.collect()
-    assert dead() is None and len(memo) == 1
+    assert dead() is None and _slot(rel)[0] is None
 
 
 def _pushed_pair(seed: int):
@@ -278,8 +294,9 @@ def test_inner_memos_keep_no_entry_for_a_dead_restriction():
     for k in ks:
         for xy in rel.obj.fwd:
             rel.accepts(xy, k)
-            assert [len(_memo(r)) for r in (*pushed, *inner)] == [0, 0, 0, 0]
-    assert len(_memo(rel)) == len(ks)
+            # the restrictions handed to the factors died with the call, and no slot kept one alive
+            assert [_slot(r)[0] for r in (*pushed, *inner)] == [None] * 4
+            assert _slot(rel)[0] is k
 
 
 def test_relations_equal_keeps_one_reward_function_alive_at_a_time():
@@ -638,10 +655,11 @@ def test_game_scalar_recovers_the_payoff_table():
             assert reward(prof) == g.payoff(prof)
 
 
-@pytest.mark.parametrize("n, cold", [(2, 13), (3, 17)])
+@pytest.mark.parametrize("n, cold", [(2, 11), (3, 15)])
 def test_a_game_builds_its_arena_once_per_shape(monkeypatch, n, cold):
     """Cold: n decisions and n - 1 tensors of 3 lenses each, already flat,
-    then the context (6 lenses) and its reward (2).  Warm: only the last 8."""
+    then the context (6 lenses); its reward is read off the context's legs
+    and builds none.  Warm: only the context's 6."""
     built = [0]
     post_init = Lens.__post_init__
 
@@ -659,12 +677,35 @@ def test_a_game_builds_its_arena_once_per_shape(monkeypatch, n, cold):
 
     arena.cache_clear()
     monkeypatch.setattr(Lens, "__post_init__", counted)
-    for shift, want in ((0, cold), (1, 8), (2, 8)):
+    for shift, want in ((0, cold), (1, 6), (2, 6)):
         built[0] = 0
         g = game(shift)
         assert solution_set(compositional_game(g)) == brute_force_nash(g)
         assert built[0] == want
     assert arena.cache_info().currsize == 1
+
+
+def test_a_shape_and_its_tags_build_one_nash_relation():
+    def game(shift):
+        return _game([FinSet(("C", "D"))] * 2, {p: [(j + shift) % 4, (j * 3 + shift) % 4]
+                                                 for j, p in enumerate(iter_product("CD", repeat=2))})
+
+    nash_relation.cache_clear()
+    g, h = game(0), game(1)
+    assert g.grids == h.grids and g.payoff != h.payoff
+    both = compositional_game(g, ["argmax", "total"])
+    assert compositional_game(h, ("argmax", "total")).sel is both.sel
+    assert compositional_game(g).sel is compositional_game(h, ["argmax", "argmax"]).sel is not both.sel
+    assert [solution_set(compositional_game(x, tags)) == brute_force_nash(x, tags)
+            for x in (g, h, g) for tags in (None, ["argmax", "total"])] == [True] * 6
+    assert nash_relation.cache_info().currsize == 2
+    # one shape per strategy label below, so every game misses the cache
+    maxsize = nash_relation.cache_info().maxsize
+    assert maxsize == 64
+    for i in range(maxsize + 1):
+        one = parse_game_spec({"players": [{"name": "p", "strategies": [f"s{i}"]}], "payoffs": {f"s{i}": [0]}})[0]
+        assert solution_set(compositional_game(one)) == (f"s{i}",)
+    assert nash_relation.cache_info().currsize == maxsize
 
 
 @st.composite
@@ -704,6 +745,7 @@ def test_a_warm_arena_solves_as_a_cold_one(specs, data):
     tags = data.draw(st.lists(st.sampled_from(["argmax", "total"]), min_size=n, max_size=n))
     selections = (None, tags, "hicks_sum")  # None: every player argmax
     arena.cache_clear()
+    nash_relation.cache_clear()
     warm = []
     for g in games:
         for selection in selections:
@@ -714,10 +756,15 @@ def test_a_warm_arena_solves_as_a_cold_one(specs, data):
                 assert warm[-1] == brute_force_nash(g, tags=selection)
     # every solve after the first ran on the arena the first one built
     assert arena.cache_info().hits == len(warm) - 1 and arena.cache_info().currsize == 1
+    # one relation per distinct list of tags, shared by every game of the shape
+    relations = len({("argmax",) * n, tuple(tags)})
+    assert nash_relation.cache_info().currsize == relations
+    assert nash_relation.cache_info().hits == 2 * len(games) - relations
     cold = []
     for g in games:
         for selection in selections:
             arena.cache_clear()
+            nash_relation.cache_clear()
             cold.append(_solve(g, selection))
     assert cold == warm
 
