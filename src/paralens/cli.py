@@ -7,13 +7,15 @@
 Game specs are JSON; see the bundled fixtures under specs/.  Solve reports
 are emitted as a single sorted JSON line so identical inputs give
 byte-identical output.  Exit codes: 0 success, 1 a property or solve
-failure, 2 usage or parse errors.
+failure or a stdout closed early (then pointed at ``os.devnull``, so the
+interpreter's last flush stays quiet), 2 usage or parse errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -319,6 +321,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except ParalensError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # the reader closed stdout early
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
         return 1
 
 

@@ -167,12 +167,12 @@ class FinFn:
             object.__setattr__(self, "table", data)
 
     def __call__(self, x: object) -> object:
-        table = self.table
         try:
-            if x in table:
-                return table[x]
+            image = self.table.get(x)  # None only if not memoised: no carrier holds None
         except TypeError:  # unhashable, so in no carrier
             raise CompositionError(f"element {x!r} is not in domain {self.dom}") from None
+        if image is not None:
+            return image
         if x not in self.dom:
             raise CompositionError(f"element {x!r} is not in domain {self.dom}")
         image = self.fn(x)
@@ -180,7 +180,7 @@ class FinFn:
             raise CompositionError(
                 f"image {image!r} of {x!r} is not in codomain {self.cod}"
             )
-        table[x] = image
+        self.table[x] = image
         return image
 
 

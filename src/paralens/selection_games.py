@@ -47,15 +47,7 @@ from .finite_base import (
     split_tuple,
     tuple_label,
 )
-from .lens_core import (
-    Lens,
-    LensObj,
-    costate_fn,
-    lens_compose,
-    lens_runit,
-    make_costate,
-    unit_obj,
-)
+from .lens_core import Lens, LensObj, lens_runit, unit_obj
 from .para_optic import (
     ParaLens,
     in_context,
@@ -67,13 +59,15 @@ from .para_optic import (
 
 @dataclass(frozen=True)
 class SelectionRelation:
-    """A predicate over (state of obj.fwd, reward function obj.fwd → obj.bwd)."""
+    """A predicate over (state of obj.fwd, reward function obj.fwd → obj.bwd).
+
+    A reward function is a checked FinFn, or a product's restriction of one."""
 
     obj: LensObj
-    accepts: Callable[[object, FinFn], bool]
+    accepts: Callable[[object, Callable], bool]
 
 
-def best_response(obj: LensObj, best: Callable[[FinFn], Iterable]) -> SelectionRelation:
+def best_response(obj: LensObj, best: Callable[[Callable], Iterable]) -> SelectionRelation:
     """The relation that accepts a state iff it is among ``best(k)``, the
     best responses to the reward function k.  They are found once per run of
     questions about one k: one memo slot keeps a weak reference to the last k
@@ -82,7 +76,7 @@ def best_response(obj: LensObj, best: Callable[[FinFn], Iterable]) -> SelectionR
     :func:`nash_relation` shares between games answers from a consistent slot."""
     memo = (lambda: None), frozenset()  # the last k, weakly, and its best responses
 
-    def accepts(x, k: FinFn) -> bool:
+    def accepts(x, k: Callable) -> bool:
         nonlocal memo
         seen, found = memo
         if seen() is not k:
@@ -97,20 +91,22 @@ def argmax_rel(moves: FinSet | FinProd, rewards: FinSet) -> SelectionRelation:
     """Accepts a move iff no other move earns a strictly larger reward.
 
     ``rewards`` lists the rewards in ascending order, so a reward's
-    position in it is its rank.  Each move is ranked once per reward function.
+    position in it is its rank.  Each move is ranked once per reward function;
+    a FinFn must land in ``rewards``, and a value outside them raises.
     """
     if len(moves) == 0:
         raise CompositionError("argmax over the empty move set is undefined")
     rank = {r: i for i, r in enumerate(rewards.labels)}
 
-    def best(k: FinFn) -> list:
-        if k.cod != rewards:
-            raise CompositionError(
-                f"reward function lands in {k.cod}, expected the rewards {rewards}"
-            )
-        ranked = [(rank[k(y)], y) for y in moves]
-        top = max(r for r, _ in ranked)
-        return [y for r, y in ranked if r == top]
+    def best(k) -> list:
+        if isinstance(k, FinFn) and k.cod != rewards:
+            raise CompositionError(f"reward function lands in {k.cod}, expected the rewards {rewards}")
+        ranks = [rank.get(k(y), -1) for y in moves]
+        if min(ranks) < 0:
+            y = next(y for r, y in zip(ranks, moves) if r < 0)
+            raise CompositionError(f"reward function maps {y!r} to {k(y)!r}, outside the rewards {rewards}")
+        top = max(ranks)
+        return [y for r, y in zip(ranks, moves) if r == top]
 
     return best_response(LensObj(moves, rewards), best)
 
@@ -125,24 +121,25 @@ def nash_product(eps: SelectionRelation, delta: SelectionRelation) -> SelectionR
 
     The joint reward function is restricted for each factor by freezing the
     other factor's move and projecting onto the factor's own reward carrier.
-    A restriction is built once per reward function and frozen move, only
-    while the product's best responses are found, and only where it can
-    matter: delta's, against a move that eps accepts.
+    A restriction is a plain function, built once per reward function and
+    frozen move, while the best responses are found, and only where it can
+    matter: delta's, against a move eps accepts.  A FinFn's type is checked
+    here, a restriction's is not: its values are projections of a checked one.
     """
     em, er = eps.obj.fwd, eps.obj.bwd
     dm, dr = delta.obj.fwd, delta.obj.bwd
     obj = LensObj(FinProd(em, dm), FinProd(er, dr))
 
-    def eps_best(k: FinFn, y) -> list:  # eps's best responses with delta's move y held fixed
-        k_y = FinFn(em, er, lambda a: k((a, y))[0])
+    def eps_best(k, y) -> list:  # eps's best responses with delta's move y held fixed
+        k_y = lambda a: k((a, y))[0]
         return [x for x in em if eps.accepts(x, k_y)]
 
-    def delta_best(k: FinFn, x) -> set:  # delta's best responses with eps's move x held fixed
-        k_x = FinFn(dm, dr, lambda b: k((x, b))[1])
+    def delta_best(k, x) -> set:  # delta's best responses with eps's move x held fixed
+        k_x = lambda b: k((x, b))[1]
         return {y for y in dm if delta.accepts(y, k_x)}
 
-    def best(k: FinFn) -> Iterator[tuple]:
-        if k.dom != obj.fwd or k.cod != obj.bwd:
+    def best(k) -> Iterator[tuple]:
+        if isinstance(k, FinFn) and (k.dom != obj.fwd or k.cod != obj.bwd):
             raise CompositionError(f"reward function is not {obj.fwd} → {obj.bwd}")
         by_x: dict = {}  # delta's best responses, found only against a move eps accepts
         for y in dm:
@@ -160,8 +157,10 @@ def sel_pushforward(f: Lens, eps: SelectionRelation) -> SelectionRelation:
 
     The image relation accepts (y, k) iff some state x with get(x) = y is
     accepted by ``eps`` against the reward function threaded back through
-    ``f``.  The reward function is threaded once, and its best responses
-    are the images of the source states ``eps`` accepts against it.
+    ``f``.  A FinFn's type is checked; any reward function is threaded once
+    on ``f``'s legs, as one checked morphism that checks each of its values
+    before the backward leg reads it, and its best responses are the images
+    of the source states ``eps`` accepts against it.
     """
     if f.base is not FINITE:
         raise CompositionError("relations only push forward over the finite base")
@@ -175,9 +174,19 @@ def sel_pushforward(f: Lens, eps: SelectionRelation) -> SelectionRelation:
             f"{count} source states exceed the cap of {ENUM_CAP}", count=count
         )
 
-    def best(k: FinFn) -> list:
-        threaded = costate_fn(lens_compose(f, make_costate(FINITE, f.dst, k)))
-        return [f.get(x) for x in f.src.fwd if eps.accepts(x, threaded)]
+    get, forward, backward, rewards = f.get, f.forward, f.backward, f.dst.bwd
+
+    def best(k) -> list:
+        if isinstance(k, FinFn) and (k.dom != f.dst.fwd or k.cod != rewards):
+            raise CompositionError(f"costate map has type {k.dom} → {k.cod}, expected {f.dst.fwd} → {rewards}")
+
+        def thread(x):
+            y, r = forward(x)
+            if (z := k(y)) not in rewards:
+                raise CompositionError(f"reward function maps {y!r} to {z!r}, outside the rewards {rewards}")
+            return backward(r, z)
+        threaded = FINITE.morphism(f.src.fwd, f.src.bwd, thread)
+        return [get(x) for x in f.src.fwd if eps.accepts(x, threaded)]
 
     return best_response(f.dst, best)
 

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line entry points."""
 
 import copy
+import io
 import json
 import os
 import re
@@ -201,6 +202,26 @@ def test_a_solve_loads_neither_numpy_nor_the_smooth_side(tmp_path):
 
 def test_the_train_choices_are_the_demos():
     assert DEMO_NAMES == tuple(sorted(DEMOS))
+
+
+def test_a_stdout_closed_early_exits_1_and_points_stdout_at_devnull(tmp_path, monkeypatch, capsys):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+    class Closed(io.TextIOBase):  # a pipe whose reader is gone, as under `| head -c 5`
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return fd
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    try:
+        assert main(["solve", "pd.json"]) == 1
+        # the interpreter's last flush of stdout then writes to the null device
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
 
 
 def test_solve_hicks_selection(capsys):

@@ -10,13 +10,13 @@ import inspect
 import random
 import weakref
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iter_product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paralens import selection_games
 from paralens.checks import random_finfn, random_finset, random_lens, random_obj, random_para, random_relation
 from paralens.cli import parse_game_spec
 from paralens.errors import CompositionError, SizeCapError
@@ -25,6 +25,7 @@ from paralens.finite_base import (
     FinFn,
     FinProd,
     FinSet,
+    FiniteBase,
     UNIT_SET,
     iter_functions,
     split_tuple,
@@ -156,6 +157,37 @@ def test_nash_product_rejects_reward_function_of_the_wrong_type():
         rel.accepts(("C", "D"), k)
 
 
+def test_a_bare_reward_function_with_a_stray_rank_fails_where_it_is_ranked():
+    cd, grid = FinSet(("C", "D")), FinSet(("0", "1"))
+    rel = reduce(nash_product, [argmax_rel(cd, grid) for _ in range(3)])
+
+    def k(w):  # not a FinFn, so only the values read are checked
+        return ("2" if w == (("D", "C"), "C") else "0", "1"), "0"
+
+    with pytest.raises(CompositionError, match="reward function maps 'D' to '2'"):
+        rel.accepts((("C", "C"), "C"), k)
+
+
+def test_a_pushforward_checks_a_reward_before_its_backward_leg_reads_it():
+    port = LensObj(FinSet(("a", "b")), FinSet(("0", "1")))
+    read = []
+
+    def backward(_, z):
+        read.append(z)
+        return z
+
+    f = Lens(FINITE, port, port, lambda x: (x, None), backward)
+    rel = nash_product(sel_pushforward(f, argmax_rel(port.fwd, port.bwd)), argmax_rel(port.fwd, port.bwd))
+    with pytest.raises(CompositionError, match="reward function maps 'a' to '2'"):
+        rel.accepts(("a", "a"), lambda w: ("2", "0"))
+    assert read == []
+    # a FinFn is checked for its type where it enters, before any value is read
+    wide = FinFn(port.fwd, FinSet(("0", "1", "2")), {"a": "0", "b": "1"})
+    with pytest.raises(CompositionError, match="costate map has type"):
+        sel_pushforward(f, argmax_rel(port.fwd, port.bwd)).accepts("a", wide)
+    assert read == []
+
+
 def test_nash_product_restricts_once_per_frozen_move(monkeypatch):
     n = 12
     moves = FinSet(tuple(f"m{i}" for i in range(n)))
@@ -261,11 +293,11 @@ def _pushed_pair(seed: int):
 
 def test_a_pushforward_threads_each_reward_function_once(monkeypatch):
     built = [0]
-    real = selection_games.costate_fn
+    real = FiniteBase.morphism
 
-    def counted(lens):
+    def counted(self, dom, cod, fn):  # the lens's get is built with the pushforward, so each call is a thread
         built[0] += 1
-        return real(lens)
+        return real(self, dom, cod, fn)
 
     _, pushed, ks = _pushed_pair(36)
     restrictions = []  # every reward function the two pushforwards are asked about, kept alive
@@ -279,7 +311,7 @@ def test_a_pushforward_threads_each_reward_function_once(monkeypatch):
         return SelectionRelation(rel.obj, accepts)
 
     rel = nash_product(*map(recorded, pushed))
-    monkeypatch.setattr(selection_games, "costate_fn", counted)
+    monkeypatch.setattr(FiniteBase, "morphism", counted)
     for k in ks:
         for xy in rel.obj.fwd:
             rel.accepts(xy, k)
@@ -897,6 +929,30 @@ def test_hicks_routes_agree_on_fixtures():
         want = brute_force_hicks(g)
         assert solution_set(a) == want
         assert solution_set(b) == want
+
+
+@pytest.mark.parametrize("n, k, v", [(3, 4, 4), (2, 8, 8), (10, 2, 4)])
+def test_a_warm_nash_solve_builds_one_finfn_its_reward(monkeypatch, n, k, v):
+    """The restrictions the product hands its factors are plain functions,
+    so a solve builds one checked function: the reward off the scalar."""
+    rng = random.Random(n * 100 + k)  # n players of k moves, payoffs drawn from range(v)
+    moves = [FinSet(tuple(f"m{j}" for j in range(k)))] * n
+    g = _game(moves, {p: [rng.randrange(v) for _ in range(n)] for p in iter_product(*[m.labels for m in moves])})
+    mixed = ["argmax", "total"] * (n // 2) + ["argmax"] * (n % 2)
+    for tags in (None, mixed):  # cold: the arena and each Nash relation are built once per shape
+        solution_set(compositional_game(g, tags))
+    built = [0]
+    post_init = FinFn.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(FinFn, "__post_init__", counted)
+    for tags in (None, mixed):
+        built[0] = 0
+        assert solution_set(compositional_game(g, tags)) == brute_force_nash(g, tags)
+        assert built[0] == 1
 
 
 def test_hicks_routes_agree_on_random_games():
