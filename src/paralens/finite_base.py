@@ -76,8 +76,10 @@ UNIT_SET = FinSet((UNIT_LABEL,))
 class FinProd:
     """The product of two finite carriers, whose elements are pairs ``(x, y)``.
 
-    Length and membership come from the factors.  The elements, first
-    factor varying slowest, are enumerated only when something iterates.
+    Length and membership come from the factors: a plain ``str`` component
+    is looked up in its :class:`FinSet` factor's label index, with no call,
+    and any other tested with ``in``.  The elements, first factor varying
+    slowest, are enumerated only when something iterates.
     """
 
     left: FinSet | FinProd
@@ -96,7 +98,11 @@ class FinProd:
     def __contains__(self, xy: object) -> bool:
         if type(xy) is not tuple or len(xy) != 2:
             return False
-        return xy[0] in self.left and xy[1] in self.right
+        x, y = xy
+        left, right = self.left, self.right
+        return (x in left._pos if type(x) is str and type(left) is FinSet else x in left) and (
+            y in right._pos if type(y) is str and type(right) is FinSet else y in right
+        )
 
     def __str__(self) -> str:
         return f"{self.left}×{self.right}"

@@ -17,14 +17,15 @@ forward pass is replayed; for leaves ``l1`` and ``l2``,
         where (y1, r1) = l1.forward(x) and (y2, r2) = l2.forward(y1)
     (l1 ; l2).backward((r1, r2), z) = l1.backward(r1, l2.backward(r2, z))
 
-Tensor pairing, identities and rewires are renaming: an element is split
-only where it leaves a leaf or enters the composite, and paired only where
-a leaf or the output reads it.  So what a :data:`FRESH` leaf's backward
-leg returns, and each part a split makes of it, reaches one place, which
-owns it.  An :data:`OWNS` leaf writes into its cotangent: it is handed an
-owned one as is, and anything else (``z``, a pair the leg joins, what a
-caller hands the leaf alone) as a ``base.copy_elem`` copy, so no caller's
-element is ever written.
+Tensor pairing, identities and rewires are renaming: an element is paired
+only where a leaf or the output reads it, the two parts of one split rejoin
+as the element itself, and the leg's own input, checked at the composite's
+edge, is split only where a part of it is read.  So what a :data:`FRESH`
+leaf's backward leg returns, and each part a split makes of it, reaches one
+place, which owns it, as a rejoined element is owned as the whole was.  An
+:data:`OWNS` leaf writes into its cotangent: it is handed an owned one as
+is, and anything else (``z``, a pair the leg joins or of units, what a
+caller hands the leaf alone) as a ``base.copy_elem`` copy.
 
 A lens's ``get : A → B`` and ``put : A × B' → A'``, ``get(x) = y`` and
 ``put(x, z) = backward(r, z)`` for ``(y, r) = forward(x)``, are checked base
@@ -40,6 +41,7 @@ ordinary map out of the forward carrier).
 
 from __future__ import annotations
 
+import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -262,15 +264,6 @@ def make_costate(base: Base, a: LensObj, f: Mor) -> Lens:
     return Lens(base, a, unit_obj(base), lambda x: (unit, x), lambda x, _: f(x))
 
 
-def costate_fn(l: Lens) -> Mor:
-    """Recover the underlying map ``src.fwd → src.bwd`` of a costate."""
-    base = l.base
-    if l.dst != unit_obj(base):
-        raise CompositionError("costate_fn expects a lens into the unit boundary")
-    unit, forward, backward = base.unit_elem(), l.forward, l.backward
-    return base.morphism(l.src.fwd, l.src.bwd, lambda x: backward(forward(x)[1], unit))
-
-
 def lens_equal(l1: Lens, l2: Lens) -> bool:
     """Pointwise table equality.  Only decidable on enumerable bases."""
     base = l1.base
@@ -289,24 +282,46 @@ def lens_equal(l1: Lens, l2: Lens) -> bool:
 #
 # A term is LEAF, ("compose", t1, t2), ("tensor", t1, t2) or ("rewire", src,
 # dst).  While generating, a value is a name bound at run time, a pair of
-# values, or None for the unit; only a split of a name emits code.
+# values, or None for the unit; only a split of a name emits code, and one
+# of the leg's input or its parts (``given``) only if a part is read.  Units
+# and pairs of units are names ``make`` binds once (``consts``).
 
 
 class _Source(list):
     """The lines of one generated leg; methods, not closures, so generating leaves no reference cycle."""
 
     def join(self, v) -> str:
-        if type(v) is tuple:
-            return f"base.pair_elem({self.join(v[0])}, {self.join(v[1])})"
-        return "base.unit_elem()" if v is None else v
+        """The expression of ``v``: the two parts of one split rejoin as what was split."""
+        if type(v) is not tuple:
+            return v or self.consts.setdefault("base.unit_elem()", f"u{len(self.consts)}")
+        a, b = self.join(v[0]), self.join(v[1])
+        if (a, b) in self.parts:
+            return self.parts[a, b]
+        if {a, b} <= set(self.consts.values()):
+            return self.consts.setdefault(f"base.pair_elem({a}, {b})", f"u{len(self.consts)}")
+        return f"base.pair_elem({a}, {b})"
 
     def split(self, v) -> tuple:
         if type(v) is tuple:
             return v
-        k = len(self)
-        self.append(f"s{k}l, s{k}r = base.split_elem({self.join(v)})")
-        self.owned |= {f"s{k}l", f"s{k}r"} if v in self.owned else set()
-        return f"s{k}l", f"s{k}r"
+        k, whole = len(self), self.join(v)
+        parts = f"s{k}l", f"s{k}r"
+        self.append(f"{parts[0]}, {parts[1]} = base.split_elem({whole})")
+        self.parts[parts] = whole
+        self.owned.update(parts if whole in self.owned else ())
+        if whole in self.given:
+            self.given.update(parts)
+            self.optional[k] = parts
+        return parts
+
+    def kept(self, out: str) -> list:
+        """The lines that make ``out``: a split of the leg's input only where one of its parts is read."""
+        read, kept = set(re.findall(r"\w+", out)), []
+        for k in reversed(range(len(self))):
+            if k not in self.optional or read.intersection(self.optional[k]):
+                read.update(re.findall(r"\w+", self[k].partition(" = ")[2]))
+                kept.append(self[k])
+        return kept[::-1]
 
     def bind(self, tree, v, bound: dict) -> dict:
         if type(tree) is tuple:
@@ -323,7 +338,8 @@ class _Source(list):
     def walk(self, t, v, forward: bool):
         """The value ``t``'s forward (or backward) leg makes of ``v``."""
         if type(t) is int:
-            z = self.join(v) if forward or self.kinds[t] != OWNS or v in self.owned else f"base.copy_elem({self.join(v)})"
+            z = self.join(v)
+            z = z if forward or self.kinds[t] != OWNS or z in self.owned else f"base.copy_elem({z})"
             self.append(f"y{t}, r{t} = f{t}({z})" if forward else f"x{t} = b{t}(r{t}, {z})")
             if self.kinds[t] != LEAF:
                 self.owned.add(f"x{t}")  # a name only the backward leg binds
@@ -355,19 +371,20 @@ def compile_make(source: list[str], namespace: dict, filename: str) -> Callable:
 def _compile(base: Base, term) -> Callable[..., tuple[Callable, Callable]]:
     """``make(f0, b0, f1, b1, …)``: given each leaf's legs, the ``(forward, backward)`` of a composite.
 
-    Leaves run in the combinators' order; ``base``'s element operations are looked up at every call.
+    Leaves run in the combinators' order; ``base``'s element operations, but for units, are looked up at every call.
     """
     kinds: list = []
     term = _numbered(term, kinds)
     n = len(kinds)
     residuals = "".join(f"r{i}, " for i in range(n))
-    source = [f"def make({', '.join(f'f{i}, b{i}' for i in range(n))}):"]
+    consts, bodies = {}, []
     for head, forward, tail in (("forward(x)", True, f", ({residuals})"), ("backward(r, z)", False, "")):
         leg = _Source([f"{residuals}= r"] if n and not forward else [])
-        leg.kinds, leg.owned = kinds, set()
+        leg.kinds, leg.consts, leg.given, leg.owned, leg.parts, leg.optional = kinds, consts, {"xz"[not forward]}, set(), {}, {}
         out = leg.join(leg.walk(term, "x" if forward else "z", forward))
-        source += [f"    def {head}:", *(f"        {line}" for line in leg), f"        return {out}{tail}"]
-    source.append("    return forward, backward")
+        bodies += [f"    def {head}:", *(f"        {line}" for line in leg.kept(out)), f"        return {out}{tail}"]
+    source = [f"def make({', '.join(f'f{i}, b{i}' for i in range(n))}):"]
+    source += [f"    {name} = {expr}" for expr, name in consts.items()] + bodies + ["    return forward, backward"]
     make = compile_make(source, {"base": base}, "<lens>")
     if n:
         return make

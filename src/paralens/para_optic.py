@@ -34,6 +34,7 @@ from .lens_core import (
     Lens,
     LensObj,
     Mor,
+    _compile,
     lens_compose,
     lens_id,
     lens_lunit,
@@ -189,9 +190,10 @@ def para_costate_solution_input(p: ParaLens) -> Mor:
     A scalar (both boundaries trivial) is nothing but data on its parameter
     port: feeding it the unit state and unit costate leaves the map that
     sends each parameter value to its backward feedback, as a checked base
-    morphism read off the carrier's legs, as the costate of ``runit⁻¹ ;
-    carrier`` would compute it.  On finite carriers this is the reward
-    function a selection relation consumes.
+    morphism read through the generated legs of ``runit⁻¹ ; carrier``, the
+    term ``("compose", ("rewire", 0, (0, None)), carrier.term)`` on the
+    carrier's leaves, with no lens built.  On finite carriers this is the
+    reward function a selection relation consumes.
     """
     base = p.base
     unit = unit_obj(base)
@@ -200,6 +202,6 @@ def para_costate_solution_input(p: ParaLens) -> Mor:
             f"not a scalar: boundary is {describe_obj(base, p.src)} → "
             f"{describe_obj(base, p.dst)}"
         )
-    pair, split, point = base.pair_elem, base.split_elem, base.unit_elem()
-    forward, backward = p.carrier.forward, p.carrier.backward
-    return base.morphism(p.params.fwd, p.params.bwd, lambda w: split(backward(forward(pair(w, point))[1], point))[0])
+    forward, backward = _compile(base, ("compose", ("rewire", 0, (0, None)), p.carrier.term))(*p.carrier.legs)
+    point = base.unit_elem()
+    return base.morphism(p.params.fwd, p.params.bwd, lambda w: backward(forward(w)[1], point))

@@ -5,6 +5,8 @@ import weakref
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paralens.errors import CompositionError, SizeCapError
 from paralens.finite_base import (
@@ -62,6 +64,83 @@ def test_product_elements_cannot_collide():
     assert len(p) == len(set(p.labels)) == 4
     assert ("a,b", "c") in p and ("a", "b,c") in p
     assert "(a,b,c)" not in p and ["a", "c"] not in p
+
+
+class _Label(str):
+    """A ``str`` subclass: a member of a label set by equality, tested with ``in`` rather than an index lookup."""
+
+
+_POOL = ("a", "b", "c")
+_VALUES = st.recursive(
+    st.one_of(
+        st.sampled_from(_POOL + ("z",)),
+        st.sampled_from(_POOL).map(_Label),
+        st.integers(-1, 2),
+        st.none(),
+        st.lists(st.sampled_from(_POOL), max_size=2),
+    ),
+    lambda inner: st.one_of(st.tuples(inner), st.tuples(inner, inner), st.tuples(inner, inner, inner)),
+    max_leaves=8,
+)
+
+
+def _carriers(depth: int):
+    sets = st.lists(st.sampled_from(_POOL), min_size=1, max_size=3, unique=True).map(FinSet)
+    if depth == 0:
+        return sets
+    products = st.builds(FinProd, _carriers(depth - 1), _carriers(depth - 1))
+    return st.one_of(sets, products, products)
+
+
+@st.composite
+def _element(draw, c):
+    """An element of ``c``; a label may be a ``str`` subclass."""
+    if isinstance(c, FinProd):
+        return draw(_element(c.left)), draw(_element(c.right))
+    label = draw(st.sampled_from(c.labels))
+    return _Label(label) if draw(st.booleans()) else label
+
+
+def _nodes(x, path=()):
+    """Each component of ``x`` and ``x`` itself, with its path of indexes into nested pairs."""
+    yield path, x
+    if type(x) is tuple and len(x) == 2:
+        for i in (0, 1):
+            yield from _nodes(x[i], path + (i,))
+
+
+@st.composite
+def _fault(draw, x, path=None):
+    """``x`` with one component, more often a pair than a label, nested one level too deep or too shallow,
+    or replaced by a label or any value."""
+    if path is None:
+        nodes = list(_nodes(x))
+        pairs = [p for p, y in nodes if type(y) is tuple and len(y) == 2]
+        path = draw(st.sampled_from(pairs if pairs and draw(st.booleans()) else [p for p, _ in nodes]))
+    if path:
+        y = draw(_fault(x[path[0]], path[1:]))
+        return (y, x[1]) if path[0] == 0 else (x[0], y)
+    fault = draw(st.sampled_from(("deeper", "shallower", "label", "other")))
+    if fault == "deeper":
+        return (x, x)
+    if fault == "shallower" and type(x) is tuple and len(x) == 2:
+        return x[draw(st.integers(0, 1))]
+    return draw(st.sampled_from(_POOL) if fault == "label" else _VALUES)
+
+
+def _member(c, x) -> bool:
+    """Membership by its recursive definition: a label of a set, or a pair whose components are members."""
+    if isinstance(c, FinSet):
+        return isinstance(x, str) and x in c.labels
+    return isinstance(x, tuple) and len(x) == 2 and _member(c.left, x[0]) and _member(c.right, x[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=_carriers(4), data=st.data())
+def test_product_membership_matches_its_recursive_definition(c, data):
+    x = data.draw(_element(c))
+    for y in (x, *(data.draw(_fault(x)) for _ in range(4)), data.draw(_VALUES)):
+        assert (y in c) is _member(c, y)
 
 
 def test_product_carrier_is_not_enumerated():
