@@ -21,7 +21,8 @@ import sys
 from fractions import Fraction
 from functools import cache
 from importlib import resources
-from itertools import product as iter_product
+from itertools import chain, product as iter_product
+from math import prod
 from typing import Sequence
 
 from .errors import ParalensError, SpecFormatError
@@ -49,9 +50,9 @@ _RATIONAL = re.compile(r"\s*[-+]?(?=\d|\.\d)\d*(?:/\d+|(?:\.\d*)?(?:[eE][-+]?\d+
 
 
 def parse_game_spec(data: object) -> tuple[NormalFormGame, str | list[str] | None]:
-    """Validate a decoded spec and build the game.
+    """Validate a decoded spec and build the game, reading its payoff table by columns.
 
-    Raises SpecFormatError with the JSON path of the first offence.
+    Raises SpecFormatError with the JSON path of the first offence, which a per-entry walk names.
     """
     if not isinstance(data, dict):
         raise SpecFormatError("spec must be a JSON object")
@@ -85,12 +86,42 @@ def parse_game_spec(data: object) -> tuple[NormalFormGame, str | list[str] | Non
             raise SpecFormatError("duplicate strategy labels", f"{path}.strategies")
         players.append(FinSet(tuple(strategies)))
 
-    n = len(players)
     raw_payoffs = data.get("payoffs")
     if not isinstance(raw_payoffs, dict):
         raise SpecFormatError("expected an object keyed by comma-joined profiles", "$.payoffs")
+    values = _payoff_columns(players, raw_payoffs) or _walk_payoffs(players, raw_payoffs)
+
+    selection = data.get("selection")
+    if selection is not None:
+        _validate_selection(selection, len(players), "$.selection")
+    return game_of_rows(tuple(players), values), selection
+
+
+def _payoff_columns(players: list[FinSet], raw_payoffs: dict) -> dict | None:
+    """The table in product order, read in whole-table passes, or ``None`` at any
+    offence.  Each distinct payoff value is read once, its ``Fraction`` shared by
+    every player; an int and an equal float stay apart, as a float's text may read as another integer."""
+    if len(raw_payoffs) != prod(map(len, players)):  # with equal counts, no key but the profiles' can exist
+        return None
+    profiles = list(iter_product(*[p.labels for p in players]))
+    rows = list(map(raw_payoffs.get, map(",".join, profiles)))  # None where a profile is missing
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {len(players)}:
+        return None
+    flat = list(chain.from_iterable(rows))
+    if not (types := set(map(type, flat))) <= {int, float, str}:  # no bool, which a value key merges with an equal int
+        return None
+    keys = list(zip(map(type, flat), flat)) if {int, float} <= types else flat
+    try:
+        read = {k: _read_rational(v, "$.payoffs") for k, v in dict(zip(keys, flat)).items()}
+    except SpecFormatError:
+        return None
+    return dict(zip(profiles, zip(*[map(read.__getitem__, keys)] * len(players))))  # one row per n values
+
+
+def _walk_payoffs(players: list[FinSet], raw_payoffs: dict) -> dict:
+    """The table read one entry at a time, in key order, to name the first offence."""
+    n = len(players)
     table = {}
-    read: dict = {}  # (type, value) -> Fraction, so each distinct payoff is read once
     for key, vals in raw_payoffs.items():  # a JSON path is formatted only to raise
         prof = tuple(key.split(","))
         if len(prof) != n:
@@ -102,20 +133,14 @@ def parse_game_spec(data: object) -> tuple[NormalFormGame, str | list[str] | Non
             raise SpecFormatError(f"expected a list of {n} payoffs", f"$.payoffs[{key!r}]")
         row = []
         for i, v in enumerate(vals):
-            if isinstance(v, bool) or not isinstance(v, (int, float, str)):  # before hashing it
+            if isinstance(v, bool) or not isinstance(v, (int, float, str)):
                 raise SpecFormatError("payoffs must be numbers or rational strings", f"$.payoffs[{key!r}][{i}]")
-            typed = (type(v), v)
-            row.append(read[typed] if typed in read else read.setdefault(typed, _read_rational(v, f"$.payoffs[{key!r}][{i}]")))
+            row.append(_read_rational(v, f"$.payoffs[{key!r}][{i}]"))
         table[prof] = tuple(row)
     try:  # in product order, which the oracles' output follows; stops at the first missing profile
-        values = {prof: table[prof] for prof in iter_product(*[p.labels for p in players])}
+        return {prof: table[prof] for prof in iter_product(*[p.labels for p in players])}
     except KeyError as exc:
         raise SpecFormatError(f"missing profile {','.join(exc.args[0])}", "$.payoffs") from None
-
-    selection = data.get("selection")
-    if selection is not None:
-        _validate_selection(selection, n, "$.selection")
-    return game_of_rows(tuple(players), values), selection
 
 
 def _read_rational(v: int | float | str, path: str) -> Fraction:
@@ -159,7 +184,7 @@ def _validate_selection(selection: object, n: int, path: str) -> None:
 
 
 def load_spec_file(path: str) -> object:
-    """Read a spec from disk, falling back to the bundled fixtures by name."""
+    """Read a spec from disk or a bundled fixture by name; a repeated key is found by length, then named."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -179,11 +204,10 @@ def load_spec_file(path: str) -> object:
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """A decoded JSON object; ``json.loads`` alone keeps the last of two equal keys."""
-    obj: dict = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"duplicate key {key!r}")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) != len(pairs):  # walk the pairs only to name the first repeated key; set.add returns None
+        seen: set = set()
+        raise ValueError(f"duplicate key {next(k for k, _ in pairs if k in seen or seen.add(k))!r}")
     return obj
 
 

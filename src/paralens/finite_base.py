@@ -155,8 +155,8 @@ class FinFn:
         object.__setattr__(self, "table", {})
         if isinstance(self.fn, Mapping):
             data = dict(self.fn)
-            missing = [x for x in self.dom if x not in data]
-            if missing or len(data) != len(self.dom):  # else no key can be extra
+            if len(data) != len(self.dom) or not all(map(data.__contains__, self.dom)):  # else no key is extra
+                missing = [x for x in self.dom if x not in data]
                 extra = [x for x in data if x not in self.dom]
                 raise CompositionError(
                     f"table does not match domain {self.dom}: "

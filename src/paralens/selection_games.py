@@ -257,20 +257,20 @@ class NormalFormGame:
 
 def game_of_rows(players: tuple[FinSet, ...], values: dict[tuple[str, ...], tuple[Fraction, ...]]) -> NormalFormGame:
     """The game of a checked table, ``values`` mapping every profile in product
-    order to its n ``Fraction``s.  Each player's distinct payoff objects are
-    sorted once, equal values sharing a rank however they were written, and
-    the payoff table is built in one pass over the profile carrier."""
-    rows = values.values()
+    order to its n ``Fraction``s.  Each column's distinct payoff objects are
+    sorted once, equal values sharing a rank however they were written; ranks
+    are read column by column and zipped into the payoff table in one pass."""
     levels, grids, columns = [], [], []
-    for i in range(len(players)):
+    for col in zip(*values.values()):
+        ids = list(map(id, col))
         ranks, level = {}, []  # payoff object id -> rank label; the distinct values
-        for key, v in sorted({id(row[i]): row[i] for row in rows}.items(), key=itemgetter(1)):
+        for key, v in sorted(dict(zip(ids, col)).items(), key=itemgetter(1)):
             if not level or v != level[-1]:
                 level.append(v)
             ranks[key] = str(len(level) - 1)
         levels.append(tuple(level))
         grids.append(FinSet(tuple(map(str, range(len(level))))))
-        columns.append([ranks[id(row[i])] for row in rows])
+        columns.append(map(ranks.__getitem__, ids))
     dom = finset_tuple_product(players)  # iterates in product order, as nested pairs
     payoff = FinFn(dom, finset_tuple_product(grids), dict(zip(dom, reduce(zip, columns))))
     return NormalFormGame(players, tuple(grids), payoff, values, tuple(levels))
@@ -298,7 +298,7 @@ def brute_force_nash(g: NormalFormGame, tags: Sequence[str] | None = None) -> tu
 def brute_force_hicks(g: NormalFormGame) -> tuple:
     """Profiles maximising the summed payoff, by direct enumeration.  Each
     distinct combination of payoff objects is summed once; a parsed spec
-    shares one ``Fraction`` per distinct payoff text."""
+    shares one ``Fraction`` per distinct payoff value."""
     keys = [tuple(map(id, vals)) for vals in g.values.values()]
     totals = {key: sum(vals) for key, vals in dict(zip(keys, g.values.values())).items()}
     best = max(totals.values())

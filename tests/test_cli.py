@@ -4,6 +4,7 @@ import copy
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from paralens import cli
 from paralens.cli import DEMO_NAMES, main, parse_game_spec
 from paralens.demos import DEMOS, run_gan
 from paralens.errors import SpecFormatError
@@ -112,6 +114,36 @@ def test_spec_parses_rationals_and_tags():
         spec["payoffs"]["D,C"] = [3, text]
         assert parse_game_spec(spec)[0].values[("D", "C")] == (3, value)
 
+
+
+def test_a_valid_spec_is_read_by_columns(monkeypatch):
+    # a (2,12,2) spec as the benchmark generates it: ints and "p/q" strings, one value shared by both players
+    rng = random.Random(12)
+    moves = [f"s{j}" for j in range(12)]
+    pools = ([3, "5/2"], [3, "-7/3"])
+    payoffs = {f"{a},{b}": [rng.choice(pool) for pool in pools] for a in moves for b in moves}
+    spec = {"players": [{"name": f"p{i}", "strategies": moves} for i in range(2)], "payoffs": payoffs}
+    walks, reads = [], []
+    real_walk, real_read = cli._walk_payoffs, cli._read_rational
+    monkeypatch.setattr(cli, "_walk_payoffs", lambda *args: walks.append(args) or real_walk(*args))
+    monkeypatch.setattr(cli, "_read_rational", lambda v, path: reads.append(v) or real_read(v, path))
+    game = parse_game_spec(json.loads(json.dumps(spec)))[0]
+    assert walks == [] and sorted(map(str, reads)) == ["-7/3", "3", "5/2"]
+    assert game.levels == ((Fraction(5, 2), 3), (Fraction(-7, 3), 3))
+    threes = [vals for vals in game.values.values() if vals[0] == vals[1] == 3]
+    assert threes and all(vals[0] is vals[1] is threes[0][0] for vals in threes)
+    monkeypatch.undo()
+    # 1, 1.0 and "1" side by side read as one value with one rank
+    mixed = {"players": [{"name": "p", "strategies": ["a", "b", "c"]}, {"name": "q", "strategies": ["x"]}]}
+    mixed["payoffs"] = {"a,x": [1, 1.0], "b,x": [1.0, "1"], "c,x": ["1", 1]}
+    game = parse_game_spec(mixed)[0]
+    assert set(game.values.values()) == {(1, 1)} and game.levels == ((1,), (1,))
+    assert set(game.payoff.table.values()) == {("0", "0")}
+    # but an int and an equal float whose text reads as another integer stay apart
+    mixed["payoffs"] = {"a,x": [2**60, 0], "b,x": [2.0**60, 0], "c,x": [2**60, 0]}
+    values = parse_game_spec(mixed)[0].values
+    assert values[("a", "x")][0] == values[("c", "x")][0] == 2**60
+    assert values[("b", "x")][0] == Fraction(str(2.0**60)) != 2**60
 
 def test_solve_bundled_dilemma(capsys):
     assert main(["solve", "pd.json"]) == 0

@@ -6,11 +6,13 @@ returns an exit code and lets no exception escape, and a spec that does not
 parse exits 2.  Mutated ``train`` and ``check`` flags (non-numbers,
 negatives, huge exponents, ``nan``/``inf``, unknown demo and check names)
 let no exception but argparse's exit escape, and a rejected flag exits 2
-naming the flag on stderr.
+naming the flag on stderr.  Faults injected into a valid spec are named as
+a walk over its entries in key order names the first of them.
 """
 
 import json
 from importlib import resources
+from itertools import product
 
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
@@ -113,6 +115,91 @@ def test_integer_payoffs_parse_as_their_text(spec):
     assert game.values == same.values and game.levels == same.levels and game.grids == same.grids
     assert game.payoff.dom == same.payoff.dom and game.payoff.cod == same.payoff.cod
     assert game.payoff.table == same.payoff.table
+
+
+_BAD_PAYOFFS = [True, False, None, [1], "1_000", "abc", "1/0", 10**4300, "9" * 4301]
+_FAULTS = ("unknown move", "move count", "non-list row", "row length", "bad payoff", "deleted profile", "extra key")
+
+
+def _first_offence(spec):
+    """What a walk over the payoffs in key order reports first, or the first
+    profile missing in product order; ``None`` for a valid table."""
+    moves = [player["strategies"] for player in spec["players"]]
+    n = len(moves)
+    for key, row in spec["payoffs"].items():
+        at = f"$.payoffs[{key!r}]"
+        prof = key.split(",")
+        if len(prof) != n:
+            return f"{at}: profile has {len(prof)} moves for {n} players"
+        for i, move in enumerate(prof):
+            if move not in moves[i]:
+                return f"{at}: unknown move {move!r} for player {i}"
+        if not isinstance(row, list) or len(row) != n:
+            return f"{at}: expected a list of {n} payoffs"
+        for i, v in enumerate(row):
+            if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+                return f"{at}[{i}]: payoffs must be numbers or rational strings"
+            if v in ("1_000", "abc", "1/0"):
+                return f"{at}[{i}]: cannot read {v!r} as a rational"
+            if v in (10**4300, "9" * 4301):
+                return f"{at}[{i}]: payoff has more than 4300 digits"
+    for prof in product(*moves):
+        if ",".join(prof) not in spec["payoffs"]:
+            return f"$.payoffs: missing profile {','.join(prof)}"
+    return None
+
+
+@st.composite
+def faulty_specs(draw):
+    """A valid spec of 1-3 players with 1-4 moves each, then 1-2 faults at
+    random key positions."""
+    n = draw(st.integers(1, 3))
+    moves = [[f"m{j}" for j in range(draw(st.integers(1, 4)))] for _ in range(n)]
+    payoff = st.integers(-3, 3) | st.sampled_from(["1/2", "-3/4", "2", "0.5", 1.0, 0.5, 2.0])
+    pairs = [[",".join(p), draw(st.lists(payoff, min_size=n, max_size=n))] for p in product(*moves)]
+    for _ in range(draw(st.integers(1, 2))):
+        fault = draw(st.sampled_from(_FAULTS)) if pairs else "extra key"
+        j = draw(st.integers(0, len(pairs) - 1 if pairs else 0))
+        key = pairs[j][0] if pairs else ""
+        if fault == "unknown move":
+            prof = key.split(",")
+            prof[draw(st.integers(0, len(prof) - 1))] = "zz"
+            pairs[j][0] = ",".join(prof)
+        elif fault == "move count":
+            pairs[j][0] = draw(st.sampled_from([f"{key},m0", key.rpartition(",")[0]]))
+        elif fault == "non-list row":
+            pairs[j][1] = draw(st.sampled_from([None, 1, "1", {"0": 1}, True]))
+        elif fault == "row length":
+            pairs[j][1] = [0] * draw(st.sampled_from([n - 1, n + 1]))
+        elif fault == "bad payoff":
+            row = list(pairs[j][1]) if isinstance(pairs[j][1], list) and pairs[j][1] else [0]
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_BAD_PAYOFFS))
+            pairs[j][1] = row
+        elif fault == "deleted profile":
+            del pairs[j]
+        else:
+            extra = draw(st.sampled_from([["m0"] * (n + 1), ["m0"] * (n - 1) + ["zz"]]))
+            pairs.insert(j, [",".join(extra), [0] * n])
+    return {"players": [{"name": f"p{i}", "strategies": m} for i, m in enumerate(moves)], "payoffs": dict(pairs)}
+
+
+_TWO_BY_TWO = [{"name": "p", "strategies": ["x", "y"]}, {"name": "q", "strategies": ["x", "y"]}]
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=faulty_specs())
+# a true after an equal 1, in its own player's column and in another's: keyed
+# by value alone, the true would be read as the 1
+@example(spec={"players": _TWO_BY_TWO, "payoffs": {"x,x": [1, 1], "x,y": [True, 2], "y,x": [0, 0], "y,y": [0, 0]}})
+@example(spec={"players": _TWO_BY_TWO, "payoffs": {"x,x": [1, 3], "x,y": [2, True], "y,x": [0, 0], "y,y": [0, 0]}})
+def test_the_first_offence_is_named(spec):
+    expected = _first_offence(spec)
+    try:
+        parse_game_spec(spec)
+    except SpecFormatError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
 
 
 # -- train and check flags ------------------------------------------------

@@ -223,6 +223,17 @@ def test_a_table_is_checked_in_one_pass(monkeypatch):
         with pytest.raises(CompositionError) as exc:
             FinFn(small, x, data)
         assert str(exc.value) == message
+    pair = FinProd(small, small)
+    full = dict.fromkeys(pair, "x")
+    for data, message in (
+        ({("a", "a"): "x"}, "missing [('a', 'b'), ('b', 'a'), ('b', 'b')], extra []"),
+        ({**full, ("a", "c"): "x"}, "missing [], extra [('a', 'c')]"),
+        ({**full, "a": "x"}, "missing [], extra ['a']"),
+        ({("c", "c") if xy == ("b", "a") else xy: "x" for xy in pair}, "missing [('b', 'a')], extra [('c', 'c')]"),
+    ):
+        with pytest.raises(CompositionError) as exc:
+            FinFn(pair, x, data)
+        assert str(exc.value) == "table does not match domain {a,b}×{a,b}: " + message
 
 
 def test_finfn_rejects_label_outside_domain():
@@ -395,6 +406,14 @@ def test_enumerate_functions_order_and_count():
         {"p": "1", "q": "0"},
         {"p": "1", "q": "1"},
     ]
+
+
+def test_enumerate_functions_on_a_product_domain():
+    dom, cod = FinProd(FinSet(("p", "q")), FinSet(("r",))), FinSet(("0", "1", "2"))
+    fns = list(iter_functions(dom, cod))
+    assert len(fns) == 9 and len({tuple(f.table.items()) for f in fns}) == 9
+    assert fns[1].table == {("p", "r"): "0", ("q", "r"): "1"}
+    assert all(f(("q", "r")) in cod for f in fns)
 
 
 def test_enumerate_functions_cap():
