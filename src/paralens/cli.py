@@ -23,7 +23,7 @@ from functools import cache
 from importlib import resources
 from itertools import chain, product as iter_product
 from math import prod
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .errors import ParalensError, SpecFormatError
 from .finite_base import FinSet, split_tuple
@@ -52,7 +52,8 @@ _RATIONAL = re.compile(r"\s*[-+]?(?=\d|\.\d)\d*(?:/\d+|(?:\.\d*)?(?:[eE][-+]?\d+
 def parse_game_spec(data: object) -> tuple[NormalFormGame, str | list[str] | None]:
     """Validate a decoded spec and build the game, reading its payoff table by columns.
 
-    Raises SpecFormatError with the JSON path of the first offence, which a per-entry walk names.
+    A payoff's type is exactly the decoder's ``int``, ``float`` or ``str``; any other, a ``bool`` or a subclass
+    too, is an offence.  Raises SpecFormatError with the JSON path of the first offence, which a walk names.
     """
     if not isinstance(data, dict):
         raise SpecFormatError("spec must be a JSON object")
@@ -89,7 +90,7 @@ def parse_game_spec(data: object) -> tuple[NormalFormGame, str | list[str] | Non
     raw_payoffs = data.get("payoffs")
     if not isinstance(raw_payoffs, dict):
         raise SpecFormatError("expected an object keyed by comma-joined profiles", "$.payoffs")
-    values = _payoff_columns(players, raw_payoffs) or _walk_payoffs(players, raw_payoffs)
+    values = _payoff_columns(players, raw_payoffs) or _walk_payoffs(players, raw_payoffs)  # both accept the same tables: the walk only raises
 
     selection = data.get("selection")
     if selection is not None:
@@ -98,8 +99,8 @@ def parse_game_spec(data: object) -> tuple[NormalFormGame, str | list[str] | Non
 
 
 def _payoff_columns(players: list[FinSet], raw_payoffs: dict) -> dict | None:
-    """The table in product order, read in whole-table passes, or ``None`` at any
-    offence.  Each distinct payoff value is read once, its ``Fraction`` shared by
+    """The table in product order, read in whole-table passes, or ``None`` at any offence, which
+    ``_walk_payoffs`` then names.  Each distinct payoff value is read once, its ``Fraction`` shared by
     every player; an int and an equal float stay apart, as a float's text may read as another integer."""
     if len(raw_payoffs) != prod(map(len, players)):  # with equal counts, no key but the profiles' can exist
         return None
@@ -118,12 +119,11 @@ def _payoff_columns(players: list[FinSet], raw_payoffs: dict) -> dict | None:
     return dict(zip(profiles, zip(*[map(read.__getitem__, keys)] * len(players))))  # one row per n values
 
 
-def _walk_payoffs(players: list[FinSet], raw_payoffs: dict) -> dict:
-    """The table read one entry at a time, in key order, to name the first offence."""
+def _walk_payoffs(players: list[FinSet], raw_payoffs: dict) -> NoReturn:
+    """Raise at the first offence, in key order, of a table ``_payoff_columns`` refused, else at its first missing profile."""
     n = len(players)
-    table = {}
     for key, vals in raw_payoffs.items():  # a JSON path is formatted only to raise
-        prof = tuple(key.split(","))
+        prof = key.split(",")
         if len(prof) != n:
             raise SpecFormatError(f"profile has {len(prof)} moves for {n} players", f"$.payoffs[{key!r}]")
         for i, move in enumerate(prof):
@@ -131,16 +131,12 @@ def _walk_payoffs(players: list[FinSet], raw_payoffs: dict) -> dict:
                 raise SpecFormatError(f"unknown move {move!r} for player {i}", f"$.payoffs[{key!r}]")
         if not isinstance(vals, list) or len(vals) != n:
             raise SpecFormatError(f"expected a list of {n} payoffs", f"$.payoffs[{key!r}]")
-        row = []
         for i, v in enumerate(vals):
-            if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+            if type(v) not in (int, float, str):
                 raise SpecFormatError("payoffs must be numbers or rational strings", f"$.payoffs[{key!r}][{i}]")
-            row.append(_read_rational(v, f"$.payoffs[{key!r}][{i}]"))
-        table[prof] = tuple(row)
-    try:  # in product order, which the oracles' output follows; stops at the first missing profile
-        return {prof: table[prof] for prof in iter_product(*[p.labels for p in players])}
-    except KeyError as exc:
-        raise SpecFormatError(f"missing profile {','.join(exc.args[0])}", "$.payoffs") from None
+            _read_rational(v, f"$.payoffs[{key!r}][{i}]")  # raises if unreadable
+    missing = next(prof for prof in iter_product(*[p.labels for p in players]) if ",".join(prof) not in raw_payoffs)
+    raise SpecFormatError(f"missing profile {','.join(missing)}", "$.payoffs")
 
 
 def _read_rational(v: int | float | str, path: str) -> Fraction:

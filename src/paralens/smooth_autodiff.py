@@ -25,10 +25,10 @@ the lens closed by a costate into the unit and run forward and backward once.
 
 A carrier is a dimension or a pair of carriers.  An element of a pair is a
 :class:`Pair` of its factors' elements, so pairing and splitting copy no array.
-Inputs are converted and scanned for non-finite entries once, at the edge:
-by ``train_step``, ``forward_eval`` and ``backward_eval``, and by a
-:class:`SmoothFn` (a lens's ``get`` or ``put``, say), which also checks its
-output; an error names a pair's factors by position.  Interior edges are not
+Inputs are converted and scanned for non-finite entries once, and only at an
+edge: ``train_step``, ``forward_eval``, ``backward_eval`` or a :class:`SmoothFn`
+(a lens's ``get`` or ``put``, say), which also checks its output; an error
+names a pair's factors by position.  Interior edges are neither converted nor
 rescanned, and each entry, not each leg, turns numpy's overflow and
 invalid-value warnings off.
 """
@@ -215,13 +215,12 @@ def join_flat(x) -> Vector:
 class Primitive:
     """One differentiable vector operation.
 
-    ``forward`` maps input arrays to the output array; ``vjp`` maps the
-    saved inputs, an output cotangent and one destination per input to one
-    cotangent per input, and is linear in the cotangent.  A destination is
-    ``None`` or an uninitialised, write-only view of the input's width that
-    the cotangent may be written into; returning the view itself says it
-    was written.  A ``vjp`` may ignore its destinations, which default to
-    ``None``.
+    ``forward`` maps input arrays to an ndarray of width ``out_dim``; ``vjp`` maps the saved inputs, an
+    output cotangent and one destination per input to one ndarray per input, of that input's width, and
+    is linear in the cotangent.  Anything else raises, naming the node; nothing is converted.  A
+    destination is ``None`` or an uninitialised, write-only view of the input's width that the cotangent
+    may be written into; returning the view itself says it was written.  A ``vjp`` may ignore its
+    destinations, which default to ``None``.
     """
 
     name: str
@@ -462,23 +461,20 @@ def _first_non_finite(nodes: Sequence[Node], values: Vector, k: int) -> NumericE
             return NumericError(f"non-finite value at node {node.name!r}")
 
 
-def _node_output(nodes: Sequence[Node], values: Vector, k: int, out) -> Vector:
-    out, dim = np.asarray(out, dtype=np.float64), nodes[k].prim.out_dim
-    if out.shape != (dim,):
-        msg = f"node {nodes[k].name!r} produced shape {out.shape}, expected ({dim},)"
-        raise _first_non_finite(nodes, values, k) or NumericError(msg)
-    return out
+def _node_output(nodes: Sequence[Node], values: Vector, k: int, out) -> NumericError:
+    """The error for node ``k``'s output, not an ndarray of its width, or for an earlier non-finite node."""
+    got, dim = f"{type(out).__name__} of shape {getattr(out, 'shape', None)}", nodes[k].prim.out_dim
+    msg = f"node {nodes[k].name!r} produced {got}, expected ndarray of shape ({dim},)"
+    return _first_non_finite(nodes, values, k) or NumericError(msg)
 
 
 def _arity(node: Node, out_cots):
     raise NumericError(f"vjp of {node.prim.name} returned {len(out_cots)} cotangents for {len(node.inputs)} inputs")
 
 
-def _cotangent(node: Node, val, dim: int) -> Vector:
-    val = np.asarray(val, dtype=np.float64)
-    if val.shape != (dim,):
-        raise NumericError(f"vjp at node {node.name!r} returned a cotangent of shape {val.shape} for an input of dimension {dim}")
-    return val
+def _cotangent(node: Node, val, dim: int) -> NumericError:
+    got = f"{type(val).__name__} of shape {getattr(val, 'shape', None)}"
+    return NumericError(f"vjp at node {node.name!r} returned {got} as the cotangent of an input of dimension {dim}")
 
 
 _LEG_GLOBALS = dict(Pair=Pair, ndarray=np.ndarray, empty=np.empty, zeros=np.zeros, isfinite=np.isfinite, every=_every)
@@ -507,8 +503,8 @@ def _make_legs(plan) -> Callable[..., tuple[Callable, Callable]]:
     def view(bufs, s, i, j):
         return bufs[s] if (i, j) == (0, dims[s]) else f"{bufs[s]}[{i}:{j}]"
 
-    def checked(y, dim, fix):
-        return [f"if type({y}) is not ndarray or {y}.shape != ({dim},):", f"    {y} = {fix}"]
+    def checked(y, dim, error):
+        return [f"if type({y}) is not ndarray or {y}.shape != ({dim},):", f"    raise {error}"]
 
     saved, fwd = "".join(f"a{k}, " for k in range(n)), [f"v = empty({dims[2]})"]
     for k, (ins, a, b) in enumerate(steps):

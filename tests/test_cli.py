@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -114,6 +115,33 @@ def test_spec_parses_rationals_and_tags():
         spec["payoffs"]["D,C"] = [3, text]
         assert parse_game_spec(spec)[0].values[("D", "C")] == (3, value)
 
+
+
+class _Level(IntEnum):
+    ONE = 1
+
+
+class _Real(float):
+    pass
+
+
+@pytest.mark.parametrize("payoff", [np.float64(1.5), _Level.ONE, _Real(1.5)], ids=["numpy-float64", "int-enum", "float-subclass"])
+def test_a_payoff_of_a_subclass_of_a_json_type_is_an_offence(payoff):
+    # a decoded spec holds exactly int, float and str; from Python, a subclass of one is no payoff
+    players = [{"name": "p", "strategies": ["x", "y"]}, {"name": "q", "strategies": ["x", "y"]}]
+    spec = {"players": players, "payoffs": {"x,x": [1, 1], "x,y": [payoff, 2], "y,x": [0, 0], "y,y": [0, 0]}}
+    with pytest.raises(SpecFormatError) as exc:
+        parse_game_spec(spec)
+    assert str(exc.value) == "$.payoffs['x,y'][0]: payoffs must be numbers or rational strings"
+
+
+@pytest.mark.parametrize("selection", [5, {}])
+def test_a_selection_that_is_neither_a_string_nor_a_list_is_an_offence(selection):
+    spec = _pd_spec()
+    spec["selection"] = selection
+    with pytest.raises(SpecFormatError) as exc:
+        parse_game_spec(spec)
+    assert str(exc.value) == "$.selection: expected a string or a list of tags"
 
 
 def test_a_valid_spec_is_read_by_columns(monkeypatch):

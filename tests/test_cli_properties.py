@@ -7,16 +7,20 @@ parse exits 2.  Mutated ``train`` and ``check`` flags (non-numbers,
 negatives, huge exponents, ``nan``/``inf``, unknown demo and check names)
 let no exception but argparse's exit escape, and a rejected flag exits 2
 naming the flag on stderr.  Faults injected into a valid spec are named as
-a walk over its entries in key order names the first of them.
+a walk over its entries in key order names the first of them, and that walk
+raises whenever it runs.
 """
 
 import json
 from importlib import resources
 from itertools import product
+from unittest.mock import patch
 
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from paralens import cli
 from paralens.checks import ALL_CHECKS
 from paralens.cli import load_spec_file, main, parse_game_spec
 from paralens.demos import DEMOS
@@ -183,6 +187,16 @@ def faulty_specs(draw):
     return {"players": [{"name": f"p{i}", "strategies": m} for i, m in enumerate(moves)], "payoffs": dict(pairs)}
 
 
+_WALK = cli._walk_payoffs
+
+
+def _raising_walk(*args):
+    """``cli._walk_payoffs``, which must raise whenever it runs: it only names an offence."""
+    with pytest.raises(SpecFormatError) as exc:
+        _WALK(*args)
+    raise exc.value
+
+
 _TWO_BY_TWO = [{"name": "p", "strategies": ["x", "y"]}, {"name": "q", "strategies": ["x", "y"]}]
 
 
@@ -195,7 +209,8 @@ _TWO_BY_TWO = [{"name": "p", "strategies": ["x", "y"]}, {"name": "q", "strategie
 def test_the_first_offence_is_named(spec):
     expected = _first_offence(spec)
     try:
-        parse_game_spec(spec)
+        with patch.object(cli, "_walk_payoffs", _raising_walk):
+            parse_game_spec(spec)
     except SpecFormatError as exc:
         assert str(exc) == expected
     else:

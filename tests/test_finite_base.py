@@ -176,6 +176,7 @@ def test_tuple_product_and_split():
                 assert split_tuple(sets, lbl) == (la, lb, lc)
     assert finset_tuple_product([]) is UNIT_SET
     assert finset_tuple_product([sets[0]]) == sets[0]
+    assert split_tuple([], UNIT_LABEL) == ()
 
 
 def test_finfn_validates_table():

@@ -7,6 +7,7 @@ cotangent are compared with closure references byte for byte.
 """
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -682,3 +683,27 @@ def test_smooth_composites_match_their_closure_definitions_and_write_no_argument
     kept = _held(x, z, y, r)
     assert _raw(lens.backward(r, z)) == _raw(ref.put(Pair(copies)))
     assert _held(x, z, y, r) == kept
+
+
+_AB = LensObj(FinSet(("a",)), FinSet(("b",)))
+_FINITE_ID, _SMOOTH_ID = lens_id(FINITE, _AB), lens_id(SMOOTH, LensObj(1, 1))
+
+
+@pytest.mark.parametrize(
+    "misuse, error, fragment",
+    [
+        (lambda: lens_compose(_FINITE_ID, _SMOOTH_ID), CompositionError, "cannot compose lenses over different bases"),
+        (lambda: lens_tensor(_FINITE_ID, _SMOOTH_ID), CompositionError, "cannot tensor lenses over different bases"),
+        (lambda: make_costate(FINITE, _AB, FINITE.identity(_AB.fwd)), CompositionError, "type {a} → {a}, expected {a} → {b}"),
+        (lambda: rewire(FINITE, [_AB, _AB], (0, 1), 0), CompositionError, "only unit leaves may be dropped or introduced"),
+        (lambda: _FINITE_ID.get_put, AttributeError, "get_put"),
+    ],
+    ids=["compose-bases", "tensor-bases", "costate-type", "rewire-drop", "unknown-attribute"],
+)
+def test_each_misuse_raises_its_error(misuse, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        misuse()
+
+
+def test_lenses_over_different_bases_are_unequal():
+    assert lens_equal(_FINITE_ID, _SMOOTH_ID) is False

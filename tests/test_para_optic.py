@@ -1,4 +1,5 @@
 import gc
+import re
 
 import pytest
 
@@ -34,7 +35,7 @@ from paralens.para_optic import (
     reparametrise,
 )
 from paralens.selection_games import arena, compositional_game, hicks_games, solution_set
-from paralens.smooth_autodiff import apply_R, gan_model, mlp_map
+from paralens.smooth_autodiff import apply_R, gan_model, gd_lens, mlp_map
 
 
 def _switch_para() -> ParaLens:
@@ -354,3 +355,22 @@ def test_dropped_lenses_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+_AB = LensObj(FinSet(("a",)), FinSet(("b",)))
+_FINITE_PARA, _SMOOTH_PARA = embed_trivial(lens_id(FINITE, _AB)), apply_R(mlp_map((1, 1)))
+
+
+@pytest.mark.parametrize(
+    "misuse, fragment",
+    [
+        (lambda: ParaLens(FINITE, (unit_obj(FINITE),), _AB, _AB, lens_id(FINITE, _AB)), "expected ⟨{•}×{a}, {•}×{b}⟩ → ⟨{a}, {b}⟩"),
+        (lambda: para_compose(_FINITE_PARA, _SMOOTH_PARA), "cannot compose parametrised lenses over different bases"),
+        (lambda: para_tensor(_FINITE_PARA, _SMOOTH_PARA), "cannot tensor parametrised lenses over different bases"),
+        (lambda: reparametrise(_FINITE_PARA, gd_lens(0.1, 1)), "reparametrising lens lives over a different base"),
+    ],
+    ids=["carrier-boundary", "compose-bases", "tensor-bases", "reparametrise-bases"],
+)
+def test_each_misuse_raises_its_error(misuse, fragment):
+    with pytest.raises(CompositionError, match=re.escape(fragment)):
+        misuse()

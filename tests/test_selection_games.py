@@ -1005,3 +1005,9 @@ def test_nash_product_commutes_with_reassociation():
             lens_assoc(FINITE, a, b, c), nested_left
         )
         assert relations_equal(pushed, nested_right)
+
+
+def test_relations_on_different_ports_are_not_compared():
+    a, b = LensObj(FinSet(("x",)), FinSet(("r",))), LensObj(FinSet(("y",)), FinSet(("r",)))
+    with pytest.raises(CompositionError, match="^relations live on different parameter ports$"):
+        relations_equal(total_rel(a), total_rel(b))

@@ -5,6 +5,7 @@ against central finite differences otherwise.  The MLP forward pass is
 re-implemented with straight numpy as an independent oracle.
 """
 
+import re
 import tracemalloc
 from dataclasses import replace
 from functools import reduce
@@ -18,8 +19,9 @@ from paralens import checks, demos, smooth_autodiff
 from paralens.checks import check_gradient_descent_lens, check_weight_tying, fd_gradient, rel_close
 from paralens.errors import CompositionError, NumericError
 from paralens.demos import run_gan, run_linreg, run_mlp
-from paralens.lens_core import Lens, LensObj, compile_make, lens_id, lens_tensor, make_state
-from paralens.para_optic import flatten_params, para_compose, reparametrise
+from paralens.finite_base import FINITE, FinSet
+from paralens.lens_core import FRESH, Lens, LensObj, compile_make, lens_id, lens_tensor, make_state
+from paralens.para_optic import ParaLens, embed_trivial, flatten_params, para_compose, reparametrise
 from paralens.smooth_autodiff import (
     SMOOTH,
     GraphBuilder,
@@ -106,6 +108,51 @@ def test_graph_rejects_dangling_node():
     n2 = Node("b", neg(1), (Wire("input", 0, 1),))
     with pytest.raises(CompositionError, match="not feeding the output"):
         SmoothMap(0, 1, 1, (n1, n2), Wire("a", 0, 1))
+
+
+def _one_cotangent_for_two_inputs():
+    b = GraphBuilder(in_dim=1)
+    f = b.build(b.node(replace(add(1), vjp=lambda ins, c, dst=None: (c,)), b.input(), b.input(), name="a"))
+    backward_eval(f, forward_eval(f, np.zeros(0), np.ones(1))[1], np.ones(1))
+
+
+def _a_step_whose_score_is_infinite():
+    px = SMOOTH.pair(1, 1)
+    leaf = Lens(SMOOTH, LensObj(px, px), LensObj(1, 1), lambda v: (np.array([np.inf]), None), lambda r, dy: r, term=FRESH)
+    model = ParaLens(SMOOTH, (LensObj(1, 1),), LensObj(1, 1), LensObj(1, 1), leaf)
+    train_step(model, np.zeros(1), np.zeros(1), unit_loss_costate())
+
+
+_FINITE_PARA = embed_trivial(lens_id(FINITE, LensObj(FinSet(("a",)), FinSet(("b",)))))
+
+
+def _neg_map(in_dim: int, prim_dim: int, output: Wire, out_dim: int = 1) -> SmoothMap:
+    return SmoothMap(0, in_dim, out_dim, (Node("a", neg(prim_dim), (Wire("input", 0, in_dim),)),), output)
+
+
+@pytest.mark.parametrize(
+    "misuse, error, fragment",
+    [
+        (lambda: SmoothMap(-1, 1, 1, (), Wire("input", 0, 1)), CompositionError, "param_dim must be a non-negative integer"),
+        (lambda: _neg_map(2, 1, Wire("a", 0, 1)), CompositionError, "wire input[0:2] has dimension 2, neg expects 1"),
+        (lambda: _neg_map(1, 1, Wire("b", 0, 1)), CompositionError, "output wire Wire(src='b', lo=0, hi=1) is not resolvable"),
+        (lambda: _neg_map(1, 1, Wire("a", 0, 2), 2), CompositionError, "output wire Wire(src='a', lo=0, hi=2) is not resolvable"),
+        (lambda: _neg_map(2, 2, Wire("a", 0, 2)), CompositionError, "output wire has dimension 2, expected 1"),
+        (_one_cotangent_for_two_inputs, NumericError, "vjp of add returned 1 cotangents for 2 inputs"),
+        (lambda: compose_maps(mlp_map((1, 2)), mlp_map((3, 1))), CompositionError, "output R^2 feeds input R^3"),
+        (lambda: mlp_map((3,)), CompositionError, "an MLP needs at least an input and an output layer"),
+        (lambda: SMOOTH.compose(SMOOTH.identity(2), SMOOTH.identity(3)), CompositionError, "R^2 does not match R^3"),
+        (lambda: train_step(_FINITE_PARA, (), (), unit_loss_costate()), CompositionError, "train_step expects a smooth-base lens"),
+        (_a_step_whose_score_is_infinite, NumericError, "a score is non-finite"),
+        (lambda: gan_model(_FINITE_PARA, _FINITE_PARA, 0.1), CompositionError, "gan_model expects smooth-base lenses"),
+        (lambda: gan_model(apply_R(mlp_map((1, 2))), apply_R(mlp_map((2, 2))), 0.1), CompositionError, "must produce a scalar score"),
+    ],
+    ids=["negative-dim", "wire-width", "output-source", "output-slice", "output-width", "arity", "compose-maps",
+         "mlp-one-layer", "compose-fns", "train-finite", "train-inf-score", "gan-finite", "gan-wide-disc"],
+)
+def test_each_misuse_raises_its_error(misuse, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        misuse()
 
 
 def test_non_finite_input_rejected():
@@ -197,6 +244,44 @@ def test_vjp_cotangent_of_the_wrong_width_names_its_node(width):
     with pytest.raises(NumericError, match=rf"node 'short'.*shape \({width},\).*dimension 3"):
         backward_eval(f, tape, np.ones(3))
     assert [d.shape for d in offered[0]] == [(3,)]
+
+
+def _list_forward(a):
+    return (-a).tolist()
+
+
+def _neg_graph(fan_out: bool = False, after_inf: bool = False, **leg) -> SmoothMap:
+    """A ``neg`` node ``lst`` over R^3 whose ``forward`` or ``vjp`` is ``leg``; with ``fan_out`` an ``add``
+    also reads its input, so the input's cotangent is summed, and with ``after_inf`` it reads a ``mul``
+    node ``big`` that a large parameter overflows."""
+    b = GraphBuilder(in_dim=3)
+    h = b.node(mul(3), b.param(3), b.input(), name="big") if after_inf else b.input()
+    y = b.node(replace(neg(3), **leg), h, name="lst")
+    return b.build(b.node(add(3), y, h, name="sum") if fan_out else y)
+
+
+def test_a_forward_that_returns_a_list_raises_naming_its_node():
+    f = _neg_graph(forward=_list_forward)
+    with pytest.raises(NumericError, match=r"^node 'lst' produced list of shape None, expected ndarray of shape \(3,\)$"):
+        forward_eval(f, np.zeros(0), np.ones(3))
+    with pytest.raises(NumericError, match="node 'lst' produced list"):
+        train_step(apply_R(f), np.zeros(0), np.ones(3), unit_loss_costate(3))
+
+
+@pytest.mark.parametrize("fan_out", [False, True])
+def test_a_vjp_that_returns_a_list_raises_naming_its_node(fan_out):
+    # alone, the input's wire is sole and offers a destination; fanned out, its cotangents are summed
+    f = _neg_graph(fan_out, vjp=lambda ins, c, dst=None: ((-c).tolist(),))
+    _, tape = forward_eval(f, np.zeros(0), np.ones(3))
+    with pytest.raises(NumericError, match=r"^vjp at node 'lst' returned list of shape None as the cotangent of an input of dimension 3$"):
+        backward_eval(f, tape, np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [_list_forward, lambda a: -a[:2]], ids=["list", "short-array"])
+def test_an_earlier_non_finite_node_is_named_before_a_later_bad_output(bad):
+    f = _neg_graph(after_inf=True, forward=bad)
+    with pytest.raises(NumericError, match=r"^non-finite value at node 'big'$"):
+        forward_eval(f, np.full(3, 1e308), np.full(3, 10.0))
 
 
 # -- primitive derivatives against closed forms -------------------------
