@@ -5,12 +5,12 @@ labels; a product carrier is the pair of its factors, its elements are
 Python pairs ``(x, y)``, and n-ary products associate to the left, so any
 composite carrier has a single deterministic presentation and no two
 elements can share an encoding.  A product is enumerated only when iterated.
-Morphisms are memoised procedures; only ``FiniteBase.mor_equal`` tabulates,
-to decide equality.  Every morphism checks each element and its image on
-first evaluation (a table given as data, when built).  A lens's ``get`` and
-``put`` are morphisms that a lens builds only when asked for them, so a
-composite lens is checked once, at its edge; the lenses inside it run on
-their legs, which neither check nor memoise.
+Morphisms are memoised procedures, tabulated only where a domain is read
+whole (``FiniteBase.mor_equal``, :meth:`FinFn.tabulated`); each checks an
+element and its image on first evaluation, a table each distinct image
+when built.  A lens's ``get`` and ``put`` are morphisms built only when
+asked for, so a composite lens is checked once, at its edge; the lenses
+inside it run on their legs, which neither check nor memoise.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ class FinFn:
     an element checks that the element is in ``dom`` and its image in
     ``cod``, then keeps the image in ``table``, which never outgrows the
     domain.  A table given as data is checked eagerly, each distinct image
-    once, and becomes the memo.
+    once, and becomes the memo; so does one :meth:`tabulated` reads.
     """
 
     dom: Carrier
@@ -163,14 +163,30 @@ class FinFn:
                     f"missing {missing[:4]}, extra {extra[:4]}"
                 )
             object.__setattr__(self, "fn", data.__getitem__)
-            try:  # each distinct image once, in table order
-                ok = all(y in self.cod for y in dict.fromkeys(data.values()))
-            except TypeError:  # an unhashable image, so in no carrier
-                ok = False
-            if not ok:
-                for x in self.dom:  # raises at the first bad image
-                    self(x)
-            object.__setattr__(self, "table", data)
+            self._adopt(data)
+
+    @classmethod
+    def tabulated(cls, dom: Carrier, cod: Carrier, fn: Callable[[object], object]) -> FinFn:
+        """``fn`` read at every element of ``dom``, in order, in one pass: its keys are ``dom``'s
+        own, so none is copied or checked, and its images are checked as a table's."""
+        f = cls(dom, cod, (table := {}).__getitem__)
+        try:
+            for x in dom:
+                table[x] = fn(x)
+        finally:  # a bad image read before a failure raises first, as a lazy read of dom in order would
+            f._adopt(table)
+        return f
+
+    def _adopt(self, data: dict) -> None:
+        """Make ``data``, a table over a prefix of ``dom``, the memo once its images are checked."""
+        try:  # each distinct image once, in table order
+            ok = all(map(self.cod.__contains__, dict.fromkeys(data.values())))
+        except TypeError:  # an unhashable image, so in no carrier
+            ok = False
+        if not ok:
+            for x in self.dom:  # raises at the first bad image
+                self(x)
+        object.__setattr__(self, "table", data)
 
     def __call__(self, x: object) -> object:
         try:
@@ -233,6 +249,9 @@ class FiniteBase(Base):
 
     def morphism(self, dom: Carrier, cod: Carrier, fn) -> FinFn:
         return FinFn(dom, cod, fn)
+
+    def tabulate(self, dom: Carrier, cod: Carrier, fn) -> FinFn:
+        return FinFn.tabulated(dom, cod, fn)
 
     def compose(self, f: FinFn, g: FinFn) -> FinFn:
         """The procedure ``x ↦ g(f(x))``."""

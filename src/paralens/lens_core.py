@@ -20,7 +20,8 @@ forward pass is replayed; for leaves ``l1`` and ``l2``,
 Tensor pairing, identities and rewires are renaming: an element is paired
 only where a leaf or the output reads it, the two parts of one split rejoin
 as the element itself, and the leg's own input, checked at the composite's
-edge, is split only where a part of it is read.  So what a :data:`FRESH`
+edge, is split only where a part of it is read, as is a :data:`CHECKED`
+leaf's output (a state's point, a costate's values).  So what a :data:`FRESH`
 leaf's backward leg returns, and each part a split makes of it, reaches one
 place, which owns it, as a rejoined element is owned as the whole was.  An
 :data:`OWNS` leaf writes into its cotangent: it is handed an owned one as
@@ -89,6 +90,10 @@ class Base(ABC):
         Both bases wrap the callable and check its input and output; finite ones also memoise.
         """
 
+    def tabulate(self, dom: Carrier, cod: Carrier, fn: Callable[[Elem], Elem]) -> Mor:
+        """``morphism(dom, cod, fn)`` for a caller that reads all of ``dom``; an enumerable base reads it now."""
+        return self.morphism(dom, cod, fn)
+
     # -- elements -------------------------------------------------------
 
     @abstractmethod
@@ -126,6 +131,7 @@ class LensObj:
 LEAF = "leaf"  # the term of a lens given by its two legs
 FRESH = "fresh"  # a leaf's whose backward leg returns new buffers, held nowhere else
 OWNS = "owns"  # a FRESH leaf's whose backward leg writes its result into its cotangent
+CHECKED = "checked"  # a leaf's whose legs return only elements checked where they were made
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -133,7 +139,7 @@ class Lens:
     """A morphism of boundary objects: a forward leg ``x ↦ (y, r)`` and a backward leg ``(r, z) ↦ x'``.
 
     ``Lens(base, src, dst, forward, backward)`` is a leaf, whose ``term`` is :data:`LEAF`,
-    or :data:`FRESH` or :data:`OWNS` as it declares; a combinator passes a composite's
+    or :data:`FRESH`, :data:`OWNS` or :data:`CHECKED` as it declares; a combinator passes a composite's
     ``term`` and ``legs``, each leaf's forward and backward leg, leaves left to right.
     ``get : src.fwd → dst.fwd`` and ``put : src.fwd × dst.bwd → src.bwd``
     are checked base morphisms, built on first access; the legs check nothing.
@@ -146,8 +152,8 @@ class Lens:
     legs: tuple
 
     def __init__(self, base, src, dst, forward=None, backward=None, *, term=LEAF, legs=None):
-        legs = (forward, backward) if type(term) is str else legs  # a leaf's term is LEAF, FRESH or OWNS
-        if term in (LEAF, FRESH):  # an OWNS leaf's own legs are generated, so what a caller hands it is copied
+        legs = (forward, backward) if type(term) is str else legs  # a leaf's term is LEAF, FRESH, OWNS or CHECKED
+        if term in (LEAF, FRESH, CHECKED):  # an OWNS leaf's own legs are generated, so what a caller hands it is copied
             self.__dict__.update(forward=forward, backward=backward)
         self.__dict__.update(base=base, src=src, dst=dst, term=term, legs=legs)
         self.__post_init__()
@@ -249,11 +255,11 @@ def make_state(base: Base, a: LensObj, point: Elem) -> Lens:
             f"state point {point!r} is not an element of {base.describe(a.fwd)}"
         )
     unit = base.unit_elem()
-    return Lens(base, unit_obj(base), a, lambda _: (point, None), lambda _, z: unit)
+    return Lens(base, unit_obj(base), a, lambda _: (point, None), lambda _, z: unit, term=CHECKED)
 
 
 def make_costate(base: Base, a: LensObj, f: Mor) -> Lens:
-    """The costate of ``a`` whose backward leg is the base morphism ``f : a.fwd → a.bwd``."""
+    """The costate of ``a`` whose backward leg is the checked base morphism ``f : a.fwd → a.bwd``."""
     if f.dom != a.fwd or f.cod != a.bwd:
         raise CompositionError(
             f"costate map has type {base.describe(f.dom)} → "
@@ -261,7 +267,7 @@ def make_costate(base: Base, a: LensObj, f: Mor) -> Lens:
             f"{base.describe(a.bwd)}"
         )
     unit = base.unit_elem()
-    return Lens(base, a, unit_obj(base), lambda x: (unit, x), lambda x, _: f(x))
+    return Lens(base, a, unit_obj(base), lambda x: (unit, x), lambda x, _: f(x), term=CHECKED)
 
 
 def lens_equal(l1: Lens, l2: Lens) -> bool:
@@ -282,9 +288,9 @@ def lens_equal(l1: Lens, l2: Lens) -> bool:
 #
 # A term is LEAF, ("compose", t1, t2), ("tensor", t1, t2) or ("rewire", src,
 # dst).  While generating, a value is a name bound at run time, a pair of
-# values, or None for the unit; only a split of a name emits code, and one
-# of the leg's input or its parts (``given``) only if a part is read.  Units
-# and pairs of units are names ``make`` binds once (``consts``).
+# values, or None for the unit; only a split of a name emits code, and one of
+# a ``given`` value (the leg's input, a CHECKED leaf's output, their parts)
+# only if a part is read.  Units and pairs of units are names ``make`` binds once (``consts``).
 
 
 class _Source(list):
@@ -315,7 +321,7 @@ class _Source(list):
         return parts
 
     def kept(self, out: str) -> list:
-        """The lines that make ``out``: a split of the leg's input only where one of its parts is read."""
+        """The lines that make ``out``: a split of a ``given`` value only where one of its parts is read."""
         read, kept = set(re.findall(r"\w+", out)), []
         for k in reversed(range(len(self))):
             if k not in self.optional or read.intersection(self.optional[k]):
@@ -338,12 +344,12 @@ class _Source(list):
     def walk(self, t, v, forward: bool):
         """The value ``t``'s forward (or backward) leg makes of ``v``."""
         if type(t) is int:
-            z = self.join(v)
+            z, out = self.join(v), f"y{t}" if forward else f"x{t}"
             z = z if forward or self.kinds[t] != OWNS or z in self.owned else f"base.copy_elem({z})"
-            self.append(f"y{t}, r{t} = f{t}({z})" if forward else f"x{t} = b{t}(r{t}, {z})")
-            if self.kinds[t] != LEAF:
-                self.owned.add(f"x{t}")  # a name only the backward leg binds
-            return f"y{t}" if forward else f"x{t}"
+            self.append(f"{out}, r{t} = f{t}({z})" if forward else f"{out} = b{t}(r{t}, {z})")
+            if self.kinds[t] != LEAF:  # a CHECKED leaf's output is given, a FRESH or OWNS one's owned
+                (self.given if self.kinds[t] == CHECKED else self.owned).add(out)
+            return out
         tag, a, b = t
         if tag == "rewire":
             return self.build(b if forward else a, self.bind(a if forward else b, v, {}))

@@ -193,7 +193,7 @@ def para_costate_solution_input(p: ParaLens) -> Mor:
     morphism read through the generated legs of ``runit⁻¹ ; carrier``, the
     term ``("compose", ("rewire", 0, (0, None)), carrier.term)`` on the
     carrier's leaves, with no lens built.  On finite carriers this is the
-    reward function a selection relation consumes.
+    reward function a selection relation consumes, tabulated in one pass.
     """
     base = p.base
     unit = unit_obj(base)
@@ -204,4 +204,4 @@ def para_costate_solution_input(p: ParaLens) -> Mor:
         )
     forward, backward = _compile(base, ("compose", ("rewire", 0, (0, None)), p.carrier.term))(*p.carrier.legs)
     point = base.unit_elem()
-    return base.morphism(p.params.fwd, p.params.bwd, lambda w: backward(forward(w)[1], point))
+    return base.tabulate(p.params.fwd, p.params.bwd, lambda w: backward(forward(w)[1], point))

@@ -26,7 +26,7 @@ order; the exact values stay on the game.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -158,7 +158,7 @@ def sel_pushforward(f: Lens, eps: SelectionRelation) -> SelectionRelation:
     The image relation accepts (y, k) iff some state x with get(x) = y is
     accepted by ``eps`` against the reward function threaded back through
     ``f``.  A FinFn's type is checked; any reward function is threaded once
-    on ``f``'s legs, as one checked morphism that checks each of its values
+    on ``f``'s legs into a table over all source states, checking each value
     before the backward leg reads it, and its best responses are the images
     of the source states ``eps`` accepts against it.
     """
@@ -185,7 +185,7 @@ def sel_pushforward(f: Lens, eps: SelectionRelation) -> SelectionRelation:
             if (z := k(y)) not in rewards:
                 raise CompositionError(f"reward function maps {y!r} to {z!r}, outside the rewards {rewards}")
             return backward(r, z)
-        threaded = FINITE.morphism(f.src.fwd, f.src.bwd, thread)
+        threaded = FINITE.tabulate(f.src.fwd, f.src.bwd, thread)
         return [get(x) for x in f.src.fwd if eps.accepts(x, threaded)]
 
     return best_response(f.dst, best)
@@ -228,7 +228,7 @@ class OpenGame:
 
 
 def solution_set(game: OpenGame) -> tuple:
-    """Equilibria of a closed game (both boundaries trivial)."""
+    """Equilibria of a closed game (both boundaries trivial), against its reward read whole."""
     reward = para_costate_solution_input(game.lens)
     return tuple(w for w in game.lens.params.fwd if game.sel.accepts(w, reward))
 
@@ -259,7 +259,7 @@ def game_of_rows(players: tuple[FinSet, ...], values: dict[tuple[str, ...], tupl
     """The game of a checked table, ``values`` mapping every profile in product
     order to its n ``Fraction``s.  Each column's distinct payoff objects are
     sorted once, equal values sharing a rank however they were written; ranks
-    are read column by column and zipped into the payoff table in one pass."""
+    are read column by column and tabulated over the profile product in one pass."""
     levels, grids, columns = [], [], []
     for col in zip(*values.values()):
         ids = list(map(id, col))
@@ -272,7 +272,8 @@ def game_of_rows(players: tuple[FinSet, ...], values: dict[tuple[str, ...], tupl
         grids.append(FinSet(tuple(map(str, range(len(level))))))
         columns.append(map(ranks.__getitem__, ids))
     dom = finset_tuple_product(players)  # iterates in product order, as nested pairs
-    payoff = FinFn(dom, finset_tuple_product(grids), dict(zip(dom, reduce(zip, columns))))
+    images = reduce(zip, columns)  # in product order, one per profile
+    payoff = FinFn.tabulated(dom, finset_tuple_product(grids), lambda _: next(images))
     return NormalFormGame(players, tuple(grids), payoff, values, tuple(levels))
 
 
@@ -359,14 +360,17 @@ def sum_of_payoffs_lens(g: NormalFormGame) -> Lens:
     """Collapse the grid product to the ranks of the totals the game plays.
 
     Identity forward.  Each distinct rank tuple in the payoff table is summed
-    once, exactly, from ``levels``; ``sums`` ranks those totals, so it and the
-    table hold at most one entry per profile.  Relation equality reaches
-    every tuple, so one that no profile plays gets the rank of the greatest
-    played total at or below its own, or ``"0"``: ranks stay weakly monotone.
+    once, exactly, from ``levels``, and ranked by its total in one sorted
+    pass; ``sums`` ranks those totals, so it and the table hold at most one
+    entry per profile.  Relation equality reaches every tuple, so one that no
+    profile plays gets the rank of the greatest played total at or below its
+    own, or ``"0"``: ranks stay weakly monotone.
     """
-    totals = {r: _total(g, r) for r in dict.fromkeys(g.payoff.table.values())}
-    ordered = sorted(set(totals.values()))
-    table = {r: str(bisect_left(ordered, t)) for r, t in totals.items()}
+    table, ordered = {}, []  # each played rank tuple's rank; the distinct totals, ascending
+    for r, t in sorted({r: _total(g, r) for r in dict.fromkeys(g.payoff.table.values())}.items(), key=itemgetter(1)):
+        if not ordered or t != ordered[-1]:
+            ordered.append(t)
+        table[r] = str(len(ordered) - 1)
     omega, sums = finset_tuple_product(g.players), FinSet(tuple(map(str, range(len(ordered)))))
 
     def backward(_, r) -> str:

@@ -204,6 +204,7 @@ _GOLDEN = [
     ("pd.json", "argmax,total", 0, '{"agrees":true,"oracle":[["D","C"],["D","D"]],"selection":["argmax","total"],"solutions":[["D","C"],["D","D"]]}'),
     ("pd.json", "argmax,argmax", 0, '{"agrees":true,"oracle":[["D","D"]],"selection":["argmax","argmax"],"solutions":[["D","D"]]}'),
     ("pd.json", "total,argmax", 0, '{"agrees":true,"oracle":[["C","D"],["D","D"]],"selection":["total","argmax"],"solutions":[["C","D"],["D","D"]]}'),
+    ("pd.json", "total,total", 0, '{"agrees":true,"oracle":[["C","C"],["C","D"],["D","C"],["D","D"]],"selection":["total","total"],"solutions":[["C","C"],["C","D"],["D","C"],["D","D"]]}'),
     ("matching_pennies.json", None, 0, '{"agrees":true,"oracle":[],"selection":"argmax_each","solutions":[]}'),
     ("matching_pennies.json", "hicks_sum", 0, '{"agrees":true,"oracle":[["H","H"],["H","T"],["T","H"],["T","T"]],"selection":"hicks_sum","solutions":[["H","H"],["H","T"],["T","H"],["T","T"]]}'),
     ("matching_pennies.json", "argmax_each", 0, '{"agrees":true,"oracle":[],"selection":"argmax_each","solutions":[]}'),
@@ -219,6 +220,7 @@ _GOLDEN = [
     ("one", "total", 0, '{"agrees":true,"oracle":[["x"],["y"],["z"]],"selection":["total"],"solutions":[["x"],["y"],["z"]]}'),
     ("three", None, 0, '{"agrees":true,"oracle":[["L","L","L"],["R","R","R"]],"selection":"argmax_each","solutions":[["L","L","L"],["R","R","R"]]}'),
     ("three", "hicks_sum", 0, '{"agrees":true,"oracle":[["R","R","R"]],"selection":"hicks_sum","solutions":[["R","R","R"]]}'),
+    ("three", "total,total,total", 0, '{"agrees":true,"oracle":[["L","L","L"],["L","L","R"],["L","R","L"],["L","R","R"],["R","L","L"],["R","L","R"],["R","R","L"],["R","R","R"]],"selection":["total","total","total"],"solutions":[["L","L","L"],["L","L","R"],["L","R","L"],["L","R","R"],["R","L","L"],["R","L","R"],["R","R","L"],["R","R","R"]]}'),
     ("three", "argmax,total,argmax", 0, '{"agrees":true,"oracle":[["L","L","L"],["L","L","R"],["R","R","R"]],"selection":["argmax","total","argmax"],"solutions":[["L","L","L"],["L","L","R"],["R","R","R"]]}'),
 ]
 

@@ -237,6 +237,56 @@ def test_a_table_is_checked_in_one_pass(monkeypatch):
         assert str(exc.value) == "table does not match domain {a,b}×{a,b}: " + message
 
 
+class _Unreadable(Exception):
+    """What an image that fails to compute raises."""
+
+
+@settings(max_examples=300, deadline=None)
+@given(dom=_carriers(2), cod=_carriers(2), data=st.data())
+def test_a_tabulated_function_reads_as_a_lazy_one_in_domain_order(dom, cod, data):
+    # an image is an element of cod, or, if faults are drawn, any value or one that fails to compute
+    image = st.one_of(_element(cod), _VALUES, st.just(_Unreadable)) if data.draw(st.booleans()) else _element(cod)
+    by = {x: data.draw(image) for x in dom}
+
+    def fn(x):
+        if by[x] is _Unreadable:
+            raise _Unreadable(x)
+        return by[x]
+
+    lazy = FinFn(dom, cod, fn)
+    try:
+        want = [lazy(x) for x in dom]
+    except (CompositionError, _Unreadable) as exc:  # the first bad image in domain order, or what failed before it
+        with pytest.raises(type(exc)) as got:
+            FinFn.tabulated(dom, cod, fn)
+        assert str(got.value) == str(exc)
+        return
+    f = FinFn.tabulated(dom, cod, fn)
+    assert f.table == lazy.table and [f(x) for x in dom] == want
+    assert FINITE.mor_equal(f, lazy) and FINITE.mor_equal(FINITE.tabulate(dom, cod, fn), lazy)
+    with pytest.raises(CompositionError, match="is not in domain"):
+        f("zz")
+
+
+def test_a_tabulated_function_checks_only_its_distinct_images(monkeypatch):
+    s = FinSet(("a", "b"))
+    dom, cod = FinProd(FinProd(s, s), s), FinProd(s, s)
+    calls = [0]
+    real = FinProd.__contains__
+
+    def counted(self, xy):
+        calls[0] += 1
+        return real(self, xy)
+
+    monkeypatch.setattr(FinProd, "__contains__", counted)
+    f = FinFn.tabulated(dom, cod, lambda x: ("a", "b") if x[1] == "a" else ("b", "a"))
+    # no key is checked against dom: two images, each a pair of labels read off its factors' indexes
+    assert calls[0] == 2 and len(f.table) == 8 and [f(x) for x in dom] == list(f.table.values())
+    assert calls[0] == 2
+    for empty in (FinSet(()), FinProd(s, FinSet(()))):
+        assert FinFn.tabulated(empty, cod, lambda x: 1 / 0).table == {}
+
+
 def test_finfn_rejects_label_outside_domain():
     f = FinFn(FinSet(("a", "b")), FinSet(("x",)), {"a": "x", "b": "x"})
     with pytest.raises(CompositionError, match=r"'zz'.*\{a,b\}"):
@@ -347,22 +397,25 @@ def test_solution_input_checks_membership_a_fixed_number_of_times_per_profile(mo
         finally:
             depth[0] -= 1
 
-    per_profile = []
+    counts = []
     for n in (2, 3):
         players = [{"name": f"p{i}", "strategies": ["L", "M", "R"]} for i in range(n)]
         profiles = list(iter_product(["L", "M", "R"], repeat=n))
         payoffs = {",".join(p): [i % 3 for i in range(j, j + n)] for j, p in enumerate(profiles)}
         lens = compositional_game(parse_game_spec({"players": players, "payoffs": payoffs})[0]).lens
-        reward = para_costate_solution_input(lens)
         monkeypatch.setattr(FinProd, "__contains__", counted)
         calls[0] = 0
+        reward = para_costate_solution_input(lens)
+        built = calls[0]
         for w in reward.dom:
             reward(w)
         monkeypatch.undo()
-        per_profile.append(calls[0] / len(reward.dom))
-    # the reward map checks a profile and its image once; the lenses of the
-    # game inside it check nothing
-    assert per_profile == [2, 2]
+        assert built == len(set(reward.table.values())) < len(reward.dom)
+        counts.append((built, calls[0] - built))
+    # building the reward reads every profile from the product's own elements,
+    # so it checks no profile and each of the 3 distinct rank tuples once; the
+    # lenses of the game inside it check nothing, and reading it checks nothing
+    assert counts == [(3, 0), (3, 0)]
 
 
 def test_arena_cache_is_bounded_and_a_payoff_dies_with_its_game():

@@ -19,6 +19,7 @@ from paralens.errors import CompositionError, UnsupportedOperationError
 from paralens.finite_base import FINITE, FiniteBase, FinFn, FinProd, FinSet
 from paralens import lens_core
 from paralens.lens_core import (
+    CHECKED,
     FRESH,
     LEAF,
     OWNS,
@@ -262,6 +263,29 @@ def test_state_and_costate():
     co = make_costate(FINITE, A, fn)
     assert co.dst == unit_obj(FINITE)
     assert {x: co.put((x, "•")) for x in A.fwd.labels} == fn.table
+
+
+def test_a_state_and_a_costate_return_only_checked_elements():
+    # their outputs are split only where a part is read, so a state's point is checked when it is built,
+    # on a product carrier of either base, and a costate's values by its checked map
+    ab, smooth = obj_pair(FINITE, A, B), LensObj((2, 1), (2, 1))
+    for base, obj, bad in (
+        (FINITE, ab, "a0"),
+        (FINITE, ab, ("a0", "b0", "c0")),
+        (SMOOTH, smooth, np.zeros(3)),
+        (SMOOTH, smooth, [np.zeros(2), np.zeros(1)]),
+    ):
+        with pytest.raises(CompositionError, match="state point .* is not an element of"):
+            make_state(base, obj, bad)
+    state = make_state(FINITE, ab, ("a1", "b0"))
+    costate = make_costate(FINITE, obj_pair(FINITE, B, A), FinFn(FinProd(B.fwd, A.fwd), FinProd(B.bwd, A.bwd), lambda ba: ("s", "q")))
+    assert state.term == costate.term == CHECKED
+    played = lens_compose(lens_compose(state, lens_swap(FINITE, A, B)), costate)
+    _, r = played.forward("•")
+    assert played.get("•") == "•" and played.backward(r, "•") == "•"
+    # the swap reads both parts of the point, and of the costate's value, so both are split
+    assert lens_compose(state, lens_swap(FINITE, A, B)).get("•") == ("b0", "a1")
+    assert lens_compose(lens_swap(FINITE, A, B), costate).put((("a1", "b0"), "•")) == ("q", "s")
 
 
 def test_relabel_lens_ignores_forward_point():

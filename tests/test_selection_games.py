@@ -9,6 +9,7 @@ import gc
 import inspect
 import random
 import weakref
+from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
 from itertools import product as iter_product
@@ -25,12 +26,12 @@ from paralens.finite_base import (
     FinFn,
     FinProd,
     FinSet,
-    FiniteBase,
     UNIT_SET,
     iter_functions,
     split_tuple,
     tuple_label,
 )
+from paralens import lens_core
 from paralens.lens_core import (
     Lens,
     LensObj,
@@ -40,9 +41,10 @@ from paralens.lens_core import (
     lens_id,
     lens_runit,
     lens_swap,
+    obj_pair,
     unit_obj,
 )
-from paralens.para_optic import in_context, para_costate_solution_input, reparametrise
+from paralens.para_optic import ParaLens, in_context, para_costate_solution_input, reparametrise
 from paralens.selection_games import (
     OpenGame,
     SelectionRelation,
@@ -293,11 +295,11 @@ def _pushed_pair(seed: int):
 
 def test_a_pushforward_threads_each_reward_function_once(monkeypatch):
     built = [0]
-    real = FiniteBase.morphism
+    post_init = FinFn.__post_init__
 
-    def counted(self, dom, cod, fn):  # the lens's get is built with the pushforward, so each call is a thread
+    def counted(self):  # the lens's get is built with the pushforward, so each checked function is a threaded table
         built[0] += 1
-        return real(self, dom, cod, fn)
+        post_init(self)
 
     _, pushed, ks = _pushed_pair(36)
     restrictions = []  # every reward function the two pushforwards are asked about, kept alive
@@ -311,7 +313,7 @@ def test_a_pushforward_threads_each_reward_function_once(monkeypatch):
         return SelectionRelation(rel.obj, accepts)
 
     rel = nash_product(*map(recorded, pushed))
-    monkeypatch.setattr(FiniteBase, "morphism", counted)
+    monkeypatch.setattr(FinFn, "__post_init__", counted)
     for k in ks:
         for xy in rel.obj.fwd:
             rel.accepts(xy, k)
@@ -921,6 +923,49 @@ def test_sum_lens_ranks_every_total_exactly(data, n, digits):
     for r, s in iter_product(rank, repeat=2):
         assert (rank[r] < rank[s]) == (total[r] < total[s])
         assert (rank[r] == rank[s]) == (total[r] == total[s])
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_pooled_games())
+def test_sum_lens_backward_is_a_bisect_into_the_played_totals(g):
+    # on every tuple of the grid product, played or not: the index of the greatest played total at or below its own, or 0
+    collapse = sum_of_payoffs_lens(g)
+    ordered = sorted({sum(vals) for vals in g.values.values()})
+    for r in iter_product(*[grid.labels for grid in g.grids]):
+        total = sum((level[int(i)] for level, i in zip(g.levels, r)), Fraction(0))
+        assert collapse.backward(None, tuple_label(list(r))) == str(max(bisect_right(ordered, total) - 1, 0))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_closed_games_reward_legs_split_nothing(monkeypatch, n):
+    # the context's state point and costate values are checked where they are made, so the unitors
+    # of the decisions, which take them apart only to drop or rejoin the parts, emit no split
+    sources, real = [], lens_core.compile_make
+
+    def recorded(source, namespace, filename):
+        sources.append("\n".join(source))
+        return real(source, namespace, filename)
+
+    g = _game([FinSet(("L", "R"))] * n, {p: [i % 2] * n for i, p in enumerate(iter_product("LR", repeat=n))})
+    lens = compositional_game(g).lens
+    monkeypatch.setattr(lens_core, "compile_make", recorded)
+    lens_core._compile.cache_clear()
+    reward = para_costate_solution_input(lens)
+    assert len(sources) == 1 and "split_elem" not in sources[0]
+    assert reward.table == g.payoff.table
+
+
+def test_a_reward_or_threaded_reward_outside_its_codomain_names_the_element_and_the_image():
+    m, r = FinSet(("a", "b", "c")), FinSet(("0", "1"))
+    port, unit = LensObj(m, r), unit_obj(FINITE)
+    back = lambda x, _: ("1" if x[0] == "a" else "9", "•")
+    scalar = ParaLens(FINITE, (port,), unit, unit, Lens(FINITE, obj_pair(FINITE, port, unit), unit, lambda x: ("•", x), back))
+    for rel in (argmax_rel(m, r), total_rel(port)):  # read whole before any profile is asked about
+        with pytest.raises(CompositionError, match=r"^image '9' of 'b' is not in codomain \{0,1\}$"):
+            solution_set(OpenGame(scalar, rel))
+    pushed = sel_pushforward(Lens(FINITE, port, port, lambda x: (x, x), lambda x, z: "7" if x == "c" else z), argmax_rel(m, r))
+    with pytest.raises(CompositionError, match=r"^image '7' of 'c' is not in codomain \{0,1\}$"):
+        pushed.accepts("a", FinFn(m, r, {"a": "0", "b": "1", "c": "0"}))
 
 
 def test_hicks_routes_agree_on_fixtures():
