@@ -20,8 +20,9 @@ forward pass is replayed; for leaves ``l1`` and ``l2``,
 Tensor pairing, identities and rewires are renaming: an element is paired
 only where a leaf or the output reads it, the two parts of one split rejoin
 as the element itself, and the leg's own input, checked at the composite's
-edge, is split only where a part of it is read, as is a :data:`CHECKED`
-leaf's output (a state's point, a costate's values).  So what a :data:`FRESH`
+edge, is split only where a part of it is read, as is a state's point or a
+costate's value: a :data:`STATE` leaf is its checked point, a :data:`COSTATE`
+leaf its checked morphism, and neither splits anything.  So what a :data:`FRESH`
 leaf's backward leg returns, and each part a split makes of it, reaches one
 place, which owns it, as a rejoined element is owned as the whole was.  An
 :data:`OWNS` leaf writes into its cotangent: it is handed an owned one as
@@ -37,7 +38,8 @@ residual.  What a caller hands in, a state's point or a costate's map, is
 checked where it enters.  Elements of products are pairs on every base, so
 pairing and splitting take no carriers.  States are lenses out of the unit
 boundary (they pick a point), costates are lenses into it (their put is an
-ordinary map out of the forward carrier).
+ordinary map out of the forward carrier).  A scalar's reward ``w ↦
+backward(forward(w)[1], unit)`` is one generated leg that packs no residual.
 """
 
 from __future__ import annotations
@@ -131,16 +133,17 @@ class LensObj:
 LEAF = "leaf"  # the term of a lens given by its two legs
 FRESH = "fresh"  # a leaf's whose backward leg returns new buffers, held nowhere else
 OWNS = "owns"  # a FRESH leaf's whose backward leg writes its result into its cotangent
-CHECKED = "checked"  # a leaf's whose legs return only elements checked where they were made
+STATE = "state"  # a state's leaf, whose one leg is its point, checked when it was built
+COSTATE = "costate"  # a costate's leaf, whose one leg is its checked morphism
 
 
 @dataclass(frozen=True, eq=False, init=False)
 class Lens:
     """A morphism of boundary objects: a forward leg ``x ↦ (y, r)`` and a backward leg ``(r, z) ↦ x'``.
 
-    ``Lens(base, src, dst, forward, backward)`` is a leaf, whose ``term`` is :data:`LEAF`,
-    or :data:`FRESH`, :data:`OWNS` or :data:`CHECKED` as it declares; a combinator passes a composite's
-    ``term`` and ``legs``, each leaf's forward and backward leg, leaves left to right.
+    ``Lens(base, src, dst, forward, backward)`` is a leaf, whose ``term`` is :data:`LEAF`, or :data:`FRESH`
+    or :data:`OWNS` as it declares; a state's or a costate's ``legs`` are its one checked point or map
+    (:func:`make_state`, :func:`make_costate`), and a combinator passes a composite's ``term`` and its leaves' ``legs``, left to right.
     ``get : src.fwd → dst.fwd`` and ``put : src.fwd × dst.bwd → src.bwd``
     are checked base morphisms, built on first access; the legs check nothing.
     """
@@ -152,8 +155,8 @@ class Lens:
     legs: tuple
 
     def __init__(self, base, src, dst, forward=None, backward=None, *, term=LEAF, legs=None):
-        legs = (forward, backward) if type(term) is str else legs  # a leaf's term is LEAF, FRESH, OWNS or CHECKED
-        if term in (LEAF, FRESH, CHECKED):  # an OWNS leaf's own legs are generated, so what a caller hands it is copied
+        legs = (forward, backward) if legs is None else legs
+        if term in (LEAF, FRESH):  # an OWNS or a context leaf's own legs are generated, so an OWNS one copies what a caller hands it
             self.__dict__.update(forward=forward, backward=backward)
         self.__dict__.update(base=base, src=src, dst=dst, term=term, legs=legs)
         self.__post_init__()
@@ -249,25 +252,25 @@ def lens_tensor(l1: Lens, l2: Lens) -> Lens:
 
 
 def make_state(base: Base, a: LensObj, point: Elem) -> Lens:
-    """The state of ``a`` that picks ``point``: a lens out of the unit boundary."""
+    """The state of ``a`` that picks ``point``, checked here: a lens out of the unit boundary, whose
+    :data:`STATE` leaf is ``point``, bound once, so its legs call nothing and its backward one yields the unit."""
     if not base.contains(a.fwd, point):
         raise CompositionError(
             f"state point {point!r} is not an element of {base.describe(a.fwd)}"
         )
-    unit = base.unit_elem()
-    return Lens(base, unit_obj(base), a, lambda _: (point, None), lambda _, z: unit, term=CHECKED)
+    return Lens(base, unit_obj(base), a, term=STATE, legs=(point,))
 
 
 def make_costate(base: Base, a: LensObj, f: Mor) -> Lens:
-    """The costate of ``a`` whose backward leg is the checked base morphism ``f : a.fwd → a.bwd``."""
+    """The costate of ``a`` whose put is the checked base morphism ``f : a.fwd → a.bwd``: its
+    :data:`COSTATE` leaf is ``f``, called on the residual its forward leg only renames from its input."""
     if f.dom != a.fwd or f.cod != a.bwd:
         raise CompositionError(
             f"costate map has type {base.describe(f.dom)} → "
             f"{base.describe(f.cod)}, expected {base.describe(a.fwd)} → "
             f"{base.describe(a.bwd)}"
         )
-    unit = base.unit_elem()
-    return Lens(base, a, unit_obj(base), lambda x: (unit, x), lambda x, _: f(x), term=CHECKED)
+    return Lens(base, a, unit_obj(base), term=COSTATE, legs=(f,))
 
 
 def lens_equal(l1: Lens, l2: Lens) -> bool:
@@ -286,11 +289,14 @@ def lens_equal(l1: Lens, l2: Lens) -> bool:
 
 # -- generated legs -------------------------------------------------------
 #
-# A term is LEAF, ("compose", t1, t2), ("tensor", t1, t2) or ("rewire", src,
-# dst).  While generating, a value is a name bound at run time, a pair of
-# values, or None for the unit; only a split of a name emits code, and one of
-# a ``given`` value (the leg's input, a CHECKED leaf's output, their parts)
-# only if a part is read.  Units and pairs of units are names ``make`` binds once (``consts``).
+# A term is a leaf's kind, ("compose", t1, t2), ("tensor", t1, t2) or ("rewire",
+# src, dst).  While generating, a value is a name bound at run time, a pair of
+# values, or None for the unit; only a split of a name emits code, and one of a
+# ``given`` value (the leg's input, a state's point ``p<i>``, a costate's value
+# ``k<i>(…)``, their parts), or that call, only if it is read.  A state emits
+# no line, a costate's forward leg none.  Units and pairs of units are names
+# ``make`` binds once (``consts``).  The reward leg walks forward from ``x``,
+# then backward from the unit, in one body, so no residual tuple is packed.
 
 
 class _Source(list):
@@ -344,11 +350,20 @@ class _Source(list):
     def walk(self, t, v, forward: bool):
         """The value ``t``'s forward (or backward) leg makes of ``v``."""
         if type(t) is int:
-            z, out = self.join(v), f"y{t}" if forward else f"x{t}"
-            z = z if forward or self.kinds[t] != OWNS or z in self.owned else f"base.copy_elem({z})"
-            self.append(f"{out}, r{t} = f{t}({z})" if forward else f"{out} = b{t}(r{t}, {z})")
-            if self.kinds[t] != LEAF:  # a CHECKED leaf's output is given, a FRESH or OWNS one's owned
-                (self.given if self.kinds[t] == CHECKED else self.owned).add(out)
+            kind, out = self.kinds[t], f"y{t}" if forward else f"x{t}"
+            if kind == STATE:  # its point, bound in make; backward, the unit
+                out = f"p{t}" if forward else None
+            elif kind == COSTATE and forward:  # the unit, keeping its input as its residual
+                self.residual[t], out = self.join(v), None
+            elif kind == COSTATE:  # its morphism on its residual, a line kept only if the value is read
+                self.optional[len(self)] = (out,)
+                self.append(f"{out} = k{t}({self.residual.get(t, f'r{t}')})")
+            else:
+                z = self.join(v)
+                z = z if forward or kind != OWNS or z in self.owned else f"base.copy_elem({z})"
+                self.append(f"{out}, r{t} = f{t}({z})" if forward else f"{out} = b{t}(r{t}, {z})")
+            if kind != LEAF and out:  # a context leaf's output is given, a FRESH or OWNS one's owned
+                (self.given if kind in (STATE, COSTATE) else self.owned).add(out)
             return out
         tag, a, b = t
         if tag == "rewire":
@@ -374,27 +389,30 @@ def compile_make(source: list[str], namespace: dict, filename: str) -> Callable:
 
 
 @lru_cache(maxsize=256)
-def _compile(base: Base, term) -> Callable[..., tuple[Callable, Callable]]:
-    """``make(f0, b0, f1, b1, …)``: given each leaf's legs, the ``(forward, backward)`` of a composite.
+def _compile(base: Base, term, reward: bool = False) -> Callable:
+    """``make(…)``: given each leaf's legs, a state's point or a costate's morphism, the ``(forward,
+    backward)`` of a composite, or if ``reward`` its one leg ``x ↦ backward(forward(x)[1], unit)``.
 
     Leaves run in the combinators' order; ``base``'s element operations, but for units, are looked up at every call.
     """
     kinds: list = []
     term = _numbered(term, kinds)
-    n = len(kinds)
-    residuals = "".join(f"r{i}, " for i in range(n))
+    held = [i for i, kind in enumerate(kinds) if kind != STATE]  # the leaves with a residual
     consts, bodies = {}, []
-    for head, forward, tail in (("forward(x)", True, f", ({residuals})"), ("backward(r, z)", False, "")):
-        leg = _Source([f"{residuals}= r"] if n and not forward else [])
-        leg.kinds, leg.consts, leg.given, leg.owned, leg.parts, leg.optional = kinds, consts, {"xz"[not forward]}, set(), {}, {}
-        out = leg.join(leg.walk(term, "x" if forward else "z", forward))
-        bodies += [f"    def {head}:", *(f"        {line}" for line in leg.kept(out)), f"        return {out}{tail}"]
-    source = [f"def make({', '.join(f'f{i}, b{i}' for i in range(n))}):"]
-    source += [f"    {name} = {expr}" for expr, name in consts.items()] + bodies + ["    return forward, backward"]
-    make = compile_make(source, {"base": base}, "<lens>")
-    if n:
+    for head, forward in (("reward(x)", None),) if reward else (("forward(x)", True), ("backward(r, z)", False)):
+        leg = _Source([f"{''.join(f'r{i}, ' for i in held)}= r"] if held and forward is False else [])
+        leg.kinds, leg.consts, leg.given, leg.owned, leg.parts, leg.optional, leg.residual = kinds, consts, {"x", "z"}, set(), {}, {}, {}
+        if forward is None:  # the reward leg: forward from x, then backward from the unit
+            leg.walk(term, "x", True)
+        out = leg.join(leg.walk(term, {True: "x", False: "z"}.get(forward), bool(forward)))
+        tail = f", ({''.join(leg.residual.get(i, f'r{i}') + ', ' for i in held)})" if forward else ""
+        bodies += [f"    def {head}:", *(f"        {line}" for line in leg.kept(out + tail)), f"        return {out}{tail}"]
+    params = ", ".join({STATE: f"p{i}", COSTATE: f"k{i}"}.get(kind, f"f{i}, b{i}") for i, kind in enumerate(kinds))
+    source = [f"def make({params}):"] + [f"    {name} = {expr}" for expr, name in consts.items()] + bodies
+    make = compile_make(source + [f"    return {'reward' if reward else 'forward, backward'}"], {"base": base}, "<lens>")
+    if kinds:
         return make
-    legs = make()  # no leaves: every lens of the term shares one pair of legs
+    legs = make()  # no leaves: every lens of the term shares its legs
     return lambda: legs
 
 

@@ -190,10 +190,11 @@ def para_costate_solution_input(p: ParaLens) -> Mor:
     A scalar (both boundaries trivial) is nothing but data on its parameter
     port: feeding it the unit state and unit costate leaves the map that
     sends each parameter value to its backward feedback, as a checked base
-    morphism read through the generated legs of ``runit⁻¹ ; carrier``, the
-    term ``("compose", ("rewire", 0, (0, None)), carrier.term)`` on the
+    morphism read through the one generated reward leg of ``runit⁻¹ ; carrier``,
+    the term ``("compose", ("rewire", 0, (0, None)), carrier.term)`` on the
     carrier's leaves, with no lens built.  On finite carriers this is the
-    reward function a selection relation consumes, tabulated in one pass.
+    reward function a selection relation consumes, tabulated in one pass; a
+    closed game's leg is one call of its payoff.
     """
     base = p.base
     unit = unit_obj(base)
@@ -202,6 +203,5 @@ def para_costate_solution_input(p: ParaLens) -> Mor:
             f"not a scalar: boundary is {describe_obj(base, p.src)} → "
             f"{describe_obj(base, p.dst)}"
         )
-    forward, backward = _compile(base, ("compose", ("rewire", 0, (0, None)), p.carrier.term))(*p.carrier.legs)
-    point = base.unit_elem()
-    return base.tabulate(p.params.fwd, p.params.bwd, lambda w: backward(forward(w)[1], point))
+    reward = _compile(base, ("compose", ("rewire", 0, (0, None)), p.carrier.term), True)(*p.carrier.legs)
+    return base.tabulate(p.params.fwd, p.params.bwd, reward)

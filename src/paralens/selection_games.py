@@ -157,9 +157,9 @@ def sel_pushforward(f: Lens, eps: SelectionRelation) -> SelectionRelation:
 
     The image relation accepts (y, k) iff some state x with get(x) = y is
     accepted by ``eps`` against the reward function threaded back through
-    ``f``.  A FinFn's type is checked; any reward function is threaded once
-    on ``f``'s legs into a table over all source states, checking each value
-    before the backward leg reads it, and its best responses are the images
+    ``f``.  A FinFn's type is checked, and any other reward function's values
+    before the backward leg reads them; either is threaded once on ``f``'s legs
+    into a table over all source states, and its best responses are the images
     of the source states ``eps`` accepts against it.
     """
     if f.base is not FINITE:
@@ -177,12 +177,13 @@ def sel_pushforward(f: Lens, eps: SelectionRelation) -> SelectionRelation:
     get, forward, backward, rewards = f.get, f.forward, f.backward, f.dst.bwd
 
     def best(k) -> list:
-        if isinstance(k, FinFn) and (k.dom != f.dst.fwd or k.cod != rewards):
+        if (checked := isinstance(k, FinFn)) and (k.dom != f.dst.fwd or k.cod != rewards):
             raise CompositionError(f"costate map has type {k.dom} → {k.cod}, expected {f.dst.fwd} → {rewards}")
 
         def thread(x):
             y, r = forward(x)
-            if (z := k(y)) not in rewards:
+            z = k(y)
+            if not checked and z not in rewards:
                 raise CompositionError(f"reward function maps {y!r} to {z!r}, outside the rewards {rewards}")
             return backward(r, z)
         threaded = FINITE.tabulate(f.src.fwd, f.src.bwd, thread)

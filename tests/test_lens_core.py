@@ -19,10 +19,11 @@ from paralens.errors import CompositionError, UnsupportedOperationError
 from paralens.finite_base import FINITE, FiniteBase, FinFn, FinProd, FinSet
 from paralens import lens_core
 from paralens.lens_core import (
-    CHECKED,
+    COSTATE,
     FRESH,
     LEAF,
     OWNS,
+    STATE,
     Lens,
     _compile,
     LensObj,
@@ -266,7 +267,7 @@ def test_state_and_costate():
 
 
 def test_a_state_and_a_costate_return_only_checked_elements():
-    # their outputs are split only where a part is read, so a state's point is checked when it is built,
+    # a state's leaf is its point and a costate's its map, so a state's point is checked when it is built,
     # on a product carrier of either base, and a costate's values by its checked map
     ab, smooth = obj_pair(FINITE, A, B), LensObj((2, 1), (2, 1))
     for base, obj, bad in (
@@ -278,8 +279,16 @@ def test_a_state_and_a_costate_return_only_checked_elements():
         with pytest.raises(CompositionError, match="state point .* is not an element of"):
             make_state(base, obj, bad)
     state = make_state(FINITE, ab, ("a1", "b0"))
-    costate = make_costate(FINITE, obj_pair(FINITE, B, A), FinFn(FinProd(B.fwd, A.fwd), FinProd(B.bwd, A.bwd), lambda ba: ("s", "q")))
-    assert state.term == costate.term == CHECKED
+    costate_map = FinFn(FinProd(B.fwd, A.fwd), FinProd(B.bwd, A.bwd), lambda ba: ("s", "q"))
+    costate = make_costate(FINITE, obj_pair(FINITE, B, A), costate_map)
+    assert (state.term, state.legs, costate.term, costate.legs) == (STATE, (("a1", "b0"),), COSTATE, (costate_map,))
+    # alone, a state's get is its point and its put the unit, and a costate's put is its map
+    assert state.get("•") == ("a1", "b0") and state.put(("•", ("q", "s"))) == "•"
+    assert costate.get(("b1", "a0")) == "•" and costate.put((("b1", "a0"), "•")) == ("s", "q")
+    # the legs check nothing, so only the costate's map can reject the value it makes
+    liar = lens_compose(lens_swap(FINITE, A, B), make_costate(FINITE, obj_pair(FINITE, B, A), FinFn(costate_map.dom, costate_map.cod, lambda ba: "s")))
+    with pytest.raises(CompositionError, match=r"^image 's' of \('b0', 'a1'\) is not in codomain"):
+        liar.backward(liar.forward(("a1", "b0"))[1], "•")
     played = lens_compose(lens_compose(state, lens_swap(FINITE, A, B)), costate)
     _, r = played.forward("•")
     assert played.get("•") == "•" and played.backward(r, "•") == "•"

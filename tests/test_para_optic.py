@@ -1,6 +1,7 @@
 import gc
 import re
 
+import numpy as np
 import pytest
 
 from paralens.checks import pd_game
@@ -21,6 +22,7 @@ from paralens.lens_core import (
     lens_compose,
     lens_equal,
     lens_id,
+    lens_runit_inv,
     lens_tensor,
     obj_pair,
     unit_obj,
@@ -29,13 +31,14 @@ from paralens.para_optic import (
     ParaLens,
     embed_trivial,
     flatten_params,
+    in_context,
     para_compose,
     para_costate_solution_input,
     para_tensor,
     reparametrise,
 )
 from paralens.selection_games import arena, compositional_game, hicks_games, solution_set
-from paralens.smooth_autodiff import apply_R, gan_model, gd_lens, mlp_map
+from paralens.smooth_autodiff import SMOOTH, apply_R, gan_model, gd_lens, mlp_map
 
 
 def _switch_para() -> ParaLens:
@@ -332,6 +335,14 @@ def test_solution_input_costate():
     fn = para_costate_solution_input(p)
     assert (fn.dom, fn.cod) == (params.fwd, params.bwd)
     assert {w: FINITE.apply(fn, w) for w in params.fwd.labels} == reward
+    # a smooth scalar, a state and a costate around a graph under an overwriting optimiser, reads through
+    # the same one reward leg as the lens runit⁻¹ ; carrier does through its two
+    model = apply_R(mlp_map((2, 1)))
+    scalar = in_context(reparametrise(model, gd_lens(0.5, 3)), np.array([0.5, -1.0]), SMOOTH.morphism(1, 1, lambda y: 3 * y - 1))
+    fn, closed = para_costate_solution_input(scalar), lens_compose(lens_runit_inv(SMOOTH, scalar.params), scalar.carrier)
+    assert (fn.dom, fn.cod) == (3, 3)
+    for w in (np.array([1.0, 2.0, 0.25]), np.array([-0.5, 0.0, 3.0])):
+        assert np.array_equal(fn(w), closed.backward(closed.forward(w)[1], SMOOTH.unit_elem()))
 
 
 def test_solution_input_rejects_open_boundaries():

@@ -8,6 +8,7 @@ is itself tested directly against the same hand values.
 import gc
 import inspect
 import random
+import re
 import weakref
 from bisect import bisect_right
 from fractions import Fraction
@@ -188,6 +189,21 @@ def test_a_pushforward_checks_a_reward_before_its_backward_leg_reads_it():
     with pytest.raises(CompositionError, match="costate map has type"):
         sel_pushforward(f, argmax_rel(port.fwd, port.bwd)).accepts("a", wide)
     assert read == []
+
+
+def test_a_pushforward_tests_only_an_unchecked_rewards_values(monkeypatch):
+    # a FinFn's values are in its codomain, which the pushforward has compared with its rewards, so only
+    # a plain function's are tested, once per source state
+    moves, ranks, levels = FinSet(("a", "b", "c")), FinSet(("0", "1")), FinSet(("lo", "hi"))
+    f = Lens(FINITE, LensObj(moves, ranks), LensObj(moves, levels), lambda x: (x, None), lambda _, z: "1" if z == "hi" else "0")
+    k = FinFn(moves, levels, {"a": "lo", "b": "hi", "c": "hi"})
+    tested, contains = [], FinSet.__contains__
+    monkeypatch.setattr(FinSet, "__contains__", lambda self, x: tested.append(self is levels) or contains(self, x))
+    pushed = sel_pushforward(f, argmax_rel(moves, ranks))
+    for reward, tests in ((k, 0), (lambda y: k(y), 3)):
+        tested.clear()
+        assert [y for y in moves if pushed.accepts(y, reward)] == ["b", "c"]
+        assert tested.count(True) == tests
 
 
 def test_nash_product_restricts_once_per_frozen_move(monkeypatch):
@@ -939,7 +955,9 @@ def test_sum_lens_backward_is_a_bisect_into_the_played_totals(g):
 @pytest.mark.parametrize("n", [2, 3])
 def test_a_closed_games_reward_legs_split_nothing(monkeypatch, n):
     # the context's state point and costate values are checked where they are made, so the unitors
-    # of the decisions, which take them apart only to drop or rejoin the parts, emit no split
+    # of the decisions, which take them apart only to drop or rejoin the parts, emit no split; the
+    # state compiles to its point and the costate to its map, so the one reward leg calls the payoff
+    # alone and packs no residual
     sources, real = [], lens_core.compile_make
 
     def recorded(source, namespace, filename):
@@ -952,7 +970,13 @@ def test_a_closed_games_reward_legs_split_nothing(monkeypatch, n):
     lens_core._compile.cache_clear()
     reward = para_costate_solution_input(lens)
     assert len(sources) == 1 and "split_elem" not in sources[0]
+    assert re.findall(r"\b[fbpk]\d+\(", sources[0]) == ["k1("] and "p0" not in sources[0].partition("\n")[2]
+    assert not re.search(r"\br\d*\b", sources[0])  # no residual, packed or unpacked
     assert reward.table == g.payoff.table
+    # the Hicks route that reparametrises by the sum-of-payoffs lens reads the lens's backward leg of the payoff
+    collapse = sum_of_payoffs_lens(g)
+    reward = para_costate_solution_input(hicks_games(g)[0].lens)
+    assert all(reward(w) == collapse.backward(None, g.payoff(w)) for w in lens.params.fwd)
 
 
 def test_a_reward_or_threaded_reward_outside_its_codomain_names_the_element_and_the_image():
