@@ -44,7 +44,7 @@ _deviation_oracle = brute_force_nash  # the name bench/tracing.py times
 
 _MAX_PAYOFF_DIGITS = 4300  # Python's int-string limit, which a spec value must stay within
 _PAYOFF_BOUND = 10**_MAX_PAYOFF_DIGITS  # the least positive int past the digit limit
-_MAX_PLAYERS = 32  # the nested Nash product recurses per player; 32 players of two moves have 2**32 profiles
+_MAX_PLAYERS = 32  # 32 players of two moves have 2**32 profiles to list; left-nested carriers recurse once per player
 # Python 3.10's Fraction grammar; later versions also read "1_000" and "3 / 2"
 _RATIONAL = re.compile(r"\s*[-+]?(?=\d|\.\d)\d*(?:/\d+|(?:\.\d*)?(?:[eE][-+]?\d+)?)\s*")
 

@@ -30,7 +30,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from operator import itemgetter
+from itertools import chain, compress
+from math import prod
+from operator import eq, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from weakref import ref
 
@@ -322,10 +324,46 @@ def arena(players: tuple[FinSet, ...], grids: tuple[FinSet, ...]) -> ParaLens:
 @lru_cache(maxsize=64)
 def nash_relation(players: tuple[FinSet, ...], grids: tuple[FinSet, ...], tags: tuple[str, ...]) -> SelectionRelation:
     """The Nash product of the players' relations, ``argmax`` or ``total`` by
-    their checked ``tags``.  Like the :func:`arena` it depends only on the
-    ports, so it is built once per shape and tags, and kept in a bounded cache."""
-    rels = (argmax_rel(m, r) if tag == "argmax" else total_rel(LensObj(m, r)) for m, r, tag in zip(players, grids, tags))
-    return reduce(nash_product, rels)
+    their checked ``tags``, read by columns.  A profile is kept iff each argmax
+    player's rank is the top one among its own deviations: the profiles that
+    differ from it only in that player's move, which in product order lie a
+    stride apart, the product of the later players' move counts.  Like the
+    :func:`arena` it depends only on the ports, so it is built once per shape
+    and tags, and kept in a bounded cache."""
+    obj = LensObj(finset_tuple_product(players), finset_tuple_product(grids))
+    size, columns = len(obj.fwd), []  # per argmax player: its index, move count, stride and rank of each label
+    for i, (moves, rewards, tag) in enumerate(zip(players, grids, tags)):
+        if tag == "argmax" and len(moves) == 0:
+            raise CompositionError("argmax over the empty move set is undefined")
+        stride = prod(map(len, players[i + 1 :]))
+        if tag == "argmax" and len(moves) > 1 and stride:  # one move, or no profile, leaves nothing to rank
+            columns.append((i, len(moves), stride, {r: j for j, r in enumerate(rewards.labels)}))
+
+    def best(k) -> Iterable:
+        if (checked := isinstance(k, FinFn)) and (k.dom != obj.fwd or k.cod != obj.bwd):
+            raise CompositionError(f"reward function is not {obj.fwd} → {obj.bwd}")
+        profiles = list(obj.fwd)
+        values = list(map(k, profiles))
+        if not checked:
+            for x, v in zip(profiles, values):
+                if v not in obj.bwd:
+                    raise CompositionError(f"reward function maps {x!r} to {v!r}, outside the rewards {obj.bwd}")
+        ranks = [values]  # the nested rank tuples, peeled into each player's column, the last player's first
+        for _ in players[1:]:
+            ranks[:1] = list(map(itemgetter(0), ranks[0])), list(map(itemgetter(1), ranks[0]))
+        cols, tops = [], []  # per argmax player, each profile's rank and the top rank of its group
+        for i, m, stride, rank in columns:
+            col, block = list(map(rank.__getitem__, ranks[i])), m * stride
+            # each group is m positions a stride apart; its top is found for whichever index runs fewer times:
+            if stride * block >= size:  # per block of m runs, each `stride` long, or
+                top = [list(map(max, *[col[z + b * stride : z + (b + 1) * stride] for b in range(m)])) * m for z in range(0, size, block)]
+            else:  # per offset into a run, each run a slice of step `block`, then interleaved back
+                top = zip(*[list(map(max, *[col[b * stride + c :: block] for b in range(m)])) for c in range(stride)] * m)
+            cols.append(col)
+            tops.append(chain.from_iterable(top))
+        return compress(profiles, map(eq, zip(*cols), zip(*tops))) if cols else profiles
+
+    return best_response(obj, best)
 
 
 def game_scalar(g: NormalFormGame) -> ParaLens:

@@ -365,7 +365,8 @@ def _one_move_spec(n):
 
 
 def test_a_spec_past_the_player_bound_exits_2(tmp_path, capsys):
-    # the nested Nash product recurses per player; 200 players would exhaust the stack
+    # a solve lists every profile (2**32 at 32 players of two moves), and iterating the left-nested profile
+    # carrier recurses once per player
     path = tmp_path / "many.json"
     path.write_text(json.dumps(_one_move_spec(200)), encoding="utf-8")
     assert main(["solve", str(path)]) == 2

@@ -16,7 +16,7 @@ from functools import reduce
 from itertools import product as iter_product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from paralens.checks import random_finfn, random_finset, random_lens, random_obj, random_para, random_relation
@@ -28,6 +28,7 @@ from paralens.finite_base import (
     FinProd,
     FinSet,
     UNIT_SET,
+    finset_tuple_product,
     iter_functions,
     split_tuple,
     tuple_label,
@@ -47,6 +48,7 @@ from paralens.lens_core import (
 )
 from paralens.para_optic import ParaLens, in_context, para_costate_solution_input, reparametrise
 from paralens.selection_games import (
+    SELECTION_TAGS,
     OpenGame,
     SelectionRelation,
     arena,
@@ -1074,6 +1076,69 @@ def test_nash_product_commutes_with_reassociation():
             lens_assoc(FINITE, a, b, c), nested_left
         )
         assert relations_equal(pushed, nested_right)
+
+
+# -- the players' Nash relation, read by columns --------------------------
+
+
+@st.composite
+def _small_ports(draw):
+    """One to three players of one or two moves, rank grids of one or two labels (in either order, so
+    a rank is a label's position, not its value) and per-player tags, on a port of at most 4,096 reward functions."""
+    n = draw(st.integers(1, 3))
+    players = tuple(FinSet(tuple(f"m{j}" for j in range(draw(st.integers(1, 2))))) for _ in range(n))
+    grids = tuple(FinSet(draw(st.sampled_from([("0",), ("0", "1"), ("1", "0")]))) for _ in range(n))
+    tags = tuple(draw(st.sampled_from(SELECTION_TAGS)) for _ in range(n))
+    assume(len(finset_tuple_product(grids)) ** len(finset_tuple_product(players)) <= 4096)
+    return players, grids, tags
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_ports())
+def test_the_nash_relation_is_the_folded_binary_product(port):
+    players, grids, tags = port
+    factors = [argmax_rel(m, r) if tag == "argmax" else total_rel(LensObj(m, r)) for m, r, tag in zip(players, grids, tags)]
+    nash_relation.cache_clear()
+    try:
+        assert relations_equal(nash_relation(players, grids, tags), reduce(nash_product, factors))
+    finally:
+        nash_relation.cache_clear()
+
+
+def test_the_nash_relation_checks_a_reward_before_it_unpacks_it():
+    cd, grid = FinSet(("C", "D")), FinSet(("0", "1"))
+    nash_relation.cache_clear()
+    rel = nash_relation((cd,) * 3, (grid,) * 3, ("argmax", "total", "argmax"))
+    # not a FinFn: each value is checked against the whole rank product, a total player's rank too
+    for bad in (("2", "0"), "0", ["0", "0"], (("0", "0"), "2"), (("0", "2"), "0"), ((("0", "0"), "0"), "0")):
+        with pytest.raises(CompositionError, match=re.escape(f"reward function maps (('C', 'C'), 'C') to {bad!r}")):
+            rel.accepts((("C", "C"), "C"), lambda w, bad=bad: bad)
+    # a FinFn of the wrong type, codomain or domain, is refused before any value is read
+    wide = FinSet(("0", "1", "2"))
+    for dom, cod in ((rel.obj.fwd, finset_tuple_product([grid, wide, grid])), (FinProd(cd, cd), rel.obj.bwd)):
+        k = FinFn(dom, cod, lambda w: next(iter(cod)))
+        with pytest.raises(CompositionError, match="^reward function is not "):
+            rel.accepts((("C", "C"), "C"), k)
+        assert k.table == {}
+    # an argmax player with no move has no best response, and a total one leaves no profile to keep
+    empty = FinSet(())
+    with pytest.raises(CompositionError, match="^argmax over the empty move set is undefined$"):
+        nash_relation((cd, empty), (grid, grid), ("total", "argmax"))
+    rel = nash_relation((cd, empty), (grid, grid), ("argmax", "total"))
+    assert relations_equal(rel, nash_product(argmax_rel(cd, grid), total_rel(LensObj(empty, grid))))
+    assert not rel.accepts(("C", "x"), FinFn(rel.obj.fwd, rel.obj.bwd, {}))
+    nash_relation.cache_clear()
+
+
+def test_a_game_of_200_players_solves_with_no_recursion_per_player():
+    # each player's relation is a column of the one reward, so no restriction nests in another; the left-nested
+    # profile carrier bounds the player count instead (its iteration recurses once per player)
+    n = 200
+    g = game_of_rows((FinSet(("a",)),) * n, {("a",) * n: (Fraction(0),) * n})
+    for tags in (None, ["argmax", "total"] * (n // 2)):
+        assert solution_set(compositional_game(g, tags)) == brute_force_nash(g, tags) == (tuple_label(["a"] * n),)
+    arena.cache_clear()
+    nash_relation.cache_clear()
 
 
 def test_relations_on_different_ports_are_not_compared():
