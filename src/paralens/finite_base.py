@@ -96,13 +96,15 @@ class FinProd:
         return tuple(self)
 
     def __contains__(self, xy: object) -> bool:
-        if type(xy) is not tuple or len(xy) != 2:
-            return False
-        x, y = xy
-        left, right = self.left, self.right
-        return (x in left._pos if type(x) is str and type(left) is FinSet else x in left) and (
-            y in right._pos if type(y) is str and type(right) is FinSet else y in right
-        )
+        prod = self  # walks the left spine in a loop: a left-nested product is as deep as it has factors
+        while type(prod) is FinProd:
+            if type(xy) is not tuple or len(xy) != 2:
+                return False
+            xy, y = xy
+            right, prod = prod.right, prod.left
+            if not (y in right._pos if type(y) is str and type(right) is FinSet else y in right):
+                return False
+        return xy in prod._pos if type(xy) is str and type(prod) is FinSet else xy in prod
 
     def __str__(self) -> str:
         return f"{self.left}×{self.right}"

@@ -143,6 +143,33 @@ def test_product_membership_matches_its_recursive_definition(c, data):
         assert (y in c) is _member(c, y)
 
 
+def _recursive_contains(c, xy) -> bool:
+    """Product membership as written before the left spine was walked in a loop: one call per level."""
+    if type(c) is FinSet:
+        return xy in c._pos if type(xy) is str else xy in c
+    if type(xy) is not tuple or len(xy) != 2:
+        return False
+    return _recursive_contains(c.left, xy[0]) and _recursive_contains(c.right, xy[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(factors=st.lists(_carriers(2), min_size=2, max_size=12), data=st.data())
+def test_a_deep_left_nested_product_answers_membership_as_the_recursive_form(factors, data):
+    # a long left spine, each factor a label set or itself a product, right-nested ones included
+    c = reduce(FinProd, factors)
+    x = data.draw(_element(c))
+    for y in (x, *(data.draw(_fault(x)) for _ in range(6)), data.draw(_VALUES)):
+        assert (y in c) is _recursive_contains(c, y) is _member(c, y)
+
+
+def test_membership_in_a_product_of_3000_factors_recurses_no_deeper_than_its_right_factors():
+    s = FinSet(("a", "b"))
+    c = finset_tuple_product([s] * 3000)
+    x = tuple_label(["a", "b"] * 1500)
+    assert x in c and tuple_label(["a"] * 2999 + ["c"]) not in c and tuple_label(["c"] + ["a"] * 2999) not in c
+    assert (x, "a") not in c and x[0] not in c
+
+
 def test_product_carrier_is_not_enumerated():
     a = FinSet(tuple(f"a{i}" for i in range(1000)))
     b = FinSet(tuple(f"b{i}" for i in range(1000)))

@@ -300,10 +300,76 @@ def test_linear_vjp_by_hand():
 @settings(max_examples=50, deadline=None)
 @given(n=st.integers(1, 6), m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_linear_weight_cotangent_is_the_outer_product_bit_for_bit(n, m, seed):
+    # byte for byte, so a zero's sign counts too: these shapes are all below the einsum crossover
     rng = np.random.default_rng(seed)
     w, x, c = rng.normal(size=m * n), rng.normal(size=n), rng.normal(size=m)
     dw, _ = linear(n, m).vjp((w, x), c)
-    assert np.array_equal(dw, np.outer(c, x).ravel())
+    assert dw.tobytes() == np.outer(c, x).ravel().tobytes()
+
+
+def _wide(m: int, n: int) -> bool:
+    """Whether an (m, n) layer writes its weight cotangent with ``einsum`` (see ``linear``)."""
+    return m >= 4 and 2 <= n <= 2048 and m * n >= 4096
+
+
+# (m, n) on both sides of the crossover: one or two rows, one column or rows over 2,048 long stay narrow
+_LAYER_SHAPES = [
+    (1, 4096), (2, 2048), (3, 2048), (4, 1024), (4, 1023), (4096, 1), (2048, 2), (1024, 8), (64, 64), (63, 65),
+    (8, 8), (8, 2048), (4, 2049),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.one_of(st.sampled_from(_LAYER_SHAPES), st.tuples(st.integers(1, 80), st.integers(1, 80))),
+    prim=st.sampled_from([linear, affine]),
+    offered=st.booleans(),
+    zeros=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_weight_cotangent_is_the_broadcast_product_on_both_sides_of_the_crossover(shape, prim, offered, zeros, seed):
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    x, c = rng.normal(size=n), rng.normal(size=m)
+    for v in (x, c):  # signed zeros, so that some products are −0.0 under the broadcast multiply
+        v[rng.integers(0, v.size, zeros)] = rng.choice([0.0, -0.0], zeros)
+    layer = prim(n, m)
+    width = layer.in_dims[0]
+    dst = (np.full(width, np.nan), None) if offered else (None, None)
+    dw, _ = layer.vjp((rng.normal(size=width), x), c, dst) if offered else layer.vjp((rng.normal(size=width), x), c)
+    got, want = dw[: m * n], np.multiply(c[:, None], x).ravel()
+    assert (dw is dst[0]) == offered
+    assert np.array_equal(got, want)
+    nonzero = want != 0.0
+    assert got[nonzero].tobytes() == want[nonzero].tobytes()
+    if not _wide(m, n):  # a narrow layer runs the broadcast multiply itself
+        assert got.tobytes() == want.tobytes()
+    if prim is affine:
+        assert dw[m * n :].tobytes() == c.tobytes()
+
+
+@pytest.mark.parametrize("m, n", _LAYER_SHAPES)
+def test_a_layer_takes_the_einsum_kernel_exactly_when_it_is_wide(monkeypatch, m, n):
+    # the kernel is bound when the primitive is built, so einsum is counted only for layers built after this
+    calls, einsum = [], np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: calls.append(args[0]) or einsum(*args, **kwargs))
+    x, c = np.ones(n), np.ones(m)
+    for layer in (linear(n, m), affine(n, m)):
+        layer.vjp((np.zeros(layer.in_dims[0]), x), c)
+        layer.vjp((np.zeros(layer.in_dims[0]), x), c, (np.empty(layer.in_dims[0]), None))
+    assert len(calls) == 4 * _wide(m, n)
+
+
+def test_a_wide_affine_layer_agrees_with_finite_differences():
+    # above the crossover, so its weight cotangent comes from einsum; the gradient-primitives suite's tolerance
+    layer = affine(64, 64)
+    assert _wide(64, 64)
+    f, rng = checks._single_node_map(layer), np.random.default_rng(21)
+    x, c = rng.uniform(-1.0, 1.0, f.in_dim), rng.uniform(-1.0, 1.0, f.out_dim)
+    _, tape = forward_eval(f, np.zeros(0), x)
+    _, dx = backward_eval(f, tape, c)
+    g_fd = fd_gradient(lambda v: float(c @ forward_eval(f, np.zeros(0), v)[0]), x)
+    assert rel_close(dx, g_fd, rtol=1e-4, atol=1e-8)
 
 
 def test_tanh_vjp_at_zero():
@@ -1199,6 +1265,43 @@ def test_descent_steps_have_the_bytes_of_p_minus_alpha_g(dims, steps):
         p_next, _ = train_step(model, p, data, costate)
         assert np.array_equal(p_next, want) and kept()
         p = p_next
+
+
+def test_a_descent_step_through_both_kernels_is_the_hand_outer_product_step():
+    # (8,64,64,1): the 64×64 layer is wide (einsum), the (64,8) and (1,64) layers narrow (multiply); zero
+    # parameters and inputs make zero products, whose sign may differ between the kernels but whose value may not
+    dims, alpha = (8, 64, 64, 1), 1e-3
+    assert [_wide(m, n) for n, m in zip(dims[:-1], dims[1:])] == [False, True, False]
+    f = sqerr_head(mlp_map(dims))
+    model, costate = reparametrise(apply_R(f), gd_lens(alpha, f.param_dim)), unit_loss_costate()
+    rng = np.random.default_rng(13)
+    p = rng.uniform(-0.5, 0.5, f.param_dim)
+    p[rng.integers(0, p.size, 500)] = 0.0
+    w0 = p[:512].reshape(64, 8)
+    w0[::5], p[512:576:5] = 0.0, -0.0  # every fifth unit of the first layer is tanh(0): a zero column for the second
+    p[576 : 576 + 4096].reshape(64, 64)[:, ::5] = -0.0
+    data = rng.uniform(-1.0, 1.0, 9)
+    data[[1, 4]] = 0.0
+    x, target = data[:8], data[8:]
+    layers, h, off = [], x, 0
+    for i, (n, m) in enumerate(zip(dims[:-1], dims[1:])):
+        w, b = p[off : off + m * n].reshape(m, n), p[off + m * n : off + m * n + m]
+        off += m * n + m
+        z = w @ h + b
+        layers.append((w, h, z))
+        h = np.tanh(z) if i < len(dims) - 2 else z
+    c, grads = 2.0 * (h - target), []
+    for i in reversed(range(len(layers))):
+        w, h, z = layers[i]
+        if i < len(layers) - 1:
+            t = np.tanh(z)
+            c = c * (1.0 - t * t)
+        grads[:0] = [np.outer(c, h).ravel(), c]
+        c = w.T @ c
+    want = p - alpha * np.concatenate(grads)
+    assert np.any(want == 0.0) and np.any(np.signbit(p) & (p == 0.0))
+    p_next, _ = train_step(model, p, data, costate)
+    assert np.array_equal(p_next, want)
 
 
 def test_smooth_product_and_split_reject_non_pairs():
